@@ -322,11 +322,14 @@ def attack_energy(
                           whatever tops the pending window sum up to
                           beta * (1 - margin), clamped at 0 ("greedy");
         windowed-pulse:   beta * (1 - margin) on every ell-th step, else 0;
-        cusum:            tau on the first step then b, exact (the statistic
-                          rides strictly below the threshold, no margin
-                          needed); with exact_first_step the first step
-                          spends tau + b - S_prev, margin-backed because it
-                          lands on the threshold itself.
+        cusum:            tau on the first step, exact (it leaves S below
+                          the threshold), then b * (1 - margin), so that
+                          every steady z stays below b whatever its
+                          rounding and S = max(0, S + z - b) never creeps
+                          up; with exact_first_step the first step spends
+                          tau + b - S_prev, margin-backed because it lands
+                          on the threshold itself, and the steady steps
+                          spend b exactly to hold S there.
 
     A plan `magnitude` override short-circuits all of the above: energy is
     magnitude^2 on every step the schedule is active (for the pulse kind,
@@ -366,7 +369,7 @@ def attack_energy(
                     raise ValueError("exact first step needs the live CUSUM statistic")
                 return np.maximum(0.0, (plan.tau + plan.b - np.asarray(s_prev, dtype=float)) * off)
             return plan.tau
-        return plan.b
+        return plan.b if plan.exact_first_step else plan.b * off
     raise ValueError(f"unknown attack kind {plan.kind!r}")
 
 

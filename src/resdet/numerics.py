@@ -1,16 +1,16 @@
 """Numerical kernels used across the library.
 
-Self-contained implementations (no scipy dependency) of the special
-functions and matrix-equation solvers the detection and attack analysis
-code relies on:
+The special functions and the matrix-equation solvers the detection and
+attack analysis code relies on, with numpy as the only dependency:
 
 * regularized lower incomplete gamma function and its inverse, which give
-  chi-squared tail thresholds for alarm tuning,
-* a Jacobi eigensolver for symmetric matrices, powering the dominant
-  eigenpair extraction and the symmetric PSD square root,
-* fixed-point solver for the discrete algebraic Riccati equation in
-  one-step-predictor form,
-* a direct (Kronecker) solver for the discrete Lyapunov equation.
+  chi-squared tail thresholds for alarm tuning (numpy has none);
+* symmetric eigenpairs by LAPACK ``eigh``, powering the dominant eigenpair
+  extraction and the symmetric PSD square root;
+* the discrete algebraic Riccati equation in one-step-predictor form, by
+  the structure-preserving doubling algorithm (quadratic convergence);
+* the discrete Lyapunov equation, by Smith's doubling iteration (O(n^3)
+  per doubling, no n^2 x n^2 system).
 
 All routines operate on plain numpy arrays and raise ValueError on domain
 violations rather than returning NaNs.
@@ -40,6 +40,14 @@ __all__ = [
 _GAMMA_EPS = 1e-15
 _GAMMA_ITMAX = 200_000
 _TINY = 1e-300
+
+# Doubling iterations (DARE, Lyapunov): an increment below this fraction of
+# the solution ends the iteration; the next one would be about its square.
+# 2**64 terms of the series reach any spectral radius below 1 that a double
+# holds, so the cap is met only by a divergent or overflowing iteration.
+_DOUBLING_TOL = 1e-15
+_DOUBLING_MAX = 64
+_UNDETECTABLE = "non-detectable or ill-conditioned model"
 
 
 def _gamma_series(a: float, x: float) -> float:
@@ -183,53 +191,18 @@ def _check_symmetric(mat: np.ndarray, name: str, rtol: float = 1e-8) -> np.ndarr
     return 0.5 * (arr + arr.T)
 
 
-def symmetric_eigenpairs(mat: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def symmetric_eigenpairs(mat: np.ndarray):
+    """Full eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Args:
         mat: symmetric (n, n) matrix.
-        tol: relative off-diagonal magnitude at which to stop sweeping.
-        max_sweeps: cap on full Jacobi sweeps.
 
     Returns:
         (w, V): eigenvalues in descending order and the matrix whose columns
         are the matching orthonormal eigenvectors.
     """
-    a = _check_symmetric(mat, "matrix").copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    scale = max(float(np.abs(a).max()), _TINY)
-
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, (a * a).sum() - (a.diagonal() ** 2).sum()))
-        if off <= tol * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol * scale * 1e-2:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p, rot_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * rot_p - s * rot_q
-                a[:, q] = s * rot_p + c * rot_q
-                rot_p, rot_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rot_p - s * rot_q
-                a[q, :] = s * rot_p + c * rot_q
-                rot_p, rot_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * rot_p - s * rot_q
-                v[:, q] = s * rot_p + c * rot_q
-    else:
-        raise RuntimeError("Jacobi eigensolver did not converge")
-
-    w = a.diagonal().copy()
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh(_check_symmetric(mat, "matrix"))
+    return w[::-1], v[:, ::-1]
 
 
 def max_eigenpair(mat: np.ndarray):
@@ -286,20 +259,21 @@ def spectral_radius(mat: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(arr)).max())
 
 
-def solve_dare(
-    f: np.ndarray,
-    c: np.ndarray,
-    q_cov: np.ndarray,
-    r_cov: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-):
+def solve_dare(f: np.ndarray, c: np.ndarray, q_cov: np.ndarray, r_cov: np.ndarray):
     """Stabilizing solution of the discrete algebraic Riccati equation.
 
     Solves P = F P F' - F P C' (C P C' + R)^-1 C P F' + Q, the
-    one-step-predictor form, by fixed-point iteration from P_0 = Q.
-    P is the steady-state covariance of the one-step prediction error;
-    the matching predictor gain is L = F P C' (C P C' + R)^-1.
+    one-step-predictor form, by the structure-preserving doubling
+    algorithm (Anderson 1978) on the dual control problem (F', C').  With
+    W = I + G_k H_k, starting from A_0 = F', G_0 = C' R^-1 C, H_0 = Q:
+
+        A_{k+1} = A_k W^-1 A_k
+        G_{k+1} = G_k + A_k W^-1 G_k A_k'
+        H_{k+1} = H_k + A_k' H_k W^-1 A_k
+
+    H_k converges quadratically to P.  P is the steady-state covariance of
+    the one-step prediction error; the matching predictor gain is
+    L = F P C' (C P C' + R)^-1.
 
     Args:
         f: (n, n) state transition matrix.
@@ -313,7 +287,8 @@ def solve_dare(
 
     Raises:
         RuntimeError: "non-detectable or ill-conditioned model" if the
-            iteration diverges or fails to converge within max_iter.
+            doubling diverges, fails to converge, or converges to a
+            solution whose F - L C is not stable.
     """
     f = _check_square(f, "F")
     c = np.asarray(c, dtype=float)
@@ -323,35 +298,53 @@ def solve_dare(
     q_sym = _check_symmetric(q_cov, "process covariance")
     r_sym = _check_symmetric(r_cov, "measurement covariance")
 
-    p_cov = q_sym.copy()
-    for _ in range(max_iter):
-        innov = c @ p_cov @ c.T + r_sym
-        gain = np.linalg.solve(innov.T, (f @ p_cov @ c.T).T).T
-        p_next = f @ p_cov @ f.T - gain @ innov @ gain.T + q_sym
-        p_next = 0.5 * (p_next + p_next.T)
-        diff = float(np.abs(p_next - p_cov).max())
-        p_cov = p_next
-        if not np.isfinite(diff) or diff > 1e200:
-            raise RuntimeError("non-detectable or ill-conditioned model (Riccati iteration diverged)")
-        if diff <= tol * max(1.0, float(np.abs(p_cov).max())):
-            innov = c @ p_cov @ c.T + r_sym
-            gain = np.linalg.solve(innov.T, (f @ p_cov @ c.T).T).T
-            return p_cov, gain
-    raise RuntimeError(
-        f"non-detectable or ill-conditioned model (no convergence in {max_iter} iterations)"
-    )
+    a_k, g_k, h_k = f.T, c.T @ np.linalg.solve(r_sym, c), q_sym
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_DOUBLING_MAX):
+            w_inv = np.linalg.solve(np.eye(n) + g_k @ h_k, np.hstack([a_k, g_k]))
+            step = a_k.T @ h_k @ w_inv[:, :n]
+            g_k = g_k + a_k @ w_inv[:, n:] @ a_k.T
+            h_k = h_k + step
+            a_k = a_k @ w_inv[:, :n]
+            size = float(np.abs(h_k).max())
+            if not np.isfinite(size) or size > 1e200:
+                raise RuntimeError(f"{_UNDETECTABLE} (Riccati doubling diverged)")
+            if float(np.abs(step).max()) <= _DOUBLING_TOL * size:
+                break
+        else:
+            raise RuntimeError(f"{_UNDETECTABLE} (no convergence in {_DOUBLING_MAX} doublings)")
+
+    p_cov = 0.5 * (h_k + h_k.T)
+    innov = c @ p_cov @ c.T + r_sym
+    gain = np.linalg.solve(innov.T, (f @ p_cov @ c.T).T).T
+    rho = spectral_radius(f - gain @ c)
+    if rho >= 1.0:
+        raise RuntimeError(f"{_UNDETECTABLE} (spectral radius of F-LC is {rho:.6g})")
+    return p_cov, gain
 
 
 def solve_discrete_lyapunov(a: np.ndarray, q_cov: np.ndarray) -> np.ndarray:
-    """Solve P = A P A' + Q directly via the Kronecker linear system.
+    """Solve P = A P A' + Q by Smith's doubling iteration (Smith 1968).
 
-    Requires the spectrum of A inside the unit circle so the (n^2, n^2)
-    system I - kron(A, A) is nonsingular.
+    P_{k+1} = P_k + A_k P_k A_k' with A_{k+1} = A_k A_k, from P_0 = Q and
+    A_0 = A, makes P_k the first 2^k terms of the series sum_j A^j Q A'^j.
+    It converges quadratically for a stable A and needs no (n^2, n^2)
+    system.
+
+    Raises:
+        ValueError: if the spectral radius of A is >= 1, where the series
+            diverges and no PSD solution exists.
     """
     a = _check_square(a, "A")
     q_sym = _check_symmetric(q_cov, "Q")
-    n = a.shape[0]
-    system = np.eye(n * n) - np.kron(a, a)
-    p_vec = np.linalg.solve(system, q_sym.reshape(-1))
-    p_cov = p_vec.reshape(n, n)
-    return 0.5 * (p_cov + p_cov.T)
+    rho = spectral_radius(a)
+    if rho >= 1.0:
+        raise ValueError(f"A must be stable: spectral radius {rho:.6g} >= 1")
+    p_cov = q_sym
+    for _ in range(_DOUBLING_MAX):
+        step = a @ p_cov @ a.T
+        p_cov = p_cov + step
+        if float(np.abs(step).max()) <= _DOUBLING_TOL * float(np.abs(p_cov).max()):
+            return 0.5 * (p_cov + p_cov.T)
+        a = a @ a
+    raise RuntimeError(f"Lyapunov doubling did not converge in {_DOUBLING_MAX} doublings")

@@ -1,10 +1,19 @@
-"""Shared fixtures: benchmark loops and a scalar loop with unit sigma."""
+"""Shared fixtures: benchmark loops and a scalar loop with unit sigma.
+
+Property tests run under a derandomized hypothesis profile with no deadline
+and no example database, so every run draws the same examples and none is
+stored between runs.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from resdet import reactor as rx
 from resdet.model import PlantModel, build_closed_loop
+
+settings.register_profile("resdet", derandomize=True, deadline=None, database=None)
+settings.load_profile("resdet")
 
 
 @pytest.fixture(scope="session")

@@ -283,7 +283,7 @@ def test_attack_energy_schedules(reactor_fixed):
 
     plan = AttackPlan(kind="cusum", k_star=10, direction=direction, tau=5.0, b=3.0)
     assert attack_energy(plan, 10) == 5.0  # exact, no margin
-    assert attack_energy(plan, 11) == 3.0
+    assert attack_energy(plan, 11) == pytest.approx(3.0 * (1 - m), rel=1e-15)
     first = AttackPlan(
         kind="cusum", k_star=10, direction=direction, tau=5.0, b=3.0, exact_first_step=True
     )

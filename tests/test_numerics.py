@@ -1,14 +1,18 @@
 """Numerics kernels against independent reference implementations.
 
 Every kernel is checked two ways where possible: against frozen values
-computed once from closed forms, and live against scipy/numpy references
-(the kernels themselves never call those routines).
+computed once from closed forms, and live against scipy/numpy references.
+The special functions and the matrix-equation solvers never call those
+references; the eigensolver wraps numpy's ``eigh``, so its oracle is
+scipy's ``eigh`` (another LAPACK routine) and the eigen-equation residual.
+Property tests draw random models up to n = 100.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, linalg as sla, special
 
 from resdet import numerics as nx
@@ -221,3 +225,130 @@ def test_solve_discrete_lyapunov_vs_scipy():
     ref = sla.solve_discrete_lyapunov(a, q)
     np.testing.assert_allclose(p, ref, rtol=1e-9, atol=1e-10)
     np.testing.assert_allclose(a @ p @ a.T + q, p, rtol=1e-9, atol=1e-9)
+
+
+def test_solve_discrete_lyapunov_rejects_unstable():
+    for a in ([[2.0]], np.diag([1.1, 0.5]), np.diag([1.0, 0.5])):
+        with pytest.raises(ValueError, match="must be stable"):
+            nx.solve_discrete_lyapunov(np.array(a), np.eye(len(a)))
+
+
+# ------------------------------------------------- properties on random models
+
+SIZES = st.integers(1, 100)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _scaled(rng, n, rho):
+    """Gaussian (n, n) matrix scaled to spectral radius rho."""
+    raw = rng.standard_normal((n, n))
+    return raw * (rho / nx.spectral_radius(raw))
+
+
+def _random_model(n, seed, rho):
+    """F with spectral radius rho, a (p, n) C with 1 <= p <= n, PD Q and R.
+
+    A Gaussian C observes every mode, so (F, C) is detectable for any rho.
+    """
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, n + 1))
+    f = _scaled(rng, n, rho)
+    c = rng.standard_normal((p, n)) / math.sqrt(n)
+    b = rng.standard_normal((n, n)) / math.sqrt(n)
+    br = rng.standard_normal((p, p)) / math.sqrt(p)
+    return f, c, b @ b.T + 1e-3 * np.eye(n), br @ br.T + np.eye(p)
+
+
+def test_symmetric_eigenpairs_regression_matrix():
+    # Wishart matrix with eigenvalues from 5e-4 to 203
+    raw = np.random.default_rng(1).standard_normal((50, 50))
+    s = raw @ raw.T
+    vals, vecs = nx.symmetric_eigenpairs(s)
+    np.testing.assert_allclose(vals, sla.eigh(s, eigvals_only=True)[::-1], atol=1e-9)
+    np.testing.assert_allclose(s @ vecs, vecs * vals, atol=1e-8 * vals[0])
+    x = nx.psd_sqrt(s)
+    assert np.linalg.norm(x @ x - s) <= 1e-9 * np.linalg.norm(s)
+
+
+@settings(max_examples=30)
+@given(n=SIZES, seed=SEEDS)
+def test_symmetric_eigenpairs_match_scipy(n, seed):
+    raw = np.random.default_rng(seed).standard_normal((n, n))
+    s = raw + raw.T
+    vals, vecs = nx.symmetric_eigenpairs(s)
+    np.testing.assert_allclose(vals, sla.eigh(s, eigvals_only=True)[::-1], atol=1e-9)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(n), atol=1e-9)
+    np.testing.assert_allclose(s @ vecs, vecs * vals, atol=1e-8)
+
+    lam1, nu = nx.max_eigenpair(s)
+    assert lam1 == vals[0]
+    assert nu[np.abs(nu) > 1e-12][0] > 0.0
+
+
+@settings(max_examples=30)
+@given(n=SIZES, rank=SIZES, seed=SEEDS)
+def test_psd_sqrt_squares_back(n, rank, seed):
+    # rank < n makes the matrix singular, exercising the PSD floor
+    raw = np.random.default_rng(seed).standard_normal((n, min(rank, n)))
+    s = raw @ raw.T
+    x = nx.psd_sqrt(s)
+    assert np.linalg.norm(x @ x - s) <= 1e-9 * np.linalg.norm(s)
+    np.testing.assert_array_equal(x, x.T)
+
+
+@settings(max_examples=20)
+@given(n=SIZES, seed=SEEDS, rho=st.floats(0.05, 1.2))  # scipy's QZ fails as F -> 0
+def test_solve_dare_matches_scipy(n, seed, rho):
+    f, c, q, r = _random_model(n, seed, rho)
+    p, l_gain = nx.solve_dare(f, c, q, r)
+
+    p_ref = sla.solve_discrete_are(f.T, c.T, q, r)
+    np.testing.assert_allclose(p, p_ref, rtol=1e-8, atol=1e-10)
+    l_ref = f @ p_ref @ c.T @ np.linalg.inv(c @ p_ref @ c.T + r)
+    np.testing.assert_allclose(l_gain, l_ref, rtol=1e-7, atol=1e-10)
+    assert nx.spectral_radius(f - l_gain @ c) < 1.0
+
+
+@settings(max_examples=20)
+@given(n=SIZES, seed=SEEDS, rho=st.floats(0.0, 0.95))
+def test_solve_discrete_lyapunov_matches_scipy(n, seed, rho):
+    rng = np.random.default_rng(seed)
+    a = _scaled(rng, n, rho)
+    raw = rng.standard_normal((n, n)) / math.sqrt(n)
+    q = raw @ raw.T
+    p = nx.solve_discrete_lyapunov(a, q)
+    np.testing.assert_allclose(p, sla.solve_discrete_lyapunov(a, q), rtol=1e-9, atol=1e-10)
+    np.testing.assert_allclose(a @ p @ a.T + q, p, rtol=1e-9, atol=1e-9)
+
+
+@settings(max_examples=20)
+@given(n=st.integers(1, 30), seed=SEEDS, rho=st.floats(1.001, 3.0))
+def test_solve_discrete_lyapunov_rejects_random_unstable(n, seed, rho):
+    a = _scaled(np.random.default_rng(seed), n, rho)
+    with pytest.raises(ValueError, match="must be stable"):
+        nx.solve_discrete_lyapunov(a, np.eye(n))
+
+
+@settings(max_examples=20)
+@given(n=st.integers(2, 30), seed=SEEDS, lam=st.floats(1.0, 2.0))
+def test_solve_dare_rejects_random_non_detectable(n, seed, lam):
+    # one unstable or marginal mode that C does not see, hidden by a permutation
+    f, c, q, r = _random_model(n - 1, seed, 0.5)
+    f = np.block([[np.array([[lam]]), np.zeros((1, n - 1))], [np.zeros((n - 1, 1)), f]])
+    c = np.hstack([np.zeros((c.shape[0], 1)), c])
+    q = np.block([[np.ones((1, 1)), np.zeros((1, n - 1))], [np.zeros((n - 1, 1)), q]])
+    perm = np.random.default_rng(seed).permutation(n)
+    with pytest.raises(RuntimeError, match="non-detectable or ill-conditioned model"):
+        nx.solve_dare(f[perm][:, perm], c[:, perm], q[perm][:, perm], r)
+
+
+@settings(max_examples=20)
+@given(n=st.integers(1, 30), seed=SEEDS, neg=st.floats(1e-6, 1.0))
+def test_psd_sqrt_rejects_random_indefinite(n, seed, neg):
+    # eigenvalues in [0, 1] and one at -neg, below the -1e-9 rounding floor
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = rng.uniform(0.0, 1.0, n)
+    w[0] = -neg
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        nx.psd_sqrt((v * w) @ v.T)
