@@ -21,7 +21,6 @@ from .detectors import (
     CusumDetector,
     WindowedChiSqDetector,
     estimate_arl,
-    make_detector,
     measure_alarm_rate,
     tune_chi2,
     tune_cusum_tau,
@@ -29,15 +28,12 @@ from .detectors import (
 )
 from .model import (
     ClosedLoopModel,
-    LoopState,
     NoiseModel,
     PlantModel,
     advance,
     build_closed_loop,
     distance_measure,
-    initial_state,
     simulate_distance_stream,
-    step,
 )
 from .numerics import (
     inverse_regularized_lower_gamma,
@@ -72,7 +68,6 @@ __all__ = [
     "CusumDetector",
     "DeviationBound",
     "EnsembleResult",
-    "LoopState",
     "NoiseModel",
     "PlantModel",
     "Scenario",
@@ -84,9 +79,7 @@ __all__ = [
     "distance_measure",
     "estimate_arl",
     "gamma_bound",
-    "initial_state",
     "inverse_regularized_lower_gamma",
-    "make_detector",
     "max_eigenpair",
     "measure_alarm_rate",
     "measure_steady_deviation",
@@ -106,7 +99,6 @@ __all__ = [
     "spectral_radius",
     "stationarity_gap",
     "steady_deviation_estimate",
-    "step",
     "sweep_window_contours",
     "synthesize_attack",
     "tune_chi2",

@@ -37,7 +37,6 @@ from typing import Optional, Union
 import numpy as np
 
 from . import numerics
-from .detectors import ChiSqDetector, CusumDetector, WindowedChiSqDetector
 from .model import ClosedLoopModel
 
 __all__ = [
@@ -56,6 +55,9 @@ __all__ = [
 DEFAULT_SATURATION_MARGIN = 5e-11
 
 _KINDS = ("chi2", "windowed-static", "windowed-pulse", "cusum", "none")
+
+# The attack kind each detector kind invites by default.
+_KIND_FOR_DETECTOR = {"chi2": "chi2", "windowed": "windowed-static", "cusum": "cusum"}
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,15 @@ class AttackPlan:
             raise ValueError(f"unknown saturation mode {self.saturation_mode!r}")
         if not (0.0 <= self.margin < 1e-3):
             raise ValueError("margin must be a tiny nonnegative fraction")
+
+    @property
+    def live_state(self) -> Optional[str]:
+        """attack_energy's keyword for the live detector state this schedule reads, if any."""
+        if self.kind == "windowed-static" and self.saturation_mode == "greedy":
+            return "pending_window_sum"
+        if self.kind == "cusum" and self.exact_first_step:
+            return "s_prev"
+        return None
 
 
 @dataclass(frozen=True)
@@ -203,9 +214,9 @@ def plan_attack(
 ) -> AttackPlan:
     """Build an AttackPlan against a tuned detector.
 
-    The plan snapshots the detector's thresholds; `kind` is inferred from
-    the detector type (windowed defaults to the static schedule; pass
-    kind="windowed-pulse" for the pulsed one).
+    The plan snapshots the detector's thresholds (`params`); `kind` is
+    inferred from the detector's kind (windowed defaults to the static
+    schedule; pass kind="windowed-pulse" for the pulsed one).
     """
     unit = resolve_direction(model, direction)
     common = dict(
@@ -217,24 +228,14 @@ def plan_attack(
         exact_first_step=exact_first_step,
         margin=margin,
     )
-    if isinstance(detector, ChiSqDetector):
-        inferred = "chi2"
-        extra = dict(alpha=detector.alpha)
-    elif isinstance(detector, WindowedChiSqDetector):
-        inferred = "windowed-static"
-        extra = dict(beta=detector.beta, ell=detector.ell)
-    elif isinstance(detector, CusumDetector):
-        inferred = "cusum"
-        extra = dict(tau=detector.tau, b=detector.b)
-    else:
-        raise TypeError(f"unsupported detector type {type(detector).__name__}")
+    inferred = _KIND_FOR_DETECTOR[detector.kind]
     if kind is None:
         kind = inferred
     if kind not in (inferred, "windowed-pulse") or (
         kind == "windowed-pulse" and inferred != "windowed-static"
     ):
         raise ValueError(f"attack kind {kind!r} does not match detector kind {inferred!r}")
-    return AttackPlan(kind=kind, **common, **extra)
+    return AttackPlan(kind=kind, **common, **detector.params)
 
 
 def _steady_magnitude(kind, alpha=None, beta=None, ell=None, b=None, split=False) -> float:
@@ -257,35 +258,31 @@ def gamma_bound(
 ) -> DeviationBound:
     """Predicted steady-state deviation for a saturating attack on `detector`.
 
-    The per-step magnitude is sqrt(alpha) (chi-squared), sqrt(beta/ell)
-    (windowed static schedule), or sqrt(b) (CUSUM steady phase); `magnitude`
-    overrides it for prescribed constant injections.  The direction must be
-    a unit vector (or the specs "worst"/"ones").
-
-    Raises:
-        ValueError: for the pulsed windowed schedule (its forcing is not
-            constant, so the fixed-point formula does not apply).
+    The prediction of the default plan against `detector` (see
+    predicted_deviation); `magnitude` overrides the per-step magnitude for
+    prescribed constant injections.  The direction must be a unit vector
+    (or the specs "worst"/"ones").
     """
-    if isinstance(detector, ChiSqDetector):
-        kind, params = "chi2", dict(alpha=detector.alpha)
-    elif isinstance(detector, WindowedChiSqDetector):
-        kind, params = "windowed-static", dict(beta=detector.beta, ell=detector.ell)
-    elif isinstance(detector, CusumDetector):
-        kind, params = "cusum", dict(b=detector.b)
-    else:
-        raise TypeError(f"unsupported detector type {type(detector).__name__}")
-    unit = resolve_direction(model, direction)
     if not isinstance(direction, str):
         given = np.asarray(direction, dtype=float).reshape(-1)
         if abs(float(np.linalg.norm(given)) - 1.0) > 1e-9:
             raise ValueError("direction must be a unit vector; scale belongs in the magnitude")
-    mag = float(magnitude) if magnitude is not None else _steady_magnitude(kind, **params)
-    gamma = float(np.linalg.norm(compute_M(model) @ (mag * unit)))
-    return DeviationBound(gamma=gamma, kind=kind, magnitude=mag, direction=unit)
+    plan = plan_attack(model, detector, k_star=1, direction=direction, magnitude=magnitude)
+    return predicted_deviation(model, plan)
 
 
 def predicted_deviation(model: ClosedLoopModel, plan: AttackPlan) -> DeviationBound:
-    """gamma_bound evaluated from a plan's snapshot (same formula, same units)."""
+    """Predicted steady-state deviation ||M (magnitude * direction)|| of a plan.
+
+    The per-step magnitude is sqrt(alpha) (chi-squared), sqrt(beta/ell)
+    (windowed static schedule), or sqrt(b) (CUSUM steady phase), unless the
+    plan overrides it.
+
+    Raises:
+        ValueError: for attack-free plans and for the pulsed windowed
+            schedule (its forcing is not constant, so the fixed-point
+            formula does not apply).
+    """
     if plan.kind == "none":
         raise ValueError("no prediction available for an attack-free scenario")
     if plan.kind == "windowed-pulse":
@@ -373,38 +370,23 @@ def attack_energy(
     raise ValueError(f"unknown attack kind {plan.kind!r}")
 
 
-def _pending_window_sum(detector: WindowedChiSqDetector) -> float:
-    """Sum of the z values that will remain in the window after the next push."""
-    if len(detector.window) == detector.ell:
-        return detector.w - detector.window[0]
-    return detector.w
-
-
 def synthesize_attack(
     plan: AttackPlan,
     model: ClosedLoopModel,
     k: int,
     e: np.ndarray,
     eta: np.ndarray,
-    detector=None,
+    pending_window_sum=None,
+    s_prev=None,
 ) -> np.ndarray:
     """The injected sensor bias delta_k for step k >= k_star.
 
     delta cancels the true innovation (-C e - eta) and substitutes
-    Sigma^{1/2} psi_k with psi_k from the plan's schedule.  The dynamic
-    schedules (greedy windowed, exact-first-step CUSUM) read the live
-    detector passed in; the static ones ignore it.
+    Sigma^{1/2} psi_k with psi_k from the plan's schedule.  `e` and `eta`
+    are (n,) and (p,) vectors for one run or (n, runs) and (p, runs)
+    matrices for an ensemble.  The dynamic schedules read the live detector
+    state passed in, as attack_energy does.
     """
-    pending = None
-    s_prev = None
-    if plan.kind == "windowed-static" and plan.saturation_mode == "greedy":
-        if not isinstance(detector, WindowedChiSqDetector):
-            raise ValueError("greedy windowed schedule needs the live windowed detector")
-        pending = _pending_window_sum(detector)
-    if plan.kind == "cusum" and plan.exact_first_step and k == plan.k_star:
-        if not isinstance(detector, CusumDetector):
-            raise ValueError("exact first step needs the live CUSUM detector")
-        s_prev = detector.s
-    energy = attack_energy(plan, k, pending_window_sum=pending, s_prev=s_prev)
-    psi = math.sqrt(float(energy)) * plan.direction
+    energy = attack_energy(plan, k, pending_window_sum=pending_window_sum, s_prev=s_prev)
+    psi = np.multiply.outer(plan.direction, np.sqrt(energy) * np.ones(np.shape(e)[1:]))
     return -(model.plant.c @ e) - eta + model.sigma_sqrt @ psi

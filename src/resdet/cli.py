@@ -51,14 +51,18 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("RS_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(EXIT_USAGE, f"RS_SEED must be an integer, got {raw!r}") from None
+def _resolve_seed(explicit: Optional[int] = None) -> int:
+    """The run seed: `explicit` when given, else RS_SEED, else 0; never negative."""
+    seed = explicit
+    if seed is None:
+        raw = os.environ.get("RS_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise CliError(EXIT_USAGE, f"RS_SEED must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise CliError(EXIT_USAGE, f"seed must be nonnegative, got {seed}")
+    return int(seed)
 
 
 def _fmt(value: float) -> str:
@@ -188,12 +192,13 @@ def _build_detector(doc: dict, model, seed: int):
     raise CliError(EXIT_USAGE, f"unknown detector kind {kind!r}")
 
 
+# Detector parameter names as scenario files spell them.
+_SCENARIO_PARAM = {"ell": "window"}
+
+
 def _describe_detector(detector) -> dict:
-    if isinstance(detector, det_mod.ChiSqDetector):
-        return {"kind": "chi2", "params": {"alpha": detector.alpha}}
-    if isinstance(detector, det_mod.WindowedChiSqDetector):
-        return {"kind": "windowed", "params": {"beta": detector.beta, "window": detector.ell}}
-    return {"kind": "cusum", "params": {"tau": detector.tau, "b": detector.b}}
+    params = {_SCENARIO_PARAM.get(name, name): value for name, value in detector.params.items()}
+    return {"kind": detector.kind, "params": params}
 
 
 def load_scenario(path: str, seed_override: Optional[int] = None) -> sim_mod.Scenario:
@@ -207,12 +212,7 @@ def load_scenario(path: str, seed_override: Optional[int] = None) -> sim_mod.Sce
     sim_doc = doc.get("sim", {})
     steps = int(sim_doc.get("steps", 1000))
     burn_in = int(sim_doc.get("burn_in", 50))
-    if seed_override is not None:
-        seed = int(seed_override)
-    elif "seed" in sim_doc:
-        seed = int(sim_doc["seed"])
-    else:
-        seed = _default_seed()
+    seed = _resolve_seed(seed_override if seed_override is not None else sim_doc.get("seed"))
     mc_runs = int(sim_doc.get("mc_runs", 200))
     tail_fraction = float(sim_doc.get("tail_fraction", 0.5))
 
@@ -271,7 +271,7 @@ def _write_json(path, obj) -> None:
 
 def _cmd_tune(args) -> int:
     far = _check_far(args.far)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _resolve_seed(args.seed)
     try:
         if args.detector == "chi2":
             if args.sensors is None:
@@ -358,12 +358,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_reactor(args) -> int:
+    seed = _resolve_seed(args.seed)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot create --out-dir: {exc}") from exc
-    seed = args.seed if args.seed is not None else _default_seed()
     result = reactor_mod.run_benchmark(seed=seed)
     for key, trace in result["traces"].items():
         _write_trace_csv(out_dir / f"trace_{key}.csv", trace)
@@ -372,12 +372,14 @@ def _cmd_reactor(args) -> int:
 
 
 def _cmd_arl(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    if args.runs < 1:
+        raise CliError(EXIT_USAGE, "--runs must be >= 1")
+    if args.cap < 1:
+        raise CliError(EXIT_USAGE, "--cap must be >= 1")
+    seed = _resolve_seed(args.seed)
     doc = _load_document(args.scenario)
     model = _build_model(doc)
     detector = _build_detector(doc, model, seed)
-    if args.runs < 1:
-        raise CliError(EXIT_USAGE, "--runs must be >= 1")
     result = det_mod.estimate_arl(model, detector, runs=args.runs, seed=seed, cap=args.cap)
     out = {"detector": _describe_detector(detector)}
     out.update({

@@ -15,15 +15,18 @@ inverse regularized lower incomplete gamma function; the CUSUM threshold
 has no closed form and is tuned by Monte-Carlo bisection on simulated
 attack-free streams.
 
-Each detector exists twice, deliberately: as a stateful single-stream
-class (`update` one z at a time, the reference semantics) and as a
-vectorized scan over (runs, steps) arrays used by tuning and Monte-Carlo
-estimation.  Tests hold the two implementations to identical alarm
-sequences.
+Each detector class carries its thresholds (`kind`, `params`) and two
+views of the same semantics: `update`, a stateful state machine fed one z
+at a time that serves as the reference, and `scan`, a vectorized pass over
+(runs, steps) arrays that resumes from a carry (the window tail, the CUSUM
+statistic), so a stream can be scanned chunk by chunk.  Tuning, Monte-Carlo
+estimation and the simulation loop use only the scans; tests hold them to
+the state machines' alarm sequences.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections import deque
@@ -40,14 +43,12 @@ __all__ = [
     "ChiSqDetector",
     "WindowedChiSqDetector",
     "CusumDetector",
-    "make_detector",
     "tune_chi2",
     "tune_windowed",
     "tune_cusum_tau",
     "scan_chi2",
     "scan_windowed",
     "scan_cusum",
-    "scan_for",
     "measure_alarm_rate",
     "estimate_arl",
     "RateEstimate",
@@ -68,7 +69,24 @@ class AlarmEvent:
     statistic: float
 
 
-class ChiSqDetector:
+class _Detector:
+    """What every detector offers besides `update` and `scan`.
+
+    `params` holds the thresholds under their constructor names, which are
+    also the AttackPlan field names.  `exceedance` marks the columns where
+    the statistic first crosses its threshold, the end of a run length.
+    """
+
+    kind: str
+
+    def exceedance(self, stat: np.ndarray, alarm: np.ndarray) -> np.ndarray:
+        return alarm
+
+    def fresh(self):
+        return type(self)(**self.params)
+
+
+class ChiSqDetector(_Detector):
     """Static chi-squared detector: alarm iff z > alpha, memoryless."""
 
     kind = "chi2"
@@ -79,6 +97,10 @@ class ChiSqDetector:
         self.alpha = float(alpha)
         self.k = 0
 
+    @property
+    def params(self) -> dict:
+        return {"alpha": self.alpha}
+
     def update(self, z: float) -> Optional[AlarmEvent]:
         if z < 0:
             raise ValueError(f"distance measure must be nonnegative, got {z}")
@@ -87,14 +109,13 @@ class ChiSqDetector:
             return AlarmEvent(k_star=self.k, kind=self.kind, statistic=float(z))
         return None
 
-    def reset(self) -> None:
-        self.k = 0
+    def scan(self, z, carry=None):
+        """(stat, alarm, carry); memoryless, so the carry stays None."""
+        stat, alarm = scan_chi2(z, self.alpha)
+        return stat, alarm, None
 
-    def fresh(self) -> "ChiSqDetector":
-        return ChiSqDetector(self.alpha)
 
-
-class WindowedChiSqDetector:
+class WindowedChiSqDetector(_Detector):
     """Sliding-window chi-squared detector: alarm iff sum of last ell z's > beta.
 
     Alarms are suppressed until the window is full (the first ell - 1
@@ -115,6 +136,10 @@ class WindowedChiSqDetector:
         self.w = 0.0
         self.k = 0
 
+    @property
+    def params(self) -> dict:
+        return {"beta": self.beta, "ell": self.ell}
+
     def update(self, z: float) -> Optional[AlarmEvent]:
         if z < 0:
             raise ValueError(f"distance measure must be nonnegative, got {z}")
@@ -129,16 +154,15 @@ class WindowedChiSqDetector:
             return AlarmEvent(k_star=self.k, kind=self.kind, statistic=self.w)
         return None
 
-    def reset(self) -> None:
-        self.window.clear()
-        self.w = 0.0
-        self.k = 0
+    def scan(self, z, carry=None):
+        """(stat, alarm, carry); the carry is the last (up to) ell - 1 samples seen."""
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+        stat, alarm = scan_windowed(z, self.ell, self.beta, tail=carry)
+        seen = z if carry is None else np.concatenate([carry, z], axis=1)
+        return stat, alarm, seen[:, max(0, seen.shape[1] - self.ell + 1):]
 
-    def fresh(self) -> "WindowedChiSqDetector":
-        return WindowedChiSqDetector(self.beta, self.ell)
 
-
-class CusumDetector:
+class CusumDetector(_Detector):
     """CUSUM detector on z with bias b and threshold tau.
 
     Update recursion: if the previous statistic already exceeded tau, this
@@ -160,6 +184,10 @@ class CusumDetector:
         self.s = 0.0
         self.k = 0
 
+    @property
+    def params(self) -> dict:
+        return {"tau": self.tau, "b": self.b}
+
     def update(self, z: float) -> Optional[AlarmEvent]:
         if z < 0:
             raise ValueError(f"distance measure must be nonnegative, got {z}")
@@ -172,23 +200,16 @@ class CusumDetector:
         self.k += 1
         return None
 
-    def reset(self) -> None:
-        self.s = 0.0
-        self.k = 0
+    def scan(self, z, carry=None):
+        """(stat, alarm, carry); the carry is S after the last column."""
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+        s = np.zeros(z.shape[0]) if carry is None else carry
+        stat, alarm = scan_cusum(z, self.b, self.tau, s=s)
+        return stat, alarm, stat[:, -1] if stat.shape[1] else s
 
-    def fresh(self) -> "CusumDetector":
-        return CusumDetector(self.tau, self.b)
-
-
-def make_detector(kind: str, **params):
-    """Construct a detector by kind name: chi2 | windowed | cusum."""
-    if kind == "chi2":
-        return ChiSqDetector(alpha=params["alpha"])
-    if kind == "windowed":
-        return WindowedChiSqDetector(beta=params["beta"], ell=params["ell"])
-    if kind == "cusum":
-        return CusumDetector(tau=params["tau"], b=params["b"])
-    raise ValueError(f"unknown detector kind {kind!r}")
+    def exceedance(self, stat: np.ndarray, alarm: np.ndarray) -> np.ndarray:
+        """S > tau: the step before the lagged alarm update."""
+        return stat > self.tau
 
 
 # ---------------------------------------------------------------------------
@@ -336,41 +357,49 @@ def scan_chi2(z: np.ndarray, alpha: float):
     return z.copy(), z > alpha
 
 
-def scan_windowed(z: np.ndarray, ell: int, beta: float):
+def scan_windowed(z: np.ndarray, ell: int, beta: float, tail: Optional[np.ndarray] = None):
     """Statistics and alarm flags for the windowed detector over (runs, steps).
 
     The statistic at column t is the sum of the last min(t+1, ell) values
-    (partial sums during warm-up); alarms require a full window.
+    (partial sums during warm-up); alarms require a full window.  `tail`
+    holds the up to ell - 1 samples that precede column 0, for resuming a
+    scan; they fill the window but get no columns of their own.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     ell = int(ell)
+    lead = 0 if tail is None else tail.shape[1]
+    if lead:
+        z = np.concatenate([tail, z], axis=1)
     cs = np.cumsum(z, axis=1)
     w = cs.copy()
     if ell <= z.shape[1]:
         w[:, ell:] = cs[:, ell:] - cs[:, :-ell]
     alarms = w > beta
     alarms[:, : ell - 1] = False  # window not yet full
-    return w, alarms
+    return w[:, lead:], alarms[:, lead:]
 
 
-def scan_cusum(z: np.ndarray, b: float, tau: float):
+def scan_cusum(z: np.ndarray, b: float, tau: float, s: Optional[np.ndarray] = None):
     """Statistics and alarm flags for the CUSUM detector over (runs, steps).
 
     stats[:, t] is S after consuming column t; alarms[:, t] marks updates
     that fired (i.e. the previous S exceeded tau; that update resets S and
-    discards column t).
+    discards column t).  `s` is S before column 0 (zero by default), for
+    resuming a scan.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     runs, steps = z.shape
-    stats = np.empty_like(z)
-    alarms = np.zeros(z.shape, dtype=bool)
-    s = np.zeros(runs)
-    for t in range(steps):
-        fired = s > tau
-        s = np.where(fired, 0.0, np.maximum(0.0, s + z[:, t] - b))
-        alarms[:, t] = fired
-        stats[:, t] = s
-    return stats, alarms
+    # step-major buffers, so every step writes contiguous rows
+    stats = np.empty((steps, runs))
+    alarms = np.empty((steps, runs), dtype=bool)
+    s = np.zeros(runs) if s is None else s
+    for t, z_t in enumerate(z.T):
+        fired = np.greater(s, tau, out=alarms[t])
+        s = np.add(s, z_t, out=stats[t])
+        s -= b
+        np.maximum(s, 0.0, out=s)
+        s[fired] = 0.0
+    return stats.T, alarms.T
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +414,6 @@ class RateEstimate:
     stderr: float
     alarms: int
     samples: int
-
-
-def scan_for(detector, z: np.ndarray):
-    """Dispatch to the matching vectorized scan for a detector instance."""
-    if isinstance(detector, ChiSqDetector):
-        return scan_chi2(z, detector.alpha)
-    if isinstance(detector, WindowedChiSqDetector):
-        return scan_windowed(z, detector.ell, detector.beta)
-    if isinstance(detector, CusumDetector):
-        return scan_cusum(z, detector.b, detector.tau)
-    raise TypeError(f"unsupported detector type {type(detector).__name__}")
 
 
 def measure_alarm_rate(
@@ -414,11 +432,9 @@ def measure_alarm_rate(
     detectors whose alarm events are serially dependent within a run.
     """
     z = model_mod.simulate_distance_stream(model, steps=steps, runs=runs, seed=seed, burn_in=burn_in)
-    _, alarms = scan_for(detector, z)
-    if isinstance(detector, WindowedChiSqDetector):
-        per_run_samples = max(0, steps - detector.ell + 1)
-    else:
-        per_run_samples = steps
+    _, alarms, _ = detector.scan(z)
+    # a windowed detector evaluates only full windows
+    per_run_samples = max(0, steps - detector.params.get("ell", 1) + 1)
     if per_run_samples == 0:
         return RateEstimate(rate=math.nan, stderr=math.nan, alarms=0, samples=0)
     run_rates = alarms.sum(axis=1) / per_run_samples
@@ -486,79 +502,24 @@ def estimate_arl(
         raise ValueError("runs must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    n, p = model.n, model.p
-    noise_sources = [model.noise(seed, run=i) for i in range(runs)]
-
-    def draw_chunk(width: int):
-        v_all = np.empty((runs, width, n))
-        eta_all = np.empty((runs, width, p))
-        for i, src in enumerate(noise_sources):
-            v_all[i], eta_all[i] = src.blocks(width)
-        return v_all, eta_all
-
-    x = np.zeros((n, runs))
-    xhat = np.zeros((n, runs))
-    if warm_up > 0:
-        v_all, eta_all = draw_chunk(warm_up)
-        for t in range(warm_up):
-            x, xhat, _, _ = model_mod.advance(model, x, xhat, v_all[:, t, :].T, eta_all[:, t, :].T)
-
+    if chunk < 1 or warm_up < 0:
+        raise ValueError("chunk must be >= 1 and warm_up >= 0")
+    widths = itertools.chain([warm_up], (min(chunk, cap - offset) for offset in range(0, cap, chunk)))
+    stream = model_mod.iter_distance_stream(model, widths, runs=runs, seed=seed)
+    next(stream)  # the warm-up
     lengths = np.full(runs, cap, dtype=np.int64)
     done = np.zeros(runs, dtype=bool)
-
-    if isinstance(detector, ChiSqDetector):
-        kind, threshold = "chi2", detector.alpha
-    elif isinstance(detector, WindowedChiSqDetector):
-        kind, threshold = "windowed", detector.beta
-        tail = np.zeros((runs, 0))  # trailing ell-1 samples carried between chunks
-    elif isinstance(detector, CusumDetector):
-        kind, threshold = "cusum", detector.tau
-        s = np.zeros(runs)
-    else:
-        raise TypeError(f"unsupported detector type {type(detector).__name__}")
-
-    offset = 0  # completed post-warm-up steps
-    while offset < cap and not done.all():
-        width = min(chunk, cap - offset)
-        v_all, eta_all = draw_chunk(width)
-        z = np.empty((runs, width))
-        for t in range(width):
-            x, xhat, _, z_t = model_mod.advance(
-                model, x, xhat, v_all[:, t, :].T, eta_all[:, t, :].T
-            )
-            z[:, t] = z_t
-
-        if kind == "chi2":
-            exceed = z > threshold
-        elif kind == "windowed":
-            ell = detector.ell
-            glued = np.concatenate([tail, z], axis=1)
-            tail_len = glued.shape[1] - width
-            exceed = np.zeros((runs, width), dtype=bool)
-            n_win = glued.shape[1] - ell + 1
-            if n_win > 0:
-                w = np.lib.stride_tricks.sliding_window_view(glued, ell, axis=1).sum(axis=-1)
-                # window j spans glued columns [j, j+ell-1]; it ends at local
-                # step j + ell - 1 - tail_len of this chunk.
-                j0 = max(0, tail_len - ell + 1)
-                t_local = np.arange(j0, n_win) + ell - 1 - tail_len
-                exceed[:, t_local] = w[:, j0:] > threshold
-            keep = min(ell - 1, glued.shape[1])
-            tail = glued[:, glued.shape[1] - keep:]
-        else:  # cusum
-            exceed = np.zeros((runs, width), dtype=bool)
-            for t in range(width):
-                s = np.maximum(0.0, s + z[:, t] - detector.b)
-                hit = s > threshold
-                exceed[:, t] = hit
-                s = np.where(hit, 0.0, s)  # start the next cycle after an exceedance
-
+    carry = None
+    for offset, z in zip(range(0, cap, chunk), stream):
+        stat, alarm, carry = detector.scan(z, carry)
+        exceed = detector.exceedance(stat, alarm)
         hit_any = exceed.any(axis=1)
         first = np.where(hit_any, exceed.argmax(axis=1), 0)
         newly = hit_any & ~done
         lengths[newly] = offset + first[newly] + 1
         done |= hit_any
-        offset += width
+        if done.all():
+            break
 
     censored = int((~done).sum())
     if censored:

@@ -23,7 +23,6 @@ scalar-state or vectorized across Monte-Carlo runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -32,13 +31,11 @@ from . import numerics
 __all__ = [
     "PlantModel",
     "ClosedLoopModel",
-    "LoopState",
     "NoiseModel",
     "build_closed_loop",
-    "initial_state",
     "advance",
-    "step",
     "distance_measure",
+    "iter_distance_stream",
     "simulate_distance_stream",
 ]
 
@@ -218,30 +215,6 @@ def build_closed_loop(plant: PlantModel, k_fb, l_gain=None) -> ClosedLoopModel:
 
 
 @dataclass
-class LoopState:
-    """True state and estimate at step k.
-
-    `x` and `xhat` are (n,) vectors for a single run or (n, runs) matrices
-    for a vectorized ensemble; the estimation error e = x - xhat is derived,
-    never stored, so the defining identity cannot drift.
-    """
-
-    x: np.ndarray
-    xhat: np.ndarray
-    k: int = 0
-
-    @property
-    def e(self) -> np.ndarray:
-        return self.x - self.xhat
-
-
-def initial_state(model: ClosedLoopModel, runs: Optional[int] = None) -> LoopState:
-    """Zero state and zero estimate (the linearization origin); k = 0."""
-    shape = (model.n,) if runs is None else (model.n, runs)
-    return LoopState(x=np.zeros(shape), xhat=np.zeros(shape), k=0)
-
-
-@dataclass
 class NoiseModel:
     """Seeded Gaussian noise source for one run.
 
@@ -316,18 +289,6 @@ def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None):
     return x_next, xhat_next, r, distance_measure(model, r)
 
 
-def step(model: ClosedLoopModel, state: LoopState, noise: NoiseModel, delta=None):
-    """Advance one step drawing noise from `noise`.
-
-    Returns:
-        (next_state, r, z) where r is the residual the estimator consumed
-        and z the distance measure evaluated on it.
-    """
-    v, eta = noise.draw()
-    x_next, xhat_next, r, z = advance(model, state.x, state.xhat, v, eta, delta)
-    return LoopState(x=x_next, xhat=xhat_next, k=state.k + 1), r, z
-
-
 def simulate_distance_stream(
     model: ClosedLoopModel,
     steps: int,
@@ -346,18 +307,27 @@ def simulate_distance_stream(
         raise ValueError("steps and burn_in must be nonnegative")
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    total = steps + burn_in
-    n, p = model.n, model.p
-    v_all = np.empty((runs, total, n))
-    eta_all = np.empty((runs, total, p))
-    for i in range(runs):
-        v_all[i], eta_all[i] = model.noise(seed, run=i).blocks(total)
+    return next(iter_distance_stream(model, [burn_in + steps], runs=runs, seed=seed))[:, burn_in:]
 
+
+def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: int = 0):
+    """Attack-free distance measures of one ensemble, chunk by chunk.
+
+    Yields a (runs, width) z array for each width in `widths`, continuing
+    the same trajectories from the origin.  Each chunk draws its noise
+    block-wise per run from the (seed, i) substreams, so the values depend
+    on the chunk widths as well as on the seed.
+    """
+    n, p = model.n, model.p
+    sources = [model.noise(seed, run=i) for i in range(runs)]
     x = np.zeros((n, runs))
     xhat = np.zeros((n, runs))
-    z_out = np.empty((runs, steps))
-    for t in range(total):
-        x, xhat, _, z = advance(model, x, xhat, v_all[:, t, :].T, eta_all[:, t, :].T)
-        if t >= burn_in:
-            z_out[:, t - burn_in] = z
-    return z_out
+    for width in widths:
+        v_all = np.empty((runs, width, n))
+        eta_all = np.empty((runs, width, p))
+        for i, src in enumerate(sources):
+            v_all[i], eta_all[i] = src.blocks(width)
+        z = np.empty((runs, width))
+        for t in range(width):
+            x, xhat, _, z[:, t] = advance(model, x, xhat, v_all[:, t, :].T, eta_all[:, t, :].T)
+        yield z

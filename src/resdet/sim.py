@@ -1,12 +1,12 @@
-"""Simulation orchestration: single runs, Monte-Carlo ensembles, measurements.
+"""Simulation orchestration: Monte-Carlo ensembles, single runs, measurements.
 
 A Scenario bundles a validated closed-loop model, a tuned detector, an
 optional attack plan, and the run geometry (steps, burn-in before the
-attack, seed, ensemble size).  `run` produces a full single-run trace;
-`run_ensemble` advances all Monte-Carlo runs in lockstep as (n, runs)
-matrix states, which keeps 200x1000-step ensembles in the
-fraction-of-a-second range while sharing the exact same dynamics code as
-the sequential path.
+attack, seed, ensemble size).  `run_ensemble` is the one simulation loop:
+it advances all Monte-Carlo runs in lockstep as (n, runs) matrix states,
+which keeps 200x1000-step ensembles in the fraction-of-a-second range, and
+replays the distance measures through the detector's scan.  `run` is the
+one-run ensemble, reshaped into a per-step trace.
 
 Measurement helpers compare the ensemble-mean state against the predicted
 steady-state deviation, smooth per-run norms the way trace figures usually
@@ -18,8 +18,7 @@ detector to the CUSUM one.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -49,8 +48,10 @@ class Scenario:
     """One experiment: model + detector + optional attack + run geometry.
 
     The attack (when present) starts right after the burn-in:
-    k_star = burn_in + 1.  The detector instance is a prototype; every run
-    monitors with a fresh copy.
+    k_star = burn_in + 1.  The simulation reads the detector only through
+    its scan, never through its own state.  Make the plan against this
+    detector (plan_attack does): the alarms come from the detector, the
+    attack schedule from the plan's snapshot of it.
     """
 
     model: ClosedLoopModel
@@ -109,13 +110,10 @@ class SimulationTrace:
 
     k: np.ndarray
     x: np.ndarray
-    e: np.ndarray
-    r: np.ndarray
     z: np.ndarray
     stat: np.ndarray
     alarm: np.ndarray
     attack_active: np.ndarray
-    events: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
     @property
@@ -137,73 +135,6 @@ def _phase_counts(alarm_steps: np.ndarray, plan: Optional[AttackPlan]) -> dict:
         "alarms_transient": transient,
         "alarms_steady": total - pre - transient,
     }
-
-
-def run(scenario: Scenario) -> SimulationTrace:
-    """Simulate one run sequentially with a live detector.
-
-    Deterministic given the scenario seed (the single run consumes the
-    (seed, 0) noise substream, matching ensemble member 0).
-    """
-    model = scenario.model
-    plan = scenario.plan if scenario.attacked else None
-    steps = scenario.steps
-    n, p = model.n, model.p
-
-    detector = scenario.detector.fresh()
-    noise = model.noise(scenario.seed, run=0)
-    v_all, eta_all = noise.blocks(steps)
-
-    x = np.zeros(n)
-    xhat = np.zeros(n)
-    out_x = np.empty((steps, n))
-    out_e = np.empty((steps, n))
-    out_r = np.empty((steps, p))
-    out_z = np.empty(steps)
-    out_stat = np.empty(steps)
-    out_alarm = np.zeros(steps, dtype=bool)
-    out_active = np.zeros(steps, dtype=bool)
-    events = []
-
-    for t in range(steps):
-        k = t + 1
-        e = x - xhat
-        delta = None
-        if plan is not None and k >= plan.k_star:
-            delta = attacks_mod.synthesize_attack(plan, model, k, e, eta_all[t], detector)
-            out_active[t] = True
-        out_x[t] = x
-        out_e[t] = e
-        x, xhat, r, z = model_mod.advance(model, x, xhat, v_all[t], eta_all[t], delta)
-        event = detector.update(z)
-        out_r[t] = r
-        out_z[t] = z
-        out_stat[t] = detector.s if isinstance(detector, det_mod.CusumDetector) else (
-            detector.w if isinstance(detector, det_mod.WindowedChiSqDetector) else z
-        )
-        if event is not None:
-            out_alarm[t] = True
-            events.append(event)
-
-    trace = SimulationTrace(
-        k=np.arange(1, steps + 1),
-        x=out_x,
-        e=out_e,
-        r=out_r,
-        z=out_z,
-        stat=out_stat,
-        alarm=out_alarm,
-        attack_active=out_active,
-        events=events,
-    )
-    trace.summary = _phase_counts(trace.k[trace.alarm], plan)
-    if plan is not None and steps >= plan.k_star:
-        span = steps - plan.k_star + 1
-        tail = max(1, int(round(scenario.tail_fraction * span)))
-        trace.summary["steady_estimate"] = float(
-            np.linalg.norm(out_x[steps - tail:].mean(axis=0))
-        )
-    return trace
 
 
 @dataclass
@@ -238,12 +169,16 @@ def run_ensemble(scenario: Scenario) -> EnsembleResult:
     """Simulate the Monte-Carlo ensemble in lockstep.
 
     Run i consumes the (seed, i) substream, so results are bitwise
-    reproducible and independent of scheduling; detector statistics and
-    alarms are recovered from the z matrix by the vectorized scans, which
-    are property-tested equal to the sequential detector classes.
+    reproducible and independent of scheduling.  Detector statistics and
+    alarms come from the detector's scan of the z matrix.  The dynamic
+    attack schedules read the live detector state: the exact-first-step
+    CUSUM the scan's carry S at k*, the greedy windowed schedule the
+    window's tail, the last ell - 1 values of z.
     """
     model = scenario.model
+    detector = scenario.detector
     plan = scenario.plan if scenario.attacked else None
+    live = plan.live_state if plan is not None else None
     steps, runs = scenario.steps, scenario.mc_runs
     n, p = model.n, model.p
 
@@ -252,50 +187,53 @@ def run_ensemble(scenario: Scenario) -> EnsembleResult:
     for i in range(runs):
         v_all[i], eta_all[i] = model.noise(scenario.seed, run=i).blocks(steps)
 
-    # Live per-run state only the dynamic schedules need.
-    needs_pending = (
-        plan is not None
-        and plan.kind == "windowed-static"
-        and plan.saturation_mode == "greedy"
-    )
-    needs_s = plan is not None and plan.kind == "cusum" and plan.exact_first_step
-    recent: deque = deque(maxlen=plan.ell - 1) if needs_pending and plan.ell > 1 else deque(maxlen=0)
-    s_vec = np.zeros(runs) if needs_s else None
-
     x = np.zeros((n, runs))
     xhat = np.zeros((n, runs))
-    mean_x = np.empty((steps, n))
+    sum_x = np.empty((steps, n))
     z_all = np.empty((runs, steps))
-
-    sigma_sqrt = model.sigma_sqrt
-    c = model.plant.c
-    direction = plan.direction if plan is not None else None
 
     for t in range(steps):
         k = t + 1
         eta = eta_all[:, t, :].T
         delta = None
         if plan is not None and k >= plan.k_star:
-            if needs_pending:
-                pending = sum(recent) if len(recent) else np.zeros(runs)
-                energy = attacks_mod.attack_energy(plan, k, pending_window_sum=pending)
-            elif needs_s and k == plan.k_star:
-                energy = attacks_mod.attack_energy(plan, k, s_prev=s_vec)
-            else:
-                energy = attacks_mod.attack_energy(plan, k)
-            psi = direction[:, None] * np.sqrt(np.broadcast_to(energy, (runs,)))[None, :]
-            delta = -(c @ (x - xhat)) - eta + sigma_sqrt @ psi
-        mean_x[t] = x.mean(axis=1)
-        x, xhat, _, z = model_mod.advance(model, x, xhat, v_all[:, t, :].T, eta, delta)
-        z_all[:, t] = z
-        if needs_pending and recent.maxlen:
-            recent.append(z.copy())
-        if needs_s:
-            fired = s_vec > plan.tau
-            s_vec = np.where(fired, 0.0, np.maximum(0.0, s_vec + z - plan.b))
+            state = {}
+            if live == "s_prev" and k == plan.k_star:
+                state[live] = detector.scan(z_all[:, :t])[2]
+            elif live == "pending_window_sum":
+                # the window's tail, summed left to right (sum() would go pairwise)
+                tail = z_all[:, max(0, t - plan.ell + 1):t]
+                state[live] = tail.cumsum(axis=1)[:, -1] if tail.size else np.zeros(runs)
+            delta = attacks_mod.synthesize_attack(plan, model, k, x - xhat, eta, **state)
+        sum_x[t] = x.sum(axis=1)
+        x, xhat, _, z_all[:, t] = model_mod.advance(model, x, xhat, v_all[:, t, :].T, eta, delta)
 
-    stat, alarm = det_mod.scan_for(scenario.detector, z_all)
-    return EnsembleResult(scenario=scenario, mean_x=mean_x, z=z_all, stat=stat, alarm=alarm)
+    stat, alarm, _ = detector.scan(z_all)
+    return EnsembleResult(scenario=scenario, mean_x=sum_x / runs, z=z_all, stat=stat, alarm=alarm)
+
+
+def run(scenario: Scenario) -> SimulationTrace:
+    """Simulate one run: the scenario's one-run ensemble as a per-step trace.
+
+    Deterministic given the scenario seed; the run consumes the (seed, 0)
+    noise substream.  Member 0 of a larger ensemble draws the same noise,
+    but its last bits may differ, because the matrix products of a wider
+    state block differently.
+    """
+    ens = run_ensemble(replace(scenario, mc_runs=1))
+    k = np.arange(1, scenario.steps + 1)
+    trace = SimulationTrace(
+        k=k,
+        x=ens.mean_x,
+        z=ens.z[0],
+        stat=ens.stat[0],
+        alarm=ens.alarm[0],
+        attack_active=k >= scenario.k_star if scenario.attacked else np.zeros(k.size, dtype=bool),
+        summary=ens.phase_counts(),
+    )
+    if scenario.attacked and scenario.steps >= scenario.k_star:
+        trace.summary["steady_estimate"] = steady_deviation_estimate(ens)
+    return trace
 
 
 def moving_average(series, w: int) -> np.ndarray:

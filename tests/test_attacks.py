@@ -31,6 +31,17 @@ BETA4 = 21.026069817483055
 BETA50 = 179.5806341541804
 
 
+def live_state(detector):
+    """The detector state the dynamic attack schedules read, as attack_energy takes it."""
+    if isinstance(detector, CusumDetector):
+        return {"s_prev": detector.s}
+    if isinstance(detector, WindowedChiSqDetector):
+        # the window sum that remains after the next push evicts the oldest sample
+        full = len(detector.window) == detector.ell
+        return {"pending_window_sum": detector.w - detector.window[0] if full else detector.w}
+    return {}
+
+
 def drive_attacked(model, detector, plan, steps, seed=0):
     """Single-run closed-loop simulation with the attack injected live.
 
@@ -47,7 +58,7 @@ def drive_attacked(model, detector, plan, steps, seed=0):
         v, eta = noise.draw()
         delta = None
         if plan.kind != "none" and k >= plan.k_star:
-            delta = synthesize_attack(plan, model, k, x - xhat, eta, detector)
+            delta = synthesize_attack(plan, model, k, x - xhat, eta, **live_state(detector))
         x, xhat, _, z = mdl.advance(model, x, xhat, v, eta, delta)
         alarm[k - 1] = detector.update(z) is not None
         if isinstance(detector, CusumDetector):
@@ -309,13 +320,13 @@ def test_synthesize_requires_live_detector_for_dynamic_modes(reactor_fixed):
     greedy = plan_attack(
         reactor_fixed, WindowedChiSqDetector(BETA4, 4), k_star=1, saturation_mode="greedy"
     )
-    with pytest.raises(ValueError, match="live windowed detector"):
-        synthesize_attack(greedy, reactor_fixed, 1, e, eta, detector=None)
+    with pytest.raises(ValueError, match="pending window sum"):
+        synthesize_attack(greedy, reactor_fixed, 1, e, eta)
     first = plan_attack(
         reactor_fixed, CusumDetector(5.0, 3.0), k_star=1, exact_first_step=True
     )
-    with pytest.raises(ValueError, match="live CUSUM detector"):
-        synthesize_attack(first, reactor_fixed, 1, e, eta, detector=None)
+    with pytest.raises(ValueError, match="live CUSUM statistic"):
+        synthesize_attack(first, reactor_fixed, 1, e, eta)
 
 
 # ------------------------------------------------------- zero-alarm synthesis

@@ -206,6 +206,21 @@ def test_simulate_seed_from_environment(tmp_path, monkeypatch):
     assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "d.csv")]) == 2
 
 
+def test_negative_seeds_exit_2(tmp_path, monkeypatch, capsys, bundled_scenario):
+    assert main(["arl", "--scenario", bundled_scenario, "--seed", "-1"]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert main(["reactor", "--out-dir", str(tmp_path / "study"), "--seed", "-1"]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "study").exists()
+
+    doc = scalar_doc()
+    del doc["sim"]["seed"]
+    path = write_scenario(tmp_path, doc)
+    monkeypatch.setenv("RS_SEED", "-3")
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "t.csv")]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------- sweep
 
 def test_sweep_csv(tmp_path):
@@ -291,6 +306,18 @@ def test_arl_stdout(capsys, bundled_scenario):
     assert out["censored"] == 0
     assert out["alarm_rate"] == pytest.approx(1.0 / out["arl"], rel=1e-12)
     assert main(["arl", "--scenario", bundled_scenario, "--runs", "0"]) == 2
+
+
+def test_arl_rejects_runs_and_cap_before_tuning(tmp_path, monkeypatch, capsys):
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("the detector was tuned before the flags were checked")
+
+    monkeypatch.setattr("resdet.cli.det_mod.tune_cusum_tau", no_tuning)
+    path = write_scenario(tmp_path, scalar_doc(detector={"kind": "cusum", "far": 0.05}))
+    assert main(["arl", "--scenario", path, "--cap", "0"]) == 2
+    assert "--cap must be >= 1" in capsys.readouterr().err
+    assert main(["arl", "--scenario", path, "--runs", "0"]) == 2
+    assert "--runs must be >= 1" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- plumbing

@@ -16,7 +16,6 @@ from resdet.detectors import (
     measure_alarm_rate,
     scan_chi2,
     scan_cusum,
-    scan_for,
     scan_windowed,
     tune_chi2,
     tune_cusum_tau,
@@ -202,7 +201,7 @@ def test_scans_match_sequential_classes():
         CusumDetector(1.5, 3.0),
     ]
     for proto in detectors:
-        stat_scan, alarm_scan = scan_for(proto, z)
+        stat_scan, alarm_scan, _ = proto.scan(z)
         for i in range(z.shape[0]):
             d = proto.fresh()
             for t in range(z.shape[1]):
@@ -216,6 +215,55 @@ def test_scans_match_sequential_classes():
                 else:
                     live = float(z[i, t])
                 assert abs(live - stat_scan[i, t]) <= 1e-9 * (1.0 + abs(live))
+
+
+def scan_in_pieces(detector, z, widths):
+    """Scan z chunk by chunk, passing the carry along; widths may be zero."""
+    stats, alarms, carry, start = [], [], None, 0
+    for width in widths:
+        stat, alarm, carry = detector.scan(z[:, start:start + width], carry)
+        stats.append(stat)
+        alarms.append(alarm)
+        start += width
+    assert start == z.shape[1]
+    return np.concatenate(stats, axis=1), np.concatenate(alarms, axis=1), carry
+
+
+def test_chunked_scans_equal_whole_scans():
+    rng = np.random.default_rng(35)
+    z = rng.chisquare(3, size=(5, 400))
+    # boundaries at 0, 1, 3 and 6 fall inside the ell = 7 warm-up
+    widths = [0, 1, 2, 3, 1, 0, 50, 7, 136, 200]
+    for proto in (
+        ChiSqDetector(tune_chi2(3, 0.05)),
+        WindowedChiSqDetector(tune_windowed(3, 7, 0.05), 7),
+        WindowedChiSqDetector(tune_windowed(3, 1, 0.05), 1),
+        CusumDetector(1.5, 3.0),
+    ):
+        whole_stat, whole_alarm, _ = proto.scan(z)
+        stat, alarm, carry = scan_in_pieces(proto, z, widths)
+        assert np.array_equal(alarm, whole_alarm), proto.kind
+        if proto.kind == "windowed":
+            # each chunk restarts the running sum, so the last bits may differ
+            np.testing.assert_allclose(stat, whole_stat, rtol=1e-12)
+            assert np.array_equal(carry, z[:, z.shape[1] - proto.ell + 1:])
+        else:
+            assert np.array_equal(stat, whole_stat), proto.kind
+        if proto.kind == "cusum":
+            assert np.array_equal(carry, whole_stat[:, -1])
+
+
+def test_chunked_cusum_alarm_fires_on_the_next_chunk():
+    # S exceeds tau on the last column of the first chunk; the lagged alarm
+    # update is the first column of the second chunk, and it resets S
+    z = np.array([[2.0, 7.0, 3.0, 3.0]])
+    proto = CusumDetector(3.5, 3.0)
+    stat, alarm, carry = scan_in_pieces(proto, z, [2, 2])
+    whole_stat, whole_alarm, _ = proto.scan(z)
+    assert np.array_equal(stat, whole_stat) and np.array_equal(alarm, whole_alarm)
+    assert alarm.tolist() == [[False, False, True, False]]
+    assert proto.exceedance(stat, alarm).tolist() == [[False, True, False, False]]
+    assert stat[0, 2] == 0.0 and carry.tolist() == [0.0]
 
 
 def test_windowed_scan_ell_one_equals_chi2_scan():
@@ -246,6 +294,13 @@ def test_arl_matches_inverse_rate(reactor_dare):
     assert abs(res.arl - 20.0) <= 0.05 * 20.0
     assert res.alarm_rate == pytest.approx(1.0 / res.arl, rel=1e-12)
     assert res.half_width > 0.0
+
+
+def test_arl_rejects_bad_geometry(reactor_dare):
+    d = ChiSqDetector(tune_chi2(3, 0.05))
+    for bad in ({"runs": 0}, {"cap": 0}, {"chunk": 0}, {"warm_up": -1}):
+        with pytest.raises(ValueError, match="must be"):
+            estimate_arl(reactor_dare, d, **bad)
 
 
 def test_arl_censoring_warns(reactor_dare):

@@ -1,6 +1,7 @@
 """Scenario plumbing, single-run vs ensemble equivalence, deviation measurement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,42 @@ def test_run_matches_ensemble_greedy_windowed(reactor_fixed):
     ens = sim.run_ensemble(sc)
     assert np.allclose(ens.z[0], trace.z, rtol=1e-9, atol=1e-9)
     assert np.array_equal(ens.alarm[0], trace.alarm)
+
+
+@pytest.mark.parametrize("name, options", [
+    ("chi2", {}),
+    ("windowed", {}),
+    ("windowed", {"saturation_mode": "greedy"}),
+    ("windowed", {"kind": "windowed-pulse"}),
+    ("cusum", {}),
+    ("cusum", {"exact_first_step": True}),
+])
+def test_run_is_the_one_run_ensemble(reactor_fixed, name, options):
+    det = {
+        "chi2": ChiSqDetector(tune_chi2(3, 0.05)),
+        "windowed": WindowedChiSqDetector(tune_windowed(3, 50, 0.05), 50),
+        "cusum": CusumDetector(0.86, 3.0),
+    }[name]
+    plan = plan_attack(reactor_fixed, det, k_star=51, **options)
+    sc = sim.Scenario(model=reactor_fixed, detector=det, plan=plan, steps=1000, seed=0)
+    trace = sim.run(sc)
+    ens = sim.run_ensemble(replace(sc, mc_runs=1))
+    assert np.array_equal(trace.x, ens.mean_x)
+    assert np.array_equal(trace.z, ens.z[0])
+    assert np.array_equal(trace.stat, ens.stat[0])
+    assert np.array_equal(trace.alarm, ens.alarm[0])
+
+
+def test_greedy_ensemble_tops_the_window_up_to_beta(reactor_fixed):
+    ell = 10
+    det = WindowedChiSqDetector(tune_windowed(3, ell, 0.05), ell)
+    plan = plan_attack(reactor_fixed, det, k_star=51, saturation_mode="greedy")
+    sc = sim.Scenario(model=reactor_fixed, detector=det, plan=plan, steps=200, mc_runs=4)
+    z = sim.run_ensemble(sc).z
+    target = det.beta * (1.0 - plan.margin)
+    for t in range(50, 200):  # the attacked steps k = 51..200
+        pending = z[:, t - ell + 1:t].sum(axis=1)  # the ell - 1 samples the window keeps
+        np.testing.assert_allclose(z[:, t], np.maximum(0.0, target - pending), rtol=0, atol=1e-8)
 
 
 def test_ensemble_rerun_is_bitwise_identical(reactor_fixed):
