@@ -58,6 +58,9 @@ _KINDS = ("chi2", "windowed-static", "windowed-pulse", "cusum", "none")
 
 # The attack kind each detector kind invites by default.
 _KIND_FOR_DETECTOR = {"chi2": "chi2", "windowed": "windowed-static", "cusum": "cusum"}
+# The detector kind each attack kind is made against.
+_DETECTOR_FOR_KIND = {"chi2": "chi2", "windowed-static": "windowed", "windowed-pulse": "windowed",
+                      "cusum": "cusum"}
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,22 @@ class AttackPlan:
             raise ValueError(f"unknown saturation mode {self.saturation_mode!r}")
         if not (0.0 <= self.margin < 1e-3):
             raise ValueError("margin must be a tiny nonnegative fraction")
+
+    def check_fits(self, detector) -> None:
+        """Raise ValueError unless this plan was made against `detector`.
+
+        The plan's kind must fit the detector's kind, and its threshold
+        snapshot must equal the detector's `params`.
+        """
+        if _DETECTOR_FOR_KIND.get(self.kind) != detector.kind:
+            raise ValueError(
+                f"attack kind {self.kind!r} does not match detector kind {detector.kind!r}"
+            )
+        snapshot = {name: getattr(self, name) for name in detector.params}
+        if snapshot != detector.params:
+            raise ValueError(
+                f"plan thresholds {snapshot} differ from the detector's {detector.params}"
+            )
 
     @property
     def live_state(self) -> Optional[str]:
@@ -228,14 +247,11 @@ def plan_attack(
         exact_first_step=exact_first_step,
         margin=margin,
     )
-    inferred = _KIND_FOR_DETECTOR[detector.kind]
     if kind is None:
-        kind = inferred
-    if kind not in (inferred, "windowed-pulse") or (
-        kind == "windowed-pulse" and inferred != "windowed-static"
-    ):
-        raise ValueError(f"attack kind {kind!r} does not match detector kind {inferred!r}")
-    return AttackPlan(kind=kind, **common, **detector.params)
+        kind = _KIND_FOR_DETECTOR[detector.kind]
+    plan = AttackPlan(kind=kind, **common, **detector.params)
+    plan.check_fits(detector)
+    return plan
 
 
 def _steady_magnitude(kind, alpha=None, beta=None, ell=None, b=None, split=False) -> float:

@@ -385,10 +385,13 @@ def scan_cusum(z: np.ndarray, b: float, tau: float, s: Optional[np.ndarray] = No
     stats[:, t] is S after consuming column t; alarms[:, t] marks updates
     that fired (i.e. the previous S exceeded tau; that update resets S and
     discards column t).  `s` is S before column 0 (zero by default), for
-    resuming a scan.
+    resuming a scan.  One run takes a scalar loop, which does the same
+    IEEE operations in the same order without numpy's per-call overhead.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     runs, steps = z.shape
+    if runs == 1:
+        return _scan_cusum_one(z[0], b, tau, 0.0 if s is None else float(s[0]))
     # step-major buffers, so every step writes contiguous rows
     stats = np.empty((steps, runs))
     alarms = np.empty((steps, runs), dtype=bool)
@@ -400,6 +403,19 @@ def scan_cusum(z: np.ndarray, b: float, tau: float, s: Optional[np.ndarray] = No
         np.maximum(s, 0.0, out=s)
         s[fired] = 0.0
     return stats.T, alarms.T
+
+
+def _scan_cusum_one(z: np.ndarray, b: float, tau: float, s: float):
+    """scan_cusum of one run, as (1, steps) arrays."""
+    stats, alarms = [], []
+    for z_t in z.tolist():
+        fired = s > tau
+        s = max(s + z_t - b, 0.0)
+        if fired:
+            s = 0.0
+        stats.append(s)
+        alarms.append(fired)
+    return np.array(stats, dtype=float)[None, :], np.array(alarms, dtype=bool)[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +507,12 @@ def estimate_arl(
     emitted alarm trails it by one update).  Runs are capped at `cap`
     steps; censored runs are counted at the cap and flagged with a warning.
 
+    The noise is drawn per chunk: the warm-up, then `chunk`-wide chunks up
+    to the cap, so the result depends on the seed and on `chunk`.  Each
+    chunk is advanced and scanned in sub-blocks (iter_distance_stream),
+    and the loop stops as soon as every run has exceeded, so the work
+    follows the longest run rather than the chunk width.
+
     The two CUSUM rates differ: 1/ARL counts exceedances with a restart on
     the exceedance step, while tune_cusum_tau and measure_alarm_rate count
     alarms of the lagged recursion, whose cycles are one step longer (see
@@ -505,12 +527,14 @@ def estimate_arl(
     if chunk < 1 or warm_up < 0:
         raise ValueError("chunk must be >= 1 and warm_up >= 0")
     widths = itertools.chain([warm_up], (min(chunk, cap - offset) for offset in range(0, cap, chunk)))
-    stream = model_mod.iter_distance_stream(model, widths, runs=runs, seed=seed)
-    next(stream)  # the warm-up
     lengths = np.full(runs, cap, dtype=np.int64)
     done = np.zeros(runs, dtype=bool)
     carry = None
-    for offset, z in zip(range(0, cap, chunk), stream):
+    start = -warm_up  # the post-warm-up step that begins the next sub-block
+    for z in model_mod.iter_distance_stream(model, widths, runs=runs, seed=seed):
+        offset, start = start, start + z.shape[1]
+        if offset < 0:
+            continue  # the warm-up chunk's sub-blocks
         stat, alarm, carry = detector.scan(z, carry)
         exceed = detector.exceedance(stat, alarm)
         hit_any = exceed.any(axis=1)
@@ -519,7 +543,7 @@ def estimate_arl(
         lengths[newly] = offset + first[newly] + 1
         done |= hit_any
         if done.all():
-            break
+            break  # stop advancing: every run has exceeded
 
     censored = int((~done).sum())
     if censored:

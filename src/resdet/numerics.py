@@ -290,6 +290,11 @@ def solve_dare(f: np.ndarray, c: np.ndarray, q_cov: np.ndarray, r_cov: np.ndarra
             doubling diverges, fails to converge, or converges to a
             solution whose F - L C is not stable.
     """
+    return _solve_dare(f, c, q_cov, r_cov)[:2]
+
+
+def _solve_dare(f, c, q_cov, r_cov):
+    """solve_dare, also returning the spectral radius of F - L C it checked."""
     f = _check_square(f, "F")
     c = np.asarray(c, dtype=float)
     n = f.shape[0]
@@ -320,7 +325,7 @@ def solve_dare(f: np.ndarray, c: np.ndarray, q_cov: np.ndarray, r_cov: np.ndarra
     rho = spectral_radius(f - gain @ c)
     if rho >= 1.0:
         raise RuntimeError(f"{_UNDETECTABLE} (spectral radius of F-LC is {rho:.6g})")
-    return p_cov, gain
+    return p_cov, gain, rho
 
 
 def solve_discrete_lyapunov(a: np.ndarray, q_cov: np.ndarray) -> np.ndarray:
@@ -336,8 +341,12 @@ def solve_discrete_lyapunov(a: np.ndarray, q_cov: np.ndarray) -> np.ndarray:
             diverges and no PSD solution exists.
     """
     a = _check_square(a, "A")
+    return _solve_lyapunov(a, q_cov, spectral_radius(a))
+
+
+def _solve_lyapunov(a, q_cov, rho: float):
+    """solve_discrete_lyapunov for a square A whose spectral radius is `rho`."""
     q_sym = _check_symmetric(q_cov, "Q")
-    rho = spectral_radius(a)
     if rho >= 1.0:
         raise ValueError(f"A must be stable: spectral radius {rho:.6g} >= 1")
     p_cov = q_sym

@@ -49,9 +49,10 @@ class Scenario:
 
     The attack (when present) starts right after the burn-in:
     k_star = burn_in + 1.  The simulation reads the detector only through
-    its scan, never through its own state.  Make the plan against this
-    detector (plan_attack does): the alarms come from the detector, the
-    attack schedule from the plan's snapshot of it.
+    its scan, never through its own state.  The alarms come from the
+    detector and the attack schedule from the plan's snapshot of it, so a
+    plan made against another detector (another kind or other
+    thresholds) is rejected.
     """
 
     model: ClosedLoopModel
@@ -77,6 +78,8 @@ class Scenario:
                 f"plan starts at k={self.plan.k_star} but burn_in={self.burn_in} "
                 f"implies k_star={self.burn_in + 1}"
             )
+        if self.attacked:
+            self.plan.check_fits(self.detector)
 
     @property
     def attacked(self) -> bool:

@@ -308,6 +308,39 @@ def test_arl_stdout(capsys, bundled_scenario):
     assert main(["arl", "--scenario", bundled_scenario, "--runs", "0"]) == 2
 
 
+# `resdet arl` stdout, recorded when every run was advanced through the
+# whole first chunk; stopping once every run has exceeded changes no byte.
+ARL_GOLDEN = {
+    ("bundled", "--runs 50 --seed 1"):
+        '{"detector": {"kind": "chi2", "params": {"alpha": 7.814727903251175}}, "arl": 19.88, "alarm_rate": 0.05030181086519115, "half_width": 6.3110385072506086, "runs": 50, "censored": 0, "cap": 1000000}\n',
+    ("bundled", "--cap 7 --runs 30 --seed 3"):
+        '{"detector": {"kind": "chi2", "params": {"alpha": 7.814727903251175}}, "arl": 6.066666666666666, "alarm_rate": 0.16483516483516483, "half_width": 0.586370667229333, "runs": 30, "censored": 21, "cap": 7}\n',
+    ("windowed4", "--runs 50 --seed 1"):
+        '{"detector": {"kind": "windowed", "params": {"beta": 21.026069817483055, "window": 4}}, "arl": 31.38, "alarm_rate": 0.03186743148502231, "half_width": 6.486069305827685, "runs": 50, "censored": 0, "cap": 1000000}\n',
+    ("windowed4", "--cap 7 --runs 30 --seed 3"):
+        '{"detector": {"kind": "windowed", "params": {"beta": 21.026069817483055, "window": 4}}, "arl": 6.733333333333333, "alarm_rate": 0.1485148514851485, "half_width": 0.28087831591721424, "runs": 30, "censored": 25, "cap": 7}\n',
+    ("cusum086", "--runs 50 --seed 1"):
+        '{"detector": {"kind": "cusum", "params": {"tau": 0.86, "b": 3.0}}, "arl": 3.5, "alarm_rate": 0.2857142857142857, "half_width": 0.8570927604407822, "runs": 50, "censored": 0, "cap": 1000000}\n',
+    ("cusum086", "--cap 7 --runs 30 --seed 3"):
+        '{"detector": {"kind": "cusum", "params": {"tau": 0.86, "b": 3.0}}, "arl": 3.566666666666667, "alarm_rate": 0.2803738317757009, "half_width": 0.7731296204141229, "runs": 30, "censored": 5, "cap": 7}\n',
+}
+ARL_DETECTORS = {
+    "windowed4": {"kind": "windowed", "window": 4, "far": 0.05},
+    "cusum086": {"kind": "cusum", "tau": 0.86, "b": 3.0},
+}
+
+
+@pytest.mark.filterwarnings("ignore:.*censored lower bound")
+@pytest.mark.parametrize("scenario, flags", sorted(ARL_GOLDEN))
+def test_arl_stdout_is_golden(tmp_path, capsys, scenario, flags):
+    doc = json.loads(scenario_path().read_text(encoding="utf-8"))
+    if scenario in ARL_DETECTORS:
+        doc.update(detector=ARL_DETECTORS[scenario], attack={"kind": "none"})
+    path = write_scenario(tmp_path, doc)
+    assert main(["arl", "--scenario", path] + flags.split()) == 0
+    assert capsys.readouterr().out == ARL_GOLDEN[(scenario, flags)]
+
+
 def test_arl_rejects_runs_and_cap_before_tuning(tmp_path, monkeypatch, capsys):
     def no_tuning(*args, **kwargs):
         raise AssertionError("the detector was tuned before the flags were checked")

@@ -266,6 +266,29 @@ def test_chunked_cusum_alarm_fires_on_the_next_chunk():
     assert stat[0, 2] == 0.0 and carry.tolist() == [0.0]
 
 
+def test_one_run_cusum_scan_equals_the_vector_scan():
+    # one run takes the scalar loop; the same run twice takes the vector loop
+    rng = np.random.default_rng(36)
+    for tau in (0.0, 0.86, 7.5):
+        z = rng.chisquare(3, size=(1, 500))
+        z[0, -1] = 50.0  # S exceeds tau on the last column
+        for s in (None, np.array([0.0]), np.array([tau + 1.0])):
+            stat, alarm = scan_cusum(z, 3.0, tau, s=s)
+            pair_s = None if s is None else np.repeat(s, 2)
+            pair_stat, pair_alarm = scan_cusum(np.repeat(z, 2, axis=0), 3.0, tau, s=pair_s)
+            assert stat.shape == alarm.shape == (1, 500)
+            assert np.array_equal(stat, pair_stat[:1]) and np.array_equal(alarm, pair_alarm[:1])
+            assert stat[0, -1] > tau and alarm[0, 0] == (s is not None and s[0] > tau)
+        # resuming from the carry of a first piece gives the whole scan
+        proto = CusumDetector(tau, 3.0)
+        whole_stat, whole_alarm, _ = proto.scan(z)
+        stat, alarm, carry = scan_in_pieces(proto, z, [137, 363])
+        assert np.array_equal(stat, whole_stat) and np.array_equal(alarm, whole_alarm)
+        assert carry.shape == (1,) and carry[0] == whole_stat[0, -1]
+    stat, alarm = scan_cusum(np.zeros((1, 0)), 3.0, 1.0)
+    assert stat.shape == alarm.shape == (1, 0) and alarm.dtype == bool
+
+
 def test_windowed_scan_ell_one_equals_chi2_scan():
     rng = np.random.default_rng(34)
     z = rng.chisquare(3, size=(1, 100_000))

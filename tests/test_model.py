@@ -5,6 +5,8 @@ import pytest
 from scipy import linalg as sla, stats
 
 from resdet import model as mdl
+from resdet import numerics
+from resdet import reactor as rx
 from resdet.model import PlantModel, advance, build_closed_loop, simulate_distance_stream
 
 
@@ -79,6 +81,24 @@ def test_dare_gain_matches_reference(reactor_dare, reactor_matrices):
     l_ref = f @ p_ref @ c.T @ np.linalg.inv(c @ p_ref @ c.T + r2)
     np.testing.assert_allclose(reactor_dare.l_gain, l_ref, rtol=1e-7, atol=1e-10)
     assert reactor_dare.rho_est < reactor_fixed_rho(reactor_matrices)
+
+
+def test_build_computes_the_estimator_spectral_radius_once(monkeypatch):
+    calls = []
+    radius = numerics.spectral_radius
+
+    def counting_radius(mat):
+        calls.append(mat)
+        return radius(mat)
+
+    monkeypatch.setattr(numerics, "spectral_radius", counting_radius)
+    # same bits as when the solvers checked rho(F - LC) a second time
+    for estimator, rho_est in (("dare", 0.24930811262769365), ("fixed", 0.4271963214713752)):
+        calls.clear()
+        loop = rx.reactor_loop(estimator)
+        assert len(calls) == 2, estimator  # F + GK, then F - LC
+        assert np.array_equal(calls[1], loop.f_est)
+        assert loop.rho_est == rho_est and loop.rho_cl == 0.9326486540281657
 
 
 def reactor_fixed_rho(mats):

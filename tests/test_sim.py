@@ -1,7 +1,10 @@
 """Scenario plumbing, single-run vs ensemble equivalence, deviation measurement."""
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from resdet.detectors import (
     tune_chi2,
     tune_windowed,
 )
+from resdet.reactor import BENCHMARK_BIAS, BENCHMARK_TAU
 
 GAMMA_CHI2 = 892709.6184812458
 
@@ -44,6 +48,32 @@ def test_scenario_validation(reactor_fixed):
     plan = plan_attack(reactor_fixed, det, k_star=10)
     with pytest.raises(ValueError, match="implies k_star"):
         sim.Scenario(model=reactor_fixed, detector=det, plan=plan, burn_in=50)
+
+
+def test_scenario_rejects_a_plan_made_against_another_detector(reactor_fixed):
+    ell50 = WindowedChiSqDetector(tune_windowed(3, 50, 0.05), 50)
+    greedy = plan_attack(reactor_fixed, ell50, k_star=51, saturation_mode="greedy")
+    ell10 = WindowedChiSqDetector(tune_windowed(3, 10, 0.05), 10)
+    with pytest.raises(ValueError, match="plan thresholds .* differ from the detector's"):
+        sim.Scenario(model=reactor_fixed, detector=ell10, plan=greedy)
+    chi2_plan = plan_attack(reactor_fixed, ChiSqDetector(tune_chi2(3, 0.05)), k_star=51)
+    benchmark_cusum = CusumDetector(BENCHMARK_TAU, BENCHMARK_BIAS)
+    with pytest.raises(ValueError, match="attack kind 'chi2' does not match detector kind 'cusum'"):
+        sim.Scenario(model=reactor_fixed, detector=benchmark_cusum, plan=chi2_plan)
+    cusum_plan = plan_attack(reactor_fixed, benchmark_cusum, k_star=51)
+    with pytest.raises(ValueError, match="differ"):
+        sim.Scenario(model=reactor_fixed, detector=CusumDetector(BENCHMARK_TAU, 4.0), plan=cusum_plan)
+    # the matching pairs build, also with an equal detector in place of the planned one
+    for det, plan in ((ell50, greedy), (ell50.fresh(), greedy), (benchmark_cusum, cusum_plan)):
+        assert sim.Scenario(model=reactor_fixed, detector=det, plan=plan).attacked
+
+
+@pytest.mark.parametrize("demo", ["02_stealthy_attacks.py", "03_deviation_bounds.py"])
+def test_demo_scenarios_still_build(demo):
+    # the demos that pair plans with detectors in Scenarios run to the end
+    path = Path(__file__).resolve().parents[1] / "demos" / demo
+    proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_scenario_attack_properties(reactor_fixed):
