@@ -5,8 +5,9 @@ optional attack plan, and the run geometry (steps, burn-in before the
 attack, seed, ensemble size).  `run_ensemble` is the one simulation loop:
 it advances all Monte-Carlo runs in lockstep as (n, runs) matrix states,
 which keeps 200x1000-step ensembles in the fraction-of-a-second range, and
-replays the distance measures through the detector's scan.  `run` is the
-one-run ensemble, reshaped into a per-step trace.
+replays the distance measures through the detector's scan.  Its noise is
+drawn on every available core, with the same bits as on one.  `run` is
+the one-run ensemble, reshaped into a per-step trace.
 
 Measurement helpers compare the ensemble-mean state against the predicted
 steady-state deviation, smooth per-run norms the way trace figures usually
@@ -164,15 +165,16 @@ class EnsembleResult:
 
     def phase_counts(self) -> dict:
         plan = self.scenario.plan if self.scenario.attacked else None
-        ks = np.tile(np.arange(1, self.steps + 1), (self.runs, 1))
-        return _phase_counts(ks[self.alarm], plan)
+        return _phase_counts(np.nonzero(self.alarm)[1] + 1, plan)
 
 
 def run_ensemble(scenario: Scenario) -> EnsembleResult:
     """Simulate the Monte-Carlo ensemble in lockstep.
 
     Run i consumes the (seed, i) substream, so results are bitwise
-    reproducible and independent of scheduling.  Detector statistics and
+    reproducible and independent of scheduling.  The noise is drawn up
+    front, one slice of runs per available CPU (model._draw_blocks); the
+    core count changes no value.  Detector statistics and
     alarms come from the detector's scan of the z matrix.  The dynamic
     attack schedules read the live detector state: the exact-first-step
     CUSUM the scan's carry S at k*, the greedy windowed schedule the
@@ -185,10 +187,8 @@ def run_ensemble(scenario: Scenario) -> EnsembleResult:
     steps, runs = scenario.steps, scenario.mc_runs
     n, p = model.n, model.p
 
-    v_all = np.empty((runs, steps, n))
-    eta_all = np.empty((runs, steps, p))
-    for i in range(runs):
-        v_all[i], eta_all[i] = model.noise(scenario.seed, run=i).blocks(steps)
+    sources = [model.noise(scenario.seed, run=i) for i in range(runs)]
+    v_all, eta_all = model_mod._draw_blocks(sources, steps, n, p)
 
     x = np.zeros((n, runs))
     xhat = np.zeros((n, runs))

@@ -1,0 +1,199 @@
+"""Bit-identity pins for the ensemble path, and the noise draw's core count.
+
+`run_ensemble` and `iter_distance_stream` draw an ensemble's noise on every
+available core, one slice of runs per thread.  The CLI outputs pinned here
+were recorded when every run was drawn in turn on one thread.  The
+core-count tests make `os.sched_getaffinity` report 1, 2, 3 and 8 CPUs and
+require the same bits under each.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import threading
+import warnings
+
+import numpy as np
+import pytest
+
+from resdet import model as model_mod
+from resdet import sim
+from resdet.attacks import plan_attack
+from resdet.cli import main
+from resdet.detectors import (
+    ChiSqDetector,
+    CusumDetector,
+    WindowedChiSqDetector,
+    estimate_arl,
+    tune_chi2,
+    tune_windowed,
+)
+from resdet.reactor import scenario_path
+
+# `resdet reactor --seed 0`
+REACTOR_SHA256 = {
+    "report.json": "bf281d3aeb6200cf3c80929cb4e4665e65a5aeae9a292da56e43dc9148350d85",
+    "trace_chi2_ones.csv": "9695bb3859d945a375053e6869fbc38add40e783311fce8671cd7b9ea5a264a6",
+    "trace_chi2_worst.csv": "c26fd29937288c2a2b0465989c67798ee61d14c8bc450a486240f3d1461c0ab4",
+    "trace_cusum_ones.csv": "a7801ded6258cbe8e73ce25cf1f840fb87219da1d4e08dbf3462a79cb5f9db3e",
+    "trace_cusum_worst.csv": "0827ca236311f9cb9a24eb76911829412a77e69f032dce84c7b010489e04f468",
+    "trace_windowed_ell4_ones.csv": "691f80e21b3a141d7d348e0d8a2271926de19f30d6d73a244b6aa91ff48efb82",
+    "trace_windowed_ell4_worst.csv": "bf56946e486561578acbf5aae1742ded8f04b7fc2c0ab092861e7527f0a0b1ed",
+    "trace_windowed_ell50_ones.csv": "7578188c177215cc9f3fde1d622b0d2a09b20350bc69680b62ae1537ff8c63b5",
+    "trace_windowed_ell50_worst.csv": "fb3feddc13f04d41f0433ce883aace93d55269d18312bf473e5e5c0fc6b0459b",
+}
+# `resdet simulate` of the bundled scenario with a 5% windowed ell = 50
+# detector and the greedy attack, seed 0
+GREEDY_CSV_SHA256 = "d1a69428e1f1946ece790832f7cfebcfb16b798d86a65111a81e46f829a733e5"
+GREEDY_SUMMARY = """{
+  "alarms": 0,
+  "measured_deviation": 531325.7033180845,
+  "predicted_gamma": 605198.7631445284,
+  "relative_error": 0.12206412888653273
+}
+"""
+# `resdet tune --detector cusum --far 0.05 --scenario <bundled>`
+TUNE_CUSUM = (
+    '{"detector": "cusum", "params": {"p": 3, "b": 3.0, "mc": 1000000, "seed": 0}, '
+    '"threshold": 7.5, "far": 0.05}\n'
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def report_cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def chi2_scenario(model, runs: int) -> sim.Scenario:
+    detector = ChiSqDetector(tune_chi2(model.p, 0.05))
+    plan = plan_attack(model, detector, k_star=21)
+    return sim.Scenario(model, detector, plan, steps=120, burn_in=20, seed=3, mc_runs=runs)
+
+
+# ---------------------------------------------------------------- golden CLI
+
+
+def test_reactor_outputs_are_golden(tmp_path):
+    assert main(["reactor", "--out-dir", str(tmp_path), "--seed", "0"]) == 0
+    assert {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()} == REACTOR_SHA256
+
+
+def test_greedy_windowed_simulate_is_golden(tmp_path):
+    doc = json.loads(scenario_path().read_text(encoding="utf-8"))
+    doc["detector"] = {"kind": "windowed", "window": 50, "far": 0.05}
+    doc["attack"] = {"kind": "windowed-static", "direction": "worst", "k_star": 51, "mode": "greedy"}
+    doc["sim"]["seed"] = 0
+    path = tmp_path / "greedy.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    csv, summary = tmp_path / "greedy.csv", tmp_path / "summary.json"
+    assert main(["simulate", "--scenario", str(path), "--out", str(csv), "--summary", str(summary)]) == 0
+    assert sha256(csv.read_bytes()) == GREEDY_CSV_SHA256
+    assert summary.read_text(encoding="utf-8") == GREEDY_SUMMARY
+
+
+def test_tune_cusum_stdout_is_golden(capsys, monkeypatch):
+    monkeypatch.delenv("RS_SEED", raising=False)
+    rc = main(["tune", "--detector", "cusum", "--far", "0.05", "--scenario", str(scenario_path())])
+    assert rc == 0
+    assert capsys.readouterr().out == TUNE_CUSUM
+
+
+# ---------------------------------------------------------------- core count
+
+
+def test_stream_and_arl_do_not_depend_on_the_core_count(reactor_dare, monkeypatch):
+    detectors = [
+        ChiSqDetector(tune_chi2(3, 0.05)),
+        WindowedChiSqDetector(tune_windowed(3, 4, 0.05), 4),
+        CusumDetector(7.5, 3.0),
+    ]
+    results = {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        for count in (1, 2, 3, 8):
+            report_cpus(monkeypatch, count)
+            z = model_mod.simulate_distance_stream(reactor_dare, steps=200, runs=9, seed=4, burn_in=50)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # cap = 40 censors some runs
+                arls = [estimate_arl(reactor_dare, det, runs=9, seed=6, cap=40, chunk=16, **kw)
+                        for det in detectors for kw in ({}, {"warm_up": 0})]
+            results[count] = z, arls
+    finally:
+        sys.setswitchinterval(interval)
+    z_one, arls_one = results[1]
+    for count, (z, arls) in results.items():
+        assert np.array_equal(z, z_one), count
+        assert arls == arls_one, count
+
+
+def test_ensemble_does_not_depend_on_the_core_count(reactor_fixed, monkeypatch):
+    scenario = chi2_scenario(reactor_fixed, runs=5)
+    results = {}
+    for count in (1, 2, 3):
+        report_cpus(monkeypatch, count)
+        results[count] = sim.run_ensemble(scenario)
+    one = results[1]
+    for count, ens in results.items():
+        for name in ("mean_x", "z", "stat", "alarm"):
+            assert np.array_equal(getattr(ens, name), getattr(one, name)), (count, name)
+
+
+def test_each_slice_of_runs_is_drawn_on_its_own_thread(reactor_fixed, monkeypatch):
+    report_cpus(monkeypatch, 3)
+    names = {}  # run index -> name of the thread that drew its noise
+    blocks = model_mod.NoiseModel.blocks
+
+    def recording_blocks(self, steps):
+        names[self.run] = threading.current_thread().name
+        return blocks(self, steps)
+
+    monkeypatch.setattr(model_mod.NoiseModel, "blocks", recording_blocks)
+    before = threading.active_count()
+    sim.run_ensemble(chi2_scenario(reactor_fixed, runs=5))
+    assert threading.active_count() == before  # every worker was joined
+    # slices [0, 1), [1, 3), [3, 5); the caller draws the first
+    main_name = threading.main_thread().name
+    assert names[0] == main_name
+    assert names[1] == names[2] != main_name
+    assert names[3] == names[4] not in (main_name, names[1])
+
+
+def test_a_one_run_or_empty_draw_starts_no_thread(reactor_fixed, monkeypatch):
+    report_cpus(monkeypatch, 3)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-run draw started a thread")
+
+    monkeypatch.setattr(model_mod.threading, "Thread", no_thread)
+    trace = sim.run(chi2_scenario(reactor_fixed, runs=5))
+    assert trace.z.shape == (120,)
+    z = model_mod.simulate_distance_stream(reactor_fixed, steps=30, runs=1, seed=2)
+    assert z.shape == (1, 30)
+    blocks = list(model_mod.iter_distance_stream(reactor_fixed, [5], runs=0))
+    assert [b.shape for b in blocks] == [(0, 5)]
+
+
+def test_an_error_on_a_worker_slice_reaches_the_caller(reactor_fixed, monkeypatch):
+    report_cpus(monkeypatch, 2)  # slices [0, 2), [2, 5)
+    raised_on = []
+
+    def failing_blocks(self, steps):
+        if self.run == 4:
+            raised_on.append(threading.current_thread())
+            raise RuntimeError("no noise for run 4")
+        return np.zeros((steps, self.chol_r1.shape[0])), np.zeros((steps, self.chol_r2.shape[0]))
+
+    monkeypatch.setattr(model_mod.NoiseModel, "blocks", failing_blocks)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="no noise for run 4"):
+        sim.run_ensemble(chi2_scenario(reactor_fixed, runs=5))
+    with pytest.raises(RuntimeError, match="no noise for run 4"):
+        model_mod.simulate_distance_stream(reactor_fixed, steps=30, runs=5, seed=2)
+    assert len(raised_on) == 2
+    assert all(thread is not threading.main_thread() for thread in raised_on)
+    assert threading.active_count() == before
