@@ -21,6 +21,10 @@ per-detector damage is set by the scalar magnitude the threshold budget
 allows: sqrt(alpha) for the static chi-squared detector, sqrt(beta/ell)
 per step for the windowed one, sqrt(b) for the CUSUM steady phase.
 
+Each schedule is defined here once (`attack_energy`); the dynamic ones
+derive the detector state they read from the z history, with the plan's
+own threshold snapshot.
+
 Exact saturation is a knife edge in floating point (the computed statistic
 lands a few ulps either side of the threshold), so synthesized schedules
 back the energy off by a tiny relative margin (default 5e-11), far inside
@@ -36,7 +40,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import numerics
+from . import detectors, numerics
 from .model import ClosedLoopModel
 
 __all__ = [
@@ -54,11 +58,9 @@ __all__ = [
 
 DEFAULT_SATURATION_MARGIN = 5e-11
 
-_KINDS = ("chi2", "windowed-static", "windowed-pulse", "cusum", "none")
-
 # The attack kind each detector kind invites by default.
 _KIND_FOR_DETECTOR = {"chi2": "chi2", "windowed": "windowed-static", "cusum": "cusum"}
-# The detector kind each attack kind is made against.
+# The detector kind each attack kind is made against; its keys are the attack kinds.
 _DETECTOR_FOR_KIND = {"chi2": "chi2", "windowed-static": "windowed", "windowed-pulse": "windowed",
                       "cusum": "cusum"}
 
@@ -68,22 +70,18 @@ class AttackPlan:
     """Immutable description of a stealthy attack.
 
     Fields:
-        kind: chi2 | windowed-static | windowed-pulse | cusum | none.
+        kind: chi2 | windowed-static | windowed-pulse | cusum.
         k_star: first attacked step (>= 1).
         direction: unit p-vector the injected bias points along.
         alpha / beta, ell / tau, b: threshold snapshot of the attacked
             detector (only the fields for `kind` are set).
-        saturation_mode: windowed-static only; "static" keeps the constant
-            per-step schedule, "greedy" sizes each step so the window sum
-            sits at the threshold even while pre-attack samples remain in
-            the window (clamped at zero energy).
+        saturation_mode: "static" keeps the constant per-step schedule;
+            "greedy" (windowed-static only) sizes each step so the window
+            sum sits at the threshold even while pre-attack samples remain
+            in the window (clamped at zero energy).
         magnitude: optional override; when set, psi_k = magnitude*direction
             on every active step, ignoring the threshold budget (used for
             benchmark comparisons of prescribed constant injections).
-        split_amplitude_across_window: windowed-static compatibility mode
-            dividing the amplitude sqrt(beta) by ell (per-step energy
-            beta/ell^2) instead of splitting the energy budget (beta/ell).
-            The default energy split is the one that saturates the window.
         exact_first_step: cusum only; size the first step from the live
             statistic (energy tau + b - S) so S lands exactly at tau,
             instead of the prescribed constant sqrt(tau).
@@ -100,23 +98,25 @@ class AttackPlan:
     b: Optional[float] = None
     saturation_mode: str = "static"
     magnitude: Optional[float] = None
-    split_amplitude_across_window: bool = False
     exact_first_step: bool = False
     margin: float = DEFAULT_SATURATION_MARGIN
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _DETECTOR_FOR_KIND:
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.kind != "none":
-            if int(self.k_star) < 1:
-                raise ValueError(f"k_star must be >= 1, got {self.k_star}")
-            direction = np.asarray(self.direction, dtype=float).reshape(-1)
-            norm = float(np.linalg.norm(direction))
-            if not np.all(np.isfinite(direction)) or abs(norm - 1.0) > 1e-12:
-                raise ValueError("direction must be a finite unit vector")
-            object.__setattr__(self, "direction", direction)
+        if int(self.k_star) < 1:
+            raise ValueError(f"k_star must be >= 1, got {self.k_star}")
+        direction = np.asarray(self.direction, dtype=float).reshape(-1)
+        norm = float(np.linalg.norm(direction))
+        if not np.all(np.isfinite(direction)) or abs(norm - 1.0) > 1e-12:
+            raise ValueError("direction must be a finite unit vector")
+        object.__setattr__(self, "direction", direction)
         if self.saturation_mode not in ("static", "greedy"):
             raise ValueError(f"unknown saturation mode {self.saturation_mode!r}")
+        if self.saturation_mode == "greedy" and self.kind != "windowed-static":
+            raise ValueError(f"the greedy mode is a windowed-static schedule, not {self.kind!r}")
+        if self.exact_first_step and self.kind != "cusum":
+            raise ValueError(f"the exact first step is a cusum schedule, not {self.kind!r}")
         if not (0.0 <= self.margin < 1e-3):
             raise ValueError("margin must be a tiny nonnegative fraction")
 
@@ -137,13 +137,19 @@ class AttackPlan:
             )
 
     @property
-    def live_state(self) -> Optional[str]:
-        """attack_energy's keyword for the live detector state this schedule reads, if any."""
-        if self.kind == "windowed-static" and self.saturation_mode == "greedy":
-            return "pending_window_sum"
-        if self.kind == "cusum" and self.exact_first_step:
-            return "s_prev"
-        return None
+    def steady_start(self) -> int:
+        """First step of the attack's steady phase (transient fully flushed).
+
+        chi2 saturates immediately; the windowed statistic needs ell - 1
+        more steps until the evaluation window holds only attacked samples;
+        the CUSUM may emit one alarm at k*+1 (the corner case where the
+        pre-attack statistic exceeded the bias), settled by k*+2.
+        """
+        if self.kind == "chi2":
+            return self.k_star
+        if self.kind == "cusum":
+            return self.k_star + 2
+        return self.k_star + self.ell - 1
 
 
 @dataclass(frozen=True)
@@ -227,7 +233,6 @@ def plan_attack(
     kind: Optional[str] = None,
     saturation_mode: str = "static",
     magnitude: Optional[float] = None,
-    split_amplitude_across_window: bool = False,
     exact_first_step: bool = False,
     margin: float = DEFAULT_SATURATION_MARGIN,
 ) -> AttackPlan:
@@ -238,32 +243,28 @@ def plan_attack(
     schedule; pass kind="windowed-pulse" for the pulsed one).
     """
     unit = resolve_direction(model, direction)
-    common = dict(
-        k_star=int(k_star),
-        direction=unit,
-        saturation_mode=saturation_mode,
-        magnitude=magnitude,
-        split_amplitude_across_window=split_amplitude_across_window,
-        exact_first_step=exact_first_step,
-        margin=margin,
+    plan = AttackPlan(
+        kind=_KIND_FOR_DETECTOR[detector.kind] if kind is None else kind,
+        k_star=int(k_star), direction=unit, saturation_mode=saturation_mode,
+        magnitude=magnitude, exact_first_step=exact_first_step, margin=margin,
+        **detector.params,
     )
-    if kind is None:
-        kind = _KIND_FOR_DETECTOR[detector.kind]
-    plan = AttackPlan(kind=kind, **common, **detector.params)
     plan.check_fits(detector)
     return plan
 
 
-def _steady_magnitude(kind, alpha=None, beta=None, ell=None, b=None, split=False) -> float:
-    if kind == "chi2":
-        return math.sqrt(alpha)
-    if kind == "windowed-static":
-        if split:
-            return math.sqrt(beta) / ell
-        return math.sqrt(beta / ell)
-    if kind == "cusum":
-        return math.sqrt(b)
-    raise ValueError(f"no constant-forcing deviation bound for attack kind {kind!r}")
+def _steady_energy(plan: AttackPlan) -> float:
+    """Per-step energy psi'psi that saturates the plan's detector in the steady phase."""
+    if plan.kind == "chi2":
+        return plan.alpha
+    if plan.kind == "windowed-static":
+        return plan.beta / plan.ell
+    if plan.kind == "cusum":
+        return plan.b
+    raise ValueError(
+        "no constant-forcing deviation bound for the pulsed windowed attack; "
+        "measure it by simulation"
+    )
 
 
 def gamma_bound(
@@ -295,66 +296,45 @@ def predicted_deviation(model: ClosedLoopModel, plan: AttackPlan) -> DeviationBo
     plan overrides it.
 
     Raises:
-        ValueError: for attack-free plans and for the pulsed windowed
-            schedule (its forcing is not constant, so the fixed-point
-            formula does not apply).
+        ValueError: for the pulsed windowed schedule (its forcing is not
+            constant, so the fixed-point formula does not apply).
     """
-    if plan.kind == "none":
-        raise ValueError("no prediction available for an attack-free scenario")
-    if plan.kind == "windowed-pulse":
-        raise ValueError(
-            "no constant-forcing deviation bound for the pulsed windowed attack; "
-            "measure it by simulation"
-        )
-    if plan.magnitude is not None:
-        mag = float(plan.magnitude)
-    else:
-        mag = _steady_magnitude(
-            plan.kind,
-            alpha=plan.alpha,
-            beta=plan.beta,
-            ell=plan.ell,
-            b=plan.b,
-            split=plan.split_amplitude_across_window,
-        )
+    steady = _steady_energy(plan)
+    mag = math.sqrt(steady) if plan.magnitude is None else float(plan.magnitude)
     gamma = float(np.linalg.norm(compute_M(model) @ (mag * plan.direction)))
     return DeviationBound(gamma=gamma, kind=plan.kind, magnitude=mag, direction=plan.direction)
 
 
-def attack_energy(
-    plan: AttackPlan,
-    k: int,
-    pending_window_sum=None,
-    s_prev=None,
-) -> Union[float, np.ndarray]:
+def attack_energy(plan: AttackPlan, k: int, z_past=None) -> Union[float, np.ndarray]:
     """Target residual energy psi'psi at step k (scalar, or per-run array).
 
     Schedules by kind (margin is the plan's relative back-off):
         chi2:             alpha * (1 - margin) every step;
         windowed-static:  beta/ell * (1 - margin) every step ("static"), or
-                          whatever tops the pending window sum up to
-                          beta * (1 - margin), clamped at 0 ("greedy");
+                          whatever tops the pending window sum, the last
+                          ell - 1 values of z_past, up to beta * (1 - margin),
+                          clamped at 0 ("greedy");
         windowed-pulse:   beta * (1 - margin) on every ell-th step, else 0;
         cusum:            tau on the first step, exact (it leaves S below
                           the threshold), then b * (1 - margin), so that
                           every steady z stays below b whatever its
                           rounding and S = max(0, S + z - b) never creeps
                           up; with exact_first_step the first step spends
-                          tau + b - S_prev, margin-backed because it lands
-                          on the threshold itself, and the steady steps
-                          spend b exactly to hold S there.
+                          tau + b - S, S being the statistic after z_past,
+                          margin-backed because it lands on the threshold
+                          itself, and the steady steps spend b exactly to
+                          hold S there.
 
     A plan `magnitude` override short-circuits all of the above: energy is
     magnitude^2 on every step the schedule is active (for the pulse kind,
     on pulse steps).
 
     Args:
-        pending_window_sum: greedy mode only; per-run sum of the z values
-            that will share the evaluation window with this step.
-        s_prev: exact_first_step only; per-run CUSUM statistic before k*.
+        z_past: the distance measures of steps 1..k-1, shape (k-1,) for one
+            run or (runs, k-1).  Only the greedy windowed schedule and the
+            exact first CUSUM step read it; they derive the detector state
+            from it with the plan's threshold snapshot.
     """
-    if plan.kind == "none":
-        raise ValueError("plan has no attack")
     if k < plan.k_star:
         raise ValueError(f"attack is inactive before k_star={plan.k_star}, got k={k}")
     off = 1.0 - plan.margin
@@ -363,27 +343,37 @@ def attack_energy(
     if plan.magnitude is not None:
         return float(plan.magnitude) ** 2 if pulse_on else 0.0
 
-    if plan.kind == "chi2":
-        return plan.alpha * off
     if plan.kind == "windowed-pulse":
         return plan.beta * off if pulse_on else 0.0
-    if plan.kind == "windowed-static":
-        if plan.saturation_mode == "greedy":
-            if pending_window_sum is None:
-                raise ValueError("greedy windowed schedule needs the pending window sum")
-            return np.maximum(0.0, plan.beta * off - np.asarray(pending_window_sum, dtype=float))
-        if plan.split_amplitude_across_window:
-            return (plan.beta / plan.ell**2) * off
-        return (plan.beta / plan.ell) * off
-    if plan.kind == "cusum":
-        if k == plan.k_star:
-            if plan.exact_first_step:
-                if s_prev is None:
-                    raise ValueError("exact first step needs the live CUSUM statistic")
-                return np.maximum(0.0, (plan.tau + plan.b - np.asarray(s_prev, dtype=float)) * off)
-            return plan.tau
-        return plan.b if plan.exact_first_step else plan.b * off
-    raise ValueError(f"unknown attack kind {plan.kind!r}")
+    if plan.saturation_mode == "greedy":
+        return np.maximum(0.0, plan.beta * off - _live_state(plan, k, z_past))
+    if plan.exact_first_step:
+        if k > plan.k_star:
+            return plan.b
+        return np.maximum(0.0, (plan.tau + plan.b - _live_state(plan, k, z_past)) * off)
+    if plan.kind == "cusum" and k == plan.k_star:
+        return plan.tau
+    return _steady_energy(plan) * off
+
+
+def _live_state(plan: AttackPlan, k: int, z_past) -> np.ndarray:
+    """The detector state a dynamic schedule reads at step k, from the z history.
+
+    Greedy: the pending window sum, the last ell - 1 values of z_past
+    summed left to right (sum() would go pairwise).  Exact first step: the
+    CUSUM statistic S after z_past, scanned with the plan's (tau, b).
+    """
+    if np.shape(z_past)[-1:] != (k - 1,):
+        raise ValueError(
+            f"this schedule reads the detector state from z_past, "
+            f"the {k - 1} distance measures before step {k}"
+        )
+    z_past = np.asarray(z_past, dtype=float)
+    if plan.saturation_mode == "greedy":
+        state = z_past[..., max(0, k - plan.ell):].cumsum(axis=-1)
+    else:
+        state = detectors.scan_cusum(z_past, plan.b, plan.tau)[0].reshape(z_past.shape)
+    return state[..., -1] if state.shape[-1] else np.zeros(state.shape[:-1])
 
 
 def synthesize_attack(
@@ -392,17 +382,17 @@ def synthesize_attack(
     k: int,
     e: np.ndarray,
     eta: np.ndarray,
-    pending_window_sum=None,
-    s_prev=None,
+    z_past=None,
 ) -> np.ndarray:
     """The injected sensor bias delta_k for step k >= k_star.
 
     delta cancels the true innovation (-C e - eta) and substitutes
     Sigma^{1/2} psi_k with psi_k from the plan's schedule.  `e` and `eta`
     are (n,) and (p,) vectors for one run or (n, runs) and (p, runs)
-    matrices for an ensemble.  The dynamic schedules read the live detector
-    state passed in, as attack_energy does.
+    matrices for an ensemble; `z_past` is the matching (k-1,) or
+    (runs, k-1) z history, which the dynamic schedules read (see
+    attack_energy).
     """
-    energy = attack_energy(plan, k, pending_window_sum=pending_window_sum, s_prev=s_prev)
+    energy = attack_energy(plan, k, z_past)
     psi = np.multiply.outer(plan.direction, np.sqrt(energy) * np.ones(np.shape(e)[1:]))
     return -(model.plant.c @ e) - eta + model.sigma_sqrt @ psi

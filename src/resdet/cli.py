@@ -112,30 +112,14 @@ def _load_document(path: str) -> dict:
 def _build_model(doc: dict):
     plant_doc = doc["plant"]
     try:
-        plant = PlantModel(
-            np.asarray(plant_doc["F"], dtype=float),
-            np.asarray(plant_doc["G"], dtype=float),
-            np.asarray(plant_doc["C"], dtype=float),
-            np.asarray(plant_doc["R1"], dtype=float),
-            np.asarray(plant_doc["R2"], dtype=float),
-        )
+        plant = PlantModel(*(plant_doc[key] for key in ("F", "G", "C", "R1", "R2")))
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"invalid plant: {exc}") from exc
 
-    k_fb = np.asarray(doc["controller"]["K"], dtype=float)
-    if k_fb.shape != (plant.m, plant.n):
-        raise CliError(
-            EXIT_USAGE,
-            f"controller K must be {plant.m}x{plant.n}, got {k_fb.shape[0]}x{k_fb.shape[1]}",
-        )
+    k_fb = _gain_matrix(doc["controller"]["K"], "controller K", (plant.m, plant.n))
     l_gain = None
     if "estimator" in doc and "L" in doc["estimator"]:
-        l_gain = np.asarray(doc["estimator"]["L"], dtype=float)
-        if l_gain.shape != (plant.n, plant.p):
-            raise CliError(
-                EXIT_USAGE,
-                f"estimator L must be {plant.n}x{plant.p}, got {l_gain.shape[0]}x{l_gain.shape[1]}",
-            )
+        l_gain = _gain_matrix(doc["estimator"]["L"], "estimator L", (plant.n, plant.p))
     try:
         return build_closed_loop(plant, k_fb, l_gain=l_gain)
     except ValueError as exc:
@@ -143,6 +127,19 @@ def _build_model(doc: dict):
         raise CliError(code, str(exc)) from exc
     except RuntimeError as exc:
         raise CliError(EXIT_MODEL, str(exc)) from exc
+
+
+def _gain_matrix(rows, name: str, shape: tuple) -> np.ndarray:
+    """A scenario gain matrix as a float array of the given shape, else a usage error."""
+    try:
+        mat = np.asarray(rows, dtype=float)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, f"invalid {name}: {exc}") from exc
+    if mat.shape != shape:
+        raise CliError(
+            EXIT_USAGE, f"{name} must be {shape[0]}x{shape[1]}, got {mat.shape[0]}x{mat.shape[1]}"
+        )
+    return mat
 
 
 def _check_far(far: float) -> float:

@@ -6,8 +6,10 @@ attack, seed, ensemble size).  `run_ensemble` is the one simulation loop:
 it advances all Monte-Carlo runs in lockstep as (n, runs) matrix states,
 which keeps 200x1000-step ensembles in the fraction-of-a-second range, and
 replays the distance measures through the detector's scan.  Its noise is
-drawn on every available core, with the same bits as on one.  `run` is
-the one-run ensemble, reshaped into a per-step trace.
+drawn on every available core, with the same bits as on one.  The attack
+comes from the plan alone: each attacked step hands it the z history, and
+the plan's schedule (attacks.attack_energy) reads what it needs from
+that.  `run` is the one-run ensemble, reshaped into a per-step trace.
 
 Measurement helpers compare the ensemble-mean state against the predicted
 steady-state deviation, smooth per-run norms the way trace figures usually
@@ -84,28 +86,11 @@ class Scenario:
 
     @property
     def attacked(self) -> bool:
-        return self.plan is not None and self.plan.kind != "none"
+        return self.plan is not None
 
     @property
     def k_star(self) -> Optional[int]:
         return self.plan.k_star if self.attacked else None
-
-
-def _steady_start(plan: AttackPlan) -> int:
-    """First step of the attack's steady phase (transient fully flushed).
-
-    chi2 saturates immediately; the windowed statistic needs ell - 1 more
-    steps until the evaluation window holds only attacked samples; the
-    CUSUM may emit one alarm at k*+1 (the corner case where the pre-attack
-    statistic exceeded the bias), settled by k*+2.
-    """
-    if plan.kind == "chi2":
-        return plan.k_star
-    if plan.kind in ("windowed-static", "windowed-pulse"):
-        return plan.k_star + plan.ell - 1
-    if plan.kind == "cusum":
-        return plan.k_star + 2
-    raise ValueError(f"plan kind {plan.kind!r} has no attack phases")
 
 
 @dataclass
@@ -128,9 +113,9 @@ class SimulationTrace:
 def _phase_counts(alarm_steps: np.ndarray, plan: Optional[AttackPlan]) -> dict:
     """Alarm counts split into pre-attack / transient / steady phases."""
     total = int(alarm_steps.size)
-    if plan is None or plan.kind == "none":
+    if plan is None:
         return {"alarms": total, "alarms_pre_attack": total, "alarms_transient": 0, "alarms_steady": 0}
-    steady = _steady_start(plan)
+    steady = plan.steady_start
     pre = int((alarm_steps < plan.k_star).sum())
     transient = int(((alarm_steps >= plan.k_star) & (alarm_steps < steady)).sum())
     return {
@@ -164,8 +149,7 @@ class EnsembleResult:
         return self.z.shape[1]
 
     def phase_counts(self) -> dict:
-        plan = self.scenario.plan if self.scenario.attacked else None
-        return _phase_counts(np.nonzero(self.alarm)[1] + 1, plan)
+        return _phase_counts(np.nonzero(self.alarm)[1] + 1, self.scenario.plan)
 
 
 def run_ensemble(scenario: Scenario) -> EnsembleResult:
@@ -175,15 +159,11 @@ def run_ensemble(scenario: Scenario) -> EnsembleResult:
     reproducible and independent of scheduling.  The noise is drawn up
     front, one slice of runs per available CPU (model._draw_blocks); the
     core count changes no value.  Detector statistics and
-    alarms come from the detector's scan of the z matrix.  The dynamic
-    attack schedules read the live detector state: the exact-first-step
-    CUSUM the scan's carry S at k*, the greedy windowed schedule the
-    window's tail, the last ell - 1 values of z.
+    alarms come from the detector's scan of the z matrix.  Each attacked
+    step passes the z matrix so far to synthesize_attack.
     """
     model = scenario.model
-    detector = scenario.detector
-    plan = scenario.plan if scenario.attacked else None
-    live = plan.live_state if plan is not None else None
+    plan = scenario.plan
     steps, runs = scenario.steps, scenario.mc_runs
     n, p = model.n, model.p
 
@@ -200,18 +180,11 @@ def run_ensemble(scenario: Scenario) -> EnsembleResult:
         eta = eta_all[:, t, :].T
         delta = None
         if plan is not None and k >= plan.k_star:
-            state = {}
-            if live == "s_prev" and k == plan.k_star:
-                state[live] = detector.scan(z_all[:, :t])[2]
-            elif live == "pending_window_sum":
-                # the window's tail, summed left to right (sum() would go pairwise)
-                tail = z_all[:, max(0, t - plan.ell + 1):t]
-                state[live] = tail.cumsum(axis=1)[:, -1] if tail.size else np.zeros(runs)
-            delta = attacks_mod.synthesize_attack(plan, model, k, x - xhat, eta, **state)
+            delta = attacks_mod.synthesize_attack(plan, model, k, x - xhat, eta, z_all[:, :t])
         sum_x[t] = x.sum(axis=1)
         x, xhat, _, z_all[:, t] = model_mod.advance(model, x, xhat, v_all[:, t, :].T, eta, delta)
 
-    stat, alarm, _ = detector.scan(z_all)
+    stat, alarm, _ = scenario.detector.scan(z_all)
     return EnsembleResult(scenario=scenario, mean_x=sum_x / runs, z=z_all, stat=stat, alarm=alarm)
 
 

@@ -31,22 +31,30 @@ BETA4 = 21.026069817483055
 BETA50 = 179.5806341541804
 
 
-def live_state(detector):
-    """The detector state the dynamic attack schedules read, as attack_energy takes it."""
-    if isinstance(detector, CusumDetector):
-        return {"s_prev": detector.s}
-    if isinstance(detector, WindowedChiSqDetector):
+def live_energy(plan, detector, k):
+    """The dynamic schedule's step-k energy from the detector's own state machine.
+
+    None for steps whose energy reads no detector state.
+    """
+    off = 1.0 - plan.margin
+    if plan.saturation_mode == "greedy":
         # the window sum that remains after the next push evicts the oldest sample
         full = len(detector.window) == detector.ell
-        return {"pending_window_sum": detector.w - detector.window[0] if full else detector.w}
-    return {}
+        pending = detector.w - detector.window[0] if full else detector.w
+        return max(0.0, plan.beta * off - pending)
+    if plan.exact_first_step and k == plan.k_star:
+        return max(0.0, (plan.tau + plan.b - detector.s) * off)
+    return None
 
 
 def drive_attacked(model, detector, plan, steps, seed=0):
     """Single-run closed-loop simulation with the attack injected live.
 
-    Returns (z, stat, alarm) arrays indexed by step-1; stat is the
-    detector's post-update statistic (z itself for the static detector).
+    The attack reads the z history; at every step whose energy depends on
+    the detector state, that energy must match the one computed from the
+    live state machine.  Returns (z, stat, alarm) arrays indexed by step-1;
+    stat is the detector's post-update statistic (z itself for the static
+    detector).
     """
     noise = model.noise(seed)
     x = np.zeros(model.n)
@@ -57,8 +65,12 @@ def drive_attacked(model, detector, plan, steps, seed=0):
     for k in range(1, steps + 1):
         v, eta = noise.draw()
         delta = None
-        if plan.kind != "none" and k >= plan.k_star:
-            delta = synthesize_attack(plan, model, k, x - xhat, eta, **live_state(detector))
+        if k >= plan.k_star:
+            z_past = z_out[: k - 1]
+            live = live_energy(plan, detector, k)
+            if live is not None:
+                assert attack_energy(plan, k, z_past) == pytest.approx(live, rel=1e-12)
+            delta = synthesize_attack(plan, model, k, x - xhat, eta, z_past)
         x, xhat, _, z = mdl.advance(model, x, xhat, v, eta, delta)
         alarm[k - 1] = detector.update(z) is not None
         if isinstance(detector, CusumDetector):
@@ -234,9 +246,9 @@ def test_plan_attack_validation(reactor_fixed):
 
 
 def test_predicted_deviation_refuses_unbounded_kinds(reactor_fixed):
-    none_plan = AttackPlan(kind="none", k_star=0, direction=None)
-    with pytest.raises(ValueError, match="no prediction available"):
-        predicted_deviation(reactor_fixed, none_plan)
+    # an attack-free scenario is plan=None; "none" is no plan kind
+    with pytest.raises(ValueError, match="unknown attack kind 'none'"):
+        AttackPlan(kind="none", k_star=1, direction=np.array([1.0, 0.0, 0.0]))
     pulse = plan_attack(
         reactor_fixed, WindowedChiSqDetector(BETA4, 4), k_star=1, kind="windowed-pulse"
     )
@@ -244,15 +256,38 @@ def test_predicted_deviation_refuses_unbounded_kinds(reactor_fixed):
         predicted_deviation(reactor_fixed, pulse)
 
 
-def test_predicted_deviation_split_window_flag(reactor_fixed):
-    det = WindowedChiSqDetector(BETA4, 4)
-    base = predicted_deviation(reactor_fixed, plan_attack(reactor_fixed, det, k_star=1))
-    split = predicted_deviation(
-        reactor_fixed,
-        plan_attack(reactor_fixed, det, k_star=1, split_amplitude_across_window=True),
-    )
-    assert split.magnitude == pytest.approx(math.sqrt(BETA4) / 4.0, rel=1e-12)
-    assert base.gamma / split.gamma == pytest.approx(2.0, rel=1e-12)  # sqrt(ell)
+def test_schedule_options_only_on_their_kinds(reactor_fixed):
+    direction = np.array([1.0, 0.0, 0.0])
+    for kind, params in (("chi2", {"alpha": ALPHA}), ("cusum", {"tau": 5.0, "b": 3.0}),
+                         ("windowed-pulse", {"beta": BETA4, "ell": 4})):
+        with pytest.raises(ValueError, match="greedy mode is a windowed-static schedule"):
+            AttackPlan(kind=kind, k_star=1, direction=direction, saturation_mode="greedy",
+                       **params)
+    for kind, params in (("chi2", {"alpha": ALPHA}), ("windowed-static", {"beta": BETA4, "ell": 4}),
+                         ("windowed-pulse", {"beta": BETA4, "ell": 4})):
+        with pytest.raises(ValueError, match="exact first step is a cusum schedule"):
+            AttackPlan(kind=kind, k_star=1, direction=direction, exact_first_step=True, **params)
+    with pytest.raises(ValueError, match="exact first step is a cusum schedule"):
+        plan_attack(reactor_fixed, ChiSqDetector(ALPHA), k_star=1, exact_first_step=True)
+    with pytest.raises(ValueError, match="greedy mode"):
+        plan_attack(reactor_fixed, WindowedChiSqDetector(BETA4, 4), k_star=1,
+                    kind="windowed-pulse", saturation_mode="greedy")
+
+
+def test_steady_start_by_kind(reactor_fixed):
+    windowed = WindowedChiSqDetector(BETA4, 4)
+    starts = {
+        "chi2": plan_attack(reactor_fixed, ChiSqDetector(ALPHA), k_star=51),
+        "static": plan_attack(reactor_fixed, windowed, k_star=51),
+        "greedy": plan_attack(reactor_fixed, windowed, k_star=51, saturation_mode="greedy"),
+        "pulse": plan_attack(reactor_fixed, windowed, k_star=51, kind="windowed-pulse"),
+        "cusum": plan_attack(reactor_fixed, CusumDetector(5.0, 3.0), k_star=51),
+        "exact": plan_attack(reactor_fixed, CusumDetector(5.0, 3.0), k_star=51,
+                             exact_first_step=True),
+    }
+    assert {name: plan.steady_start for name, plan in starts.items()} == {
+        "chi2": 51, "static": 54, "greedy": 54, "pulse": 54, "cusum": 53, "exact": 53,
+    }
 
 
 # ------------------------------------------------------------ energy schedule
@@ -270,22 +305,29 @@ def test_attack_energy_schedules(reactor_fixed):
 
     plan = AttackPlan(kind="windowed-static", k_star=10, direction=direction, beta=BETA4, ell=4)
     assert attack_energy(plan, 123) == pytest.approx(BETA4 / 4 * (1 - m), rel=1e-15)
-    split = AttackPlan(
-        kind="windowed-static", k_star=10, direction=direction, beta=BETA4, ell=4,
-        split_amplitude_across_window=True,
-    )
-    assert attack_energy(split, 123) == pytest.approx(BETA4 / 16 * (1 - m), rel=1e-15)
 
     greedy = AttackPlan(
         kind="windowed-static", k_star=10, direction=direction, beta=BETA4, ell=4,
         saturation_mode="greedy",
     )
-    assert attack_energy(greedy, 10, pending_window_sum=1.0) == pytest.approx(
-        BETA4 * (1 - m) - 1.0, rel=1e-12
+    # the pending window sum is the last ell - 1 = 3 values of the history: 1.0, then over 1e9
+    past = np.array([[9.0] * 6 + [0.25, 0.25, 0.5], [9.0] * 8 + [1e9]])
+    assert attack_energy(greedy, 10, past[0]) == pytest.approx(BETA4 * (1 - m) - 1.0, rel=1e-12)
+    assert attack_energy(greedy, 10, past[1]) == 0.0
+    assert np.array_equal(
+        attack_energy(greedy, 10, past), [attack_energy(greedy, 10, row) for row in past]
     )
-    assert attack_energy(greedy, 10, pending_window_sum=1e9) == 0.0
-    with pytest.raises(ValueError, match="pending window sum"):
+    with pytest.raises(ValueError, match="reads the detector state from z_past"):
         attack_energy(greedy, 10)
+    with pytest.raises(ValueError, match="z_past, the 9 distance measures before step 10"):
+        attack_energy(greedy, 10, past[:, :8])
+    # attacked from step 1: nothing is pending yet
+    greedy_1 = AttackPlan(
+        kind="windowed-static", k_star=1, direction=direction, beta=BETA4, ell=4,
+        saturation_mode="greedy",
+    )
+    assert attack_energy(greedy_1, 1, np.empty(0)) == BETA4 * (1 - m)
+    assert np.array_equal(attack_energy(greedy_1, 1, np.empty((3, 0))), [BETA4 * (1 - m)] * 3)
 
     pulse = AttackPlan(kind="windowed-pulse", k_star=10, direction=direction, beta=BETA4, ell=4)
     assert attack_energy(pulse, 10) == pytest.approx(BETA4 * (1 - m), rel=1e-15)
@@ -298,9 +340,21 @@ def test_attack_energy_schedules(reactor_fixed):
     first = AttackPlan(
         kind="cusum", k_star=10, direction=direction, tau=5.0, b=3.0, exact_first_step=True
     )
-    assert attack_energy(first, 10, s_prev=1.0) == pytest.approx(7.0 * (1 - m), rel=1e-15)
-    with pytest.raises(ValueError, match="live CUSUM statistic"):
+    # S after the history: 0 for eight steps, then max(0, 0 + 4 - 3) = 1 and 0.5
+    past = np.array([[0.0] * 8 + [4.0], [0.0] * 8 + [3.5]])
+    assert attack_energy(first, 10, past[0]) == pytest.approx(7.0 * (1 - m), rel=1e-15)
+    assert np.array_equal(
+        attack_energy(first, 10, past), [attack_energy(first, 10, row) for row in past]
+    )
+    assert attack_energy(first, 10, past[1]) == pytest.approx(7.5 * (1 - m), rel=1e-15)
+    assert attack_energy(first, 11, past[:, :1]) == 3.0  # steady steps read no history
+    with pytest.raises(ValueError, match="reads the detector state from z_past"):
         attack_energy(first, 10)
+    first_1 = AttackPlan(
+        kind="cusum", k_star=1, direction=direction, tau=5.0, b=3.0, exact_first_step=True
+    )
+    assert attack_energy(first_1, 1, np.empty(0)) == 8.0 * (1 - m)
+    assert np.array_equal(attack_energy(first_1, 1, np.empty((2, 0))), [8.0 * (1 - m)] * 2)
 
     override = AttackPlan(
         kind="chi2", k_star=10, direction=direction, alpha=ALPHA, magnitude=2.0
@@ -320,12 +374,12 @@ def test_synthesize_requires_live_detector_for_dynamic_modes(reactor_fixed):
     greedy = plan_attack(
         reactor_fixed, WindowedChiSqDetector(BETA4, 4), k_star=1, saturation_mode="greedy"
     )
-    with pytest.raises(ValueError, match="pending window sum"):
+    with pytest.raises(ValueError, match="reads the detector state from z_past"):
         synthesize_attack(greedy, reactor_fixed, 1, e, eta)
     first = plan_attack(
         reactor_fixed, CusumDetector(5.0, 3.0), k_star=1, exact_first_step=True
     )
-    with pytest.raises(ValueError, match="live CUSUM statistic"):
+    with pytest.raises(ValueError, match="reads the detector state from z_past"):
         synthesize_attack(first, reactor_fixed, 1, e, eta)
 
 

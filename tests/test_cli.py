@@ -175,6 +175,29 @@ def test_simulate_rejects_defective_documents(tmp_path, capsys):
                  "--out", str(tmp_path / "t.csv")]) == 2
 
 
+@pytest.mark.parametrize("section, name, value", [
+    ("controller", "K", [[0.1], [0.1, 0.2]]),
+    ("estimator", "L", [[0.2], [0.1, 0.2]]),
+])
+def test_ragged_gain_matrix_exits_2(tmp_path, capsys, section, name, value):
+    path = write_scenario(tmp_path, scalar_doc(**{section: {name: value}}))
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "t.csv")]) == 2
+    assert f"invalid {section} {name}: " in capsys.readouterr().err
+    assert main(["arl", "--scenario", path, "--runs", "2"]) == 2
+    assert f"invalid {section} {name}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("detector, attack", [
+    ({"kind": "chi2", "far": 0.05}, {"kind": "chi2", "mode": "greedy"}),
+    ({"kind": "windowed", "far": 0.05, "window": 4}, {"kind": "windowed-pulse", "mode": "greedy"}),
+])
+def test_simulate_rejects_greedy_mode_off_windowed_static(tmp_path, capsys, detector, attack):
+    path = write_scenario(tmp_path, scalar_doc(detector=detector, attack=attack))
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "t.csv")]) == 2
+    assert "invalid attack: the greedy mode is a windowed-static schedule" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_simulate_unstable_model_exits_3(tmp_path, capsys):
     doc = scalar_doc(plant={"F": [[1.2]], "G": [[1.0]], "C": [[1.0]],
                             "R1": [[1.0]], "R2": [[1.0]]},
