@@ -69,7 +69,7 @@ def main():
     print("windowed detector, l = 50, greedy energy schedule")
     beta = tune_windowed(p, 50, A_STAR)
     det = WindowedChiSqDetector(beta, 50)
-    plan = plan_attack(model, det, k_star=K_STAR, saturation_mode="greedy")
+    plan = plan_attack(model, det, k_star=K_STAR, kind="windowed-greedy")
     trace = replay(model, det, plan)
     report(f"threshold {beta:.4f}, window sum topped up each step", trace, K_STAR)
     print()
@@ -78,7 +78,7 @@ def main():
     tau = tune_cusum_tau(model, b=BENCHMARK_BIAS, a_star=A_STAR, mc=200_000,
                          seed=0)
     det = CusumDetector(tau, BENCHMARK_BIAS)
-    plan = plan_attack(model, det, k_star=K_STAR, exact_first_step=True)
+    plan = plan_attack(model, det, k_star=K_STAR, kind="cusum-exact")
     trace = replay(model, det, plan)
     report(f"tau {tau:.4f}, S held at the threshold", trace, K_STAR + 1)
     print()

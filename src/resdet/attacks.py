@@ -21,9 +21,10 @@ per-detector damage is set by the scalar magnitude the threshold budget
 allows: sqrt(alpha) for the static chi-squared detector, sqrt(beta/ell)
 per step for the windowed one, sqrt(b) for the CUSUM steady phase.
 
-Each schedule is defined here once (`attack_energy`); the dynamic ones
-derive the detector state they read from the z history, with the plan's
-own threshold snapshot.
+Each of the six schedules (chi2, windowed-static, windowed-greedy,
+windowed-pulse, cusum, cusum-exact) is defined here once (`attack_energy`);
+it reads its thresholds through the plan's detector, and the dynamic ones
+derive the detector state they read from the z history.
 
 Exact saturation is a knife edge in floating point (the computed statistic
 lands a few ulps either side of the threshold), so synthesized schedules
@@ -61,49 +62,39 @@ DEFAULT_SATURATION_MARGIN = 5e-11
 # The attack kind each detector kind invites by default.
 _KIND_FOR_DETECTOR = {"chi2": "chi2", "windowed": "windowed-static", "cusum": "cusum"}
 # The detector kind each attack kind is made against; its keys are the attack kinds.
-_DETECTOR_FOR_KIND = {"chi2": "chi2", "windowed-static": "windowed", "windowed-pulse": "windowed",
-                      "cusum": "cusum"}
+_DETECTOR_FOR_KIND = {"chi2": "chi2", "windowed-static": "windowed", "windowed-greedy": "windowed",
+                      "windowed-pulse": "windowed", "cusum": "cusum", "cusum-exact": "cusum"}
 
 
 @dataclass(frozen=True)
 class AttackPlan:
-    """Immutable description of a stealthy attack.
+    """Immutable description of a stealthy attack: one schedule against one detector.
 
     Fields:
-        kind: chi2 | windowed-static | windowed-pulse | cusum.
+        kind: the schedule, one of chi2, windowed-static, windowed-greedy,
+            windowed-pulse, cusum or cusum-exact (see attack_energy); the
+            part before the dash is the detector kind it is made against.
         k_star: first attacked step (>= 1).
         direction: unit p-vector the injected bias points along.
-        alpha / beta, ell / tau, b: threshold snapshot of the attacked
-            detector (only the fields for `kind` are set).
-        saturation_mode: "static" keeps the constant per-step schedule;
-            "greedy" (windowed-static only) sizes each step so the window
-            sum sits at the threshold even while pre-attack samples remain
-            in the window (clamped at zero energy).
+        detector: the detector the plan was made against; the schedule
+            reads its thresholds (`params`) and never its state.
         magnitude: optional override; when set, psi_k = magnitude*direction
             on every active step, ignoring the threshold budget (used for
             benchmark comparisons of prescribed constant injections).
-        exact_first_step: cusum only; size the first step from the live
-            statistic (energy tau + b - S) so S lands exactly at tau,
-            instead of the prescribed constant sqrt(tau).
         margin: relative back-off applied to threshold-saturating energies.
     """
 
     kind: str
     k_star: int
     direction: np.ndarray
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    ell: Optional[int] = None
-    tau: Optional[float] = None
-    b: Optional[float] = None
-    saturation_mode: str = "static"
+    detector: object
     magnitude: Optional[float] = None
-    exact_first_step: bool = False
     margin: float = DEFAULT_SATURATION_MARGIN
 
     def __post_init__(self):
         if self.kind not in _DETECTOR_FOR_KIND:
             raise ValueError(f"unknown attack kind {self.kind!r}")
+        self.check_fits(self.detector)
         if int(self.k_star) < 1:
             raise ValueError(f"k_star must be >= 1, got {self.k_star}")
         direction = np.asarray(self.direction, dtype=float).reshape(-1)
@@ -111,29 +102,24 @@ class AttackPlan:
         if not np.all(np.isfinite(direction)) or abs(norm - 1.0) > 1e-12:
             raise ValueError("direction must be a finite unit vector")
         object.__setattr__(self, "direction", direction)
-        if self.saturation_mode not in ("static", "greedy"):
-            raise ValueError(f"unknown saturation mode {self.saturation_mode!r}")
-        if self.saturation_mode == "greedy" and self.kind != "windowed-static":
-            raise ValueError(f"the greedy mode is a windowed-static schedule, not {self.kind!r}")
-        if self.exact_first_step and self.kind != "cusum":
-            raise ValueError(f"the exact first step is a cusum schedule, not {self.kind!r}")
+        if self.magnitude is not None and not (0.0 <= self.magnitude < math.inf):
+            raise ValueError(f"magnitude must be finite and nonnegative, got {self.magnitude}")
         if not (0.0 <= self.margin < 1e-3):
             raise ValueError("margin must be a tiny nonnegative fraction")
 
     def check_fits(self, detector) -> None:
         """Raise ValueError unless this plan was made against `detector`.
 
-        The plan's kind must fit the detector's kind, and its threshold
-        snapshot must equal the detector's `params`.
+        The plan's kind must fit the detector's kind, and its detector's
+        thresholds must equal the detector's `params`.
         """
-        if _DETECTOR_FOR_KIND.get(self.kind) != detector.kind:
+        if _DETECTOR_FOR_KIND[self.kind] != detector.kind:
             raise ValueError(
                 f"attack kind {self.kind!r} does not match detector kind {detector.kind!r}"
             )
-        snapshot = {name: getattr(self, name) for name in detector.params}
-        if snapshot != detector.params:
+        if self.detector.params != detector.params:
             raise ValueError(
-                f"plan thresholds {snapshot} differ from the detector's {detector.params}"
+                f"plan thresholds {self.detector.params} differ from the detector's {detector.params}"
             )
 
     @property
@@ -147,9 +133,9 @@ class AttackPlan:
         """
         if self.kind == "chi2":
             return self.k_star
-        if self.kind == "cusum":
+        if self.kind in ("cusum", "cusum-exact"):
             return self.k_star + 2
-        return self.k_star + self.ell - 1
+        return self.k_star + self.detector.ell - 1
 
 
 @dataclass(frozen=True)
@@ -231,36 +217,31 @@ def plan_attack(
     k_star: int,
     direction="worst",
     kind: Optional[str] = None,
-    saturation_mode: str = "static",
     magnitude: Optional[float] = None,
-    exact_first_step: bool = False,
     margin: float = DEFAULT_SATURATION_MARGIN,
 ) -> AttackPlan:
     """Build an AttackPlan against a tuned detector.
 
-    The plan snapshots the detector's thresholds (`params`); `kind` is
-    inferred from the detector's kind (windowed defaults to the static
-    schedule; pass kind="windowed-pulse" for the pulsed one).
+    `kind` is inferred from the detector's kind (windowed defaults to the
+    static schedule, cusum to the prescribed first step); pass another
+    schedule for the same detector kind, e.g. kind="windowed-greedy".
     """
     unit = resolve_direction(model, direction)
-    plan = AttackPlan(
+    return AttackPlan(
         kind=_KIND_FOR_DETECTOR[detector.kind] if kind is None else kind,
-        k_star=int(k_star), direction=unit, saturation_mode=saturation_mode,
-        magnitude=magnitude, exact_first_step=exact_first_step, margin=margin,
-        **detector.params,
+        k_star=int(k_star), direction=unit, detector=detector, magnitude=magnitude,
+        margin=margin,
     )
-    plan.check_fits(detector)
-    return plan
 
 
 def _steady_energy(plan: AttackPlan) -> float:
     """Per-step energy psi'psi that saturates the plan's detector in the steady phase."""
     if plan.kind == "chi2":
-        return plan.alpha
-    if plan.kind == "windowed-static":
-        return plan.beta / plan.ell
-    if plan.kind == "cusum":
-        return plan.b
+        return plan.detector.alpha
+    if plan.kind in ("windowed-static", "windowed-greedy"):
+        return plan.detector.beta / plan.detector.ell
+    if plan.kind in ("cusum", "cusum-exact"):
+        return plan.detector.b
     raise ValueError(
         "no constant-forcing deviation bound for the pulsed windowed attack; "
         "measure it by simulation"
@@ -292,8 +273,8 @@ def predicted_deviation(model: ClosedLoopModel, plan: AttackPlan) -> DeviationBo
     """Predicted steady-state deviation ||M (magnitude * direction)|| of a plan.
 
     The per-step magnitude is sqrt(alpha) (chi-squared), sqrt(beta/ell)
-    (windowed static schedule), or sqrt(b) (CUSUM steady phase), unless the
-    plan overrides it.
+    (windowed static schedule, an upper bound for the greedy one), or
+    sqrt(b) (CUSUM steady phase), unless the plan overrides it.
 
     Raises:
         ValueError: for the pulsed windowed schedule (its forcing is not
@@ -310,19 +291,19 @@ def attack_energy(plan: AttackPlan, k: int, z_past=None) -> Union[float, np.ndar
 
     Schedules by kind (margin is the plan's relative back-off):
         chi2:             alpha * (1 - margin) every step;
-        windowed-static:  beta/ell * (1 - margin) every step ("static"), or
-                          whatever tops the pending window sum, the last
+        windowed-static:  beta/ell * (1 - margin) every step;
+        windowed-greedy:  whatever tops the pending window sum, the last
                           ell - 1 values of z_past, up to beta * (1 - margin),
-                          clamped at 0 ("greedy");
+                          clamped at 0;
         windowed-pulse:   beta * (1 - margin) on every ell-th step, else 0;
         cusum:            tau on the first step, exact (it leaves S below
                           the threshold), then b * (1 - margin), so that
                           every steady z stays below b whatever its
                           rounding and S = max(0, S + z - b) never creeps
-                          up; with exact_first_step the first step spends
-                          tau + b - S, S being the statistic after z_past,
-                          margin-backed because it lands on the threshold
-                          itself, and the steady steps spend b exactly to
+                          up;
+        cusum-exact:      tau + b - S on the first step, S being the
+                          statistic after z_past, margin-backed because it
+                          lands on the threshold itself, then b exactly to
                           hold S there.
 
     A plan `magnitude` override short-circuits all of the above: energy is
@@ -331,37 +312,38 @@ def attack_energy(plan: AttackPlan, k: int, z_past=None) -> Union[float, np.ndar
 
     Args:
         z_past: the distance measures of steps 1..k-1, shape (k-1,) for one
-            run or (runs, k-1).  Only the greedy windowed schedule and the
-            exact first CUSUM step read it; they derive the detector state
-            from it with the plan's threshold snapshot.
+            run or (runs, k-1).  Only the windowed-greedy schedule and the
+            first cusum-exact step read it; they derive the detector state
+            from it with the plan detector's thresholds.
     """
     if k < plan.k_star:
         raise ValueError(f"attack is inactive before k_star={plan.k_star}, got k={k}")
     off = 1.0 - plan.margin
+    det = plan.detector
 
-    pulse_on = plan.kind != "windowed-pulse" or (k - plan.k_star) % plan.ell == 0
+    pulse_on = plan.kind != "windowed-pulse" or (k - plan.k_star) % det.ell == 0
     if plan.magnitude is not None:
         return float(plan.magnitude) ** 2 if pulse_on else 0.0
 
     if plan.kind == "windowed-pulse":
-        return plan.beta * off if pulse_on else 0.0
-    if plan.saturation_mode == "greedy":
-        return np.maximum(0.0, plan.beta * off - _live_state(plan, k, z_past))
-    if plan.exact_first_step:
+        return det.beta * off if pulse_on else 0.0
+    if plan.kind == "windowed-greedy":
+        return np.maximum(0.0, det.beta * off - _live_state(plan, k, z_past))
+    if plan.kind == "cusum-exact":
         if k > plan.k_star:
-            return plan.b
-        return np.maximum(0.0, (plan.tau + plan.b - _live_state(plan, k, z_past)) * off)
+            return det.b
+        return np.maximum(0.0, (det.tau + det.b - _live_state(plan, k, z_past)) * off)
     if plan.kind == "cusum" and k == plan.k_star:
-        return plan.tau
+        return det.tau
     return _steady_energy(plan) * off
 
 
 def _live_state(plan: AttackPlan, k: int, z_past) -> np.ndarray:
     """The detector state a dynamic schedule reads at step k, from the z history.
 
-    Greedy: the pending window sum, the last ell - 1 values of z_past
-    summed left to right (sum() would go pairwise).  Exact first step: the
-    CUSUM statistic S after z_past, scanned with the plan's (tau, b).
+    windowed-greedy: the pending window sum, the last ell - 1 values of
+    z_past summed left to right (sum() would go pairwise).  cusum-exact: the
+    CUSUM statistic S after z_past, scanned with the detector's (tau, b).
     """
     if np.shape(z_past)[-1:] != (k - 1,):
         raise ValueError(
@@ -369,10 +351,11 @@ def _live_state(plan: AttackPlan, k: int, z_past) -> np.ndarray:
             f"the {k - 1} distance measures before step {k}"
         )
     z_past = np.asarray(z_past, dtype=float)
-    if plan.saturation_mode == "greedy":
-        state = z_past[..., max(0, k - plan.ell):].cumsum(axis=-1)
+    det = plan.detector
+    if plan.kind == "windowed-greedy":
+        state = z_past[..., max(0, k - det.ell):].cumsum(axis=-1)
     else:
-        state = detectors.scan_cusum(z_past, plan.b, plan.tau)[0].reshape(z_past.shape)
+        state = detectors.scan_cusum(z_past, det.b, det.tau)[0].reshape(z_past.shape)
     return state[..., -1] if state.shape[-1] else np.zeros(state.shape[:-1])
 
 

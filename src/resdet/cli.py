@@ -32,7 +32,7 @@ import numpy as np
 from . import detectors as det_mod
 from . import reactor as reactor_mod
 from . import sim as sim_mod
-from .attacks import plan_attack
+from .attacks import compute_M, plan_attack
 from .model import PlantModel, build_closed_loop
 
 __all__ = ["main", "load_scenario", "scenario_schema"]
@@ -221,14 +221,17 @@ def load_scenario(path: str, seed_override: Optional[int] = None) -> sim_mod.Sce
         direction = attack_doc.get("direction", "worst")
         if isinstance(direction, list):
             direction = np.asarray(direction, dtype=float)
+        kind, greedy = attack_doc["kind"], attack_doc.get("mode") == "greedy"
         try:
+            compute_M(model)  # the stability precondition of every attack, whatever its direction
+            if greedy and kind != "windowed-static":
+                raise ValueError(f"the greedy mode is a windowed-static schedule, not {kind!r}")
             plan = plan_attack(
                 model,
                 detector,
                 k_star=int(attack_doc.get("k_star", burn_in + 1)),
                 direction=direction,
-                kind=attack_doc["kind"],
-                saturation_mode=attack_doc.get("mode", "static"),
+                kind="windowed-greedy" if greedy else kind,
                 magnitude=attack_doc.get("magnitude"),
             )
         except (ValueError, TypeError) as exc:

@@ -72,9 +72,9 @@ class AlarmEvent:
 class _Detector:
     """What every detector offers besides `update` and `scan`.
 
-    `params` holds the thresholds under their constructor names, which are
-    also the AttackPlan field names.  `exceedance` marks the columns where
-    the statistic first crosses its threshold, the end of a run length.
+    `params` holds the thresholds under their constructor names.
+    `exceedance` marks the columns where the statistic first crosses its
+    threshold, the end of a run length.
     """
 
     kind: str

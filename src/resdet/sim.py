@@ -53,7 +53,7 @@ class Scenario:
     The attack (when present) starts right after the burn-in:
     k_star = burn_in + 1.  The simulation reads the detector only through
     its scan, never through its own state.  The alarms come from the
-    detector and the attack schedule from the plan's snapshot of it, so a
+    detector and the attack schedule from the plan's own detector, so a
     plan made against another detector (another kind or other
     thresholds) is rejected.
     """

@@ -37,13 +37,13 @@ def live_energy(plan, detector, k):
     None for steps whose energy reads no detector state.
     """
     off = 1.0 - plan.margin
-    if plan.saturation_mode == "greedy":
+    if plan.kind == "windowed-greedy":
         # the window sum that remains after the next push evicts the oldest sample
         full = len(detector.window) == detector.ell
         pending = detector.w - detector.window[0] if full else detector.w
-        return max(0.0, plan.beta * off - pending)
-    if plan.exact_first_step and k == plan.k_star:
-        return max(0.0, (plan.tau + plan.b - detector.s) * off)
+        return max(0.0, plan.detector.beta * off - pending)
+    if plan.kind == "cusum-exact" and k == plan.k_star:
+        return max(0.0, (plan.detector.tau + plan.detector.b - detector.s) * off)
     return None
 
 
@@ -219,16 +219,18 @@ def test_resolve_direction_specs(reactor_fixed):
 # -------------------------------------------------------------- attack plans
 
 def test_plan_attack_inference_and_snapshots(reactor_fixed):
-    plan = plan_attack(reactor_fixed, ChiSqDetector(ALPHA), k_star=51)
-    assert plan.kind == "chi2" and plan.alpha == ALPHA and plan.k_star == 51
+    chi2 = ChiSqDetector(ALPHA)
+    plan = plan_attack(reactor_fixed, chi2, k_star=51)
+    assert plan.kind == "chi2" and plan.detector is chi2 and plan.k_star == 51
+    assert plan.detector.alpha == ALPHA
     plan = plan_attack(reactor_fixed, WindowedChiSqDetector(BETA4, 4), k_star=51)
-    assert plan.kind == "windowed-static" and plan.beta == BETA4 and plan.ell == 4
+    assert plan.kind == "windowed-static" and plan.detector.beta == BETA4 and plan.detector.ell == 4
     plan = plan_attack(
         reactor_fixed, WindowedChiSqDetector(BETA4, 4), k_star=51, kind="windowed-pulse"
     )
     assert plan.kind == "windowed-pulse"
     plan = plan_attack(reactor_fixed, CusumDetector(0.86, 3.0), k_star=51)
-    assert plan.kind == "cusum" and plan.tau == 0.86 and plan.b == 3.0
+    assert plan.kind == "cusum" and plan.detector.tau == 0.86 and plan.detector.b == 3.0
     assert abs(np.linalg.norm(plan.direction) - 1.0) <= 1e-12
 
 
@@ -238,17 +240,34 @@ def test_plan_attack_validation(reactor_fixed):
     with pytest.raises(ValueError, match="k_star"):
         plan_attack(reactor_fixed, ChiSqDetector(ALPHA), k_star=0)
     with pytest.raises(ValueError, match="unit vector"):
-        AttackPlan(kind="chi2", k_star=1, direction=np.array([2.0, 0.0, 0.0]), alpha=ALPHA)
+        AttackPlan(kind="chi2", k_star=1, direction=np.array([2.0, 0.0, 0.0]),
+                   detector=ChiSqDetector(ALPHA))
     with pytest.raises(ValueError, match="unknown attack kind"):
-        AttackPlan(kind="ramp", k_star=1, direction=np.array([1.0, 0.0, 0.0]))
+        AttackPlan(kind="ramp", k_star=1, direction=np.array([1.0, 0.0, 0.0]),
+                   detector=ChiSqDetector(ALPHA))
     with pytest.raises(ValueError, match="margin"):
         plan_attack(reactor_fixed, ChiSqDetector(ALPHA), k_star=1, margin=0.01)
+
+
+def test_a_plan_needs_its_detector():
+    # the thresholds live in the detector alone; a plan without one does not build
+    with pytest.raises(TypeError, match="detector"):
+        AttackPlan(kind="chi2", k_star=1, direction=np.array([1.0, 0.0, 0.0]))
+
+
+def test_plan_rejects_a_negative_or_nonfinite_magnitude(reactor_fixed):
+    for magnitude in (-2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="magnitude must be finite and nonnegative"):
+            plan_attack(reactor_fixed, ChiSqDetector(ALPHA), k_star=1, magnitude=magnitude)
+    plan = plan_attack(reactor_fixed, ChiSqDetector(ALPHA), k_star=1, magnitude=0.0)
+    assert attack_energy(plan, 5) == 0.0
 
 
 def test_predicted_deviation_refuses_unbounded_kinds(reactor_fixed):
     # an attack-free scenario is plan=None; "none" is no plan kind
     with pytest.raises(ValueError, match="unknown attack kind 'none'"):
-        AttackPlan(kind="none", k_star=1, direction=np.array([1.0, 0.0, 0.0]))
+        AttackPlan(kind="none", k_star=1, direction=np.array([1.0, 0.0, 0.0]),
+                   detector=ChiSqDetector(ALPHA))
     pulse = plan_attack(
         reactor_fixed, WindowedChiSqDetector(BETA4, 4), k_star=1, kind="windowed-pulse"
     )
@@ -256,38 +275,52 @@ def test_predicted_deviation_refuses_unbounded_kinds(reactor_fixed):
         predicted_deviation(reactor_fixed, pulse)
 
 
-def test_schedule_options_only_on_their_kinds(reactor_fixed):
+def test_each_kind_fits_only_its_detector_kind(reactor_fixed):
     direction = np.array([1.0, 0.0, 0.0])
-    for kind, params in (("chi2", {"alpha": ALPHA}), ("cusum", {"tau": 5.0, "b": 3.0}),
-                         ("windowed-pulse", {"beta": BETA4, "ell": 4})):
-        with pytest.raises(ValueError, match="greedy mode is a windowed-static schedule"):
-            AttackPlan(kind=kind, k_star=1, direction=direction, saturation_mode="greedy",
-                       **params)
-    for kind, params in (("chi2", {"alpha": ALPHA}), ("windowed-static", {"beta": BETA4, "ell": 4}),
-                         ("windowed-pulse", {"beta": BETA4, "ell": 4})):
-        with pytest.raises(ValueError, match="exact first step is a cusum schedule"):
-            AttackPlan(kind=kind, k_star=1, direction=direction, exact_first_step=True, **params)
-    with pytest.raises(ValueError, match="exact first step is a cusum schedule"):
-        plan_attack(reactor_fixed, ChiSqDetector(ALPHA), k_star=1, exact_first_step=True)
-    with pytest.raises(ValueError, match="greedy mode"):
-        plan_attack(reactor_fixed, WindowedChiSqDetector(BETA4, 4), k_star=1,
-                    kind="windowed-pulse", saturation_mode="greedy")
+    detectors = {"chi2": ChiSqDetector(ALPHA), "windowed": WindowedChiSqDetector(BETA4, 4),
+                 "cusum": CusumDetector(5.0, 3.0)}
+    own = {"chi2": "chi2", "windowed-static": "windowed", "windowed-greedy": "windowed",
+           "windowed-pulse": "windowed", "cusum": "cusum", "cusum-exact": "cusum"}
+    for kind, own_kind in own.items():
+        for det_kind, det in detectors.items():
+            if det_kind == own_kind:
+                plan = AttackPlan(kind=kind, k_star=1, direction=direction, detector=det)
+                assert plan.detector is det
+                plan_attack(reactor_fixed, det, k_star=1, kind=kind).check_fits(det.fresh())
+                continue
+            message = f"attack kind '{kind}' does not match detector kind '{det_kind}'"
+            with pytest.raises(ValueError, match=message):
+                AttackPlan(kind=kind, k_star=1, direction=direction, detector=det)
+            with pytest.raises(ValueError, match=message):
+                plan_attack(reactor_fixed, det, k_star=1, kind=kind)
 
 
 def test_steady_start_by_kind(reactor_fixed):
-    windowed = WindowedChiSqDetector(BETA4, 4)
+    detectors = {"chi2": ChiSqDetector(ALPHA), "windowed": WindowedChiSqDetector(BETA4, 4),
+                 "cusum": CusumDetector(5.0, 3.0)}
     starts = {
-        "chi2": plan_attack(reactor_fixed, ChiSqDetector(ALPHA), k_star=51),
-        "static": plan_attack(reactor_fixed, windowed, k_star=51),
-        "greedy": plan_attack(reactor_fixed, windowed, k_star=51, saturation_mode="greedy"),
-        "pulse": plan_attack(reactor_fixed, windowed, k_star=51, kind="windowed-pulse"),
-        "cusum": plan_attack(reactor_fixed, CusumDetector(5.0, 3.0), k_star=51),
-        "exact": plan_attack(reactor_fixed, CusumDetector(5.0, 3.0), k_star=51,
-                             exact_first_step=True),
+        kind: plan_attack(reactor_fixed, detectors[kind.split("-")[0]], k_star=51, kind=kind)
+        .steady_start
+        for kind in ("chi2", "windowed-static", "windowed-greedy", "windowed-pulse", "cusum",
+                     "cusum-exact")
     }
-    assert {name: plan.steady_start for name, plan in starts.items()} == {
-        "chi2": 51, "static": 54, "greedy": 54, "pulse": 54, "cusum": 53, "exact": 53,
+    assert starts == {
+        "chi2": 51, "windowed-static": 54, "windowed-greedy": 54, "windowed-pulse": 54,
+        "cusum": 53, "cusum-exact": 53,
     }
+
+
+def test_dynamic_kinds_keep_the_static_bounds(reactor_fixed):
+    # greedy is bounded by the static budget beta/ell, cusum-exact spends b in its steady phase
+    pairs = (
+        (WindowedChiSqDetector(BETA50, 50), "windowed-static", "windowed-greedy"),
+        (CusumDetector(5.0, 3.0), "cusum", "cusum-exact"),
+    )
+    for det, static, dynamic in pairs:
+        plans = [plan_attack(reactor_fixed, det, k_star=51, kind=kind) for kind in (static, dynamic)]
+        bounds = [predicted_deviation(reactor_fixed, plan) for plan in plans]
+        assert bounds[0].gamma == bounds[1].gamma and bounds[0].magnitude == bounds[1].magnitude
+        assert [bound.kind for bound in bounds] == [static, dynamic]
 
 
 # ------------------------------------------------------------ energy schedule
@@ -296,20 +329,19 @@ def test_attack_energy_schedules(reactor_fixed):
     direction = np.array([1.0, 0.0, 0.0])
     m = 5e-11
 
-    plan = AttackPlan(kind="chi2", k_star=10, direction=direction, alpha=ALPHA)
+    plan = AttackPlan(kind="chi2", k_star=10, direction=direction, detector=ChiSqDetector(ALPHA))
     assert attack_energy(plan, 10) == pytest.approx(ALPHA * (1 - m), rel=1e-15)
     with pytest.raises(ValueError, match="inactive before"):
         attack_energy(plan, 9)
-    exact = AttackPlan(kind="chi2", k_star=10, direction=direction, alpha=ALPHA, margin=0.0)
+    exact = AttackPlan(kind="chi2", k_star=10, direction=direction, detector=ChiSqDetector(ALPHA),
+                       margin=0.0)
     assert attack_energy(exact, 10) == ALPHA
 
-    plan = AttackPlan(kind="windowed-static", k_star=10, direction=direction, beta=BETA4, ell=4)
+    windowed = WindowedChiSqDetector(BETA4, 4)
+    plan = AttackPlan(kind="windowed-static", k_star=10, direction=direction, detector=windowed)
     assert attack_energy(plan, 123) == pytest.approx(BETA4 / 4 * (1 - m), rel=1e-15)
 
-    greedy = AttackPlan(
-        kind="windowed-static", k_star=10, direction=direction, beta=BETA4, ell=4,
-        saturation_mode="greedy",
-    )
+    greedy = AttackPlan(kind="windowed-greedy", k_star=10, direction=direction, detector=windowed)
     # the pending window sum is the last ell - 1 = 3 values of the history: 1.0, then over 1e9
     past = np.array([[9.0] * 6 + [0.25, 0.25, 0.5], [9.0] * 8 + [1e9]])
     assert attack_energy(greedy, 10, past[0]) == pytest.approx(BETA4 * (1 - m) - 1.0, rel=1e-12)
@@ -322,24 +354,20 @@ def test_attack_energy_schedules(reactor_fixed):
     with pytest.raises(ValueError, match="z_past, the 9 distance measures before step 10"):
         attack_energy(greedy, 10, past[:, :8])
     # attacked from step 1: nothing is pending yet
-    greedy_1 = AttackPlan(
-        kind="windowed-static", k_star=1, direction=direction, beta=BETA4, ell=4,
-        saturation_mode="greedy",
-    )
+    greedy_1 = AttackPlan(kind="windowed-greedy", k_star=1, direction=direction, detector=windowed)
     assert attack_energy(greedy_1, 1, np.empty(0)) == BETA4 * (1 - m)
     assert np.array_equal(attack_energy(greedy_1, 1, np.empty((3, 0))), [BETA4 * (1 - m)] * 3)
 
-    pulse = AttackPlan(kind="windowed-pulse", k_star=10, direction=direction, beta=BETA4, ell=4)
+    pulse = AttackPlan(kind="windowed-pulse", k_star=10, direction=direction, detector=windowed)
     assert attack_energy(pulse, 10) == pytest.approx(BETA4 * (1 - m), rel=1e-15)
     assert attack_energy(pulse, 11) == 0.0
     assert attack_energy(pulse, 14) == pytest.approx(BETA4 * (1 - m), rel=1e-15)
 
-    plan = AttackPlan(kind="cusum", k_star=10, direction=direction, tau=5.0, b=3.0)
+    cusum = CusumDetector(5.0, 3.0)
+    plan = AttackPlan(kind="cusum", k_star=10, direction=direction, detector=cusum)
     assert attack_energy(plan, 10) == 5.0  # exact, no margin
     assert attack_energy(plan, 11) == pytest.approx(3.0 * (1 - m), rel=1e-15)
-    first = AttackPlan(
-        kind="cusum", k_star=10, direction=direction, tau=5.0, b=3.0, exact_first_step=True
-    )
+    first = AttackPlan(kind="cusum-exact", k_star=10, direction=direction, detector=cusum)
     # S after the history: 0 for eight steps, then max(0, 0 + 4 - 3) = 1 and 0.5
     past = np.array([[0.0] * 8 + [4.0], [0.0] * 8 + [3.5]])
     assert attack_energy(first, 10, past[0]) == pytest.approx(7.0 * (1 - m), rel=1e-15)
@@ -350,19 +378,16 @@ def test_attack_energy_schedules(reactor_fixed):
     assert attack_energy(first, 11, past[:, :1]) == 3.0  # steady steps read no history
     with pytest.raises(ValueError, match="reads the detector state from z_past"):
         attack_energy(first, 10)
-    first_1 = AttackPlan(
-        kind="cusum", k_star=1, direction=direction, tau=5.0, b=3.0, exact_first_step=True
-    )
+    first_1 = AttackPlan(kind="cusum-exact", k_star=1, direction=direction, detector=cusum)
     assert attack_energy(first_1, 1, np.empty(0)) == 8.0 * (1 - m)
     assert np.array_equal(attack_energy(first_1, 1, np.empty((2, 0))), [8.0 * (1 - m)] * 2)
 
     override = AttackPlan(
-        kind="chi2", k_star=10, direction=direction, alpha=ALPHA, magnitude=2.0
+        kind="chi2", k_star=10, direction=direction, detector=ChiSqDetector(ALPHA), magnitude=2.0
     )
     assert attack_energy(override, 99) == 4.0
     override_pulse = AttackPlan(
-        kind="windowed-pulse", k_star=10, direction=direction, beta=BETA4, ell=4,
-        magnitude=2.0,
+        kind="windowed-pulse", k_star=10, direction=direction, detector=windowed, magnitude=2.0
     )
     assert attack_energy(override_pulse, 10) == 4.0
     assert attack_energy(override_pulse, 11) == 0.0
@@ -372,13 +397,11 @@ def test_synthesize_requires_live_detector_for_dynamic_modes(reactor_fixed):
     e = np.zeros(4)
     eta = np.zeros(3)
     greedy = plan_attack(
-        reactor_fixed, WindowedChiSqDetector(BETA4, 4), k_star=1, saturation_mode="greedy"
+        reactor_fixed, WindowedChiSqDetector(BETA4, 4), k_star=1, kind="windowed-greedy"
     )
     with pytest.raises(ValueError, match="reads the detector state from z_past"):
         synthesize_attack(greedy, reactor_fixed, 1, e, eta)
-    first = plan_attack(
-        reactor_fixed, CusumDetector(5.0, 3.0), k_star=1, exact_first_step=True
-    )
+    first = plan_attack(reactor_fixed, CusumDetector(5.0, 3.0), k_star=1, kind="cusum-exact")
     with pytest.raises(ValueError, match="reads the detector state from z_past"):
         synthesize_attack(first, reactor_fixed, 1, e, eta)
 
@@ -406,7 +429,7 @@ def test_zero_alarm_windowed_static(reactor_fixed):
 
 def test_zero_alarm_windowed_greedy(reactor_fixed):
     det = WindowedChiSqDetector(tune_windowed(3, 50, 0.05), 50)
-    plan = plan_attack(reactor_fixed, det, k_star=100, saturation_mode="greedy")
+    plan = plan_attack(reactor_fixed, det, k_star=100, kind="windowed-greedy")
     _, w, alarm = drive_attacked(reactor_fixed, det, plan, steps=2000, seed=2)
     active = slice(plan.k_star - 1, None)
     assert alarm[active].sum() == 0  # greedy tops up, never overshoots
@@ -456,7 +479,7 @@ def test_zero_alarm_cusum_corner_branch(reactor_fixed):
 
 def test_zero_alarm_cusum_exact_first_step(reactor_fixed):
     det = CusumDetector(5.0, 3.0)
-    plan = plan_attack(reactor_fixed, det, k_star=8, exact_first_step=True)
+    plan = plan_attack(reactor_fixed, det, k_star=8, kind="cusum-exact")
     _, s, alarm = drive_attacked(reactor_fixed, det, plan, steps=2000, seed=0)
     assert alarm[plan.k_star - 1 :].sum() == 0
     steady = s[plan.k_star - 1 :]

@@ -198,6 +198,36 @@ def test_simulate_rejects_greedy_mode_off_windowed_static(tmp_path, capsys, dete
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("magnitude", [float("nan"), float("inf")])
+def test_simulate_rejects_a_nonfinite_magnitude(tmp_path, capsys, magnitude):
+    # json reads NaN and Infinity, and both pass the schema's minimum
+    attack = {"kind": "chi2", "direction": "ones", "magnitude": magnitude}
+    path = write_scenario(tmp_path, scalar_doc(attack=attack))
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "t.csv"),
+                 "--summary", str(tmp_path / "s.json")]) == 2
+    assert "invalid attack: magnitude must be finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("direction", ["ones", "worst", [1.0]], ids=["ones", "worst", "vector"])
+def test_simulate_rejects_an_attack_on_an_open_loop_unstable_plant(tmp_path, capsys, direction):
+    # F + GK = 0.7 is stable, but the attacked error recursion runs on F = 1.2
+    doc = scalar_doc(
+        plant={"F": [[1.2]], "G": [[1.0]], "C": [[1.0]], "R1": [[1.0]], "R2": [[1.0]]},
+        controller={"K": [[-0.5]]},
+        attack={"kind": "chi2", "direction": direction},
+        sim={"steps": 300, "burn_in": 50, "seed": 1, "mc_runs": 20},
+    )
+    del doc["estimator"]
+    path = write_scenario(tmp_path, doc)
+    for summary in ([], ["--summary", str(tmp_path / "s.json")]):
+        assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "t.csv")] + summary) == 2
+        assert ("invalid attack: stability precondition violated: spectral radius of F is 1.2 >= 1"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "t.csv").exists()
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_simulate_unstable_model_exits_3(tmp_path, capsys):
     doc = scalar_doc(plant={"F": [[1.2]], "G": [[1.0]], "C": [[1.0]],
                             "R1": [[1.0]], "R2": [[1.0]]},

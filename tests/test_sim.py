@@ -52,7 +52,7 @@ def test_scenario_validation(reactor_fixed):
 
 def test_scenario_rejects_a_plan_made_against_another_detector(reactor_fixed):
     ell50 = WindowedChiSqDetector(tune_windowed(3, 50, 0.05), 50)
-    greedy = plan_attack(reactor_fixed, ell50, k_star=51, saturation_mode="greedy")
+    greedy = plan_attack(reactor_fixed, ell50, k_star=51, kind="windowed-greedy")
     ell10 = WindowedChiSqDetector(tune_windowed(3, 10, 0.05), 10)
     with pytest.raises(ValueError, match="plan thresholds .* differ from the detector's"):
         sim.Scenario(model=reactor_fixed, detector=ell10, plan=greedy)
@@ -68,9 +68,10 @@ def test_scenario_rejects_a_plan_made_against_another_detector(reactor_fixed):
         assert sim.Scenario(model=reactor_fixed, detector=det, plan=plan).attacked
 
 
-@pytest.mark.parametrize("demo", ["02_stealthy_attacks.py", "03_deviation_bounds.py"])
+@pytest.mark.parametrize("demo", ["01_tuning_thresholds.py", "02_stealthy_attacks.py",
+                                  "03_deviation_bounds.py", "04_reactor_benchmark.py"])
 def test_demo_scenarios_still_build(demo):
-    # the demos that pair plans with detectors in Scenarios run to the end
+    # every demo runs to the end
     path = Path(__file__).resolve().parents[1] / "demos" / demo
     proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -143,7 +144,7 @@ def test_run_matches_ensemble_member_zero(reactor_fixed):
 
 def test_run_matches_ensemble_greedy_windowed(reactor_fixed):
     det = WindowedChiSqDetector(tune_windowed(3, 10, 0.05), 10)
-    plan = plan_attack(reactor_fixed, det, k_star=51, saturation_mode="greedy")
+    plan = plan_attack(reactor_fixed, det, k_star=51, kind="windowed-greedy")
     sc = sim.Scenario(model=reactor_fixed, detector=det, plan=plan, steps=500, mc_runs=2)
     trace = sim.run(sc)
     ens = sim.run_ensemble(sc)
@@ -152,12 +153,12 @@ def test_run_matches_ensemble_greedy_windowed(reactor_fixed):
 
 
 @pytest.mark.parametrize("name, options", [
-    ("chi2", {}),
-    ("windowed", {}),
-    ("windowed", {"saturation_mode": "greedy"}),
+    ("chi2", {"kind": "chi2"}),
+    ("windowed", {"kind": "windowed-static"}),
+    ("windowed", {"kind": "windowed-greedy"}),
     ("windowed", {"kind": "windowed-pulse"}),
-    ("cusum", {}),
-    ("cusum", {"exact_first_step": True}),
+    ("cusum", {"kind": "cusum"}),
+    ("cusum", {"kind": "cusum-exact"}),
 ])
 def test_run_is_the_one_run_ensemble(reactor_fixed, name, options):
     det = {
@@ -178,7 +179,7 @@ def test_run_is_the_one_run_ensemble(reactor_fixed, name, options):
 def test_greedy_ensemble_tops_the_window_up_to_beta(reactor_fixed):
     ell = 10
     det = WindowedChiSqDetector(tune_windowed(3, ell, 0.05), ell)
-    plan = plan_attack(reactor_fixed, det, k_star=51, saturation_mode="greedy")
+    plan = plan_attack(reactor_fixed, det, k_star=51, kind="windowed-greedy")
     sc = sim.Scenario(model=reactor_fixed, detector=det, plan=plan, steps=200, mc_runs=4)
     z = sim.run_ensemble(sc).z
     target = det.beta * (1.0 - plan.margin)
