@@ -35,8 +35,8 @@ def replay(model, detector, plan, seed=0):
 
 
 def report(label, trace, steady_from):
-    s = trace.summary
-    steady = trace.stat[steady_from:]
+    s = trace.phase_counts()
+    steady = trace.stat[0, steady_from:]
     print(f"  {label}")
     print(f"    alarms pre/transient/steady: {s['alarms_pre_attack']}"
           f"/{s['alarms_transient']}/{s['alarms_steady']}")
@@ -54,7 +54,7 @@ def main():
     trace = replay(model, det, plan)
     report(f"threshold {alpha:.4f}, worst-case direction", trace, K_STAR)
     print(f"    every attacked z equals alpha - margin: "
-          f"{np.allclose(trace.z[K_STAR - 1:], alpha, atol=1e-9)}")
+          f"{np.allclose(trace.z[0, K_STAR - 1:], alpha, atol=1e-9)}")
     print()
 
     print("windowed detector, l = 4, static energy split")

@@ -48,7 +48,6 @@ from .reactor import reactor_loop, reactor_plant, run_benchmark, tuned_threshold
 from .sim import (
     EnsembleResult,
     Scenario,
-    SimulationTrace,
     measure_steady_deviation,
     moving_average,
     run,
@@ -71,7 +70,6 @@ __all__ = [
     "NoiseModel",
     "PlantModel",
     "Scenario",
-    "SimulationTrace",
     "WindowedChiSqDetector",
     "advance",
     "build_closed_loop",

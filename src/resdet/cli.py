@@ -142,13 +142,6 @@ def _gain_matrix(rows, name: str, shape: tuple) -> np.ndarray:
     return mat
 
 
-def _check_far(far: float) -> float:
-    far = float(far)
-    if not (0.0 < far < 1.0):
-        raise CliError(EXIT_USAGE, f"false-alarm rate must lie in (0, 1), got {far}")
-    return far
-
-
 def _build_detector(doc: dict, model, seed: int):
     det_doc = doc["detector"]
     kind = det_doc["kind"]
@@ -158,7 +151,7 @@ def _build_detector(doc: dict, model, seed: int):
             if "alpha" in det_doc:
                 return det_mod.ChiSqDetector(float(det_doc["alpha"]))
             if "far" in det_doc:
-                return det_mod.ChiSqDetector(det_mod.tune_chi2(p, _check_far(det_doc["far"])))
+                return det_mod.ChiSqDetector(det_mod.tune_chi2(p, det_doc["far"]))
             raise CliError(EXIT_USAGE, "chi2 detector requires alpha or far")
         if kind == "windowed":
             if "window" not in det_doc:
@@ -167,7 +160,7 @@ def _build_detector(doc: dict, model, seed: int):
             if "beta" in det_doc:
                 return det_mod.WindowedChiSqDetector(float(det_doc["beta"]), ell)
             if "far" in det_doc:
-                beta = det_mod.tune_windowed(p, ell, _check_far(det_doc["far"]))
+                beta = det_mod.tune_windowed(p, ell, det_doc["far"])
                 return det_mod.WindowedChiSqDetector(beta, ell)
             raise CliError(EXIT_USAGE, "windowed detector requires beta or far")
         if kind == "cusum":
@@ -178,7 +171,7 @@ def _build_detector(doc: dict, model, seed: int):
                 tau = det_mod.tune_cusum_tau(
                     model,
                     b=b,
-                    a_star=_check_far(det_doc["far"]),
+                    a_star=det_doc["far"],
                     mc=int(det_doc.get("mc", 1_000_000)),
                     seed=seed,
                 )
@@ -252,14 +245,18 @@ def load_scenario(path: str, seed_override: Optional[int] = None) -> sim_mod.Sce
         raise CliError(EXIT_USAGE, str(exc)) from exc
 
 
-def _write_trace_csv(path, trace: sim_mod.SimulationTrace) -> None:
-    norm_x = trace.norm_x
+def _write_trace_csv(path, result: sim_mod.EnsembleResult) -> None:
+    """One row per step of a one-run result; attack_active is 1 from k_star on."""
+    norm_x = np.linalg.norm(result.mean_x, axis=1)
+    k_star = result.scenario.k_star
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_TRACE_HEADER + "\n")
-        for i in range(trace.k.size):
+        for i in range(result.steps):
+            k = i + 1
+            active = k_star is not None and k >= k_star
             fh.write(
-                f"{int(trace.k[i])},{_fmt(norm_x[i])},{_fmt(trace.z[i])},"
-                f"{_fmt(trace.stat[i])},{int(trace.alarm[i])},{int(trace.attack_active[i])}\n"
+                f"{k},{_fmt(norm_x[i])},{_fmt(result.z[0, i])},"
+                f"{_fmt(result.stat[0, i])},{int(result.alarm[0, i])},{int(active)}\n"
             )
 
 
@@ -270,18 +267,17 @@ def _write_json(path, obj) -> None:
 
 
 def _cmd_tune(args) -> int:
-    far = _check_far(args.far)
     seed = _resolve_seed(args.seed)
     try:
         if args.detector == "chi2":
             if args.sensors is None:
                 raise CliError(EXIT_USAGE, "chi2 tuning requires --sensors")
-            threshold = det_mod.tune_chi2(args.sensors, far)
+            threshold = det_mod.tune_chi2(args.sensors, args.far)
             params = {"p": args.sensors}
         elif args.detector == "windowed":
             if args.sensors is None or args.window is None:
                 raise CliError(EXIT_USAGE, "windowed tuning requires --sensors and --window")
-            threshold = det_mod.tune_windowed(args.sensors, args.window, far)
+            threshold = det_mod.tune_windowed(args.sensors, args.window, args.far)
             params = {"p": args.sensors, "window": args.window}
         else:
             if args.scenario is None:
@@ -294,7 +290,7 @@ def _cmd_tune(args) -> int:
                     f"--sensors {args.sensors} contradicts the scenario model (p={model.plant.p})",
                 )
             b = float(model.plant.p)
-            threshold = det_mod.tune_cusum_tau(model, b=b, a_star=far, mc=args.mc, seed=seed)
+            threshold = det_mod.tune_cusum_tau(model, b=b, a_star=args.far, mc=args.mc, seed=seed)
             params = {"p": model.plant.p, "b": b, "mc": args.mc, "seed": seed}
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
@@ -302,7 +298,7 @@ def _cmd_tune(args) -> int:
         "detector": args.detector,
         "params": params,
         "threshold": threshold,
-        "far": far,
+        "far": args.far,
     })))
     return 0
 
@@ -325,7 +321,7 @@ def _cmd_simulate(args) -> int:
             measured = sim_mod.steady_deviation_estimate(ensemble)
     else:
         tail = max(1, scenario.steps // 2)
-        measured = float(np.linalg.norm(trace.x[scenario.steps - tail:].mean(axis=0)))
+        measured = float(np.linalg.norm(trace.mean_x[scenario.steps - tail:].mean(axis=0)))
     _write_json(args.summary, {
         "alarms": int(trace.alarm.sum()),
         "measured_deviation": measured,
@@ -342,8 +338,6 @@ def _cmd_sweep(args) -> int:
         raise CliError(EXIT_USAGE, f"--far must be a comma-separated list of rates: {exc}") from exc
     if not rates:
         raise CliError(EXIT_USAGE, "--far must name at least one rate")
-    for far in rates:
-        _check_far(far)
     if args.sensors < 1:
         raise CliError(EXIT_USAGE, "--sensors must be >= 1")
     try:

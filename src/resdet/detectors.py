@@ -92,8 +92,8 @@ class ChiSqDetector(_Detector):
     kind = "chi2"
 
     def __init__(self, alpha: float):
-        if not (alpha > 0):
-            raise ValueError(f"alpha must be positive, got {alpha}")
+        if not (0 < alpha < math.inf):
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         self.alpha = float(alpha)
         self.k = 0
 
@@ -126,8 +126,8 @@ class WindowedChiSqDetector(_Detector):
     kind = "windowed"
 
     def __init__(self, beta: float, ell: int):
-        if not (beta > 0):
-            raise ValueError(f"beta must be positive, got {beta}")
+        if not (0 < beta < math.inf):
+            raise ValueError(f"beta must be positive and finite, got {beta}")
         if int(ell) < 1:
             raise ValueError("window must be >= 1")
         self.beta = float(beta)
@@ -175,10 +175,10 @@ class CusumDetector(_Detector):
     kind = "cusum"
 
     def __init__(self, tau: float, b: float):
-        if not (tau >= 0):
-            raise ValueError(f"tau must be nonnegative, got {tau}")
-        if not (b > 0):
-            raise ValueError(f"bias b must be positive, got {b}")
+        if not (0 <= tau < math.inf):
+            raise ValueError(f"tau must be nonnegative and finite, got {tau}")
+        if not (0 < b < math.inf):
+            raise ValueError(f"bias b must be positive and finite, got {b}")
         self.tau = float(tau)
         self.b = float(b)
         self.s = 0.0
@@ -220,20 +220,14 @@ def tune_chi2(p: int, a_star: float) -> float:
     """Chi-squared threshold for a target per-step false-alarm rate.
 
     alpha is the (1 - a_star) quantile of chi-squared(p): the attack-free
-    z exceeds it with probability a_star exactly.
+    z exceeds it with probability a_star exactly.  It is the windowed
+    threshold at ell = 1.
     """
-    if int(p) < 1:
-        raise ValueError(f"sensor count must be >= 1, got {p}")
-    if not (0.0 < a_star < 1.0):
-        raise ValueError(f"false-alarm rate must lie in (0, 1), got {a_star}")
-    return 2.0 * numerics.inverse_regularized_lower_gamma(p / 2.0, 1.0 - a_star)
+    return tune_windowed(p, 1, a_star)
 
 
 def tune_windowed(p: int, ell: int, a_star: float) -> float:
-    """Windowed threshold: the (1 - a_star) quantile of chi-squared(p*ell).
-
-    Reduces to tune_chi2 at ell = 1.
-    """
+    """Windowed threshold: the (1 - a_star) quantile of chi-squared(p*ell)."""
     if int(ell) < 1:
         raise ValueError("window must be >= 1")
     if int(p) < 1:
@@ -292,8 +286,8 @@ def tune_cusum_tau(
     if b is None:
         b = float(p)
     b = float(b)
-    if not (b > 0):
-        raise ValueError(f"bias b must be positive, got {b}")
+    if not (0 < b < math.inf):
+        raise ValueError(f"bias b must be positive and finite, got {b}")
     if b < p:
         warnings.warn(
             f"bias too small: b={b} < p={p}; the statistic drifts upward "

@@ -10,7 +10,9 @@ module loads them and orchestrates the full benchmark study:
 * synthesize the worst-case zero-alarm attack against each,
 * synthesize a naive all-ones attack for comparison,
 * simulate 200-run ensembles and compare measured steady deviations with
-  the closed-form predictions.
+  the closed-form predictions,
+* replay one run of each attack as a per-step trace (a one-run
+  ensemble, see sim.run).
 
 Two estimator gains are available.  ``estimator="fixed"`` uses the gain
 tabulated with the benchmark (the configuration the deviation study is
@@ -129,10 +131,10 @@ def run_benchmark(
 ) -> dict:
     """Run the full benchmark study.
 
-    Returns {"report": dict, "traces": {name: SimulationTrace}} where the
-    eight traces are single realizations (run index 0 of each ensemble's
-    noise) of the four detector configs under the worst-case and the
-    all-ones attack.  Measured deviations in the report come from
+    Returns {"report": dict, "traces": {name: EnsembleResult}} where the
+    eight traces are one-run results (run index 0 of each ensemble's
+    noise, see sim.run) of the four detector configs under the worst-case
+    and the all-ones attack.  Measured deviations in the report come from
     ``runs``-sized ensembles.
     """
     model = reactor_loop(estimator=estimator)

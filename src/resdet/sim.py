@@ -9,7 +9,8 @@ replays the distance measures through the detector's scan.  Its noise is
 drawn on every available core, with the same bits as on one.  The attack
 comes from the plan alone: each attacked step hands it the z history, and
 the plan's schedule (attacks.attack_energy) reads what it needs from
-that.  `run` is the one-run ensemble, reshaped into a per-step trace.
+that.  `run` is the one-run ensemble; a one-run result is the trace of a
+single realization (row 0 of z, stat and alarm; mean_x is its state).
 
 Measurement helpers compare the ensemble-mean state against the predicted
 steady-state deviation, smooth per-run norms the way trace figures usually
@@ -21,7 +22,7 @@ detector to the CUSUM one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -34,7 +35,6 @@ from .model import ClosedLoopModel
 
 __all__ = [
     "Scenario",
-    "SimulationTrace",
     "EnsembleResult",
     "run",
     "run_ensemble",
@@ -94,39 +94,6 @@ class Scenario:
 
 
 @dataclass
-class SimulationTrace:
-    """Complete record of one run; row i describes step k = i + 1."""
-
-    k: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
-    stat: np.ndarray
-    alarm: np.ndarray
-    attack_active: np.ndarray
-    summary: dict = field(default_factory=dict)
-
-    @property
-    def norm_x(self) -> np.ndarray:
-        return np.linalg.norm(self.x, axis=1)
-
-
-def _phase_counts(alarm_steps: np.ndarray, plan: Optional[AttackPlan]) -> dict:
-    """Alarm counts split into pre-attack / transient / steady phases."""
-    total = int(alarm_steps.size)
-    if plan is None:
-        return {"alarms": total, "alarms_pre_attack": total, "alarms_transient": 0, "alarms_steady": 0}
-    steady = plan.steady_start
-    pre = int((alarm_steps < plan.k_star).sum())
-    transient = int(((alarm_steps >= plan.k_star) & (alarm_steps < steady)).sum())
-    return {
-        "alarms": total,
-        "alarms_pre_attack": pre,
-        "alarms_transient": transient,
-        "alarms_steady": total - pre - transient,
-    }
-
-
-@dataclass
 class EnsembleResult:
     """Vectorized Monte-Carlo ensemble output.
 
@@ -149,7 +116,20 @@ class EnsembleResult:
         return self.z.shape[1]
 
     def phase_counts(self) -> dict:
-        return _phase_counts(np.nonzero(self.alarm)[1] + 1, self.scenario.plan)
+        """Alarm counts over all runs, split into pre-attack / transient / steady phases."""
+        alarm_steps = np.nonzero(self.alarm)[1] + 1
+        total = int(alarm_steps.size)
+        plan = self.scenario.plan
+        if plan is None:
+            return {"alarms": total, "alarms_pre_attack": total, "alarms_transient": 0, "alarms_steady": 0}
+        pre = int((alarm_steps < plan.k_star).sum())
+        transient = int(((alarm_steps >= plan.k_star) & (alarm_steps < plan.steady_start)).sum())
+        return {
+            "alarms": total,
+            "alarms_pre_attack": pre,
+            "alarms_transient": transient,
+            "alarms_steady": total - pre - transient,
+        }
 
 
 def run_ensemble(scenario: Scenario) -> EnsembleResult:
@@ -188,28 +168,15 @@ def run_ensemble(scenario: Scenario) -> EnsembleResult:
     return EnsembleResult(scenario=scenario, mean_x=sum_x / runs, z=z_all, stat=stat, alarm=alarm)
 
 
-def run(scenario: Scenario) -> SimulationTrace:
-    """Simulate one run: the scenario's one-run ensemble as a per-step trace.
+def run(scenario: Scenario) -> EnsembleResult:
+    """Simulate one run: the scenario's one-run ensemble.
 
     Deterministic given the scenario seed; the run consumes the (seed, 0)
     noise substream.  Member 0 of a larger ensemble draws the same noise,
     but its last bits may differ, because the matrix products of a wider
     state block differently.
     """
-    ens = run_ensemble(replace(scenario, mc_runs=1))
-    k = np.arange(1, scenario.steps + 1)
-    trace = SimulationTrace(
-        k=k,
-        x=ens.mean_x,
-        z=ens.z[0],
-        stat=ens.stat[0],
-        alarm=ens.alarm[0],
-        attack_active=k >= scenario.k_star if scenario.attacked else np.zeros(k.size, dtype=bool),
-        summary=ens.phase_counts(),
-    )
-    if scenario.attacked and scenario.steps >= scenario.k_star:
-        trace.summary["steady_estimate"] = steady_deviation_estimate(ens)
-    return trace
+    return run_ensemble(replace(scenario, mc_runs=1))
 
 
 def moving_average(series, w: int) -> np.ndarray:

@@ -96,24 +96,25 @@ def test_criterion_04_zero_alarm_property_ten_thousand_steps():
     sc = sim.Scenario(model=loop, detector=det, plan=plan_attack(loop, det, k_star),
                       steps=steps, burn_in=burn_in)
     trace = sim.run(sc)
-    active = trace.k >= k_star
-    assert trace.alarm[active].sum() == 0
-    assert np.max(np.abs(trace.z[active] - det.alpha)) <= 1e-9
+    k = np.arange(1, trace.steps + 1)
+    active = k >= k_star
+    assert trace.alarm[0, active].sum() == 0
+    assert np.max(np.abs(trace.z[0, active] - det.alpha)) <= 1e-9
 
     for ell in (4, 50):
         det = WindowedChiSqDetector(tune_windowed(3, ell, 0.05), ell)
         sc = sim.Scenario(model=loop, detector=det, plan=plan_attack(loop, det, k_star),
                           steps=steps, burn_in=burn_in)
         trace = sim.run(sc)
-        steady = trace.k >= k_star + ell - 1
-        assert trace.summary["alarms_steady"] == 0
-        assert np.max(np.abs(trace.stat[steady] - det.beta)) <= 1e-8
+        steady = k >= k_star + ell - 1
+        assert trace.phase_counts()["alarms_steady"] == 0
+        assert np.max(np.abs(trace.stat[0, steady] - det.beta)) <= 1e-8
 
     det = CusumDetector(0.86, 3.0)
     sc = sim.Scenario(model=loop, detector=det, plan=plan_attack(loop, det, k_star),
                       steps=steps, burn_in=burn_in)
     trace = sim.run(sc)
-    after = trace.stat[trace.k > k_star]
+    after = trace.stat[0, k > k_star]
     assert np.max(np.abs(after - after[0])) == 0.0  # constant for k > k*
 
 

@@ -209,6 +209,26 @@ def test_simulate_rejects_a_nonfinite_magnitude(tmp_path, capsys, magnitude):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("detector, attack, message", [
+    ({"kind": "chi2", "alpha": float("inf")}, "chi2", "alpha must be positive and finite, got inf"),
+    ({"kind": "windowed", "window": 4, "beta": float("inf")}, "windowed-static",
+     "beta must be positive and finite, got inf"),
+    ({"kind": "cusum", "tau": float("inf"), "b": 1.0}, "cusum",
+     "tau must be nonnegative and finite, got inf"),
+    ({"kind": "cusum", "tau": 0.86, "b": float("inf")}, "cusum",
+     "bias b must be positive and finite, got inf"),
+], ids=["alpha", "beta", "tau", "b"])
+def test_an_infinite_threshold_exits_2(tmp_path, capsys, detector, attack, message):
+    # json reads Infinity, and it passes the schema's minimum
+    doc = scalar_doc(detector=detector, attack={"kind": attack, "direction": "ones"})
+    path = write_scenario(tmp_path, doc)
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "t.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+    assert main(["arl", "--scenario", path, "--runs", "3", "--cap", "100"]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("direction", ["ones", "worst", [1.0]], ids=["ones", "worst", "vector"])
 def test_simulate_rejects_an_attack_on_an_open_loop_unstable_plant(tmp_path, capsys, direction):
     # F + GK = 0.7 is stable, but the attacked error recursion runs on F = 1.2

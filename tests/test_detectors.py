@@ -8,6 +8,7 @@ import pytest
 from scipy import special
 
 from resdet import detectors as det
+from resdet import numerics
 from resdet.detectors import (
     ChiSqDetector,
     CusumDetector,
@@ -52,6 +53,19 @@ def test_windowed_saturation_boundary_never_alarms():
 def test_windowed_rejects_bad_window():
     with pytest.raises(ValueError, match="window must be >= 1"):
         WindowedChiSqDetector(1.0, 0)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("make, message", [
+    (lambda v: ChiSqDetector(v), "alpha must be positive and finite"),
+    (lambda v: WindowedChiSqDetector(v, 4), "beta must be positive and finite"),
+    (lambda v: CusumDetector(v, 3.0), "tau must be nonnegative and finite"),
+    (lambda v: CusumDetector(0.86, v), "bias b must be positive and finite"),
+], ids=["alpha", "beta", "tau", "b"])
+def test_thresholds_must_be_finite(make, message, value):
+    # an infinite threshold never alarms, so an attack riding it is infinite
+    with pytest.raises(ValueError, match=f"{message}, got {value}"):
+        make(value)
 
 
 def test_windowed_running_sum_integrity_long_fuzz():
@@ -117,6 +131,15 @@ def test_tune_windowed_reference_points():
     assert tune_windowed(3, 1, 0.05) == tune_chi2(3, 0.05)
 
 
+def test_tune_chi2_is_the_windowed_threshold_at_ell_one():
+    for p in (1, 2, 3, 4, 7, 50):
+        for a_star in (1e-6, 0.01, 0.05, 0.3, 0.8, 0.999):
+            alpha = tune_chi2(p, a_star)
+            assert alpha == tune_windowed(p, 1, a_star)
+            # the quantile of chi-squared(p), bit for bit
+            assert alpha == 2.0 * numerics.inverse_regularized_lower_gamma(p / 2.0, 1.0 - a_star)
+
+
 def test_tune_monotonicity():
     rates = [0.01, 0.05, 0.1, 0.3]
     betas = [tune_windowed(3, 4, a) for a in rates]
@@ -145,6 +168,16 @@ def test_tune_domain_errors():
 def test_tune_cusum_rejects_small_budget(reactor_dare):
     with pytest.raises(ValueError):
         tune_cusum_tau(reactor_dare, b=3.0, a_star=0.05, mc=10_000)
+
+
+@pytest.mark.parametrize("b", [math.inf, math.nan])
+def test_tune_cusum_rejects_a_nonfinite_bias_before_simulating(reactor_dare, monkeypatch, b):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("the calibration stream was simulated")
+
+    monkeypatch.setattr(det.model_mod, "simulate_distance_stream", no_stream)
+    with pytest.raises(ValueError, match=f"bias b must be positive and finite, got {b}"):
+        tune_cusum_tau(reactor_dare, b=b, a_star=0.05, mc=100_000)
 
 
 def test_tune_cusum_warns_small_bias(reactor_dare):

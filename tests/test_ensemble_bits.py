@@ -1,8 +1,10 @@
 """Bit-identity pins for the ensemble path, and the noise draw's core count.
 
 `run_ensemble` and `iter_distance_stream` draw an ensemble's noise on every
-available core, one slice of runs per thread.  The CLI outputs pinned here
-were recorded when every run was drawn in turn on one thread.  The
+available core, one slice of runs per thread.  The `reactor`, greedy
+`simulate` and `tune` outputs pinned here were recorded when every run was
+drawn in turn on one thread, the other `simulate` outputs while `sim.run`
+still copied its one-run ensemble into a separate trace type.  The
 core-count tests make `os.sched_getaffinity` report 1, 2, 3 and 8 CPUs and
 require the same bits under each.
 """
@@ -43,16 +45,90 @@ REACTOR_SHA256 = {
     "trace_windowed_ell50_ones.csv": "7578188c177215cc9f3fde1d622b0d2a09b20350bc69680b62ae1537ff8c63b5",
     "trace_windowed_ell50_worst.csv": "fb3feddc13f04d41f0433ce883aace93d55269d18312bf473e5e5c0fc6b0459b",
 }
-# `resdet simulate` of the bundled scenario with a 5% windowed ell = 50
-# detector and the greedy attack, seed 0
-GREEDY_CSV_SHA256 = "d1a69428e1f1946ece790832f7cfebcfb16b798d86a65111a81e46f829a733e5"
-GREEDY_SUMMARY = """{
+# `resdet simulate --summary` of the bundled scenario (chi2), of it with a 5%
+# windowed ell = 50 detector and the greedy attack at seed 0 (greedy), and
+# with a CUSUM tau = 0.86 detector and the all-ones attack (cusum-ones); and
+# of a scalar loop attack-free (attack-free) and under the windowed ell = 4
+# pulse (pulse).  The trace CSV is the same with and without --summary.
+SCALAR = {
+    "plant": {"F": [[0.5]], "G": [[1.0]], "C": [[1.0]], "R1": [[0.435]], "R2": [[0.5]]},
+    "controller": {"K": [[-0.25]]},
+    "estimator": {"L": [[0.2]]},
+    "detector": {"kind": "chi2", "far": 0.05},
+    "attack": {"kind": "none"},
+    "sim": {"steps": 400, "burn_in": 50, "seed": 1, "mc_runs": 20},
+}
+SIMULATE_SCENARIOS = {
+    "chi2": (None, {}),
+    "greedy": (None, {
+        "detector": {"kind": "windowed", "window": 50, "far": 0.05},
+        "attack": {"kind": "windowed-static", "direction": "worst", "k_star": 51, "mode": "greedy"},
+        "sim": {"steps": 1000, "burn_in": 50, "seed": 0, "mc_runs": 200},
+    }),
+    "cusum-ones": (None, {
+        "detector": {"kind": "cusum", "tau": 0.86, "b": 3.0},
+        "attack": {"kind": "cusum", "direction": "ones", "magnitude": 3 ** 0.5, "k_star": 51},
+    }),
+    "attack-free": (SCALAR, {}),
+    "pulse": (SCALAR, {
+        "detector": {"kind": "windowed", "far": 0.05, "window": 4},
+        "attack": {"kind": "windowed-pulse", "direction": [1.0], "k_star": 51},
+        "sim": {"steps": 300, "burn_in": 50, "seed": 1, "mc_runs": 50},
+    }),
+}
+# name: (sha256 of the trace CSV, summary JSON)
+SIMULATE_GOLDEN = {
+    "chi2": (
+        "c26fd29937288c2a2b0465989c67798ee61d14c8bc450a486240f3d1461c0ab4",
+        """{
+  "alarms": 1,
+  "measured_deviation": 892709.6388479302,
+  "predicted_gamma": 892709.6184812463,
+  "relative_error": 2.281445559669064e-08
+}
+""",
+    ),
+    "greedy": (
+        "d1a69428e1f1946ece790832f7cfebcfb16b798d86a65111a81e46f829a733e5",
+        """{
   "alarms": 0,
   "measured_deviation": 531325.7033180845,
   "predicted_gamma": 605198.7631445284,
   "relative_error": 0.12206412888653273
 }
-"""
+""",
+    ),
+    "cusum-ones": (
+        "a7801ded6258cbe8e73ce25cf1f840fb87219da1d4e08dbf3462a79cb5f9db3e",
+        """{
+  "alarms": 12,
+  "measured_deviation": 337556.6551562221,
+  "predicted_gamma": 337556.63476725435,
+  "relative_error": 6.040162054313563e-08
+}
+""",
+    ),
+    "attack-free": (
+        "f693073cb12708b3f531e3595ff7a74a15a4f4fd1e5bb33352b5aa9b40b4bb10",
+        """{
+  "alarms": 19,
+  "measured_deviation": 0.10491803938382734,
+  "predicted_gamma": null,
+  "relative_error": null
+}
+""",
+    ),
+    "pulse": (
+        "94f7016ccdd4b4116f6d97f88ec12cd449952c204b25df0cbf60467b41074fa3",
+        """{
+  "alarms": 10,
+  "measured_deviation": 0.09110139896698452,
+  "predicted_gamma": null,
+  "relative_error": null
+}
+""",
+    ),
+}
 # `resdet tune --detector cusum --far 0.05 --scenario <bundled>`
 TUNE_CUSUM = (
     '{"detector": "cusum", "params": {"p": 3, "b": 3.0, "mc": 1000000, "seed": 0}, '
@@ -82,17 +158,15 @@ def test_reactor_outputs_are_golden(tmp_path):
     assert {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()} == REACTOR_SHA256
 
 
-def test_greedy_windowed_simulate_is_golden(tmp_path):
-    doc = json.loads(scenario_path().read_text(encoding="utf-8"))
-    doc["detector"] = {"kind": "windowed", "window": 50, "far": 0.05}
-    doc["attack"] = {"kind": "windowed-static", "direction": "worst", "k_star": 51, "mode": "greedy"}
-    doc["sim"]["seed"] = 0
-    path = tmp_path / "greedy.json"
+@pytest.mark.parametrize("name", sorted(SIMULATE_SCENARIOS))
+def test_simulate_is_golden(tmp_path, name):
+    base, overrides = SIMULATE_SCENARIOS[name]
+    doc = dict(base or json.loads(scenario_path().read_text(encoding="utf-8")), **overrides)
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    csv, summary = tmp_path / "greedy.csv", tmp_path / "summary.json"
+    csv, summary = tmp_path / "trace.csv", tmp_path / "summary.json"
     assert main(["simulate", "--scenario", str(path), "--out", str(csv), "--summary", str(summary)]) == 0
-    assert sha256(csv.read_bytes()) == GREEDY_CSV_SHA256
-    assert summary.read_text(encoding="utf-8") == GREEDY_SUMMARY
+    assert (sha256(csv.read_bytes()), summary.read_text(encoding="utf-8")) == SIMULATE_GOLDEN[name]
 
 
 def test_tune_cusum_stdout_is_golden(capsys, monkeypatch):
@@ -171,7 +245,7 @@ def test_a_one_run_or_empty_draw_starts_no_thread(reactor_fixed, monkeypatch):
 
     monkeypatch.setattr(model_mod.threading, "Thread", no_thread)
     trace = sim.run(chi2_scenario(reactor_fixed, runs=5))
-    assert trace.z.shape == (120,)
+    assert trace.z.shape == (1, 120)
     z = model_mod.simulate_distance_stream(reactor_fixed, steps=30, runs=1, seed=2)
     assert z.shape == (1, 30)
     blocks = list(model_mod.iter_distance_stream(reactor_fixed, [5], runs=0))

@@ -88,8 +88,8 @@ def test_scenario_attack_properties(reactor_fixed):
 def test_empty_trace(reactor_fixed):
     sc = sim.Scenario(model=reactor_fixed, detector=ChiSqDetector(7.8), steps=0, burn_in=0)
     trace = sim.run(sc)
-    assert trace.k.size == 0 and trace.x.shape == (0, 4)
-    assert trace.summary["alarms"] == 0
+    assert trace.steps == 0 and trace.mean_x.shape == (0, 4)
+    assert trace.phase_counts()["alarms"] == 0
 
 
 # ----------------------------------------------------------------- single run
@@ -99,22 +99,22 @@ def test_unattacked_alarm_count_in_binomial_band(reactor_dare):
     trace = sim.run(sc)
     # binomial(1000, 0.05) stays within +-3 sd of 50 (the start-up
     # transient can only lower the count)
-    assert 29 <= trace.summary["alarms"] <= 71
-    assert trace.summary["alarms_steady"] == 0  # no attack phases
-    assert not trace.attack_active.any()
+    assert 29 <= trace.phase_counts()["alarms"] <= 71
+    assert trace.phase_counts()["alarms_steady"] == 0  # no attack phases
+    assert not sc.attacked and sc.k_star is None  # no step is attacked
 
 
 def test_attacked_run_saturates_and_tracks_gamma(reactor_fixed):
     sc = chi2_scenario(reactor_fixed, steps=2000)
     trace = sim.run(sc)
-    active = trace.k >= 51
-    assert trace.attack_active.sum() == active.sum()
-    assert trace.alarm[active].sum() == 0
-    assert np.max(np.abs(trace.z[active] - sc.detector.alpha)) <= 1e-9
-    smoothed = sim.moving_average(trace.norm_x, 20)
+    active = np.arange(1, trace.steps + 1) >= 51
+    assert sc.k_star == 51 and active.sum() == 1950
+    assert trace.alarm[0, active].sum() == 0
+    assert np.max(np.abs(trace.z[0, active] - sc.detector.alpha)) <= 1e-9
+    smoothed = sim.moving_average(np.linalg.norm(trace.mean_x, axis=1), 20)
     assert abs(smoothed[-1] - GAMMA_CHI2) <= 0.01 * GAMMA_CHI2
-    assert trace.summary["alarms_steady"] == 0
-    assert trace.summary["steady_estimate"] == pytest.approx(GAMMA_CHI2, rel=0.01)
+    assert trace.phase_counts()["alarms_steady"] == 0
+    assert sim.steady_deviation_estimate(trace) == pytest.approx(GAMMA_CHI2, rel=0.01)
 
 
 def test_moving_average_basics():
@@ -137,9 +137,9 @@ def test_run_matches_ensemble_member_zero(reactor_fixed):
     sc = chi2_scenario(reactor_fixed, steps=500, mc_runs=3)
     trace = sim.run(sc)
     ens = sim.run_ensemble(sc)
-    assert np.allclose(ens.z[0], trace.z, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(ens.alarm[0], trace.alarm)
-    assert np.allclose(ens.stat[0], trace.stat, rtol=1e-9, atol=1e-9)
+    assert np.allclose(ens.z[0], trace.z[0], rtol=1e-12, atol=1e-12)
+    assert np.array_equal(ens.alarm[0], trace.alarm[0])
+    assert np.allclose(ens.stat[0], trace.stat[0], rtol=1e-9, atol=1e-9)
 
 
 def test_run_matches_ensemble_greedy_windowed(reactor_fixed):
@@ -148,8 +148,8 @@ def test_run_matches_ensemble_greedy_windowed(reactor_fixed):
     sc = sim.Scenario(model=reactor_fixed, detector=det, plan=plan, steps=500, mc_runs=2)
     trace = sim.run(sc)
     ens = sim.run_ensemble(sc)
-    assert np.allclose(ens.z[0], trace.z, rtol=1e-9, atol=1e-9)
-    assert np.array_equal(ens.alarm[0], trace.alarm)
+    assert np.allclose(ens.z[0], trace.z[0], rtol=1e-9, atol=1e-9)
+    assert np.array_equal(ens.alarm[0], trace.alarm[0])
 
 
 @pytest.mark.parametrize("name, options", [
@@ -170,10 +170,10 @@ def test_run_is_the_one_run_ensemble(reactor_fixed, name, options):
     sc = sim.Scenario(model=reactor_fixed, detector=det, plan=plan, steps=1000, seed=0)
     trace = sim.run(sc)
     ens = sim.run_ensemble(replace(sc, mc_runs=1))
-    assert np.array_equal(trace.x, ens.mean_x)
-    assert np.array_equal(trace.z, ens.z[0])
-    assert np.array_equal(trace.stat, ens.stat[0])
-    assert np.array_equal(trace.alarm, ens.alarm[0])
+    assert np.array_equal(trace.mean_x, ens.mean_x)
+    assert np.array_equal(trace.z, ens.z)
+    assert np.array_equal(trace.stat, ens.stat)
+    assert np.array_equal(trace.alarm, ens.alarm)
 
 
 def test_greedy_ensemble_tops_the_window_up_to_beta(reactor_fixed):
@@ -236,6 +236,15 @@ def test_windowed_attack_phase_counts(reactor_fixed):
     assert counts["alarms"] == (
         counts["alarms_pre_attack"] + counts["alarms_transient"] + counts["alarms_steady"]
     )
+    # one alarm on each side of k* = 51 and of the steady start 51 + 50 - 1
+    assert plan.steady_start == 100
+    alarm = np.zeros((2, 1000), dtype=bool)
+    alarm[0, [49, 50]] = alarm[1, [98, 99]] = True  # steps 50, 51 and 99, 100
+    empty = np.zeros((2, 1000))
+    split = sim.EnsembleResult(sc, mean_x=np.zeros((1000, 4)), z=empty, stat=empty, alarm=alarm)
+    assert split.phase_counts() == {
+        "alarms": 4, "alarms_pre_attack": 1, "alarms_transient": 2, "alarms_steady": 1,
+    }
 
 
 def test_cusum_attack_at_most_one_alarm_per_run(reactor_fixed):
