@@ -36,6 +36,7 @@ flip per step.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -61,9 +62,10 @@ DEFAULT_SATURATION_MARGIN = 5e-11
 
 # The attack kind each detector kind invites by default.
 _KIND_FOR_DETECTOR = {"chi2": "chi2", "windowed": "windowed-static", "cusum": "cusum"}
-# The detector kind each attack kind is made against; its keys are the attack kinds.
-_DETECTOR_FOR_KIND = {"chi2": "chi2", "windowed-static": "windowed", "windowed-greedy": "windowed",
-                      "windowed-pulse": "windowed", "cusum": "cusum", "cusum-exact": "cusum"}
+# The six attack kinds (AttackPlan.kind).
+_KINDS = ("chi2", "windowed-static", "windowed-greedy", "windowed-pulse", "cusum", "cusum-exact")
+# The largest magnitude whose square, the per-step energy, is finite.
+_MAX_MAGNITUDE = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class AttackPlan:
     margin: float = DEFAULT_SATURATION_MARGIN
 
     def __post_init__(self):
-        if self.kind not in _DETECTOR_FOR_KIND:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         self.check_fits(self.detector)
         if int(self.k_star) < 1:
@@ -102,8 +104,10 @@ class AttackPlan:
         if not np.all(np.isfinite(direction)) or abs(norm - 1.0) > 1e-12:
             raise ValueError("direction must be a finite unit vector")
         object.__setattr__(self, "direction", direction)
-        if self.magnitude is not None and not (0.0 <= self.magnitude < math.inf):
-            raise ValueError(f"magnitude must be finite and nonnegative, got {self.magnitude}")
+        if self.magnitude is not None and not (0.0 <= self.magnitude <= _MAX_MAGNITUDE):
+            raise ValueError(
+                f"magnitude must be finite and nonnegative, with a finite square, got {self.magnitude}"
+            )
         if not (0.0 <= self.margin < 1e-3):
             raise ValueError("margin must be a tiny nonnegative fraction")
 
@@ -113,7 +117,7 @@ class AttackPlan:
         The plan's kind must fit the detector's kind, and its detector's
         thresholds must equal the detector's `params`.
         """
-        if _DETECTOR_FOR_KIND[self.kind] != detector.kind:
+        if self.kind.split("-")[0] != detector.kind:
             raise ValueError(
                 f"attack kind {self.kind!r} does not match detector kind {detector.kind!r}"
             )

@@ -19,6 +19,7 @@ pathologies (unstable loop or estimator, non-detectable model).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -51,9 +52,11 @@ class CliError(Exception):
         self.code = code
 
 
-def _resolve_seed(explicit: Optional[int] = None) -> int:
-    """The run seed: `explicit` when given, else RS_SEED, else 0; never negative."""
+def _resolve_seed(explicit: Optional[int] = None, doc: Optional[dict] = None) -> int:
+    """The run seed: `explicit`, else the scenario's sim.seed, else RS_SEED, else 0; never negative."""
     seed = explicit
+    if seed is None and doc is not None:
+        seed = doc.get("sim", {}).get("seed")
     if seed is None:
         raw = os.environ.get("RS_SEED", "0")
         try:
@@ -70,20 +73,9 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
+def _json_default(obj):
+    """numpy arrays, integers and booleans as JSON (numpy floats are floats)."""
+    return obj.tolist()
 
 
 def scenario_schema() -> dict:
@@ -202,7 +194,7 @@ def load_scenario(path: str, seed_override: Optional[int] = None) -> sim_mod.Sce
     sim_doc = doc.get("sim", {})
     steps = int(sim_doc.get("steps", 1000))
     burn_in = int(sim_doc.get("burn_in", 50))
-    seed = _resolve_seed(seed_override if seed_override is not None else sim_doc.get("seed"))
+    seed = _resolve_seed(seed_override, doc)
     mc_runs = int(sim_doc.get("mc_runs", 200))
     tail_fraction = float(sim_doc.get("tail_fraction", 0.5))
 
@@ -262,12 +254,11 @@ def _write_trace_csv(path, result: sim_mod.EnsembleResult) -> None:
 
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(obj), fh, indent=2)
+        json.dump(obj, fh, indent=2, default=_json_default)
         fh.write("\n")
 
 
 def _cmd_tune(args) -> int:
-    seed = _resolve_seed(args.seed)
     try:
         if args.detector == "chi2":
             if args.sensors is None:
@@ -290,16 +281,17 @@ def _cmd_tune(args) -> int:
                     f"--sensors {args.sensors} contradicts the scenario model (p={model.plant.p})",
                 )
             b = float(model.plant.p)
+            seed = _resolve_seed(args.seed, doc)
             threshold = det_mod.tune_cusum_tau(model, b=b, a_star=args.far, mc=args.mc, seed=seed)
             params = {"p": model.plant.p, "b": b, "mc": args.mc, "seed": seed}
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
-    print(json.dumps(_jsonable({
+    print(json.dumps({
         "detector": args.detector,
         "params": params,
         "threshold": threshold,
         "far": args.far,
-    })))
+    }, default=_json_default))
     return 0
 
 
@@ -370,21 +362,13 @@ def _cmd_arl(args) -> int:
         raise CliError(EXIT_USAGE, "--runs must be >= 1")
     if args.cap < 1:
         raise CliError(EXIT_USAGE, "--cap must be >= 1")
-    seed = _resolve_seed(args.seed)
     doc = _load_document(args.scenario)
+    seed = _resolve_seed(args.seed, doc)
     model = _build_model(doc)
     detector = _build_detector(doc, model, seed)
     result = det_mod.estimate_arl(model, detector, runs=args.runs, seed=seed, cap=args.cap)
-    out = {"detector": _describe_detector(detector)}
-    out.update({
-        "arl": result.arl,
-        "alarm_rate": result.alarm_rate,
-        "half_width": result.half_width,
-        "runs": result.runs,
-        "censored": result.censored,
-        "cap": result.cap,
-    })
-    print(json.dumps(_jsonable(out)))
+    out = {"detector": _describe_detector(detector), **dataclasses.asdict(result)}
+    print(json.dumps(out, default=_json_default))
     return 0
 
 

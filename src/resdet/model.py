@@ -15,12 +15,13 @@ distance measure z_k = r_k' Sigma^-1 r_k with Sigma = C P C' + R2; z_k is
 chi-squared with p degrees of freedom when delta = 0.
 
 This module owns model construction/validation (stability certificates,
-residual covariance) and the single dynamics implementation `advance` that
-every simulation path in the package uses, attack-free or attacked,
-scalar-state or vectorized across Monte-Carlo runs.  An ensemble's noise
-is drawn on every available core (`_draw_blocks`), one slice of runs per
-thread; each run owns its (seed, run) substream, so no value depends on
-the core count.
+residual covariance), the single dynamics implementation `advance`, and
+its two Monte-Carlo loops: `_simulate`, the one fixed-length simulation
+(attacked ensembles and attack-free streams), and `iter_distance_stream`,
+the attack-free stream the ARL estimate can stop early.  An ensemble's
+noise is drawn on every available core (`_draw_blocks`), one slice of
+runs per thread; each run owns its (seed, run) substream, so no value
+depends on the core count.
 """
 
 from __future__ import annotations
@@ -341,6 +342,32 @@ def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None):
     return x_next, xhat_next, r, distance_measure(model, r)
 
 
+def _simulate(model: ClosedLoopModel, steps: int, runs: int, seed: int, attack=None):
+    """Advance `runs` trajectories from the origin through `steps` steps, in lockstep.
+
+    Run i consumes the (seed, i) noise substream, drawn up front on every
+    core (_draw_blocks) with the same bits as on one.  `attack(k, e, eta, z_past)`, when given, returns step
+    k's sensor bias (or None) from the error e = x - xhat, the sensor noise
+    and the (runs, k - 1) z history.  Returns (mean_x, z): the across-run
+    mean state of each step, (steps, n), and the distance measures, (runs, steps).
+    """
+    n, p = model.n, model.p
+    sources = [model.noise(seed, run=i) for i in range(runs)]
+    v_all, eta_all = _draw_blocks(sources, steps, n, p)
+    # allocated after the noise: under glibc malloc the noise's memory then
+    # goes back to the system when freed, and the next simulation peaks lower
+    x = np.zeros((n, runs))
+    xhat = np.zeros((n, runs))
+    sum_x = np.empty((steps, n))
+    z = np.empty((runs, steps))
+    for t in range(steps):
+        eta = eta_all[:, t, :].T
+        delta = None if attack is None else attack(t + 1, x - xhat, eta, z[:, :t])
+        sum_x[t] = x.sum(axis=1)
+        x, xhat, _, z[:, t] = advance(model, x, xhat, v_all[:, t, :].T, eta, delta)
+    return sum_x / runs, z
+
+
 def simulate_distance_stream(
     model: ClosedLoopModel,
     steps: int,
@@ -354,30 +381,13 @@ def simulate_distance_stream(
     discards `burn_in` initial steps, and returns z as a (runs, steps)
     array.  Run i consumes the (seed, i) noise substream, so the result is
     reproducible and independent of scheduling.  The burn-in and the kept
-    steps are one noise chunk of iter_distance_stream, whose sub-blocks
-    are written into the result as they arrive.
+    steps are one attack-free run of run_ensemble's loop (_simulate).
     """
     if steps < 0 or burn_in < 0:
         raise ValueError("steps and burn_in must be nonnegative")
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    stream = iter_distance_stream(model, [burn_in + steps], runs=runs, seed=seed)
-    # The first sub-block draws the chunk's noise.  Under glibc malloc,
-    # allocating the result after it lets the noise's memory go back to
-    # the system when the stream ends; allocated before, about 24 MB of
-    # heap stayed resident after a 1000-run stream and added to the next
-    # estimate's peak (the benchmark's calibrate job: 134.5 against
-    # 158.8 MB, with the per-run draws on worker threads).
-    block = next(stream, None)
-    z = np.empty((runs, steps))
-    end = -burn_in  # the result column after the current sub-block
-    while block is not None:
-        end += block.shape[1]
-        keep = min(end, block.shape[1])
-        if keep > 0:
-            z[:, end - keep:end] = block[:, block.shape[1] - keep:]
-        block = next(stream, None)
-    return z
+    return _simulate(model, burn_in + steps, runs, seed)[1][:, burn_in:]
 
 
 def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: int = 0):
@@ -389,9 +399,10 @@ def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: in
     values depend on the chunk widths as well as on the seed.  The chunk
     is then advanced in sub-blocks of at most _SUB_BLOCK columns, and each
     is yielded as a (runs, columns) z array as soon as it is computed: a
-    consumer that stops pulling stops the advancing, and the sub-blocks
-    of a chunk, joined, are the chunk.  A chunk's noise is drawn on every
-    available core (_draw_blocks) with the same bits as on one.
+    consumer that stops pulling stops the advancing (estimate_arl's early
+    exit).  One chunk's sub-blocks, joined, are _simulate's z.  A chunk's
+    noise is drawn on every available core (_draw_blocks) with the same
+    bits as on one.
     """
     n, p = model.n, model.p
     sources = [model.noise(seed, run=i) for i in range(runs)]

@@ -2,15 +2,14 @@
 
 A Scenario bundles a validated closed-loop model, a tuned detector, an
 optional attack plan, and the run geometry (steps, burn-in before the
-attack, seed, ensemble size).  `run_ensemble` is the one simulation loop:
-it advances all Monte-Carlo runs in lockstep as (n, runs) matrix states,
-which keeps 200x1000-step ensembles in the fraction-of-a-second range, and
-replays the distance measures through the detector's scan.  Its noise is
-drawn on every available core, with the same bits as on one.  The attack
-comes from the plan alone: each attacked step hands it the z history, and
-the plan's schedule (attacks.attack_energy) reads what it needs from
-that.  `run` is the one-run ensemble; a one-run result is the trace of a
-single realization (row 0 of z, stat and alarm; mean_x is its state).
+attack, seed, ensemble size).  `run_ensemble` hands the scenario to the
+model's one fixed-length simulation loop (model._simulate), which advances
+all Monte-Carlo runs in lockstep as (n, runs) matrix states, and replays
+the distance measures through the detector's scan.  The attack comes from
+the plan alone: each attacked step hands it the z history, and the plan's
+schedule (attacks.attack_energy) reads what it needs from that.  `run`
+is the one-run ensemble; a one-run result is the trace of a single
+realization (row 0 of z, stat and alarm; mean_x is its state).
 
 Measurement helpers compare the ensemble-mean state against the predicted
 steady-state deviation, smooth per-run norms the way trace figures usually
@@ -133,39 +132,26 @@ class EnsembleResult:
 
 
 def run_ensemble(scenario: Scenario) -> EnsembleResult:
-    """Simulate the Monte-Carlo ensemble in lockstep.
+    """Simulate the Monte-Carlo ensemble in lockstep (model._simulate).
 
     Run i consumes the (seed, i) substream, so results are bitwise
-    reproducible and independent of scheduling.  The noise is drawn up
-    front, one slice of runs per available CPU (model._draw_blocks); the
-    core count changes no value.  Detector statistics and
-    alarms come from the detector's scan of the z matrix.  Each attacked
-    step passes the z matrix so far to synthesize_attack.
+    reproducible and independent of scheduling and of the core count.
+    Detector statistics and alarms come from the detector's scan of the z
+    matrix.  Each attacked step passes the z matrix so far to
+    synthesize_attack.
     """
-    model = scenario.model
-    plan = scenario.plan
-    steps, runs = scenario.steps, scenario.mc_runs
-    n, p = model.n, model.p
+    model, plan = scenario.model, scenario.plan
 
-    sources = [model.noise(scenario.seed, run=i) for i in range(runs)]
-    v_all, eta_all = model_mod._draw_blocks(sources, steps, n, p)
+    def attack(k, e, eta, z_past):
+        if k >= plan.k_star:
+            return attacks_mod.synthesize_attack(plan, model, k, e, eta, z_past)
+        return None
 
-    x = np.zeros((n, runs))
-    xhat = np.zeros((n, runs))
-    sum_x = np.empty((steps, n))
-    z_all = np.empty((runs, steps))
-
-    for t in range(steps):
-        k = t + 1
-        eta = eta_all[:, t, :].T
-        delta = None
-        if plan is not None and k >= plan.k_star:
-            delta = attacks_mod.synthesize_attack(plan, model, k, x - xhat, eta, z_all[:, :t])
-        sum_x[t] = x.sum(axis=1)
-        x, xhat, _, z_all[:, t] = model_mod.advance(model, x, xhat, v_all[:, t, :].T, eta, delta)
-
-    stat, alarm, _ = scenario.detector.scan(z_all)
-    return EnsembleResult(scenario=scenario, mean_x=sum_x / runs, z=z_all, stat=stat, alarm=alarm)
+    mean_x, z = model_mod._simulate(
+        model, scenario.steps, scenario.mc_runs, scenario.seed, attack if scenario.attacked else None
+    )
+    stat, alarm, _ = scenario.detector.scan(z)
+    return EnsembleResult(scenario=scenario, mean_x=mean_x, z=z, stat=stat, alarm=alarm)
 
 
 def run(scenario: Scenario) -> EnsembleResult:

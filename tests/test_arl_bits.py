@@ -4,7 +4,9 @@
 sub-blocks, and `estimate_arl` stops pulling sub-blocks once every run has
 exceeded.  Neither may change a bit of what was computed before the
 sub-blocks existed: the values below were recorded with the whole-chunk
-stream, which advanced every run through every chunk it started.
+stream, which advanced every run through every chunk it started.  The
+stream and the fixed-length loop behind `simulate_distance_stream` and
+`run_ensemble` are separate code, held here to the same bits.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from resdet import model as model_mod
+from resdet import sim
 from resdet.detectors import (
     ArlResult,
     ChiSqDetector,
@@ -149,6 +152,20 @@ def test_stream_sub_blocks_join_into_the_whole_chunk_stream(reactor_dare, reacto
     assert [b.shape[1] for b in blocks] == [50, 64, 64, 2, 7, 64]
     joined = np.concatenate(blocks, axis=1)
     assert sha256(joined) == "668307b2681c07b28db42ebe92d7187d263ae0c8e675247092d50bd319efae26"
+    # the streaming loop and the fixed-length loop give the same bits; 150 and
+    # 200 steps are not multiples of the 64-column sub-block
+    for runs in (1, 7, 200):
+        z = {}
+        for burn_in in (0, 50):
+            z[burn_in] = model_mod.simulate_distance_stream(reactor_fixed, steps=150, runs=runs,
+                                                            seed=6, burn_in=burn_in)
+            blocks = list(model_mod.iter_distance_stream(reactor_fixed, [burn_in + 150], runs=runs,
+                                                         seed=6))
+            assert np.array_equal(np.concatenate(blocks, axis=1)[:, burn_in:], z[burn_in]), (runs, burn_in)
+        # an attack-free ensemble is the attack-free stream without a burn-in
+        scenario = sim.Scenario(reactor_fixed, ChiSqDetector(tune_chi2(3, 0.05)), steps=150,
+                                burn_in=50, seed=6, mc_runs=runs)
+        assert np.array_equal(sim.run_ensemble(scenario).z, z[0]), runs
 
 
 def test_arl_stops_advancing_once_every_run_has_exceeded(reactor_dare, monkeypatch):

@@ -1,6 +1,7 @@
 """Deviation map, worst directions, attack planning, zero-alarm synthesis."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -256,11 +257,15 @@ def test_a_plan_needs_its_detector():
 
 
 def test_plan_rejects_a_negative_or_nonfinite_magnitude(reactor_fixed):
-    for magnitude in (-2.0, math.nan, math.inf):
+    # 1e200 and 10**400 are finite, but their squares, the per-step energy, are not
+    for magnitude in (-2.0, math.nan, math.inf, 1e200, 10**400):
         with pytest.raises(ValueError, match="magnitude must be finite and nonnegative"):
             plan_attack(reactor_fixed, ChiSqDetector(ALPHA), k_star=1, magnitude=magnitude)
     plan = plan_attack(reactor_fixed, ChiSqDetector(ALPHA), k_star=1, magnitude=0.0)
     assert attack_energy(plan, 5) == 0.0
+    largest = math.sqrt(sys.float_info.max)
+    plan = plan_attack(reactor_fixed, ChiSqDetector(ALPHA), k_star=1, magnitude=largest)
+    assert math.isfinite(attack_energy(plan, 5))
 
 
 def test_predicted_deviation_refuses_unbounded_kinds(reactor_fixed):

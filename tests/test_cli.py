@@ -198,15 +198,17 @@ def test_simulate_rejects_greedy_mode_off_windowed_static(tmp_path, capsys, dete
     assert not (tmp_path / "t.csv").exists()
 
 
-@pytest.mark.parametrize("magnitude", [float("nan"), float("inf")])
+@pytest.mark.parametrize("magnitude", [float("nan"), float("inf"), 1e200])
 def test_simulate_rejects_a_nonfinite_magnitude(tmp_path, capsys, magnitude):
-    # json reads NaN and Infinity, and both pass the schema's minimum
+    # json reads NaN and Infinity, and both pass the schema's minimum; 1e200
+    # is finite, but its square, the per-step energy, is not
     attack = {"kind": "chi2", "direction": "ones", "magnitude": magnitude}
     path = write_scenario(tmp_path, scalar_doc(attack=attack))
-    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "t.csv"),
-                 "--summary", str(tmp_path / "s.json")]) == 2
-    assert "invalid attack: magnitude must be finite and nonnegative" in capsys.readouterr().err
+    for summary in ([], ["--summary", str(tmp_path / "s.json")]):
+        assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "t.csv")] + summary) == 2
+        assert "invalid attack: magnitude must be finite and nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+    assert not (tmp_path / "s.json").exists()
 
 
 @pytest.mark.parametrize("detector, attack, message", [
@@ -277,6 +279,23 @@ def test_simulate_seed_from_environment(tmp_path, monkeypatch):
 
     monkeypatch.setenv("RS_SEED", "abc")
     assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "d.csv")]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["arl", "--runs", "50"],
+    ["tune", "--detector", "cusum", "--far", "0.05", "--mc", "100000"],
+], ids=["arl", "tune-cusum"])
+def test_the_scenario_seed_beats_rs_seed(tmp_path, capsys, monkeypatch, command):
+    # --seed beats sim.seed, which beats RS_SEED
+    doc = json.loads(scenario_path().read_text(encoding="utf-8"))
+    doc["sim"]["seed"] = 5
+    path = write_scenario(tmp_path, doc)
+    monkeypatch.setenv("RS_SEED", "0")
+    outs = {}
+    for flags in ([], ["--seed", "5"], ["--seed", "0"]):
+        assert main(command + ["--scenario", path] + flags) == 0
+        outs[" ".join(flags)] = capsys.readouterr().out
+    assert outs[""] == outs["--seed 5"] != outs["--seed 0"]
 
 
 def test_negative_seeds_exit_2(tmp_path, monkeypatch, capsys, bundled_scenario):
