@@ -33,7 +33,7 @@ import numpy as np
 from . import detectors as det_mod
 from . import reactor as reactor_mod
 from . import sim as sim_mod
-from .attacks import compute_M, plan_attack
+from .attacks import compute_M, plan_attack, predicted_deviation
 from .model import PlantModel, build_closed_loop
 
 __all__ = ["main", "load_scenario", "scenario_schema"]
@@ -219,6 +219,11 @@ def load_scenario(path: str, seed_override: Optional[int] = None) -> sim_mod.Sce
                 kind="windowed-greedy" if greedy else kind,
                 magnitude=attack_doc.get("magnitude"),
             )
+            if plan.kind != "windowed-pulse":  # the pulse has no constant-forcing bound
+                with np.errstate(over="ignore", invalid="ignore"):
+                    gamma = predicted_deviation(model, plan).gamma
+                if not np.isfinite(gamma):
+                    raise ValueError(f"the predicted deviation is not finite (gamma = {gamma})")
         except (ValueError, TypeError) as exc:
             raise CliError(EXIT_USAGE, f"invalid attack: {exc}") from exc
 

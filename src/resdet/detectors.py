@@ -157,9 +157,10 @@ class WindowedChiSqDetector(_Detector):
     def scan(self, z, carry=None):
         """(stat, alarm, carry); the carry is the last (up to) ell - 1 samples seen."""
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        stat, alarm = scan_windowed(z, self.ell, self.beta, tail=carry)
         seen = z if carry is None else np.concatenate([carry, z], axis=1)
-        return stat, alarm, seen[:, max(0, seen.shape[1] - self.ell + 1):]
+        stat, alarm = scan_windowed(seen, self.ell, self.beta)
+        lead = seen.shape[1] - z.shape[1]  # the carried columns fill the window only
+        return stat[:, lead:], alarm[:, lead:], seen[:, max(0, seen.shape[1] - self.ell + 1):]
 
 
 class CusumDetector(_Detector):
@@ -351,26 +352,23 @@ def scan_chi2(z: np.ndarray, alpha: float):
     return z.copy(), z > alpha
 
 
-def scan_windowed(z: np.ndarray, ell: int, beta: float, tail: Optional[np.ndarray] = None):
+def scan_windowed(z: np.ndarray, ell: int, beta: float):
     """Statistics and alarm flags for the windowed detector over (runs, steps).
 
     The statistic at column t is the sum of the last min(t+1, ell) values
-    (partial sums during warm-up); alarms require a full window.  `tail`
-    holds the up to ell - 1 samples that precede column 0, for resuming a
-    scan; they fill the window but get no columns of their own.
+    (partial sums during warm-up); alarms require a full window.  To resume
+    a scan, prepend the samples that precede column 0 and drop their
+    columns (WindowedChiSqDetector.scan).
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     ell = int(ell)
-    lead = 0 if tail is None else tail.shape[1]
-    if lead:
-        z = np.concatenate([tail, z], axis=1)
     cs = np.cumsum(z, axis=1)
     w = cs.copy()
     if ell <= z.shape[1]:
         w[:, ell:] = cs[:, ell:] - cs[:, :-ell]
     alarms = w > beta
     alarms[:, : ell - 1] = False  # window not yet full
-    return w[:, lead:], alarms[:, lead:]
+    return w, alarms
 
 
 def scan_cusum(z: np.ndarray, b: float, tau: float, s: Optional[np.ndarray] = None):
@@ -379,13 +377,12 @@ def scan_cusum(z: np.ndarray, b: float, tau: float, s: Optional[np.ndarray] = No
     stats[:, t] is S after consuming column t; alarms[:, t] marks updates
     that fired (i.e. the previous S exceeded tau; that update resets S and
     discards column t).  `s` is S before column 0 (zero by default), for
-    resuming a scan.  One run takes a scalar loop, which does the same
-    IEEE operations in the same order without numpy's per-call overhead.
+    resuming a scan.  Each run's columns get the same IEEE operations in
+    the same order whatever the run count, so a one-run scan equals its
+    row of a many-run scan bit for bit.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     runs, steps = z.shape
-    if runs == 1:
-        return _scan_cusum_one(z[0], b, tau, 0.0 if s is None else float(s[0]))
     # step-major buffers, so every step writes contiguous rows
     stats = np.empty((steps, runs))
     alarms = np.empty((steps, runs), dtype=bool)
@@ -397,19 +394,6 @@ def scan_cusum(z: np.ndarray, b: float, tau: float, s: Optional[np.ndarray] = No
         np.maximum(s, 0.0, out=s)
         s[fired] = 0.0
     return stats.T, alarms.T
-
-
-def _scan_cusum_one(z: np.ndarray, b: float, tau: float, s: float):
-    """scan_cusum of one run, as (1, steps) arrays."""
-    stats, alarms = [], []
-    for z_t in z.tolist():
-        fired = s > tau
-        s = max(s + z_t - b, 0.0)
-        if fired:
-            s = 0.0
-        stats.append(s)
-        alarms.append(fired)
-    return np.array(stats, dtype=float)[None, :], np.array(alarms, dtype=bool)[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +458,14 @@ class ArlResult:
     tune_cusum_tau to 5% per step therefore reports about 0.05/0.95, and
     `resdet arl` on the benchmark CUSUM tuned to 5% (tau = 7.5) reports
     about 0.051.
+
+    `half_width` is the 95% normal half-width of the mean, None for one
+    run, which has no spread.
     """
 
     arl: float
     alarm_rate: float
-    half_width: float
+    half_width: Optional[float]
     runs: int
     censored: int
     cap: int
@@ -547,9 +534,7 @@ def estimate_arl(
             stacklevel=2,
         )
     arl = float(lengths.mean())
-    half_width = (
-        float(1.96 * lengths.std(ddof=1) / math.sqrt(runs)) if runs > 1 else math.nan
-    )
+    half_width = float(1.96 * lengths.std(ddof=1) / math.sqrt(runs)) if runs > 1 else None
     return ArlResult(
         arl=arl,
         alarm_rate=1.0 / arl if arl > 0 else math.inf,

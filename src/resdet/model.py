@@ -313,14 +313,13 @@ def distance_measure(model: ClosedLoopModel, r: np.ndarray):
 def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None):
     """One step of the closed loop with explicit noise (and optional attack).
 
-    Works on single-run vectors (n,) or run-stacked matrices (n, runs).
+    Works on single-run vectors (n,) or run-stacked matrices (n, runs);
+    the noises and delta are stacked the same way, (p,) or (p, runs).
 
     Returns:
         (x_next, xhat_next, r, z).
     """
     c = model.plant.c
-    if delta is not None and np.ndim(delta) == 1 and np.ndim(x) == 2:
-        delta = np.asarray(delta)[:, None]
     r = c @ (x - xhat) + eta
     if delta is not None:
         r = r + delta

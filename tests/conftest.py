@@ -5,10 +5,14 @@ and no example database, so every run draws the same examples and none is
 stored between runs.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import resdet
 from resdet import reactor as rx
 from resdet.model import PlantModel, build_closed_loop
 
@@ -48,3 +52,12 @@ def scalar_loop():
 @pytest.fixture(scope="session")
 def reactor_matrices():
     return rx.load_matrices()
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for a child python: this resdet's directory leads PYTHONPATH."""
+    src = str(Path(resdet.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -8,7 +8,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from resdet.cli import main
+from resdet import detectors as det_mod
+from resdet.cli import load_scenario, main
 from resdet.reactor import scenario_path
 
 ALPHA = 7.814727903251175
@@ -35,6 +36,12 @@ def scalar_doc(**overrides):
         "attack": {"kind": "none"},
         "sim": {"steps": 400, "burn_in": 50, "seed": 1, "mc_runs": 20},
     }
+    doc.update(overrides)
+    return doc
+
+
+def bundled_doc(**overrides):
+    doc = json.loads(scenario_path().read_text(encoding="utf-8"))
     doc.update(overrides)
     return doc
 
@@ -198,15 +205,25 @@ def test_simulate_rejects_greedy_mode_off_windowed_static(tmp_path, capsys, dete
     assert not (tmp_path / "t.csv").exists()
 
 
-@pytest.mark.parametrize("magnitude", [float("nan"), float("inf"), 1e200])
-def test_simulate_rejects_a_nonfinite_magnitude(tmp_path, capsys, magnitude):
+NONFINITE_MAGNITUDE = "invalid attack: magnitude must be finite and nonnegative"
+NONFINITE_DEVIATION = "invalid attack: the predicted deviation is not finite"
+
+
+@pytest.mark.parametrize("doc, message", [
     # json reads NaN and Infinity, and both pass the schema's minimum; 1e200
     # is finite, but its square, the per-step energy, is not
-    attack = {"kind": "chi2", "direction": "ones", "magnitude": magnitude}
-    path = write_scenario(tmp_path, scalar_doc(attack=attack))
+    *((scalar_doc(attack={"kind": "chi2", "direction": "ones", "magnitude": magnitude}),
+       NONFINITE_MAGNITUDE) for magnitude in (float("nan"), float("inf"), 1e200)),
+    # a finite energy whose steady deviation overflows
+    (bundled_doc(attack={"kind": "chi2", "magnitude": 1e150},
+                 sim={"steps": 1000, "burn_in": 50, "seed": 0, "mc_runs": 5}), NONFINITE_DEVIATION),
+    (bundled_doc(detector={"kind": "chi2", "alpha": 1e308}), NONFINITE_DEVIATION),
+], ids=["nan", "inf", "1e+200", "magnitude-1e150", "alpha-1e308"])
+def test_simulate_rejects_a_nonfinite_magnitude(tmp_path, capsys, doc, message):
+    path = write_scenario(tmp_path, doc)
     for summary in ([], ["--summary", str(tmp_path / "s.json")]):
         assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "t.csv")] + summary) == 2
-        assert "invalid attack: magnitude must be finite and nonnegative" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
     assert not (tmp_path / "s.json").exists()
 
@@ -433,6 +450,43 @@ def test_arl_stdout_is_golden(tmp_path, capsys, scenario, flags):
     assert capsys.readouterr().out == ARL_GOLDEN[(scenario, flags)]
 
 
+def test_arl_of_one_run_is_strict_json(tmp_path, capsys):
+    # one run has no spread: half_width is null, not NaN
+    path = write_scenario(tmp_path, scalar_doc())
+    assert main(["arl", "--scenario", path, "--runs", "1", "--cap", "1000"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant} in the output")
+
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    jsonschema.validate(out, output_schema("arl.schema.json"))
+    assert out["runs"] == 1 and out["half_width"] is None
+
+
+@pytest.mark.parametrize("bias", [4.0, None], ids=["b-from-document", "b-defaults-to-p"])
+def test_arl_tunes_a_scenario_cusum_far(tmp_path, capsys, monkeypatch, bias):
+    # the scenario's "far" is tuned with the document's b and mc at the resolved seed
+    calls = []
+    tune = det_mod.tune_cusum_tau
+
+    def recording_tune(*args, **kwargs):
+        calls.append(kwargs)
+        return tune(*args, **kwargs)
+
+    monkeypatch.setattr("resdet.cli.det_mod.tune_cusum_tau", recording_tune)
+    detector = {"kind": "cusum", "far": 0.05, "mc": 100_000}
+    if bias is not None:
+        detector["b"] = bias
+    path = write_scenario(tmp_path, bundled_doc(detector=detector, attack={"kind": "none"}))
+    assert main(["arl", "--scenario", path, "--runs", "2", "--cap", "1000", "--seed", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    b = 3.0 if bias is None else bias  # defaults to p
+    assert calls == [{"b": b, "a_star": 0.05, "mc": 100_000, "seed": 2}]
+    model = load_scenario(path, seed_override=2).model
+    tau = tune(model, b=b, a_star=0.05, mc=100_000, seed=2)
+    assert out["detector"] == {"kind": "cusum", "params": {"tau": tau, "b": b}}
+
+
 def test_arl_rejects_runs_and_cap_before_tuning(tmp_path, monkeypatch, capsys):
     def no_tuning(*args, **kwargs):
         raise AssertionError("the detector was tuned before the flags were checked")
@@ -453,11 +507,11 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_module_entrypoint_smoke():
+def test_module_entrypoint_smoke(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "resdet.cli", "tune",
          "--detector", "chi2", "--sensors", "3", "--far", "0.05"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=child_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["threshold"] == pytest.approx(ALPHA, rel=1e-12)

@@ -300,7 +300,7 @@ def test_chunked_cusum_alarm_fires_on_the_next_chunk():
 
 
 def test_one_run_cusum_scan_equals_the_vector_scan():
-    # one run takes the scalar loop; the same run twice takes the vector loop
+    # a one-run scan is held bit for bit to its row of a two-run scan
     rng = np.random.default_rng(36)
     for tau in (0.0, 0.86, 7.5):
         z = rng.chisquare(3, size=(1, 500))

@@ -70,10 +70,11 @@ def test_scenario_rejects_a_plan_made_against_another_detector(reactor_fixed):
 
 @pytest.mark.parametrize("demo", ["01_tuning_thresholds.py", "02_stealthy_attacks.py",
                                   "03_deviation_bounds.py", "04_reactor_benchmark.py"])
-def test_demo_scenarios_still_build(demo):
+def test_demo_scenarios_still_build(demo, child_env):
     # every demo runs to the end
     path = Path(__file__).resolve().parents[1] / "demos" / demo
-    proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, timeout=300,
+                          env=child_env)
     assert proc.returncode == 0, proc.stderr
 
 
