@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -33,7 +34,7 @@ import numpy as np
 from . import detectors as det_mod
 from . import reactor as reactor_mod
 from . import sim as sim_mod
-from .attacks import compute_M, plan_attack, predicted_deviation
+from .attacks import attack_energy, compute_M, plan_attack, predicted_deviation
 from .model import PlantModel, build_closed_loop
 
 __all__ = ["main", "load_scenario", "scenario_schema"]
@@ -219,11 +220,17 @@ def load_scenario(path: str, seed_override: Optional[int] = None) -> sim_mod.Sce
                 kind="windowed-greedy" if greedy else kind,
                 magnitude=attack_doc.get("magnitude"),
             )
-            if plan.kind != "windowed-pulse":  # the pulse has no constant-forcing bound
-                with np.errstate(over="ignore", invalid="ignore"):
-                    gamma = predicted_deviation(model, plan).gamma
-                if not np.isfinite(gamma):
-                    raise ValueError(f"the predicted deviation is not finite (gamma = {gamma})")
+            held, what = plan, "predicted deviation"
+            if plan.kind == "windowed-pulse":
+                # no constant-forcing bound: hold the pulse on every step, whose
+                # deviation is ell times the period mean of the pulse's steady one
+                pulse = math.sqrt(attack_energy(plan, plan.k_star))
+                held = dataclasses.replace(plan, kind="windowed-static", magnitude=pulse)
+                what = "deviation of the pulse held on every step"
+            with np.errstate(over="ignore", invalid="ignore"):
+                gamma = predicted_deviation(model, held).gamma
+            if not np.isfinite(gamma):
+                raise ValueError(f"the {what} is not finite (gamma = {gamma})")
         except (ValueError, TypeError) as exc:
             raise CliError(EXIT_USAGE, f"invalid attack: {exc}") from exc
 
@@ -257,10 +264,18 @@ def _write_trace_csv(path, result: sim_mod.EnsembleResult) -> None:
             )
 
 
+def _dumps(obj, **kwargs) -> str:
+    """Strict JSON text: a non-finite number is a usage error, never NaN or Infinity."""
+    try:
+        return json.dumps(obj, allow_nan=False, default=_json_default, **kwargs)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, f"non-finite value in the output: {exc}") from exc
+
+
 def _write_json(path, obj) -> None:
+    text = _dumps(obj, indent=2)  # before the file is opened: no partial document
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _cmd_tune(args) -> int:
@@ -291,12 +306,12 @@ def _cmd_tune(args) -> int:
             params = {"p": model.plant.p, "b": b, "mc": args.mc, "seed": seed}
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
-    print(json.dumps({
+    print(_dumps({
         "detector": args.detector,
         "params": params,
         "threshold": threshold,
         "far": args.far,
-    }, default=_json_default))
+    }))
     return 0
 
 
@@ -373,7 +388,7 @@ def _cmd_arl(args) -> int:
     detector = _build_detector(doc, model, seed)
     result = det_mod.estimate_arl(model, detector, runs=args.runs, seed=seed, cap=args.cap)
     out = {"detector": _describe_detector(detector), **dataclasses.asdict(result)}
-    print(json.dumps(out, default=_json_default))
+    print(_dumps(out))
     return 0
 
 

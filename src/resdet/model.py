@@ -17,11 +17,12 @@ chi-squared with p degrees of freedom when delta = 0.
 This module owns model construction/validation (stability certificates,
 residual covariance), the single dynamics implementation `advance`, and
 its two Monte-Carlo loops: `_simulate`, the one fixed-length simulation
-(attacked ensembles and attack-free streams), and `iter_distance_stream`,
-the attack-free stream the ARL estimate can stop early.  An ensemble's
-noise is drawn on every available core (`_draw_blocks`), one slice of
-runs per thread; each run owns its (seed, run) substream, so no value
-depends on the core count.
+(attacked ensembles and attack-free streams) of a noise draw
+(`_draw_noise`), and `iter_distance_stream`, the attack-free stream the
+ARL estimate can stop early.  An ensemble's noise is drawn on every
+available core (`_draw_blocks`), one slice of runs per thread; each run
+owns its (seed, run) substream, so no value depends on the core count,
+and simulations of the same runs can share one draw.
 """
 
 from __future__ import annotations
@@ -341,18 +342,28 @@ def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None):
     return x_next, xhat_next, r, distance_measure(model, r)
 
 
-def _simulate(model: ClosedLoopModel, steps: int, runs: int, seed: int, attack=None):
-    """Advance `runs` trajectories from the origin through `steps` steps, in lockstep.
+def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
+    """Noise of runs 0..runs-1 through `steps` steps: v (runs, steps, n), eta (runs, steps, p).
 
-    Run i consumes the (seed, i) noise substream, drawn up front on every
-    core (_draw_blocks) with the same bits as on one.  `attack(k, e, eta, z_past)`, when given, returns step
+    Row i is run i's (seed, i) substream, drawn on every core
+    (_draw_blocks) with the same bits as on one, so the first rows of a
+    draw are a smaller ensemble's draw.
+    """
+    sources = [model.noise(seed, run=i) for i in range(runs)]
+    return _draw_blocks(sources, steps, model.n, model.p)
+
+
+def _simulate(model: ClosedLoopModel, noise, attack=None):
+    """Advance one trajectory per run of `noise` from the origin, in lockstep.
+
+    `noise` is a drawn (v, eta) pair, (runs, steps, n) and (runs, steps, p)
+    (_draw_noise).  `attack(k, e, eta, z_past)`, when given, returns step
     k's sensor bias (or None) from the error e = x - xhat, the sensor noise
     and the (runs, k - 1) z history.  Returns (mean_x, z): the across-run
     mean state of each step, (steps, n), and the distance measures, (runs, steps).
     """
-    n, p = model.n, model.p
-    sources = [model.noise(seed, run=i) for i in range(runs)]
-    v_all, eta_all = _draw_blocks(sources, steps, n, p)
+    v_all, eta_all = noise
+    runs, steps, n = v_all.shape
     # allocated after the noise: under glibc malloc the noise's memory then
     # goes back to the system when freed, and the next simulation peaks lower
     x = np.zeros((n, runs))
@@ -386,7 +397,7 @@ def simulate_distance_stream(
         raise ValueError("steps and burn_in must be nonnegative")
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    return _simulate(model, burn_in + steps, runs, seed)[1][:, burn_in:]
+    return _simulate(model, _draw_noise(model, burn_in + steps, runs, seed))[1][:, burn_in:]
 
 
 def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: int = 0):

@@ -63,7 +63,7 @@ def _gamma_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _GAMMA_EPS:
             return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise RuntimeError(f"gamma series failed to converge for a={a}, x={x}")
+    raise ValueError(f"gamma series failed to converge for shape a={a} (x={x})")
 
 
 def _gamma_cont_fraction(a: float, x: float) -> float:
@@ -86,7 +86,7 @@ def _gamma_cont_fraction(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _GAMMA_EPS:
             return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise RuntimeError(f"gamma continued fraction failed to converge for a={a}, x={x}")
+    raise ValueError(f"gamma continued fraction failed to converge for shape a={a} (x={x})")
 
 
 def regularized_lower_gamma(a: float, x: float) -> float:
@@ -102,11 +102,18 @@ def regularized_lower_gamma(a: float, x: float) -> float:
 
     Returns:
         P(a, x) in [0, 1].
+
+    Raises:
+        ValueError: naming the shape, when it is too large for the series
+            or the continued fraction to converge in _GAMMA_ITMAX terms
+            (their count grows like sqrt(a) near x = a).
     """
     if not (a > 0.0) or math.isnan(a):
         raise ValueError(f"shape parameter must be positive, got a={a}")
     if math.isnan(x) or x < 0.0:
         raise ValueError(f"evaluation point must be nonnegative, got x={x}")
+    if a + 1.0 == a:  # the continued fraction would start from 1 / (x + 1 - a) = 1 / 0
+        raise ValueError(f"gamma shape a={a} is too large: a + 1 rounds to a")
     if x == 0.0:
         return 0.0
     if x < a + 1.0:

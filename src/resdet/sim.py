@@ -2,10 +2,13 @@
 
 A Scenario bundles a validated closed-loop model, a tuned detector, an
 optional attack plan, and the run geometry (steps, burn-in before the
-attack, seed, ensemble size).  `run_ensemble` hands the scenario to the
+attack, seed, ensemble size).  `run_ensemble` hands the scenario and its
+noise draw (drawn there, or drawn once beforehand and shared) to the
 model's one fixed-length simulation loop (model._simulate), which advances
 all Monte-Carlo runs in lockstep as (n, runs) matrix states, and replays
-the distance measures through the detector's scan.  The attack comes from
+the distance measures through the detector's scan
+(EnsembleResult.scanned, which also re-scans a trajectory for another
+detector).  The attack comes from
 the plan alone: each attacked step hands it the z history, and the plan's
 schedule (attacks.attack_energy) reads what it needs from that.  `run`
 is the one-run ensemble; a one-run result is the trace of a single
@@ -130,15 +133,27 @@ class EnsembleResult:
             "alarms_steady": total - pre - transient,
         }
 
+    @classmethod
+    def scanned(cls, scenario: Scenario, mean_x: np.ndarray, z: np.ndarray) -> "EnsembleResult":
+        """The scenario's result on a simulated trajectory: z replayed through its detector's scan."""
+        stat, alarm, _ = scenario.detector.scan(z)
+        return cls(scenario=scenario, mean_x=mean_x, z=z, stat=stat, alarm=alarm)
 
-def run_ensemble(scenario: Scenario) -> EnsembleResult:
+
+def run_ensemble(scenario: Scenario, noise=None) -> EnsembleResult:
     """Simulate the Monte-Carlo ensemble in lockstep (model._simulate).
 
     Run i consumes the (seed, i) substream, so results are bitwise
     reproducible and independent of scheduling and of the core count.
-    Detector statistics and alarms come from the detector's scan of the z
-    matrix.  Each attacked step passes the z matrix so far to
-    synthesize_attack.
+    `noise`, when given, is that draw made beforehand (model._draw_noise)
+    and shared: a (v, eta) pair of shapes (mc_runs, steps, n) and
+    (mc_runs, steps, p), such as the [:1] rows of a larger draw for a
+    one-run scenario.  Detector statistics and alarms come from the
+    detector's scan of the z matrix.  Each attacked step passes the z
+    matrix so far to synthesize_attack.
+
+    Raises:
+        ValueError: if `noise` has other shapes.
     """
     model, plan = scenario.model, scenario.plan
 
@@ -147,11 +162,23 @@ def run_ensemble(scenario: Scenario) -> EnsembleResult:
             return attacks_mod.synthesize_attack(plan, model, k, e, eta, z_past)
         return None
 
+    # the draw is an argument only, so it is freed before the scan
     mean_x, z = model_mod._simulate(
-        model, scenario.steps, scenario.mc_runs, scenario.seed, attack if scenario.attacked else None
+        model, _ensemble_noise(scenario, noise), attack if scenario.attacked else None
     )
-    stat, alarm, _ = scenario.detector.scan(z)
-    return EnsembleResult(scenario=scenario, mean_x=mean_x, z=z, stat=stat, alarm=alarm)
+    return EnsembleResult.scanned(scenario, mean_x, z)
+
+
+def _ensemble_noise(scenario: Scenario, noise):
+    """The scenario's noise: `noise` once its shapes are checked, else drawn here."""
+    model, runs, steps = scenario.model, scenario.mc_runs, scenario.steps
+    if noise is None:
+        return model_mod._draw_noise(model, steps, runs, scenario.seed)
+    want = ((runs, steps, model.n), (runs, steps, model.p))
+    got = tuple(np.shape(block) for block in noise)
+    if got != want:
+        raise ValueError(f"noise must be (v, eta) of shapes {want}, got {got}")
+    return noise
 
 
 def run(scenario: Scenario) -> EnsembleResult:

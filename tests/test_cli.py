@@ -207,6 +207,7 @@ def test_simulate_rejects_greedy_mode_off_windowed_static(tmp_path, capsys, dete
 
 NONFINITE_MAGNITUDE = "invalid attack: magnitude must be finite and nonnegative"
 NONFINITE_DEVIATION = "invalid attack: the predicted deviation is not finite"
+NONFINITE_PULSE = "invalid attack: the deviation of the pulse held on every step is not finite"
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -218,7 +219,14 @@ NONFINITE_DEVIATION = "invalid attack: the predicted deviation is not finite"
     (bundled_doc(attack={"kind": "chi2", "magnitude": 1e150},
                  sim={"steps": 1000, "burn_in": 50, "seed": 0, "mc_runs": 5}), NONFINITE_DEVIATION),
     (bundled_doc(detector={"kind": "chi2", "alpha": 1e308}), NONFINITE_DEVIATION),
-], ids=["nan", "inf", "1e+200", "magnitude-1e150", "alpha-1e308"])
+    # the pulse has no constant-forcing bound; its pulse held on every step has one
+    (bundled_doc(detector={"kind": "windowed", "window": 4, "far": 0.05},
+                 attack={"kind": "windowed-pulse", "magnitude": 1e150},
+                 sim={"steps": 1000, "burn_in": 50, "seed": 0, "mc_runs": 5}), NONFINITE_PULSE),
+    (bundled_doc(detector={"kind": "windowed", "window": 4, "beta": 1e308},
+                 attack={"kind": "windowed-pulse"}), NONFINITE_PULSE),
+], ids=["nan", "inf", "1e+200", "magnitude-1e150", "alpha-1e308", "pulse-magnitude-1e150",
+        "pulse-beta-1e308"])
 def test_simulate_rejects_a_nonfinite_magnitude(tmp_path, capsys, doc, message):
     path = write_scenario(tmp_path, doc)
     for summary in ([], ["--summary", str(tmp_path / "s.json")]):
@@ -226,6 +234,52 @@ def test_simulate_rejects_a_nonfinite_magnitude(tmp_path, capsys, doc, message):
         assert message in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
     assert not (tmp_path / "s.json").exists()
+
+
+def reject_nonfinite(constant):
+    raise ValueError(f"non-finite constant {constant} in the output")
+
+
+# Every JSON document is strict: NaN or Infinity in it is a usage error, and
+# no document is written.
+
+def test_a_nonfinite_tune_threshold_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("resdet.cli.det_mod.tune_chi2", lambda p, far: float("inf"))
+    assert main(["tune", "--detector", "chi2", "--sensors", "3", "--far", "0.05"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "non-finite value in the output" in out.err
+
+
+def test_a_nonfinite_summary_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("resdet.cli.sim_mod.measure_steady_deviation", lambda ens: (float("nan"),) * 3)
+    path = write_scenario(tmp_path, bundled_doc(sim={"steps": 100, "burn_in": 50, "seed": 0, "mc_runs": 2}))
+    summary = tmp_path / "s.json"
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "t.csv"),
+                 "--summary", str(summary)]) == 2
+    assert "non-finite value in the output" in capsys.readouterr().err
+    assert not summary.exists()
+
+
+def test_a_nonfinite_report_exits_2(tmp_path, capsys, monkeypatch):
+    def nan_study(seed):
+        return {"report": {"damage_ratio_worst_over_ones": float("nan")}, "traces": {}}
+
+    monkeypatch.setattr("resdet.cli.reactor_mod.run_benchmark", nan_study)
+    assert main(["reactor", "--out-dir", str(tmp_path / "study")]) == 2
+    assert "non-finite value in the output" in capsys.readouterr().err
+    assert not (tmp_path / "study" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["tune", "--detector", "windowed", "--sensors", "3", "--window", "1000000000000000000000",
+     "--far", "0.05"],
+    ["sweep", "--sensors", "3", "--far", "0.05", "--ell-max", "1000000000", "--out", "sweep.csv"],
+], ids=["tune-window-1e21", "sweep-ell-max-1e9"])
+def test_a_gamma_shape_out_of_reach_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == 2
+    assert "shape a=" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("detector, attack, message", [
@@ -455,10 +509,7 @@ def test_arl_of_one_run_is_strict_json(tmp_path, capsys):
     path = write_scenario(tmp_path, scalar_doc())
     assert main(["arl", "--scenario", path, "--runs", "1", "--cap", "1000"]) == 0
 
-    def reject(constant):
-        raise ValueError(f"non-finite constant {constant} in the output")
-
-    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    out = json.loads(capsys.readouterr().out, parse_constant=reject_nonfinite)
     jsonschema.validate(out, output_schema("arl.schema.json"))
     assert out["runs"] == 1 and out["half_width"] is None
 

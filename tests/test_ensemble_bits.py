@@ -7,6 +7,10 @@ drawn in turn on one thread, the other `simulate` outputs while `sim.run`
 still copied its one-run ensemble into a separate trace type.  The
 core-count tests make `os.sched_getaffinity` report 1, 2, 3 and 8 CPUs and
 require the same bits under each.
+
+The reactor study draws its noise once and simulates its all-ones attack
+once; `resdet reactor --seed 0` and `--seed 1` are pinned to outputs
+recorded while it drew and simulated them for every ensemble and trace.
 """
 
 import hashlib
@@ -20,6 +24,7 @@ import numpy as np
 import pytest
 
 from resdet import model as model_mod
+from resdet import reactor as reactor_mod
 from resdet import sim
 from resdet.attacks import plan_attack
 from resdet.cli import main
@@ -31,7 +36,7 @@ from resdet.detectors import (
     tune_chi2,
     tune_windowed,
 )
-from resdet.reactor import scenario_path
+from resdet.reactor import run_benchmark, scenario_path
 
 # `resdet reactor --seed 0`
 REACTOR_SHA256 = {
@@ -44,6 +49,19 @@ REACTOR_SHA256 = {
     "trace_windowed_ell4_worst.csv": "bf56946e486561578acbf5aae1742ded8f04b7fc2c0ab092861e7527f0a0b1ed",
     "trace_windowed_ell50_ones.csv": "7578188c177215cc9f3fde1d622b0d2a09b20350bc69680b62ae1537ff8c63b5",
     "trace_windowed_ell50_worst.csv": "fb3feddc13f04d41f0433ce883aace93d55269d18312bf473e5e5c0fc6b0459b",
+}
+# `resdet reactor --seed 1`, recorded while every ensemble and trace drew its
+# own noise and each all-ones attack was simulated for its own detector
+REACTOR_SEED1_SHA256 = {
+    "report.json": "edfa77e8f2828e2f37b5636e4fa774946e6a0b3c7aa507a1fdff0a5a18856f65",
+    "trace_chi2_ones.csv": "7f60017ebc2a0e82791f1cfc89d2cbdf75d8b55d3a1478cadff57dd45f07db12",
+    "trace_chi2_worst.csv": "f2bd1d78891ba39e204c8c20da43af422ef0b9e52d2b561f4c1b08a6defd195d",
+    "trace_cusum_ones.csv": "258fe131ce5aa6f2c05e9e651288aa19fccfce91a36b5ebe45775be011ed3ac8",
+    "trace_cusum_worst.csv": "ca8f6cc063c7140be5e31a544d79d4b0143848e4cf9f08796e06829fbf06b8de",
+    "trace_windowed_ell4_ones.csv": "b39231de59c6884bb0ed032efc0f378bd06cb8ae8fc19a14441ed7601853a04c",
+    "trace_windowed_ell4_worst.csv": "d203c1bb33572f8185e459b7d5a77b99f138ad7fde84ada411a6d7342a368ed0",
+    "trace_windowed_ell50_ones.csv": "d11c2d3b65039e3a4834610cced68c04d33bb091c27e261eb2fa2c22684c8e4d",
+    "trace_windowed_ell50_worst.csv": "4d57b8574bef4f7632e86fc4afa110dd66b62c274b50207fcb560669ce020e42",
 }
 # `resdet simulate --summary` of the bundled scenario (chi2), of it with a 5%
 # windowed ell = 50 detector and the greedy attack at seed 0 (greedy), and
@@ -158,6 +176,11 @@ def test_reactor_outputs_are_golden(tmp_path):
     assert {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()} == REACTOR_SHA256
 
 
+def test_reactor_seed_1_outputs_are_golden(tmp_path):
+    assert main(["reactor", "--out-dir", str(tmp_path), "--seed", "1"]) == 0
+    assert {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()} == REACTOR_SEED1_SHA256
+
+
 @pytest.mark.parametrize("name", sorted(SIMULATE_SCENARIOS))
 def test_simulate_is_golden(tmp_path, name):
     base, overrides = SIMULATE_SCENARIOS[name]
@@ -174,6 +197,55 @@ def test_tune_cusum_stdout_is_golden(capsys, monkeypatch):
     rc = main(["tune", "--detector", "cusum", "--far", "0.05", "--scenario", str(scenario_path())])
     assert rc == 0
     assert capsys.readouterr().out == TUNE_CUSUM
+
+
+# ------------------------------------------------------------ shared draws
+
+
+def test_the_study_simulates_each_distinct_trajectory_once(monkeypatch):
+    # one 200-run draw; an ensemble and a trace for each worst-case attack,
+    # and one of each for the all-ones attack, which no detector changes
+    draws, simulated = [], []
+    draw_blocks, run_ensemble = model_mod._draw_blocks, sim.run_ensemble
+
+    def recording_draw(sources, *args):
+        draws.append(len(sources))
+        return draw_blocks(sources, *args)
+
+    def recording_run(scenario, noise=None):
+        simulated.append((scenario.detector.kind, scenario.plan.magnitude is None, scenario.mc_runs))
+        return run_ensemble(scenario, noise)
+
+    monkeypatch.setattr(model_mod, "_draw_blocks", recording_draw)
+    monkeypatch.setattr(sim, "run_ensemble", recording_run)
+    result = run_benchmark(seed=0)
+    assert draws == [200]
+    worst = [(kind, True, runs) for kind in ("chi2", "windowed", "windowed", "cusum") for runs in (200, 1)]
+    assert simulated == worst[:2] + [("chi2", False, 200), ("chi2", False, 1)] + worst[2:]
+    assert len(result["traces"]) == 8
+    assert len({id(trace.z) for key, trace in result["traces"].items() if key.endswith("_ones")}) == 1
+
+
+def test_row_0_of_a_draw_is_the_one_run_draw(reactor_fixed):
+    five = model_mod._draw_noise(reactor_fixed, 40, 5, 7)
+    one = model_mod._draw_noise(reactor_fixed, 40, 1, 7)
+    assert [block.shape for block in five] == [(5, 40, 4), (5, 40, 3)]
+    for rows, row in zip(five, one):
+        assert np.array_equal(rows[:1], row)
+
+
+@pytest.mark.parametrize("kind, magnitude, reads", [
+    ("chi2", None, True),
+    ("chi2", 3 ** 0.5, False),
+    ("cusum", 3 ** 0.5, False),
+    ("windowed-pulse", None, True),
+    ("windowed-pulse", 3 ** 0.5, True),  # its period is the detector's window
+])
+def test_a_trajectory_is_shared_only_when_no_detector_shapes_it(reactor_fixed, kind, magnitude, reads):
+    detector = {"chi2": ChiSqDetector(7.8), "cusum": CusumDetector(0.86, 3.0),
+                "windowed-pulse": WindowedChiSqDetector(21.0, 4)}[kind]
+    plan = plan_attack(reactor_fixed, detector, k_star=51, direction="ones", kind=kind, magnitude=magnitude)
+    assert reactor_mod._reads_detector(plan) is reads
 
 
 # ---------------------------------------------------------------- core count

@@ -9,6 +9,7 @@ Property tests draw random models up to n = 100.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,13 @@ def test_inverse_lower_gamma_domain():
         nx.inverse_regularized_lower_gamma(2.0, -0.1)
     with pytest.raises(ValueError):
         nx.inverse_regularized_lower_gamma(-1.0, 0.5)
+
+
+@pytest.mark.parametrize("a", [868859613.0, 1.5e21], ids=["series-runs-out", "a+1-rounds-to-a"])
+def test_a_shape_out_of_reach_is_a_value_error_naming_it(a):
+    # p * ell / 2 of a 5% windowed threshold at p = 3 and ell = 579239742 or 1e21
+    with pytest.raises(ValueError, match=re.escape(f"shape a={a}")):
+        nx.inverse_regularized_lower_gamma(a, 0.95)
 
 
 # ----------------------------------------------------------------- eigenpairs

@@ -177,6 +177,46 @@ def test_run_is_the_one_run_ensemble(reactor_fixed, name, options):
     assert np.array_equal(trace.alarm, ens.alarm)
 
 
+def test_a_shared_draw_gives_the_same_bits(reactor_fixed):
+    # an ensemble on a draw made beforehand, and a trace on its first row,
+    # equal the ensemble and the trace that draw their own noise
+    sc = chi2_scenario(reactor_fixed, steps=120, burn_in=20, seed=3, mc_runs=5)
+    noise = mdl._draw_noise(reactor_fixed, 120, 5, 3)
+    for scenario, draw in ((sc, noise), (replace(sc, mc_runs=1), tuple(b[:1] for b in noise))):
+        own, shared = sim.run_ensemble(scenario), sim.run_ensemble(scenario, draw)
+        for name in ("mean_x", "z", "stat", "alarm"):
+            assert np.array_equal(getattr(own, name), getattr(shared, name)), name
+
+
+@pytest.mark.parametrize("runs, steps, n, p", [
+    (4, 120, 4, 3), (5, 119, 4, 3), (5, 120, 3, 3), (5, 120, 4, 4),
+], ids=["runs", "steps", "n", "p"])
+def test_run_ensemble_rejects_misshaped_noise(reactor_fixed, runs, steps, n, p):
+    sc = chi2_scenario(reactor_fixed, steps=120, burn_in=20, mc_runs=5)
+    noise = (np.zeros((runs, steps, n)), np.zeros((runs, steps, p)))
+    with pytest.raises(ValueError, match=r"noise must be \(v, eta\) of shapes"):
+        sim.run_ensemble(sc, noise)
+    with pytest.raises(ValueError, match=r"noise must be \(v, eta\) of shapes"):
+        sim.run_ensemble(sc, noise[:1])
+
+
+def test_a_rescanned_trajectory_is_the_simulated_one(reactor_fixed):
+    # a magnitude override injects the same bias against every detector, so
+    # the chi2 plan's trajectory re-scanned by the CUSUM is the CUSUM plan's run
+    chi2 = ChiSqDetector(tune_chi2(3, 0.05))
+    cusum = CusumDetector(BENCHMARK_TAU, BENCHMARK_BIAS)
+    ones = {det.kind: sim.Scenario(
+        model=reactor_fixed, detector=det, steps=200, burn_in=20, seed=2, mc_runs=6,
+        plan=plan_attack(reactor_fixed, det, k_star=21, direction="ones", magnitude=math.sqrt(3)),
+    ) for det in (chi2, cusum)}
+    simulated = sim.run_ensemble(ones["chi2"])
+    rescanned = sim.EnsembleResult.scanned(ones["cusum"], simulated.mean_x, simulated.z)
+    direct = sim.run_ensemble(ones["cusum"])
+    for name in ("mean_x", "z", "stat", "alarm"):
+        assert np.array_equal(getattr(rescanned, name), getattr(direct, name)), name
+    assert rescanned.phase_counts() == direct.phase_counts()
+
+
 def test_greedy_ensemble_tops_the_window_up_to_beta(reactor_fixed):
     ell = 10
     det = WindowedChiSqDetector(tune_windowed(3, ell, 0.05), ell)
