@@ -12,7 +12,7 @@ from resdet import run_benchmark
 
 
 def main():
-    out = run_benchmark(seed=0, runs=200, steps=1000, burn_in=50)
+    out = run_benchmark(seed=0)
     report = out["report"]
 
     print("loop: four-state reactor, three sensors, estimator gain "

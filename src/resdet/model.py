@@ -15,14 +15,15 @@ distance measure z_k = r_k' Sigma^-1 r_k with Sigma = C P C' + R2; z_k is
 chi-squared with p degrees of freedom when delta = 0.
 
 This module owns model construction/validation (stability certificates,
-residual covariance), the single dynamics implementation `advance`, and
-its two Monte-Carlo loops: `_simulate`, the one fixed-length simulation
-(attacked ensembles and attack-free streams) of a noise draw
-(`_draw_noise`), and `iter_distance_stream`, the attack-free stream the
-ARL estimate can stop early.  An ensemble's noise is drawn on every
-available core (`_draw_blocks`), one slice of runs per thread; each run
-owns its (seed, run) substream, so no value depends on the core count,
-and simulations of the same runs can share one draw.
+residual covariance), the one reader of a scenario document's matrices
+(`closed_loop_from_document`), the single dynamics implementation
+`advance`, and its two Monte-Carlo loops: `_simulate`, the one
+fixed-length simulation (attacked ensembles and attack-free streams) of
+a noise draw (`_draw_noise`), and `iter_distance_stream`, the
+attack-free stream the ARL estimate can stop early.  An ensemble's noise
+is drawn on every available core (`_draw_blocks`), one slice of runs per
+thread; each run owns its (seed, run) substream, so no value depends on
+the core count, and simulations of the same runs can share one draw.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "ClosedLoopModel",
     "NoiseModel",
     "build_closed_loop",
+    "closed_loop_from_document",
     "advance",
     "distance_measure",
     "iter_distance_stream",
@@ -222,6 +224,37 @@ def build_closed_loop(plant: PlantModel, k_fb, l_gain=None) -> ClosedLoopModel:
         chol_r1=numerics.psd_factor(plant.r1),
         chol_r2=numerics.psd_factor(plant.r2),
     )
+
+
+def closed_loop_from_document(doc: dict) -> ClosedLoopModel:
+    """The closed loop of a schema-valid scenario document.
+
+    Reads the `plant` matrices, the `controller` K and, when present, the
+    `estimator` L; without L the steady-state optimal gain is solved for.
+    Raises ValueError naming the section of a malformed matrix, and
+    whatever build_closed_loop raises for a loop it rejects.
+    """
+    plant_doc = doc["plant"]
+    try:
+        plant = PlantModel(*(plant_doc[key] for key in ("F", "G", "C", "R1", "R2")))
+    except ValueError as exc:
+        raise ValueError(f"invalid plant: {exc}") from exc
+    k_fb = _gain_matrix(doc["controller"]["K"], "controller K", (plant.m, plant.n))
+    l_gain = None
+    if "L" in doc.get("estimator", {}):
+        l_gain = _gain_matrix(doc["estimator"]["L"], "estimator L", (plant.n, plant.p))
+    return build_closed_loop(plant, k_fb, l_gain=l_gain)
+
+
+def _gain_matrix(rows, name: str, shape: tuple) -> np.ndarray:
+    """A scenario gain matrix as a float array of the given shape, else ValueError."""
+    try:
+        mat = np.asarray(rows, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"invalid {name}: {exc}") from exc
+    if mat.shape != shape:
+        raise ValueError(f"{name} must be {shape[0]}x{shape[1]}, got {mat.shape[0]}x{mat.shape[1]}")
+    return mat
 
 
 @dataclass

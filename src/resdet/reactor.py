@@ -2,9 +2,11 @@
 
 A linearized 4-state, 3-input, 3-sensor sampled loop that serves as the
 reference system for the test-suite, the demos, and the ``reactor`` CLI
-command.  The matrices live in the bundled ``data/reactor.json`` scenario
-file (single source of truth, also consumable by ``resdet simulate``); this
-module loads them and orchestrates the full benchmark study:
+command.  It is the bundled ``data/reactor.json`` scenario, the document
+``resdet simulate`` runs as it stands: this module builds the loop from it
+with the CLI's reader (model.closed_loop_from_document), takes the study's
+steps, burn-in and ensemble size from its ``sim`` section, and orchestrates
+the full benchmark study:
 
 * tune all three detector families to a 5% false-alarm target,
 * synthesize the worst-case zero-alarm attack against each,
@@ -38,17 +40,15 @@ from . import attacks as attacks_mod
 from . import detectors as det_mod
 from . import model as model_mod
 from . import sim as sim_mod
-from .model import PlantModel, build_closed_loop
+# build_closed_loop is not called here: bench/test_bench.py checks the tracer rebinds it here
+from .model import build_closed_loop, closed_loop_from_document  # noqa: F401
 
 __all__ = [
     "BENCHMARK_TAU",
     "BENCHMARK_BIAS",
     "BENCHMARK_FAR",
     "scenario_path",
-    "load_matrices",
-    "reactor_plant",
     "reactor_loop",
-    "tuned_thresholds",
     "run_benchmark",
 ]
 
@@ -67,29 +67,9 @@ def scenario_path():
     return resources.files("resdet").joinpath("data/reactor.json")
 
 
-def load_matrices() -> dict:
-    """Load the benchmark matrices verbatim from the bundled scenario.
-
-    Returns a dict with keys f, g, c, r1, r2, k_fb, l_gain.  r1 is the
-    tabulated matrix as-is; PlantModel symmetrizes it on construction.
-    """
+def _bundled_document() -> dict:
     with scenario_path().open("r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    plant = doc["plant"]
-    return {
-        "f": np.asarray(plant["F"], dtype=float),
-        "g": np.asarray(plant["G"], dtype=float),
-        "c": np.asarray(plant["C"], dtype=float),
-        "r1": np.asarray(plant["R1"], dtype=float),
-        "r2": np.asarray(plant["R2"], dtype=float),
-        "k_fb": np.asarray(doc["controller"]["K"], dtype=float),
-        "l_gain": np.asarray(doc["estimator"]["L"], dtype=float),
-    }
-
-
-def reactor_plant() -> PlantModel:
-    mats = load_matrices()
-    return PlantModel(mats["f"], mats["g"], mats["c"], mats["r1"], mats["r2"])
+        return json.load(fh)
 
 
 def reactor_loop(estimator: str = "fixed"):
@@ -98,34 +78,12 @@ def reactor_loop(estimator: str = "fixed"):
     estimator="fixed" uses the tabulated observer gain; "dare" solves for
     the steady-state optimal gain instead.
     """
-    mats = load_matrices()
-    plant = reactor_plant()
-    if estimator == "fixed":
-        return build_closed_loop(plant, mats["k_fb"], l_gain=mats["l_gain"])
+    doc = _bundled_document()
     if estimator == "dare":
-        return build_closed_loop(plant, mats["k_fb"])
-    raise ValueError(f"unknown estimator {estimator!r}; expected 'fixed' or 'dare'")
-
-
-def tuned_thresholds(a_star: float = BENCHMARK_FAR) -> dict:
-    """Analytic thresholds for the benchmark's four detector configs."""
-    p = 3
-    return {
-        "alpha": det_mod.tune_chi2(p, a_star),
-        "beta_ell4": det_mod.tune_windowed(p, 4, a_star),
-        "beta_ell50": det_mod.tune_windowed(p, 50, a_star),
-        "cusum_bias": BENCHMARK_BIAS,
-        "cusum_tau": BENCHMARK_TAU,
-    }
-
-
-def _benchmark_detectors(thresholds: dict) -> dict:
-    return {
-        "chi2": det_mod.ChiSqDetector(thresholds["alpha"]),
-        "windowed_ell4": det_mod.WindowedChiSqDetector(thresholds["beta_ell4"], 4),
-        "windowed_ell50": det_mod.WindowedChiSqDetector(thresholds["beta_ell50"], 50),
-        "cusum": det_mod.CusumDetector(thresholds["cusum_tau"], thresholds["cusum_bias"]),
-    }
+        del doc["estimator"]
+    elif estimator != "fixed":
+        raise ValueError(f"unknown estimator {estimator!r}; expected 'fixed' or 'dare'")
+    return closed_loop_from_document(doc)
 
 
 def _reads_detector(plan) -> bool:
@@ -138,34 +96,42 @@ def _reads_detector(plan) -> bool:
     return plan.magnitude is None or plan.kind == "windowed-pulse"
 
 
-def run_benchmark(
-    seed: int = 0,
-    runs: int = 200,
-    steps: int = 1000,
-    burn_in: int = 50,
-    estimator: str = "fixed",
-) -> dict:
+def run_benchmark(seed: int = 0) -> dict:
     """Run the full benchmark study.
 
     Returns {"report": dict, "traces": {name: EnsembleResult}} where the
     eight traces are one-run results (run index 0 of each ensemble's
     noise, see sim.run) of the four detector configs under the worst-case
-    and the all-ones attack.  Measured deviations in the report come from
-    ``runs``-sized ensembles.
+    and the all-ones attack.  The loop (with the tabulated gain), the
+    ensemble size, the step count and the burn-in are the bundled
+    scenario's; its sim.seed is not, the study runs on `seed`.
 
     The noise is drawn once, and the traces take its first run.  A plan
     that reads no detector (_reads_detector), here the all-ones one, is
     simulated for the first detector only, and the others re-scan its mean
     state and z: 5 ensembles and 5 traces make the 8 results of each.
     """
-    model = reactor_loop(estimator=estimator)
-    thresholds = tuned_thresholds()
-    dets = _benchmark_detectors(thresholds)
-    p = model.plant.p
+    doc = _bundled_document()
+    model = closed_loop_from_document(doc)
+    runs, steps, burn_in = (doc["sim"][key] for key in ("mc_runs", "steps", "burn_in"))
+    p = model.p
     k_star = burn_in + 1
+    thresholds = {
+        "alpha": det_mod.tune_chi2(p, BENCHMARK_FAR),
+        "beta_ell4": det_mod.tune_windowed(p, 4, BENCHMARK_FAR),
+        "beta_ell50": det_mod.tune_windowed(p, 50, BENCHMARK_FAR),
+        "cusum_bias": BENCHMARK_BIAS,
+        "cusum_tau": BENCHMARK_TAU,
+    }
+    dets = {
+        "chi2": det_mod.ChiSqDetector(thresholds["alpha"]),
+        "windowed_ell4": det_mod.WindowedChiSqDetector(thresholds["beta_ell4"], 4),
+        "windowed_ell50": det_mod.WindowedChiSqDetector(thresholds["beta_ell50"], 50),
+        "cusum": det_mod.CusumDetector(BENCHMARK_TAU, BENCHMARK_BIAS),
+    }
 
     report: dict = {
-        "estimator": estimator,
+        "estimator": "fixed",
         "seed": seed,
         "runs": runs,
         "steps": steps,

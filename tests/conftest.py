@@ -5,6 +5,7 @@ and no example database, so every run draws the same examples and none is
 stored between runs.
 """
 
+import json
 import os
 from pathlib import Path
 
@@ -51,7 +52,14 @@ def scalar_loop():
 
 @pytest.fixture(scope="session")
 def reactor_matrices():
-    return rx.load_matrices()
+    """The bundled scenario's tabulated matrices verbatim: R1 is not symmetrized."""
+    doc = json.loads(rx.scenario_path().read_text(encoding="utf-8"))
+    plant = doc["plant"]
+    tables = {
+        "f": plant["F"], "g": plant["G"], "c": plant["C"], "r1": plant["R1"], "r2": plant["R2"],
+        "k_fb": doc["controller"]["K"], "l_gain": doc["estimator"]["L"],
+    }
+    return {name: np.asarray(rows, dtype=float) for name, rows in tables.items()}
 
 
 @pytest.fixture(scope="session")

@@ -29,12 +29,12 @@ from resdet.detectors import (
     tune_cusum_tau,
     tune_windowed,
 )
-from resdet.reactor import load_matrices, reactor_loop, run_benchmark
+from resdet.reactor import reactor_loop, run_benchmark
 
 
 @pytest.fixture(scope="module")
 def benchmark_report():
-    return run_benchmark(seed=0, runs=200, steps=1000, burn_in=50)["report"]
+    return run_benchmark(seed=0)["report"]
 
 
 def test_criterion_01_threshold_tuning_reproduction():
@@ -43,10 +43,10 @@ def test_criterion_01_threshold_tuning_reproduction():
     assert abs(tune_windowed(3, 50, 0.05) - 179.58) <= 0.01
 
 
-def test_criterion_02_cusum_threshold_matches_tabulated_value():
+def test_criterion_02_cusum_threshold_matches_tabulated_value(reactor_matrices):
     # The benchmark reactor seen through its first sensor only, with the
     # optimal gain, so the residual is white and z ~ chi-squared(1).
-    mats = load_matrices()
+    mats = reactor_matrices
     plant = mdl.PlantModel(mats["f"], mats["g"], mats["c"][:1], mats["r1"], mats["r2"][:1, :1])
     loop = mdl.build_closed_loop(plant, mats["k_fb"])
     # The design reads 5% as ARL0 = 1/A* = 20.  Each alarm of the lagged

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from resdet import detectors as det_mod
+from resdet import sim
 from resdet.cli import load_scenario, main
 from resdet.reactor import scenario_path
 
@@ -258,6 +259,26 @@ def test_a_nonfinite_summary_exits_2(tmp_path, capsys, monkeypatch):
                  "--summary", str(summary)]) == 2
     assert "non-finite value in the output" in capsys.readouterr().err
     assert not summary.exists()
+    assert not (tmp_path / "t.csv").exists()  # every output is serialized before any is written
+
+
+def test_a_failed_summary_write_removes_the_trace(tmp_path, capsys):
+    path = write_scenario(tmp_path, bundled_doc(sim={"steps": 100, "burn_in": 50, "seed": 0, "mc_runs": 2}))
+    trace, summary = tmp_path / "t.csv", tmp_path / "missing" / "sum.json"
+    assert main(["simulate", "--scenario", path, "--out", str(trace), "--summary", str(summary)]) == 2
+    assert "sum.json" in capsys.readouterr().err
+    assert not trace.exists()
+
+
+def test_a_failed_report_write_removes_the_traces(tmp_path, capsys, monkeypatch, scalar_loop):
+    trace = sim.run(sim.Scenario(scalar_loop, det_mod.ChiSqDetector(3.84), steps=5, burn_in=0))
+    study = {"report": {}, "traces": {"a": trace, "b": trace}}
+    monkeypatch.setattr("resdet.cli.reactor_mod.run_benchmark", lambda seed: study)
+    out_dir = tmp_path / "study"
+    (out_dir / "report.json").mkdir(parents=True)  # the last write fails
+    assert main(["reactor", "--out-dir", str(out_dir)]) == 2
+    assert "report.json" in capsys.readouterr().err
+    assert [p.name for p in out_dir.iterdir()] == ["report.json"]
 
 
 def test_a_nonfinite_report_exits_2(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ recorded while it drew and simulated them for every ensemble and trace.
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -181,6 +182,16 @@ def test_reactor_seed_1_outputs_are_golden(tmp_path):
     assert {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()} == REACTOR_SEED1_SHA256
 
 
+def test_reactor_outputs_are_golden_without_assertions(tmp_path, child_env):
+    # `python -O` drops advance's error-recursion check (`if __debug__`): no bit may move
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "resdet.cli", "reactor", "--out-dir", str(tmp_path), "--seed", "0"],
+        capture_output=True, text=True, timeout=300, env=child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()} == REACTOR_SHA256
+
+
 @pytest.mark.parametrize("name", sorted(SIMULATE_SCENARIOS))
 def test_simulate_is_golden(tmp_path, name):
     base, overrides = SIMULATE_SCENARIOS[name]
@@ -224,6 +235,19 @@ def test_the_study_simulates_each_distinct_trajectory_once(monkeypatch):
     assert simulated == worst[:2] + [("chi2", False, 200), ("chi2", False, 1)] + worst[2:]
     assert len(result["traces"]) == 8
     assert len({id(trace.z) for key, trace in result["traces"].items() if key.endswith("_ones")}) == 1
+
+
+def test_the_study_takes_its_geometry_from_the_bundled_scenario(tmp_path, monkeypatch):
+    doc = json.loads(scenario_path().read_text(encoding="utf-8"))
+    doc["sim"] = {"steps": 120, "burn_in": 20, "seed": 5, "mc_runs": 3}
+    bundled = tmp_path / "reactor.json"
+    bundled.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(reactor_mod, "scenario_path", lambda: bundled)
+    result = run_benchmark(seed=0)
+    report = result["report"]
+    assert (report["runs"], report["steps"], report["burn_in"], report["k_star"]) == (3, 120, 20, 21)
+    assert report["seed"] == 0  # the study's seed is the caller's, never sim.seed
+    assert {trace.steps for trace in result["traces"].values()} == {120}
 
 
 def test_row_0_of_a_draw_is_the_one_run_draw(reactor_fixed):

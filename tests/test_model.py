@@ -7,6 +7,7 @@ from scipy import linalg as sla, stats
 from resdet import model as mdl
 from resdet import numerics
 from resdet import reactor as rx
+from resdet.cli import load_scenario
 from resdet.model import PlantModel, advance, build_closed_loop, simulate_distance_stream
 
 
@@ -27,6 +28,34 @@ def test_plant_symmetrizes_process_noise(reactor_matrices):
     want = 0.5 * (reactor_matrices["r1"] + reactor_matrices["r1"].T)
     np.testing.assert_allclose(plant.r1, want, atol=0.0)
     assert plant.n == 4 and plant.m == 3 and plant.p == 3
+
+
+def test_the_bundled_loop_is_the_cli_scenario_loop(reactor_fixed):
+    # one reader of the scenario document: the library's benchmark loop and
+    # `resdet simulate`'s loop of the bundled file are the same bits
+    cli_loop = load_scenario(str(rx.scenario_path())).model
+    for name in ("p_pred", "l_gain", "sigma", "sigma_sqrt", "sigma_inv"):
+        assert np.array_equal(getattr(reactor_fixed, name), getattr(cli_loop, name)), name
+
+
+def test_reactor_loop_opens_the_bundled_file_once(monkeypatch):
+    opened = []
+    bundled = rx.scenario_path()
+
+    class CountingPath:
+        def open(self, *args, **kwargs):
+            opened.append(args)
+            return bundled.open(*args, **kwargs)
+
+        def read_text(self, *args, **kwargs):
+            opened.append(args)
+            return bundled.read_text(*args, **kwargs)
+
+    monkeypatch.setattr(rx, "scenario_path", CountingPath)
+    for estimator in ("fixed", "dare"):
+        opened.clear()
+        rx.reactor_loop(estimator)
+        assert len(opened) == 1, estimator
 
 
 def test_plant_rejects_bad_shapes_and_covariances():
