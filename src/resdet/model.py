@@ -22,8 +22,11 @@ fixed-length simulation (attacked ensembles and attack-free streams) of
 a noise draw (`_draw_noise`), and `iter_distance_stream`, the
 attack-free stream the ARL estimate can stop early.  An ensemble's noise
 is drawn on every available core (`_draw_blocks`), one slice of runs per
-thread; each run owns its (seed, run) substream, so no value depends on
-the core count, and simulations of the same runs can share one draw.
+thread, into one buffer that holds v and eta side by side; each run owns
+its (seed, run) substream, so no value depends on the core count, and
+simulations of the same runs can share one draw.  `simulate_distance_stream`
+remembers its last (read-only) stream until the next noise draw, so
+detectors measured on the same model, geometry and seed simulate it once.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ __all__ = [
 # Columns per sub-block of iter_distance_stream: how far the stream runs
 # ahead of a consumer that may stop early.
 _SUB_BLOCK = 64
+
+# (model, (steps, runs, seed, burn_in), z) of the last simulate_distance_stream
+# call, until the next noise draw; the model object itself is the key, so
+# its address cannot be reused while the entry lives.
+_last_stream = None
 
 
 def _as_matrix(value, rows: int | None, cols: int | None, name: str) -> np.ndarray:
@@ -299,6 +307,12 @@ class NoiseModel:
 def _draw_blocks(sources, width: int, n: int, p: int):
     """Noise of `width` steps for every source: v (runs, width, n), eta (runs, width, p).
 
+    v and eta are views of one (runs, width, n + p) allocation: two arrays
+    freed at different times, around a remembered stream, fragment the
+    glibc heap and raise the peak resident size.  The remembered stream
+    (simulate_distance_stream) is dropped first, so it never stays alive
+    through another simulation's noise.
+
     Run i is one `sources[i].blocks(width)` call, so the values do not
     depend on which thread draws them.  The runs are split into one
     contiguous slice per CPU (never more slices than runs); the calling
@@ -308,9 +322,10 @@ def _draw_blocks(sources, width: int, n: int, p: int):
     this returns, and the first exception raised in any slice is raised
     here.  A one-run draw starts no thread.
     """
+    _forget_stream()
     runs = len(sources)
-    v_all = np.empty((runs, width, n))
-    eta_all = np.empty((runs, width, p))
+    buf = np.empty((runs, width, n + p))
+    v_all, eta_all = buf[..., :n], buf[..., n:]
     errors = []
 
     def fill(lo: int, hi: int) -> None:
@@ -397,8 +412,6 @@ def _simulate(model: ClosedLoopModel, noise, attack=None):
     """
     v_all, eta_all = noise
     runs, steps, n = v_all.shape
-    # allocated after the noise: under glibc malloc the noise's memory then
-    # goes back to the system when freed, and the next simulation peaks lower
     x = np.zeros((n, runs))
     xhat = np.zeros((n, runs))
     sum_x = np.empty((steps, n))
@@ -425,12 +438,31 @@ def simulate_distance_stream(
     array.  Run i consumes the (seed, i) noise substream, so the result is
     reproducible and independent of scheduling.  The burn-in and the kept
     steps are one attack-free run of run_ensemble's loop (_simulate).
+
+    The last stream is remembered: a call with the same model object,
+    steps, runs, seed and burn_in returns it again without simulating, so
+    detectors measured on one stream share one simulation.  The next noise
+    draw of any simulation (run_ensemble, iter_distance_stream, another
+    stream) forgets it.  The returned array is read-only.
     """
+    global _last_stream
     if steps < 0 or burn_in < 0:
         raise ValueError("steps and burn_in must be nonnegative")
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    return _simulate(model, _draw_noise(model, burn_in + steps, runs, seed))[1][:, burn_in:]
+    key = (steps, runs, seed, burn_in)
+    if _last_stream is not None and _last_stream[0] is model and _last_stream[1] == key:
+        return _last_stream[2]
+    z = _simulate(model, _draw_noise(model, burn_in + steps, runs, seed))[1]
+    z.flags.writeable = False  # its views cannot be made writeable either
+    _last_stream = (model, key, z[:, burn_in:])
+    return _last_stream[2]
+
+
+def _forget_stream() -> None:
+    """Drop the stream simulate_distance_stream remembers."""
+    global _last_stream
+    _last_stream = None
 
 
 def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: int = 0):

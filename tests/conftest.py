@@ -14,11 +14,22 @@ import pytest
 from hypothesis import settings
 
 import resdet
+from resdet import model as model_mod
 from resdet import reactor as rx
 from resdet.model import PlantModel, build_closed_loop
 
 settings.register_profile("resdet", derandomize=True, deadline=None, database=None)
 settings.load_profile("resdet")
+
+
+@pytest.fixture(autouse=True)
+def no_remembered_stream():
+    """Start every test with no remembered attack-free stream.
+
+    The loop fixtures live for the whole session, so a test could otherwise
+    be handed a stream that an earlier test simulated.
+    """
+    model_mod._forget_stream()
 
 
 @pytest.fixture(scope="session")

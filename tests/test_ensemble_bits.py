@@ -287,6 +287,7 @@ def test_stream_and_arl_do_not_depend_on_the_core_count(reactor_dare, monkeypatc
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
         for count in (1, 2, 3, 8):
             report_cpus(monkeypatch, count)
+            model_mod._forget_stream()  # simulate on `count` cores rather than return a remembered z
             z = model_mod.simulate_distance_stream(reactor_dare, steps=200, runs=9, seed=4, burn_in=50)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # cap = 40 censors some runs
@@ -331,6 +332,14 @@ def test_each_slice_of_runs_is_drawn_on_its_own_thread(reactor_fixed, monkeypatc
     assert names[0] == main_name
     assert names[1] == names[2] != main_name
     assert names[3] == names[4] not in (main_name, names[1])
+
+
+def test_v_and_eta_are_drawn_into_one_buffer(reactor_fixed):
+    # two arrays, freed at different times around a remembered stream,
+    # fragment the glibc heap and raise the peak resident size
+    v, eta = model_mod._draw_noise(reactor_fixed, 40, 5, 7)
+    assert v.shape == (5, 40, 4) and eta.shape == (5, 40, 3)
+    assert v.base is not None and v.base is eta.base
 
 
 def test_a_one_run_or_empty_draw_starts_no_thread(reactor_fixed, monkeypatch):

@@ -7,7 +7,9 @@ from scipy import linalg as sla, stats
 from resdet import model as mdl
 from resdet import numerics
 from resdet import reactor as rx
+from resdet import sim
 from resdet.cli import load_scenario
+from resdet.detectors import ChiSqDetector, estimate_arl
 from resdet.model import PlantModel, advance, build_closed_loop, simulate_distance_stream
 
 
@@ -238,10 +240,89 @@ def test_distance_measure_chi_squared_ks(reactor_fixed):
 
 def test_stream_determinism(reactor_fixed):
     z1 = simulate_distance_stream(reactor_fixed, steps=200, runs=7, seed=9)
+    mdl._forget_stream()  # simulate again rather than return z1
     z2 = simulate_distance_stream(reactor_fixed, steps=200, runs=7, seed=9)
     assert np.array_equal(z1, z2)
     z3 = simulate_distance_stream(reactor_fixed, steps=200, runs=7, seed=10)
     assert not np.array_equal(z1, z3)
+
+
+# --------------------------------------------------------- remembered stream
+
+STREAM = {"steps": 20, "runs": 3, "seed": 1, "burn_in": 5}
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """One entry per NoiseModel.blocks call: whether a stream was remembered during it."""
+    calls = []
+    blocks = mdl.NoiseModel.blocks
+
+    def recording_blocks(self, steps):
+        calls.append(mdl._last_stream is not None)
+        return blocks(self, steps)
+
+    monkeypatch.setattr(mdl.NoiseModel, "blocks", recording_blocks)
+    return calls
+
+
+def test_a_repeated_stream_is_not_simulated_again(reactor_fixed, draws):
+    z = simulate_distance_stream(reactor_fixed, **STREAM)
+    assert len(draws) == STREAM["runs"]
+    again = simulate_distance_stream(reactor_fixed, **STREAM)
+    assert len(draws) == STREAM["runs"]
+    assert np.array_equal(again, z)
+
+
+@pytest.mark.parametrize("change", ["model", {"steps": 21}, {"runs": 2}, {"seed": 2}, {"burn_in": 4}],
+                         ids=["model", "steps", "runs", "seed", "burn_in"])
+def test_another_model_geometry_or_seed_is_simulated(reactor_fixed, draws, change):
+    simulate_distance_stream(reactor_fixed, **STREAM)
+    if change == "model":  # an equal loop, built again
+        model, args = rx.reactor_loop(estimator="fixed"), STREAM
+    else:
+        model, args = reactor_fixed, {**STREAM, **change}
+    draws.clear()
+    simulate_distance_stream(model, **args)
+    assert len(draws) == args["runs"]
+    assert not any(draws)  # the old stream was forgotten before the draw
+
+
+@pytest.mark.parametrize("between", ["run_ensemble", "estimate_arl", "stream"])
+def test_any_noise_draw_forgets_the_stream(reactor_fixed, draws, between):
+    simulate_distance_stream(reactor_fixed, **STREAM)
+    draws.clear()
+    if between == "run_ensemble":
+        scenario = sim.Scenario(reactor_fixed, ChiSqDetector(7.8), steps=10, burn_in=2, mc_runs=2)
+        sim.run_ensemble(scenario)
+    elif between == "estimate_arl":
+        estimate_arl(reactor_fixed, ChiSqDetector(0.1), runs=2, cap=20, chunk=8)
+    else:
+        simulate_distance_stream(reactor_fixed, **{**STREAM, "seed": 2})
+    assert draws and not any(draws)
+    draws.clear()
+    simulate_distance_stream(reactor_fixed, **STREAM)
+    assert len(draws) == STREAM["runs"]
+
+
+def test_the_stream_is_read_only(reactor_fixed):
+    z = simulate_distance_stream(reactor_fixed, **STREAM)
+    with pytest.raises(ValueError, match="read-only"):
+        z[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        z.flags.writeable = True
+    assert np.array_equal(simulate_distance_stream(reactor_fixed, **STREAM), z)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"steps": -1}, "nonnegative"), ({"burn_in": -1}, "nonnegative"), ({"runs": 0}, "runs must be"),
+], ids=["steps", "burn_in", "runs"])
+def test_bad_arguments_raise_with_a_stream_remembered(reactor_fixed, draws, bad, message):
+    simulate_distance_stream(reactor_fixed, **STREAM)
+    draws.clear()
+    with pytest.raises(ValueError, match=message):
+        simulate_distance_stream(reactor_fixed, **{**STREAM, **bad})
+    assert draws == []
 
 
 def test_noise_blocks_are_per_run_substreams(reactor_fixed):
