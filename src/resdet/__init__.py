@@ -49,10 +49,8 @@ from .sim import (
     EnsembleResult,
     Scenario,
     measure_steady_deviation,
-    moving_average,
     run,
     run_ensemble,
-    stationarity_gap,
     steady_deviation_estimate,
     sweep_window_contours,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "max_eigenpair",
     "measure_alarm_rate",
     "measure_steady_deviation",
-    "moving_average",
     "plan_attack",
     "predicted_deviation",
     "psd_sqrt",
@@ -94,7 +91,6 @@ __all__ = [
     "solve_dare",
     "solve_discrete_lyapunov",
     "spectral_radius",
-    "stationarity_gap",
     "steady_deviation_estimate",
     "sweep_window_contours",
     "synthesize_attack",

@@ -24,7 +24,9 @@ per step for the windowed one, sqrt(b) for the CUSUM steady phase.
 Each of the six schedules (chi2, windowed-static, windowed-greedy,
 windowed-pulse, cusum, cusum-exact) is defined here once (`attack_energy`);
 it reads its thresholds through the plan's detector, and the dynamic ones
-derive the detector state they read from the z history.
+derive the detector state they read from the z history.  `check_plan` is
+the one test of whether a plan can be simulated: its steady deviation, or
+that of its pulse held on every step, must exist and be finite.
 
 Exact saturation is a knife edge in floating point (the computed statistic
 lands a few ulps either side of the threshold), so synthesized schedules
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -55,6 +57,7 @@ __all__ = [
     "gamma_bound",
     "predicted_deviation",
     "attack_energy",
+    "check_plan",
     "synthesize_attack",
 ]
 
@@ -288,6 +291,29 @@ def predicted_deviation(model: ClosedLoopModel, plan: AttackPlan) -> DeviationBo
     mag = math.sqrt(steady) if plan.magnitude is None else float(plan.magnitude)
     gamma = float(np.linalg.norm(compute_M(model) @ (mag * plan.direction)))
     return DeviationBound(gamma=gamma, kind=plan.kind, magnitude=mag, direction=plan.direction)
+
+
+def check_plan(model: ClosedLoopModel, plan: AttackPlan) -> None:
+    """Raise ValueError("invalid attack: ...") unless the plan's steady deviation is finite.
+
+    The deviation map M must exist (compute_M's stability precondition)
+    and the predicted deviation must be finite.  The pulsed windowed
+    schedule has no constant-forcing bound, so its pulse is held on every
+    step instead, whose deviation is ell times the period mean of the
+    pulse's steady one.
+    """
+    held, what = plan, "predicted deviation"
+    if plan.kind == "windowed-pulse":
+        pulse = math.sqrt(attack_energy(plan, plan.k_star))
+        held = replace(plan, kind="windowed-static", magnitude=pulse)
+        what = "deviation of the pulse held on every step"
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma = predicted_deviation(model, held).gamma
+        if not np.isfinite(gamma):
+            raise ValueError(f"the {what} is not finite (gamma = {gamma})")
+    except ValueError as exc:
+        raise ValueError(f"invalid attack: {exc}") from exc
 
 
 def attack_energy(plan: AttackPlan, k: int, z_past=None) -> Union[float, np.ndarray]:

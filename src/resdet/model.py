@@ -17,16 +17,17 @@ chi-squared with p degrees of freedom when delta = 0.
 This module owns model construction/validation (stability certificates,
 residual covariance), the one reader of a scenario document's matrices
 (`closed_loop_from_document`), the single dynamics implementation
-`advance`, and its two Monte-Carlo loops: `_simulate`, the one
-fixed-length simulation (attacked ensembles and attack-free streams) of
-a noise draw (`_draw_noise`), and `iter_distance_stream`, the
-attack-free stream the ARL estimate can stop early.  An ensemble's noise
-is drawn on every available core (`_draw_blocks`), one slice of runs per
-thread, into one buffer that holds v and eta side by side; each run owns
-its (seed, run) substream, so no value depends on the core count, and
-simulations of the same runs can share one draw.  `simulate_distance_stream`
-remembers its last (read-only) stream until the next noise draw, so
-detectors measured on the same model, geometry and seed simulate it once.
+`advance`, and its one Monte-Carlo loop, `_simulate`, which advances a
+noise draw (`_draw_noise`) from the origin or from where an earlier call
+stopped: attacked ensembles, attack-free streams, and the sub-blocks of
+`iter_distance_stream`, the attack-free stream the ARL estimate can stop
+early.  An ensemble's noise is drawn on every available core
+(`_draw_blocks`), one slice of runs per thread, into one buffer that
+holds v and eta side by side; each run owns its (seed, run) substream, so
+no value depends on the core count, and simulations of the same runs can
+share one draw.  `simulate_distance_stream` remembers its last
+(read-only) stream until the next noise draw, so detectors measured on
+the same model, geometry and seed simulate it once.
 """
 
 from __future__ import annotations
@@ -401,19 +402,21 @@ def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
     return _draw_blocks(sources, steps, model.n, model.p)
 
 
-def _simulate(model: ClosedLoopModel, noise, attack=None):
-    """Advance one trajectory per run of `noise` from the origin, in lockstep.
+def _simulate(model: ClosedLoopModel, noise, attack=None, state=None):
+    """Advance one trajectory per run of `noise` in lockstep, from `state` or the origin.
 
     `noise` is a drawn (v, eta) pair, (runs, steps, n) and (runs, steps, p)
     (_draw_noise).  `attack(k, e, eta, z_past)`, when given, returns step
     k's sensor bias (or None) from the error e = x - xhat, the sensor noise
-    and the (runs, k - 1) z history.  Returns (mean_x, z): the across-run
-    mean state of each step, (steps, n), and the distance measures, (runs, steps).
+    and the (runs, k - 1) z history.  `state` is the (x, xhat) pair of
+    (n, runs) matrices a previous call returned.  Returns (sum_x, z, state):
+    the across-run sum of each step's state, (steps, n), the distance
+    measures, (runs, steps), and the final (x, xhat), which a later call
+    continues from.
     """
     v_all, eta_all = noise
     runs, steps, n = v_all.shape
-    x = np.zeros((n, runs))
-    xhat = np.zeros((n, runs))
+    x, xhat = (np.zeros((n, runs)), np.zeros((n, runs))) if state is None else state
     sum_x = np.empty((steps, n))
     z = np.empty((runs, steps))
     for t in range(steps):
@@ -421,7 +424,7 @@ def _simulate(model: ClosedLoopModel, noise, attack=None):
         delta = None if attack is None else attack(t + 1, x - xhat, eta, z[:, :t])
         sum_x[t] = x.sum(axis=1)
         x, xhat, _, z[:, t] = advance(model, x, xhat, v_all[:, t, :].T, eta, delta)
-    return sum_x / runs, z
+    return sum_x, z, (x, xhat)
 
 
 def simulate_distance_stream(
@@ -472,22 +475,18 @@ def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: in
     chunk per width in `widths`.  Each chunk's noise is drawn when the
     chunk starts, block-wise per run from the (seed, i) substreams, so the
     values depend on the chunk widths as well as on the seed.  The chunk
-    is then advanced in sub-blocks of at most _SUB_BLOCK columns, and each
-    is yielded as a (runs, columns) z array as soon as it is computed: a
-    consumer that stops pulling stops the advancing (estimate_arl's early
-    exit).  One chunk's sub-blocks, joined, are _simulate's z.  A chunk's
-    noise is drawn on every available core (_draw_blocks) with the same
-    bits as on one.
+    is then advanced in sub-blocks of at most _SUB_BLOCK columns, each one
+    _simulate call that continues from the state the previous one left,
+    and each sub-block's z is yielded as a (runs, columns) array as soon as
+    it is computed: a consumer that stops pulling stops the advancing
+    (estimate_arl's early exit).  A chunk's noise is drawn on every
+    available core (_draw_blocks) with the same bits as on one.
     """
-    n, p = model.n, model.p
     sources = [model.noise(seed, run=i) for i in range(runs)]
-    x = np.zeros((n, runs))
-    xhat = np.zeros((n, runs))
+    state = None
     for width in widths:
-        v_all, eta_all = _draw_blocks(sources, width, n, p)
+        v_all, eta_all = _draw_blocks(sources, width, model.n, model.p)
         for start in range(0, width, _SUB_BLOCK):
-            z = np.empty((runs, min(_SUB_BLOCK, width - start)))
-            for j in range(z.shape[1]):
-                t = start + j
-                x, xhat, _, z[:, j] = advance(model, x, xhat, v_all[:, t, :].T, eta_all[:, t, :].T)
+            block = (v_all[:, start:start + _SUB_BLOCK], eta_all[:, start:start + _SUB_BLOCK])
+            _, z, state = _simulate(model, block, state=state)
             yield z

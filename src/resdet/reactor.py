@@ -86,16 +86,6 @@ def reactor_loop(estimator: str = "fixed"):
     return closed_loop_from_document(doc)
 
 
-def _reads_detector(plan) -> bool:
-    """Whether the bias a plan injects can depend on the detector it was made against.
-
-    A magnitude override fixes psi = magnitude * direction on every active
-    step (attacks.attack_energy), except for the pulse, whose period is the
-    detector's window.
-    """
-    return plan.magnitude is None or plan.kind == "windowed-pulse"
-
-
 def run_benchmark(seed: int = 0) -> dict:
     """Run the full benchmark study.
 
@@ -106,10 +96,11 @@ def run_benchmark(seed: int = 0) -> dict:
     ensemble size, the step count and the burn-in are the bundled
     scenario's; its sim.seed is not, the study runs on `seed`.
 
-    The noise is drawn once, and the traces take its first run.  A plan
-    that reads no detector (_reads_detector), here the all-ones one, is
-    simulated for the first detector only, and the others re-scan its mean
-    state and z: 5 ensembles and 5 traces make the 8 results of each.
+    The noise is drawn once, and the traces take its first run.  The
+    all-ones plan fixes psi = magnitude * direction on every attacked step
+    whatever its detector (attacks.attack_energy), so it is simulated for
+    the first detector only, and the others re-scan its mean state and z:
+    5 ensembles and 5 traces make the 8 results of each.
     """
     doc = _bundled_document()
     model = closed_loop_from_document(doc)
@@ -154,9 +145,7 @@ def run_benchmark(seed: int = 0) -> dict:
 
     noise = model_mod._draw_noise(model, steps, runs, seed)
     trace_noise = tuple(block[:1] for block in noise)
-    # label -> ((mean_x, z) of the ensemble, of the trace) of a plan that
-    # reads no detector: every detector's plan of that label injects that bias
-    detector_free: dict = {}
+    ones = None  # ((mean_x, z) of the ensemble, of the trace) of the all-ones bias
     traces: dict = {}
     measured: dict = {}
     for name in _DETECTOR_ORDER:
@@ -178,16 +167,14 @@ def run_benchmark(seed: int = 0) -> dict:
                 mc_runs=runs,
             )
             trace_scen = replace(scen, mc_runs=1)
-            free = not _reads_detector(plan)
-            if free and label in detector_free:
-                shared, trace_shared = detector_free[label]
-                ens = sim_mod.EnsembleResult.scanned(scen, *shared)
-                trace = sim_mod.EnsembleResult.scanned(trace_scen, *trace_shared)
+            if label == "ones" and ones is not None:
+                ens = sim_mod.EnsembleResult.scanned(scen, *ones[0])
+                trace = sim_mod.EnsembleResult.scanned(trace_scen, *ones[1])
             else:
                 ens = sim_mod.run_ensemble(scen, noise)
                 trace = sim_mod.run_ensemble(trace_scen, trace_noise)
-                if free:
-                    detector_free[label] = ((ens.mean_x, ens.z), (trace.mean_x, trace.z))
+                if label == "ones":
+                    ones = ((ens.mean_x, ens.z), (trace.mean_x, trace.z))
             dev, predicted, rel = sim_mod.measure_steady_deviation(ens)
             key = f"{name}_{label}"
             measured[key] = dev

@@ -15,10 +15,9 @@ is the one-run ensemble; a one-run result is the trace of a single
 realization (row 0 of z, stat and alarm; mean_x is its state).
 
 Measurement helpers compare the ensemble-mean state against the predicted
-steady-state deviation, smooth per-run norms the way trace figures usually
-do (trailing moving average), and tabulate the windowed-threshold
-per-step budget beta(ell)/ell whose large-window limit ties the windowed
-detector to the CUSUM one.
+steady-state deviation, and tabulate the windowed-threshold per-step
+budget beta(ell)/ell whose large-window limit ties the windowed detector
+to the CUSUM one.
 """
 
 from __future__ import annotations
@@ -40,10 +39,8 @@ __all__ = [
     "EnsembleResult",
     "run",
     "run_ensemble",
-    "moving_average",
     "measure_steady_deviation",
     "steady_deviation_estimate",
-    "stationarity_gap",
     "sweep_window_contours",
 ]
 
@@ -57,7 +54,8 @@ class Scenario:
     its scan, never through its own state.  The alarms come from the
     detector and the attack schedule from the plan's own detector, so a
     plan made against another detector (another kind or other
-    thresholds) is rejected.
+    thresholds) is rejected, and so is a plan whose steady deviation is
+    not finite (attacks.check_plan, "invalid attack: ...").
     """
 
     model: ClosedLoopModel
@@ -85,6 +83,7 @@ class Scenario:
             )
         if self.attacked:
             self.plan.check_fits(self.detector)
+            attacks_mod.check_plan(self.model, self.plan)
 
     @property
     def attacked(self) -> bool:
@@ -163,10 +162,10 @@ def run_ensemble(scenario: Scenario, noise=None) -> EnsembleResult:
         return None
 
     # the draw is an argument only, so it is freed before the scan
-    mean_x, z = model_mod._simulate(
+    sum_x, z, _ = model_mod._simulate(
         model, _ensemble_noise(scenario, noise), attack if scenario.attacked else None
     )
-    return EnsembleResult.scanned(scenario, mean_x, z)
+    return EnsembleResult.scanned(scenario, sum_x / scenario.mc_runs, z)
 
 
 def _ensemble_noise(scenario: Scenario, noise):
@@ -190,21 +189,6 @@ def run(scenario: Scenario) -> EnsembleResult:
     state block differently.
     """
     return run_ensemble(replace(scenario, mc_runs=1))
-
-
-def moving_average(series, w: int) -> np.ndarray:
-    """Trailing moving average over min(k, w) samples; length-preserving."""
-    if int(w) < 1:
-        raise ValueError("window must be >= 1")
-    s = np.asarray(series, dtype=float)
-    if s.ndim != 1:
-        raise ValueError("series must be 1-D")
-    w = int(w)
-    cs = np.cumsum(s)
-    out = cs.copy()
-    out[w:] = cs[w:] - cs[:-w]
-    counts = np.minimum(np.arange(1, s.size + 1), w)
-    return out / counts
 
 
 def steady_deviation_estimate(result: EnsembleResult, tail_fraction: Optional[float] = None) -> float:
@@ -243,17 +227,6 @@ def measure_steady_deviation(result: EnsembleResult, tail_fraction: Optional[flo
     else:
         rel = abs(measured)  # absolute fallback: no scale to normalize by
     return measured, predicted, rel
-
-
-def stationarity_gap(result: EnsembleResult) -> float:
-    """Relative gap between the last-10% and last-50% deviation estimates.
-
-    Small values certify the attacked ensemble mean has settled within the
-    measured tail.
-    """
-    dev_10 = steady_deviation_estimate(result, tail_fraction=0.1)
-    dev_50 = steady_deviation_estimate(result, tail_fraction=0.5)
-    return abs(dev_10 - dev_50) / max(abs(dev_50), 1e-300)
 
 
 def sweep_window_contours(p: int, a_star_list, ell_max: int):

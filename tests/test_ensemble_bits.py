@@ -258,20 +258,6 @@ def test_row_0_of_a_draw_is_the_one_run_draw(reactor_fixed):
         assert np.array_equal(rows[:1], row)
 
 
-@pytest.mark.parametrize("kind, magnitude, reads", [
-    ("chi2", None, True),
-    ("chi2", 3 ** 0.5, False),
-    ("cusum", 3 ** 0.5, False),
-    ("windowed-pulse", None, True),
-    ("windowed-pulse", 3 ** 0.5, True),  # its period is the detector's window
-])
-def test_a_trajectory_is_shared_only_when_no_detector_shapes_it(reactor_fixed, kind, magnitude, reads):
-    detector = {"chi2": ChiSqDetector(7.8), "cusum": CusumDetector(0.86, 3.0),
-                "windowed-pulse": WindowedChiSqDetector(21.0, 4)}[kind]
-    plan = plan_attack(reactor_fixed, detector, k_star=51, direction="ones", kind=kind, magnitude=magnitude)
-    assert reactor_mod._reads_detector(plan) is reads
-
-
 # ---------------------------------------------------------------- core count
 
 
