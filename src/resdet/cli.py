@@ -12,8 +12,11 @@ Scenario files are JSON documents validated against the shipped schema
 `resdet/data/reactor.json` is a complete example.  The RS_SEED environment
 variable supplies the default seed wherever none is given explicitly.
 
-Exit codes: 0 success; 2 flag, schema, or domain errors; 3 model
-pathologies (unstable loop or estimator, non-detectable model).
+Exit codes: 0 success; 3 model pathologies (unstable loop or estimator,
+non-detectable model), raised as ModelPathology; 2 for every other
+defect: any ValueError, OSError or MemoryError, from this module or the
+library, is a flag, schema, file or domain error.  `main` alone picks
+the code.
 """
 
 from __future__ import annotations
@@ -45,12 +48,8 @@ EXIT_MODEL = 3
 _TRACE_HEADER = "k,norm_x,z,stat,alarm,attack_active"
 
 
-class CliError(Exception):
-    """Carries the process exit code alongside the message."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+class ModelPathology(Exception):
+    """An unstable or non-detectable model: exit code 3, not a usage error."""
 
 
 def _resolve_seed(explicit: Optional[int] = None, doc: Optional[dict] = None) -> int:
@@ -63,9 +62,9 @@ def _resolve_seed(explicit: Optional[int] = None, doc: Optional[dict] = None) ->
         try:
             seed = int(raw)
         except ValueError:
-            raise CliError(EXIT_USAGE, f"RS_SEED must be an integer, got {raw!r}") from None
+            raise ValueError(f"RS_SEED must be an integer, got {raw!r}") from None
     if seed < 0:
-        raise CliError(EXIT_USAGE, f"seed must be nonnegative, got {seed}")
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     return int(seed)
 
 
@@ -91,14 +90,14 @@ def _load_document(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise CliError(EXIT_USAGE, f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_USAGE, f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"cannot read scenario file: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     try:
         jsonschema.validate(doc, scenario_schema())
     except jsonschema.ValidationError as exc:
         where = "/".join(str(part) for part in exc.absolute_path) or "(root)"
-        raise CliError(EXIT_USAGE, f"scenario schema error at {where}: {exc.message}") from exc
+        raise ValueError(f"scenario schema error at {where}: {exc.message}") from exc
     return doc
 
 
@@ -106,50 +105,48 @@ def _build_model(doc: dict):
     try:
         return closed_loop_from_document(doc)
     except ValueError as exc:
-        code = EXIT_MODEL if "unstable" in str(exc) else EXIT_USAGE
-        raise CliError(code, str(exc)) from exc
+        if "unstable" in str(exc):
+            raise ModelPathology(str(exc)) from exc
+        raise
     except RuntimeError as exc:
-        raise CliError(EXIT_MODEL, str(exc)) from exc
+        raise ModelPathology(str(exc)) from exc
 
 
 def _build_detector(doc: dict, model, seed: int):
     det_doc = doc["detector"]
     kind = det_doc["kind"]
     p = model.plant.p
-    try:
-        if kind == "chi2":
-            if "alpha" in det_doc:
-                return det_mod.ChiSqDetector(float(det_doc["alpha"]))
-            if "far" in det_doc:
-                return det_mod.ChiSqDetector(det_mod.tune_chi2(p, det_doc["far"]))
-            raise CliError(EXIT_USAGE, "chi2 detector requires alpha or far")
-        if kind == "windowed":
-            if "window" not in det_doc:
-                raise CliError(EXIT_USAGE, "windowed detector requires a window")
-            ell = int(det_doc["window"])
-            if "beta" in det_doc:
-                return det_mod.WindowedChiSqDetector(float(det_doc["beta"]), ell)
-            if "far" in det_doc:
-                beta = det_mod.tune_windowed(p, ell, det_doc["far"])
-                return det_mod.WindowedChiSqDetector(beta, ell)
-            raise CliError(EXIT_USAGE, "windowed detector requires beta or far")
-        if kind == "cusum":
-            b = float(det_doc.get("b", p))
-            if "tau" in det_doc:
-                return det_mod.CusumDetector(float(det_doc["tau"]), b)
-            if "far" in det_doc:
-                tau = det_mod.tune_cusum_tau(
-                    model,
-                    b=b,
-                    a_star=det_doc["far"],
-                    mc=int(det_doc.get("mc", 1_000_000)),
-                    seed=seed,
-                )
-                return det_mod.CusumDetector(tau, b)
-            raise CliError(EXIT_USAGE, "cusum detector requires tau or far")
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
-    raise CliError(EXIT_USAGE, f"unknown detector kind {kind!r}")
+    if kind == "chi2":
+        if "alpha" in det_doc:
+            return det_mod.ChiSqDetector(float(det_doc["alpha"]))
+        if "far" in det_doc:
+            return det_mod.ChiSqDetector(det_mod.tune_chi2(p, det_doc["far"]))
+        raise ValueError("chi2 detector requires alpha or far")
+    if kind == "windowed":
+        if "window" not in det_doc:
+            raise ValueError("windowed detector requires a window")
+        ell = int(det_doc["window"])
+        if "beta" in det_doc:
+            return det_mod.WindowedChiSqDetector(float(det_doc["beta"]), ell)
+        if "far" in det_doc:
+            beta = det_mod.tune_windowed(p, ell, det_doc["far"])
+            return det_mod.WindowedChiSqDetector(beta, ell)
+        raise ValueError("windowed detector requires beta or far")
+    if kind == "cusum":
+        b = float(det_doc.get("b", p))
+        if "tau" in det_doc:
+            return det_mod.CusumDetector(float(det_doc["tau"]), b)
+        if "far" in det_doc:
+            tau = det_mod.tune_cusum_tau(
+                model,
+                b=b,
+                a_star=det_doc["far"],
+                mc=int(det_doc.get("mc", 1_000_000)),
+                seed=seed,
+            )
+            return det_mod.CusumDetector(tau, b)
+        raise ValueError("cusum detector requires tau or far")
+    raise ValueError(f"unknown detector kind {kind!r}")
 
 
 # Detector parameter names as scenario files spell them.
@@ -164,7 +161,9 @@ def _describe_detector(detector) -> dict:
 def load_scenario(path: str, seed_override: Optional[int] = None) -> sim_mod.Scenario:
     """Parse, schema-validate, and cross-check a scenario file.
 
-    Raises CliError with the appropriate exit code on any defect.
+    Raises ValueError on a defect of the file or the document (OSError is
+    wrapped as "cannot read scenario file"), and ModelPathology on an
+    unstable or non-detectable model.
     """
     doc = _load_document(path)
     model = _build_model(doc)
@@ -197,21 +196,18 @@ def load_scenario(path: str, seed_override: Optional[int] = None) -> sim_mod.Sce
                 magnitude=attack_doc.get("magnitude"),
             )
         except (ValueError, TypeError) as exc:
-            raise CliError(EXIT_USAGE, f"invalid attack: {exc}") from exc
+            raise ValueError(f"invalid attack: {exc}") from exc
 
-    try:
-        return sim_mod.Scenario(
-            model=model,
-            detector=detector,
-            plan=plan,
-            steps=steps,
-            burn_in=burn_in,
-            seed=seed,
-            mc_runs=mc_runs,
-            tail_fraction=tail_fraction,
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
+    return sim_mod.Scenario(
+        model=model,
+        detector=detector,
+        plan=plan,
+        steps=steps,
+        burn_in=burn_in,
+        seed=seed,
+        mc_runs=mc_runs,
+        tail_fraction=tail_fraction,
+    )
 
 
 def _trace_csv(result: sim_mod.EnsembleResult) -> str:
@@ -234,7 +230,7 @@ def _dumps(obj, **kwargs) -> str:
     try:
         return json.dumps(obj, allow_nan=False, default=_json_default, **kwargs)
     except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"non-finite value in the output: {exc}") from exc
+        raise ValueError(f"non-finite value in the output: {exc}") from exc
 
 
 def _write_files(texts: dict) -> None:
@@ -255,33 +251,27 @@ def _write_files(texts: dict) -> None:
 
 
 def _cmd_tune(args) -> int:
-    try:
-        if args.detector == "chi2":
-            if args.sensors is None:
-                raise CliError(EXIT_USAGE, "chi2 tuning requires --sensors")
-            threshold = det_mod.tune_chi2(args.sensors, args.far)
-            params = {"p": args.sensors}
-        elif args.detector == "windowed":
-            if args.sensors is None or args.window is None:
-                raise CliError(EXIT_USAGE, "windowed tuning requires --sensors and --window")
-            threshold = det_mod.tune_windowed(args.sensors, args.window, args.far)
-            params = {"p": args.sensors, "window": args.window}
-        else:
-            if args.scenario is None:
-                raise CliError(EXIT_USAGE, "cusum tuning requires --scenario (a model to calibrate on)")
-            doc = _load_document(args.scenario)
-            model = _build_model(doc)
-            if args.sensors is not None and args.sensors != model.plant.p:
-                raise CliError(
-                    EXIT_USAGE,
-                    f"--sensors {args.sensors} contradicts the scenario model (p={model.plant.p})",
-                )
-            b = float(model.plant.p)
-            seed = _resolve_seed(args.seed, doc)
-            threshold = det_mod.tune_cusum_tau(model, b=b, a_star=args.far, mc=args.mc, seed=seed)
-            params = {"p": model.plant.p, "b": b, "mc": args.mc, "seed": seed}
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
+    if args.detector == "chi2":
+        if args.sensors is None:
+            raise ValueError("chi2 tuning requires --sensors")
+        threshold = det_mod.tune_chi2(args.sensors, args.far)
+        params = {"p": args.sensors}
+    elif args.detector == "windowed":
+        if args.sensors is None or args.window is None:
+            raise ValueError("windowed tuning requires --sensors and --window")
+        threshold = det_mod.tune_windowed(args.sensors, args.window, args.far)
+        params = {"p": args.sensors, "window": args.window}
+    else:
+        if args.scenario is None:
+            raise ValueError("cusum tuning requires --scenario (a model to calibrate on)")
+        doc = _load_document(args.scenario)
+        model = _build_model(doc)
+        if args.sensors is not None and args.sensors != model.plant.p:
+            raise ValueError(f"--sensors {args.sensors} contradicts the scenario model (p={model.plant.p})")
+        b = float(model.plant.p)
+        seed = _resolve_seed(args.seed, doc)
+        threshold = det_mod.tune_cusum_tau(model, b=b, a_star=args.far, mc=args.mc, seed=seed)
+        params = {"p": model.plant.p, "b": b, "mc": args.mc, "seed": seed}
     print(_dumps({
         "detector": args.detector,
         "params": params,
@@ -322,15 +312,12 @@ def _cmd_sweep(args) -> int:
     try:
         rates = [float(tok) for tok in args.far.split(",") if tok.strip()]
     except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"--far must be a comma-separated list of rates: {exc}") from exc
+        raise ValueError(f"--far must be a comma-separated list of rates: {exc}") from exc
     if not rates:
-        raise CliError(EXIT_USAGE, "--far must name at least one rate")
+        raise ValueError("--far must name at least one rate")
     if args.sensors < 1:
-        raise CliError(EXIT_USAGE, "--sensors must be >= 1")
-    try:
-        rows = sim_mod.sweep_window_contours(args.sensors, rates, args.ell_max)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
+        raise ValueError("--sensors must be >= 1")
+    rows = sim_mod.sweep_window_contours(args.sensors, rates, args.ell_max)
     lines = ["far,ell,beta,beta_over_ell"]
     for far, ell, beta, budget in rows:
         lines.append(f"{_fmt(far)},{int(ell)},{_fmt(beta)},{_fmt(budget)}")
@@ -344,7 +331,7 @@ def _cmd_reactor(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise CliError(EXIT_USAGE, f"cannot create --out-dir: {exc}") from exc
+        raise ValueError(f"cannot create --out-dir: {exc}") from exc
     result = reactor_mod.run_benchmark(seed=seed)
     texts = {out_dir / f"trace_{key}.csv": _trace_csv(trace) for key, trace in result["traces"].items()}
     texts[out_dir / "report.json"] = _dumps(result["report"], indent=2) + "\n"
@@ -354,9 +341,9 @@ def _cmd_reactor(args) -> int:
 
 def _cmd_arl(args) -> int:
     if args.runs < 1:
-        raise CliError(EXIT_USAGE, "--runs must be >= 1")
+        raise ValueError("--runs must be >= 1")
     if args.cap < 1:
-        raise CliError(EXIT_USAGE, "--cap must be >= 1")
+        raise ValueError("--cap must be >= 1")
     doc = _load_document(args.scenario)
     seed = _resolve_seed(args.seed, doc)
     model = _build_model(doc)
@@ -419,10 +406,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
+    except ModelPathology as exc:
         print(f"resdet: {exc}", file=sys.stderr)
-        return exc.code
-    except OSError as exc:
+        return EXIT_MODEL
+    except (OSError, ValueError, MemoryError) as exc:  # MemoryError: a document sized past memory
         print(f"resdet: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -130,9 +131,14 @@ class WindowedChiSqDetector(_Detector):
             raise ValueError(f"beta must be positive and finite, got {beta}")
         if int(ell) < 1:
             raise ValueError("window must be >= 1")
+        try:
+            float(ell)  # attacks budget beta / ell per step
+        except OverflowError:
+            raise ValueError("window is too large to convert to a float") from None
         self.beta = float(beta)
         self.ell = int(ell)
-        self.window: deque = deque(maxlen=self.ell)
+        # no run fills a window longer than a deque can hold
+        self.window: deque = deque(maxlen=min(self.ell, sys.maxsize))
         self.w = 0.0
         self.k = 0
 
@@ -235,7 +241,11 @@ def tune_windowed(p: int, ell: int, a_star: float) -> float:
         raise ValueError(f"sensor count must be >= 1, got {p}")
     if not (0.0 < a_star < 1.0):
         raise ValueError(f"false-alarm rate must lie in (0, 1), got {a_star}")
-    return 2.0 * numerics.inverse_regularized_lower_gamma(p * ell / 2.0, 1.0 - a_star)
+    try:
+        shape = p * ell / 2.0
+    except OverflowError:
+        raise ValueError("chi-squared shape p * window / 2 is too large for a float") from None
+    return 2.0 * numerics.inverse_regularized_lower_gamma(shape, 1.0 - a_star)
 
 
 def tune_cusum_tau(

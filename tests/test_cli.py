@@ -291,16 +291,103 @@ def test_a_nonfinite_report_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "study" / "report.json").exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["tune", "--detector", "windowed", "--sensors", "3", "--window", "1000000000000000000000",
-     "--far", "0.05"],
-    ["sweep", "--sensors", "3", "--far", "0.05", "--ell-max", "1000000000", "--out", "sweep.csv"],
-], ids=["tune-window-1e21", "sweep-ell-max-1e9"])
-def test_a_gamma_shape_out_of_reach_exits_2(tmp_path, capsys, monkeypatch, command):
+HUGE = 10**400  # an integer beyond the largest float
+FLOAT_SHAPE = "resdet: chi-squared shape p * window / 2 is too large for a float\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    (["tune", "--detector", "windowed", "--sensors", "3", "--window", "1000000000000000000000",
+      "--far", "0.05"], "shape a="),
+    (["sweep", "--sensors", "3", "--far", "0.05", "--ell-max", "1000000000", "--out", "sweep.csv"],
+     "shape a="),
+    (["tune", "--detector", "windowed", "--sensors", "3", "--window", str(HUGE), "--far", "0.05"],
+     FLOAT_SHAPE),
+    (["sweep", "--sensors", str(HUGE), "--far", "0.05", "--ell-max", "3", "--out", "sweep.csv"],
+     FLOAT_SHAPE),
+], ids=["tune-window-1e21", "sweep-ell-max-1e9", "tune-window-1e400", "sweep-sensors-1e400"])
+def test_a_gamma_shape_out_of_reach_exits_2(tmp_path, capsys, monkeypatch, command, message):
     monkeypatch.chdir(tmp_path)
     assert main(command) == 2
-    assert "shape a=" in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--out", "t.csv", "--summary", "s.json"],
+    ["arl", "--runs", "2", "--cap", "10"],
+], ids=["simulate", "arl"])
+@pytest.mark.parametrize("threshold", [{"far": 0.05}, {"beta": 21.0}], ids=["far", "beta"])
+def test_a_window_too_large_for_a_float_exits_2(tmp_path, capsys, monkeypatch, command, threshold):
+    monkeypatch.chdir(tmp_path)
+    detector = {"kind": "windowed", "window": HUGE, **threshold}
+    path = write_scenario(tmp_path, bundled_doc(detector=detector, attack={"kind": "none"}))
+    assert main(command + ["--scenario", path]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "window" in out.err and "too large" in out.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+def test_a_window_longer_than_a_deque_never_fills(tmp_path):
+    # a float-sized window beyond sys.maxsize is a finite budget beta / ell that no run fills
+    doc = scalar_doc(detector={"kind": "windowed", "window": 10**300, "beta": 21.0},
+                     attack={"kind": "windowed-static", "direction": [1.0]},
+                     sim={"steps": 60, "burn_in": 10, "seed": 1, "mc_runs": 2})
+    path = write_scenario(tmp_path, doc)
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "t.csv")]) == 0
+    rows = (tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 60 and all(row.split(",")[4] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--out", "t.csv", "--summary", "s.json"],
+    ["arl", "--runs", "2", "--cap", "10"],
+    ["tune", "--detector", "cusum", "--far", "0.05", "--mc", "1000"],
+], ids=["simulate", "arl", "tune-cusum"])
+@pytest.mark.parametrize("text, message", [
+    (b"\xff\xfe{}", "resdet: 'utf-8' codec can't decode byte 0xff in position 0"),
+    (b"[" * 100_000, "resdet: malformed JSON in bad.json: maximum recursion depth exceeded"),
+], ids=["not-utf8", "nested-too-deep"])
+def test_an_unreadable_document_exits_2(tmp_path, capsys, monkeypatch, command, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_bytes(text)
+    assert main(command + ["--scenario", "bad.json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(message) and out.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+@pytest.mark.parametrize("steps", [10**15, 10**30], ids=["memory-error", "beyond-numpy-dimensions"])
+def test_a_trace_too_long_to_allocate_exits_2(tmp_path, capsys, steps):
+    # 10**15 steps of one run is 50 PiB, beyond any address space: the allocation fails at once
+    doc = bundled_doc(attack={"kind": "none"}, sim={"steps": steps, "burn_in": 50, "seed": 0, "mc_runs": 1})
+    path = write_scenario(tmp_path, doc)
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resdet: ") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
+def boom(*args, **kwargs):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("target, command", [
+    ("sim_mod.run_ensemble", ["simulate", "--scenario", "s.json", "--out", "t.csv", "--summary", "u.json"]),
+    ("det_mod.estimate_arl", ["arl", "--scenario", "s.json", "--runs", "2"]),
+    ("reactor_mod.run_benchmark", ["reactor", "--out-dir", "study"]),
+    ("sim_mod.sweep_window_contours", ["sweep", "--sensors", "1", "--far", "0.05", "--ell-max", "3",
+                                       "--out", "t.csv"]),
+    ("det_mod.tune_chi2", ["tune", "--detector", "chi2", "--sensors", "3", "--far", "0.05"]),
+], ids=["simulate", "arl", "reactor", "sweep", "tune"])
+def test_a_library_value_error_exits_2(tmp_path, capsys, monkeypatch, target, command):
+    monkeypatch.chdir(tmp_path)
+    write_scenario(tmp_path, scalar_doc(), "s.json")
+    monkeypatch.setattr(f"resdet.cli.{target}", boom)
+    assert main(command) == 2
+    assert capsys.readouterr() == ("", "resdet: boom\n")
+    produced = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
+    assert produced == ["s.json"]
 
 
 @pytest.mark.parametrize("detector, attack, message", [
@@ -342,12 +429,16 @@ def test_simulate_rejects_an_attack_on_an_open_loop_unstable_plant(tmp_path, cap
     assert not (tmp_path / "s.json").exists()
 
 
-def test_simulate_unstable_model_exits_3(tmp_path, capsys):
+def unstable_model_doc():
     doc = scalar_doc(plant={"F": [[1.2]], "G": [[1.0]], "C": [[1.0]],
                             "R1": [[1.0]], "R2": [[1.0]]},
                      controller={"K": [[0.1]]})
     del doc["estimator"]
-    path = write_scenario(tmp_path, doc)
+    return doc
+
+
+def test_simulate_unstable_model_exits_3(tmp_path, capsys):
+    path = write_scenario(tmp_path, unstable_model_doc())
     assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "t.csv")]) == 3
     assert "unstable" in capsys.readouterr().err
 
@@ -579,11 +670,21 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_module_entrypoint_smoke(child_env):
-    proc = subprocess.run(
-        [sys.executable, "-m", "resdet.cli", "tune",
-         "--detector", "chi2", "--sensors", "3", "--far", "0.05"],
-        capture_output=True, text=True, timeout=120, env=child_env,
-    )
+def test_module_entrypoint_smoke(tmp_path, child_env):
+    def resdet(*argv):
+        return subprocess.run([sys.executable, "-m", "resdet.cli", *argv],
+                              capture_output=True, text=True, timeout=120, env=child_env)
+
+    proc = resdet("tune", "--detector", "chi2", "--sensors", "3", "--far", "0.05")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["threshold"] == pytest.approx(ALPHA, rel=1e-12)
+
+    # one defective input per error code: a usage error, a model pathology
+    (tmp_path / "not-utf8.json").write_bytes(b"\xff\xfe{}")
+    for name, doc, code in (("not-utf8.json", None, 2), ("unstable.json", unstable_model_doc(), 3)):
+        path = tmp_path / name if doc is None else write_scenario(tmp_path, doc, name)
+        proc = resdet("simulate", "--scenario", str(path), "--out", str(tmp_path / "t.csv"))
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith("resdet: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "t.csv").exists()

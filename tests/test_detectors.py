@@ -53,6 +53,9 @@ def test_windowed_saturation_boundary_never_alarms():
 def test_windowed_rejects_bad_window():
     with pytest.raises(ValueError, match="window must be >= 1"):
         WindowedChiSqDetector(1.0, 0)
+    with pytest.raises(ValueError, match="window is too large to convert to a float"):
+        WindowedChiSqDetector(1.0, 10**400)
+    assert WindowedChiSqDetector(1.0, 10**300).update(1.0) is None  # longer than any deque
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -161,6 +164,9 @@ def test_tune_domain_errors():
         tune_chi2(3, 1.0)
     with pytest.raises(ValueError, match="window must be >= 1"):
         tune_windowed(3, 0, 0.05)
+    for p, ell in ((3, 10**400), (10**400, 1), (10**200, 10**200)):
+        with pytest.raises(ValueError, match=r"shape p \* window / 2 is too large for a float"):
+            tune_windowed(p, ell, 0.05)
 
 
 # --------------------------------------------------------- Monte-Carlo tuning
