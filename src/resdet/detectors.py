@@ -502,7 +502,12 @@ def estimate_arl(
     to the cap, so the result depends on the seed and on `chunk`.  Each
     chunk is advanced and scanned in sub-blocks (iter_distance_stream),
     and the loop stops as soon as every run has exceeded, so the work
-    follows the longest run rather than the chunk width.
+    follows the longest run rather than the chunk width.  The draw does
+    not stop early, but it is remembered: the warm-up and the first full
+    chunk stay with the model module's noise family (keyed by the values
+    of R1 and R2, the seed and `runs`) until another draw, so a second
+    estimate of another detector on the same loop, seed and runs draws
+    nothing unless it runs past them.
 
     The two CUSUM rates differ: 1/ARL counts exceedances with a restart on
     the exceedance step, while tune_cusum_tau and measure_alarm_rate count

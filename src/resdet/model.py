@@ -18,16 +18,29 @@ This module owns model construction/validation (stability certificates,
 residual covariance), the one reader of a scenario document's matrices
 (`closed_loop_from_document`), the single dynamics implementation
 `advance`, and its one Monte-Carlo loop, `_simulate`, which advances a
-noise draw (`_draw_noise`) from the origin or from where an earlier call
-stopped: attacked ensembles, attack-free streams, and the sub-blocks of
-`iter_distance_stream`, the attack-free stream the ARL estimate can stop
-early.  An ensemble's noise is drawn on every available core
+noise draw (`_draw_noise`, or a chunk of an attack-free noise family) from
+the origin or from where an earlier call stopped: attacked ensembles,
+attack-free streams, and the sub-blocks of `iter_distance_stream`, the
+attack-free stream the ARL estimate can stop early.  An ensemble's noise is drawn on every available core
 (`_draw_blocks`), one slice of runs per thread, into one buffer that
 holds v and eta side by side; each run owns its (seed, run) substream, so
 no value depends on the core count, and simulations of the same runs can
-share one draw.  `simulate_distance_stream` remembers its last
-(read-only) stream until the next noise draw, so detectors measured on
-the same model, geometry and seed simulate it once.
+share one draw.  A draw's buffer is allocated before its per-run sources
+are built, so an ensemble too large for memory fails at once.
+
+Two things are remembered, each read-only:
+- `simulate_distance_stream` remembers its last stream, so detectors
+  measured on the same model object, geometry and seed simulate it once.
+- The attack-free draws (that stream and `iter_distance_stream`'s chunks)
+  remember one noise family (`_attack_free_noise`), keyed by the values of
+  `chol_r1` and `chol_r2`, the seed and the run count: its per-run sources,
+  standing after their last drawn chunk, and at most its first two chunks.
+  Loops that share R1 and R2 (the benchmark's DARE and tabulated-gain
+  loops), and a second ARL estimate of the same loop, seed and runs, read
+  those chunks without drawing them again.
+Every draw forgets the stream before it allocates.  A draw of another
+family, and an ensemble's `_draw_noise` (attacked ensembles and the
+reactor study), forget the family too.
 """
 
 from __future__ import annotations
@@ -60,6 +73,14 @@ _SUB_BLOCK = 64
 # call, until the next noise draw; the model object itself is the key, so
 # its address cannot be reused while the entry lives.
 _last_stream = None
+
+# The _NoiseFamily the attack-free draws last came from, until a draw of
+# another family or of an ensemble (_draw_noise).
+_family = None
+
+# Chunks a noise family remembers: a fixed-length stream is one chunk, an
+# ARL estimate's warm-up and first full chunk are two.
+_FAMILY_CHUNKS = 2
 
 
 def _as_matrix(value, rows: int | None, cols: int | None, name: str) -> np.ndarray:
@@ -305,14 +326,14 @@ class NoiseModel:
         return v, eta
 
 
-def _draw_blocks(sources, width: int, n: int, p: int):
-    """Noise of `width` steps for every source: v (runs, width, n), eta (runs, width, p).
+def _draw_blocks(sources, buf: np.ndarray, n: int):
+    """Fill `buf` with each source's next steps: views v (runs, width, n), eta (runs, width, p).
 
-    v and eta are views of one (runs, width, n + p) allocation: two arrays
-    freed at different times, around a remembered stream, fragment the
-    glibc heap and raise the peak resident size.  The remembered stream
-    (simulate_distance_stream) is dropped first, so it never stays alive
-    through another simulation's noise.
+    `buf` is one (runs, width, n + p) allocation, which the caller makes
+    before it builds any source, so a draw too large to allocate fails
+    before a source exists.  v and eta are views of it: two arrays freed at
+    different times, around a remembered stream, fragment the glibc heap
+    and raise the peak resident size.
 
     Run i is one `sources[i].blocks(width)` call, so the values do not
     depend on which thread draws them.  The runs are split into one
@@ -323,9 +344,7 @@ def _draw_blocks(sources, width: int, n: int, p: int):
     this returns, and the first exception raised in any slice is raised
     here.  A one-run draw starts no thread.
     """
-    _forget_stream()
-    runs = len(sources)
-    buf = np.empty((runs, width, n + p))
+    runs, width = buf.shape[:2]
     v_all, eta_all = buf[..., :n], buf[..., n:]
     errors = []
 
@@ -396,10 +415,86 @@ def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
 
     Row i is run i's (seed, i) substream, drawn on every core
     (_draw_blocks) with the same bits as on one, so the first rows of a
-    draw are a smaller ensemble's draw.
+    draw are a smaller ensemble's draw.  The remembered stream and noise
+    family are forgotten before the draw is allocated.
     """
-    sources = [model.noise(seed, run=i) for i in range(runs)]
-    return _draw_blocks(sources, steps, model.n, model.p)
+    _forget_noise()
+    buf = np.empty((runs, steps, model.n + model.p))
+    return _draw_blocks([model.noise(seed, run=i) for i in range(runs)], buf, model.n)
+
+
+@dataclass
+class _NoiseFamily:
+    """The per-run noise sources of one attack-free ensemble and its first chunks.
+
+    The key is the values of the noise factors, the seed and the run
+    count, so loops that share R1 and R2 share the family.  `sources`
+    stand after the `drawn` chunks drawn from them; `kept` holds the
+    (width, (v, eta)) of the first _FAMILY_CHUNKS of those, read-only.
+    """
+
+    chol_r1: np.ndarray
+    chol_r2: np.ndarray
+    seed: int
+    runs: int
+    sources: list = None
+    drawn: int = 0
+    kept: list = field(default_factory=list)
+
+    def serves(self, model: ClosedLoopModel, runs: int, seed: int) -> bool:
+        return (self.seed == seed and self.runs == runs
+                and np.array_equal(self.chol_r1, model.chol_r1)
+                and np.array_equal(self.chol_r2, model.chol_r2))
+
+    def draw(self, model: ClosedLoopModel, width: int):
+        """The sources' next `width` steps, kept while fewer than _FAMILY_CHUNKS are."""
+        _forget_stream()
+        n = model.n
+        buf = np.empty((self.runs, width, n + model.p))
+        if self.sources is None:
+            self.sources = [model.noise(self.seed, run=i) for i in range(self.runs)]
+        try:
+            noise = _draw_blocks(self.sources, buf, n)
+        except BaseException:
+            _forget_noise()  # the sources stopped part-way through the chunk
+            raise
+        self.drawn += 1
+        if len(self.kept) < _FAMILY_CHUNKS:
+            buf.flags.writeable = False  # its views cannot be made writeable either
+            noise = buf[..., :n], buf[..., n:]
+            self.kept.append((width, noise))
+        return noise
+
+
+def _attack_free_noise(model: ClosedLoopModel, widths, runs: int, seed: int):
+    """The noise (v, eta) of each chunk of `widths` in turn, from the family of (model, seed, runs).
+
+    A chunk the family keeps is handed out as it is, read-only.  Any other
+    is drawn from the family's sources when they stand right after this
+    consumer's earlier chunks.  When they have moved past them (another
+    consumer drew further), or the family was forgotten or serves another
+    key, the family restarts: the old one and the remembered stream are
+    forgotten, and new sources draw this consumer's earlier chunks again
+    before this one.  Run i reads its (seed, i) substream in the same chunk
+    widths on every path, so the bits do not depend on the path.
+    """
+    global _family
+    family = _family if _family is not None and _family.serves(model, runs, seed) else None
+    past = []
+    for index, width in enumerate(widths):
+        current = family is not None and family is _family
+        if current and index < len(family.kept) and family.kept[index][0] == width:
+            noise = family.kept[index][1]
+        elif current and family.drawn == index:
+            noise = family.draw(model, width)
+        else:
+            _forget_noise()
+            family = _family = _NoiseFamily(model.chol_r1, model.chol_r2, seed, runs)
+            for earlier in past:
+                family.draw(model, earlier)
+            noise = family.draw(model, width)
+        past.append(width)
+        yield noise
 
 
 def _simulate(model: ClosedLoopModel, noise, attack=None, state=None):
@@ -447,6 +542,9 @@ def simulate_distance_stream(
     detectors measured on one stream share one simulation.  The next noise
     draw of any simulation (run_ensemble, iter_distance_stream, another
     stream) forgets it.  The returned array is read-only.
+
+    The noise is one chunk of the noise family (_attack_free_noise), so a
+    loop with the same R1 and R2 simulates from the remembered draw.
     """
     global _last_stream
     if steps < 0 or burn_in < 0:
@@ -456,7 +554,8 @@ def simulate_distance_stream(
     key = (steps, runs, seed, burn_in)
     if _last_stream is not None and _last_stream[0] is model and _last_stream[1] == key:
         return _last_stream[2]
-    z = _simulate(model, _draw_noise(model, burn_in + steps, runs, seed))[1]
+    _forget_stream()  # a remembered chunk is no draw: drop the old z before the new one
+    z = _simulate(model, next(_attack_free_noise(model, [burn_in + steps], runs, seed)))[1]
     z.flags.writeable = False  # its views cannot be made writeable either
     _last_stream = (model, key, z[:, burn_in:])
     return _last_stream[2]
@@ -466,6 +565,13 @@ def _forget_stream() -> None:
     """Drop the stream simulate_distance_stream remembers."""
     global _last_stream
     _last_stream = None
+
+
+def _forget_noise() -> None:
+    """Drop the remembered stream and the noise family."""
+    global _family
+    _forget_stream()
+    _family = None
 
 
 def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: int = 0):
@@ -481,12 +587,13 @@ def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: in
     it is computed: a consumer that stops pulling stops the advancing
     (estimate_arl's early exit).  A chunk's noise is drawn on every
     available core (_draw_blocks) with the same bits as on one.
+
+    The chunks come from the noise family (_attack_free_noise), which keeps
+    the first two for the next stream of the same R1, R2, seed and runs.
     """
-    sources = [model.noise(seed, run=i) for i in range(runs)]
     state = None
-    for width in widths:
-        v_all, eta_all = _draw_blocks(sources, width, model.n, model.p)
-        for start in range(0, width, _SUB_BLOCK):
+    for v_all, eta_all in _attack_free_noise(model, widths, runs, seed):
+        for start in range(0, v_all.shape[1], _SUB_BLOCK):
             block = (v_all[:, start:start + _SUB_BLOCK], eta_all[:, start:start + _SUB_BLOCK])
             _, z, state = _simulate(model, block, state=state)
             yield z

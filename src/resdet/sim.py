@@ -235,7 +235,8 @@ def sweep_window_contours(p: int, a_star_list, ell_max: int):
     ell covers 1..min(100, ell_max) densely, then log-spaced integers up to
     ell_max.  beta(ell)/ell is the per-step statistic budget of the
     windowed detector; as ell grows it converges to p, the CUSUM's
-    tightest admissible bias.
+    tightest admissible bias.  An ell_max beyond the largest float raises
+    ValueError.
     """
     if int(ell_max) < 1:
         raise ValueError("window must be >= 1")
@@ -245,10 +246,13 @@ def sweep_window_contours(p: int, a_star_list, ell_max: int):
             raise ValueError(f"false-alarm rate must lie in (0, 1), got {a_star}")
     ells = list(range(1, min(100, int(ell_max)) + 1))
     if ell_max > 100:
-        extra = np.unique(
-            np.round(np.logspace(math.log10(101), math.log10(ell_max), 60)).astype(int)
-        )
-        ells.extend(int(e) for e in extra if e > 100)
+        try:
+            stop = math.log10(float(ell_max))
+        except OverflowError:
+            raise ValueError("ell_max is too large for a float") from None
+        # Python ints: a window past int64 must reach the gamma shape check, not wrap
+        spaced = {round(e) for e in np.logspace(math.log10(101), stop, 60).tolist()}
+        ells.extend(sorted(e for e in spaced if e > 100))
     rows = []
     for a_star in rates:
         for ell in ells:

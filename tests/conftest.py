@@ -24,12 +24,12 @@ settings.load_profile("resdet")
 
 @pytest.fixture(autouse=True)
 def no_remembered_stream():
-    """Start every test with no remembered attack-free stream.
+    """Start every test with no remembered attack-free stream or noise family.
 
     The loop fixtures live for the whole session, so a test could otherwise
-    be handed a stream that an earlier test simulated.
+    be handed a stream that an earlier test simulated, or noise it drew.
     """
-    model_mod._forget_stream()
+    model_mod._forget_noise()
 
 
 @pytest.fixture(scope="session")

@@ -199,6 +199,6 @@ def test_criterion_10_property_suite():
 
     loop = reactor_loop("fixed")
     a = mdl.simulate_distance_stream(loop, steps=500, runs=4, seed=0)
-    mdl._forget_stream()  # simulate again rather than return a
+    mdl._forget_noise()  # simulate and draw again rather than return a
     b = mdl.simulate_distance_stream(loop, steps=500, runs=4, seed=0)
     assert np.array_equal(a, b)

@@ -168,6 +168,52 @@ def test_stream_sub_blocks_join_into_the_whole_chunk_stream(reactor_dare, reacto
         assert np.array_equal(sim.run_ensemble(scenario).z, z[0]), runs
 
 
+@pytest.fixture
+def blocks_calls(monkeypatch):
+    """One entry per NoiseModel.blocks call: its width."""
+    calls = []
+    blocks = model_mod.NoiseModel.blocks
+
+    def recording_blocks(self, steps):
+        calls.append(steps)
+        return blocks(self, steps)
+
+    monkeypatch.setattr(model_mod.NoiseModel, "blocks", recording_blocks)
+    return calls
+
+
+def test_two_arls_of_one_loop_seed_and_runs_draw_once(loops, blocks_calls):
+    for name in ("chi2", "cusum7.5"):
+        result = estimate_arl(loops["dare"], DETECTORS[name](), runs=40, seed=0)
+        arl, half_width, censored = PINNED[("dare", name, "s0c4096")]
+        assert result == ArlResult(arl, 1.0 / arl, half_width, 40, censored, 1_000_000), name
+        # the warm-up and the first 4096-column chunk, drawn by the first estimate only
+        assert blocks_calls == [50] * 40 + [4096] * 40, name
+
+
+def test_an_arl_past_the_kept_chunks_restarts_the_family(reactor_dare, blocks_calls):
+    detector = ChiSqDetector(tune_chi2(3, 0.05))
+    kwargs = dict(runs=40, seed=1, cap=40, chunk=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # cap = 40 censors some runs
+        first = estimate_arl(reactor_dare, detector, **kwargs)
+        family = model_mod._family
+        assert family.drawn > 2 and len(family.kept) == 2
+        drawn = len(blocks_calls)
+        second = estimate_arl(reactor_dare, detector, **kwargs)
+        # the sources had moved past the third chunk: a new family redrew the first three
+        assert model_mod._family is not family and len(blocks_calls) > drawn
+        assert len(model_mod._family.kept) == 2
+        model_mod._forget_noise()
+        fresh = estimate_arl(reactor_dare, detector, **kwargs)
+    assert first == second == fresh
+    for width, noise in model_mod._family.kept:
+        for block in noise:
+            assert block.shape[:2] == (40, width) and not block.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0, 0] = 1.0
+
+
 def test_arl_stops_advancing_once_every_run_has_exceeded(reactor_dare, monkeypatch):
     columns = []
     advance = model_mod.advance

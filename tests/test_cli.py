@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, schemas, exit codes, seeding."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from resdet import detectors as det_mod
 from resdet import sim
 from resdet.cli import load_scenario, main
+from resdet.model import ClosedLoopModel
 from resdet.reactor import scenario_path
 
 ALPHA = 7.814727903251175
@@ -304,12 +306,19 @@ FLOAT_SHAPE = "resdet: chi-squared shape p * window / 2 is too large for a float
      FLOAT_SHAPE),
     (["sweep", "--sensors", str(HUGE), "--far", "0.05", "--ell-max", "3", "--out", "sweep.csv"],
      FLOAT_SHAPE),
-], ids=["tune-window-1e21", "sweep-ell-max-1e9", "tune-window-1e400", "sweep-sensors-1e400"])
+    # log-spaced windows past int64 stay integers and reach the shape check
+    (["sweep", "--sensors", "3", "--far", "0.05", "--ell-max", str(10**20), "--out", "sweep.csv"],
+     "shape a="),
+    (["sweep", "--sensors", "3", "--far", "0.05", "--ell-max", str(HUGE), "--out", "sweep.csv"],
+     "resdet: ell_max is too large for a float\n"),
+], ids=["tune-window-1e21", "sweep-ell-max-1e9", "tune-window-1e400", "sweep-sensors-1e400",
+        "sweep-ell-max-1e20", "sweep-ell-max-1e400"])
 def test_a_gamma_shape_out_of_reach_exits_2(tmp_path, capsys, monkeypatch, command, message):
     monkeypatch.chdir(tmp_path)
     assert main(command) == 2
     out = capsys.readouterr()
     assert out.out == "" and message in out.err
+    assert out.err.startswith("resdet: ") and out.err.count("\n") == 1
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -366,6 +375,34 @@ def test_a_trace_too_long_to_allocate_exits_2(tmp_path, capsys, steps):
     err = capsys.readouterr().err
     assert err.startswith("resdet: ") and err.count("\n") == 1
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--out", "t.csv", "--summary", "u.json"],
+    ["arl", "--runs", str(10**15)],
+    ["tune", "--detector", "cusum", "--far", "0.05", "--mc", str(10**18)],
+], ids=["simulate-mc-runs", "arl-runs", "tune-mc"])
+def test_an_ensemble_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch, command):
+    # 10**15 runs of any draw here is past 2**48 bytes, so the allocation fails at
+    # once; it must fail before one noise source per run is built, and the guard
+    # stops a list of 10**15 sources long before it exhausts the memory
+    noise, built = ClosedLoopModel.noise, []
+
+    def guarded_noise(self, *args, **kwargs):
+        built.append(args)
+        if len(built) > 10:
+            raise AssertionError("noise sources were built before the draw was allocated")
+        return noise(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClosedLoopModel, "noise", guarded_noise)
+    monkeypatch.chdir(tmp_path)
+    doc = bundled_doc()
+    doc["sim"]["mc_runs"] = 10**15
+    write_scenario(tmp_path, doc, "s.json")
+    assert main(command + ["--scenario", "s.json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("resdet: ") and out.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
 
 def boom(*args, **kwargs):
@@ -498,6 +535,11 @@ def test_negative_seeds_exit_2(tmp_path, monkeypatch, capsys, bundled_scenario):
 
 # ---------------------------------------------------------------------- sweep
 
+# `sweep --sensors 3 --far 0.05 --ell-max 1000000`, recorded while the log-spaced
+# windows were numpy int64
+SWEEP_MILLION_SHA256 = "a4165d99f7cf0b21ae4be374cfcae80b29ad55b5c440baedf8c8bc1439c47235"
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--sensors", "1", "--far", "0.05,0.8",
@@ -513,6 +555,12 @@ def test_sweep_csv(tmp_path):
     assert ells[-1] == 120
     row08 = next(line.split(",") for line in lines[1:] if line.startswith("0.8,1,"))
     assert float(row08[2]) == pytest.approx(0.0642, abs=1e-4)
+
+
+def test_sweep_to_a_million_is_golden(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--sensors", "3", "--far", "0.05", "--ell-max", "1000000", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_MILLION_SHA256
 
 
 def test_sweep_validation(tmp_path, capsys):

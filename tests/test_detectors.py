@@ -201,7 +201,7 @@ def test_tune_cusum_deterministic_and_calibrated(reactor_dare):
     tau1, info = tune_cusum_tau(
         reactor_dare, b=3.0, a_star=0.05, mc=200_000, seed=3, full_output=True
     )
-    det.model_mod._forget_stream()  # simulate again rather than reuse tau1's stream
+    det.model_mod._forget_noise()  # simulate and draw again rather than reuse tau1's stream
     tau2 = tune_cusum_tau(reactor_dare, b=3.0, a_star=0.05, mc=200_000, seed=3)
     assert tau1 == tau2
     assert abs(info["rate"] - 0.05) <= 0.05 * 0.05

@@ -273,7 +273,7 @@ def test_stream_and_arl_do_not_depend_on_the_core_count(reactor_dare, monkeypatc
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
         for count in (1, 2, 3, 8):
             report_cpus(monkeypatch, count)
-            model_mod._forget_stream()  # simulate on `count` cores rather than return a remembered z
+            model_mod._forget_noise()  # draw on `count` cores rather than return a remembered z
             z = model_mod.simulate_distance_stream(reactor_dare, steps=200, runs=9, seed=4, burn_in=50)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # cap = 40 censors some runs

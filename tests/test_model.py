@@ -240,7 +240,7 @@ def test_distance_measure_chi_squared_ks(reactor_fixed):
 
 def test_stream_determinism(reactor_fixed):
     z1 = simulate_distance_stream(reactor_fixed, steps=200, runs=7, seed=9)
-    mdl._forget_stream()  # simulate again rather than return z1
+    mdl._forget_noise()  # simulate and draw again rather than return z1
     z2 = simulate_distance_stream(reactor_fixed, steps=200, runs=7, seed=9)
     assert np.array_equal(z1, z2)
     z3 = simulate_distance_stream(reactor_fixed, steps=200, runs=7, seed=10)
@@ -274,18 +274,37 @@ def test_a_repeated_stream_is_not_simulated_again(reactor_fixed, draws):
     assert np.array_equal(again, z)
 
 
+@pytest.fixture
+def simulations(monkeypatch):
+    """One entry per model._simulate call: the loop it simulated."""
+    calls = []
+    simulate = mdl._simulate
+
+    def recording_simulate(model, *args, **kwargs):
+        calls.append(model)
+        return simulate(model, *args, **kwargs)
+
+    monkeypatch.setattr(mdl, "_simulate", recording_simulate)
+    return calls
+
+
 @pytest.mark.parametrize("change", ["model", {"steps": 21}, {"runs": 2}, {"seed": 2}, {"burn_in": 4}],
                          ids=["model", "steps", "runs", "seed", "burn_in"])
-def test_another_model_geometry_or_seed_is_simulated(reactor_fixed, draws, change):
+def test_another_model_geometry_or_seed_is_simulated(reactor_fixed, draws, simulations, change):
     simulate_distance_stream(reactor_fixed, **STREAM)
     if change == "model":  # an equal loop, built again
         model, args = rx.reactor_loop(estimator="fixed"), STREAM
     else:
         model, args = reactor_fixed, {**STREAM, **change}
     draws.clear()
+    simulations.clear()
     simulate_distance_stream(model, **args)
-    assert len(draws) == args["runs"]
-    assert not any(draws)  # the old stream was forgotten before the draw
+    assert simulations == [model]
+    if change == "model":
+        assert draws == []  # the equal loop's noise is the remembered family's
+    else:
+        assert len(draws) == args["runs"]
+        assert not any(draws)  # the old stream was forgotten before the draw
 
 
 @pytest.mark.parametrize("between", ["run_ensemble", "estimate_arl", "stream"])
@@ -323,6 +342,57 @@ def test_bad_arguments_raise_with_a_stream_remembered(reactor_fixed, draws, bad,
     with pytest.raises(ValueError, match=message):
         simulate_distance_stream(reactor_fixed, **{**STREAM, **bad})
     assert draws == []
+
+
+# ------------------------------------------------------------- noise family
+
+def _reactor_scaled(reactor_matrices, r1=1.0, r2=1.0):
+    """The tabulated fixed-gain loop with R1 and R2 scaled: other noise, same gains."""
+    m = reactor_matrices
+    plant = PlantModel(m["f"], m["g"], m["c"], r1 * m["r1"], r2 * m["r2"])
+    return build_closed_loop(plant, m["k_fb"], l_gain=m["l_gain"])
+
+
+def test_loops_that_share_r1_and_r2_share_one_draw(reactor_dare, reactor_fixed, draws):
+    # the two benchmark loops differ only in their estimator gain
+    dare = simulate_distance_stream(reactor_dare, **STREAM)
+    fixed = simulate_distance_stream(reactor_fixed, **STREAM)
+    assert len(draws) == STREAM["runs"]
+    assert not np.array_equal(dare, fixed)
+    for loop, z in ((reactor_dare, dare), (reactor_fixed, fixed)):
+        mdl._forget_noise()  # draw this loop's noise on its own
+        assert np.array_equal(simulate_distance_stream(loop, **STREAM), z)
+    assert len(draws) == 3 * STREAM["runs"]
+
+
+@pytest.mark.parametrize("other", ["seed", "R1", "R2", "run_ensemble"])
+def test_another_draw_forgets_the_family_first(reactor_fixed, reactor_matrices, monkeypatch, other):
+    simulate_distance_stream(reactor_fixed, **STREAM)
+    family = mdl._family
+    assert family is not None
+    seen = []  # the family remembered during each NoiseModel.blocks call
+    blocks = mdl.NoiseModel.blocks
+
+    def recording_blocks(self, steps):
+        seen.append(mdl._family)
+        return blocks(self, steps)
+
+    monkeypatch.setattr(mdl.NoiseModel, "blocks", recording_blocks)
+    if other == "run_ensemble":  # the family's own seed and run count
+        scenario = sim.Scenario(reactor_fixed, ChiSqDetector(7.8), steps=10, burn_in=2,
+                                seed=STREAM["seed"], mc_runs=STREAM["runs"])
+        sim.run_ensemble(scenario)
+        assert seen and all(remembered is None for remembered in seen)
+    else:
+        loop, args = reactor_fixed, STREAM
+        if other == "seed":
+            args = {**STREAM, "seed": 2}
+        else:
+            loop = _reactor_scaled(reactor_matrices, **{other.lower(): 2.0})
+        simulate_distance_stream(loop, **args)
+        assert len(seen) == STREAM["runs"]
+        assert all(remembered is not family for remembered in seen)
+    assert mdl._family is not family
 
 
 def test_noise_blocks_are_per_run_substreams(reactor_fixed):
