@@ -70,6 +70,12 @@ _KINDS = ("chi2", "windowed-static", "windowed-greedy", "windowed-pulse", "cusum
 # The largest magnitude whose square, the per-step energy, is finite.
 _MAX_MAGNITUDE = math.sqrt(sys.float_info.max)
 
+# (model, plan) of the last check_plan call that passed.  The objects
+# themselves are the key, so their addresses cannot be reused while the
+# entry lives; a Scenario copied with dataclasses.replace keeps both and is
+# not checked again.
+_last_checked = None
+
 
 @dataclass(frozen=True)
 class AttackPlan:
@@ -300,8 +306,12 @@ def check_plan(model: ClosedLoopModel, plan: AttackPlan) -> None:
     and the predicted deviation must be finite.  The pulsed windowed
     schedule has no constant-forcing bound, so its pulse is held on every
     step instead, whose deviation is ell times the period mean of the
-    pulse's steady one.
+    pulse's steady one.  The last pair that passed is remembered, and
+    passes again without a solve.
     """
+    global _last_checked
+    if _last_checked is not None and _last_checked[0] is model and _last_checked[1] is plan:
+        return
     held, what = plan, "predicted deviation"
     if plan.kind == "windowed-pulse":
         pulse = math.sqrt(attack_energy(plan, plan.k_star))
@@ -314,6 +324,7 @@ def check_plan(model: ClosedLoopModel, plan: AttackPlan) -> None:
             raise ValueError(f"the {what} is not finite (gamma = {gamma})")
     except ValueError as exc:
         raise ValueError(f"invalid attack: {exc}") from exc
+    _last_checked = (model, plan)
 
 
 def attack_energy(plan: AttackPlan, k: int, z_past=None) -> Union[float, np.ndarray]:

@@ -283,13 +283,18 @@ def _cmd_tune(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    trace = sim_mod.run(scenario)
+    ensemble = None
+    if args.summary is not None and scenario.attacked:
+        # the summary measures the ensemble, and the trace is its run 0
+        ensemble = sim_mod.run_ensemble(scenario)
+        trace = ensemble.first_run()
+    else:
+        trace = sim_mod.run(scenario)
     texts = {args.out: _trace_csv(trace)}
     if args.summary is not None:
         predicted = None
         relative_error = None
-        if scenario.attacked:
-            ensemble = sim_mod.run_ensemble(scenario)
+        if ensemble is not None:
             try:
                 measured, predicted, relative_error = sim_mod.measure_steady_deviation(ensemble)
             except ValueError:

@@ -523,8 +523,13 @@ def estimate_arl(
     if chunk < 1 or warm_up < 0:
         raise ValueError("chunk must be >= 1 and warm_up >= 0")
     widths = itertools.chain([warm_up], (min(chunk, cap - offset) for offset in range(0, cap, chunk)))
-    lengths = np.full(runs, cap, dtype=np.int64)
-    done = np.zeros(runs, dtype=bool)
+    try:
+        lengths = np.full(runs, cap, dtype=np.int64)
+        done = np.zeros(runs, dtype=bool)
+    except (MemoryError, ValueError):  # ValueError: past what numpy can address
+        raise ValueError(
+            f"an ARL estimate of runs = {runs} capped at {cap} steps is too large to allocate"
+        ) from None
     carry = None
     start = -warm_up  # the post-warm-up step that begins the next sub-block
     for z in model_mod.iter_distance_stream(model, widths, runs=runs, seed=seed):

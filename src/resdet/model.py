@@ -21,12 +21,16 @@ residual covariance), the one reader of a scenario document's matrices
 noise draw (`_draw_noise`, or a chunk of an attack-free noise family) from
 the origin or from where an earlier call stopped: attacked ensembles,
 attack-free streams, and the sub-blocks of `iter_distance_stream`, the
-attack-free stream the ARL estimate can stop early.  An ensemble's noise is drawn on every available core
-(`_draw_blocks`), one slice of runs per thread, into one buffer that
-holds v and eta side by side; each run owns its (seed, run) substream, so
-no value depends on the core count, and simulations of the same runs can
-share one draw.  A draw's buffer is allocated before its per-run sources
-are built, so an ensemble too large for memory fails at once.
+attack-free stream the ARL estimate can stop early.  The loop records the
+across-run sum of the state and run 0's own state at each step, so an
+ensemble's row 0 is a trace (sim.EnsembleResult.first_run) that needs no
+one-run simulation of its own.  An ensemble's noise is drawn on every
+available core (`_draw_blocks`), one slice of runs per thread, into one
+buffer that holds v and eta side by side; each run owns its (seed, run)
+substream, so no value depends on the core count, and simulations of the
+same runs can share one draw.  A draw's buffer is allocated before its per-run sources
+are built, so an ensemble too large for memory fails at once, with a
+ValueError that names its runs and steps.
 
 Two things are remembered, each read-only:
 - `simulate_distance_stream` remembers its last stream, so detectors
@@ -419,8 +423,18 @@ def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
     family are forgotten before the draw is allocated.
     """
     _forget_noise()
-    buf = np.empty((runs, steps, model.n + model.p))
+    buf = _noise_buffer(model, runs, steps)
     return _draw_blocks([model.noise(seed, run=i) for i in range(runs)], buf, model.n)
+
+
+def _noise_buffer(model: ClosedLoopModel, runs: int, steps: int) -> np.ndarray:
+    """An empty (runs, steps, n + p) noise buffer, else ValueError naming the runs and steps."""
+    try:
+        return np.empty((runs, steps, model.n + model.p))
+    except (MemoryError, ValueError):  # ValueError: past what numpy can address
+        raise ValueError(
+            f"the noise of runs x steps = {runs} x {steps} is too large to allocate"
+        ) from None
 
 
 @dataclass
@@ -450,7 +464,7 @@ class _NoiseFamily:
         """The sources' next `width` steps, kept while fewer than _FAMILY_CHUNKS are."""
         _forget_stream()
         n = model.n
-        buf = np.empty((self.runs, width, n + model.p))
+        buf = _noise_buffer(model, self.runs, width)
         if self.sources is None:
             self.sources = [model.noise(self.seed, run=i) for i in range(self.runs)]
         try:
@@ -504,22 +518,26 @@ def _simulate(model: ClosedLoopModel, noise, attack=None, state=None):
     (_draw_noise).  `attack(k, e, eta, z_past)`, when given, returns step
     k's sensor bias (or None) from the error e = x - xhat, the sensor noise
     and the (runs, k - 1) z history.  `state` is the (x, xhat) pair of
-    (n, runs) matrices a previous call returned.  Returns (sum_x, z, state):
-    the across-run sum of each step's state, (steps, n), the distance
-    measures, (runs, steps), and the final (x, xhat), which a later call
-    continues from.
+    (n, runs) matrices a previous call returned.  Returns (sum_x, first, z,
+    state): the across-run sum of each step's state, (steps, n), run 0's
+    state at each step, (1, steps, n) ((0, steps, n) without runs), the
+    distance measures, (runs, steps), and the final (x, xhat), which a
+    later call continues from.  `first` and row 0 of z are run 0's trace,
+    so an ensemble's trace needs no one-run simulation of its own.
     """
     v_all, eta_all = noise
     runs, steps, n = v_all.shape
     x, xhat = (np.zeros((n, runs)), np.zeros((n, runs))) if state is None else state
     sum_x = np.empty((steps, n))
+    first = np.empty((min(runs, 1), steps, n))
     z = np.empty((runs, steps))
     for t in range(steps):
         eta = eta_all[:, t, :].T
         delta = None if attack is None else attack(t + 1, x - xhat, eta, z[:, :t])
         sum_x[t] = x.sum(axis=1)
+        first[:, t] = x[:, :1].T
         x, xhat, _, z[:, t] = advance(model, x, xhat, v_all[:, t, :].T, eta, delta)
-    return sum_x, z, (x, xhat)
+    return sum_x, first, z, (x, xhat)
 
 
 def simulate_distance_stream(
@@ -555,7 +573,7 @@ def simulate_distance_stream(
     if _last_stream is not None and _last_stream[0] is model and _last_stream[1] == key:
         return _last_stream[2]
     _forget_stream()  # a remembered chunk is no draw: drop the old z before the new one
-    z = _simulate(model, next(_attack_free_noise(model, [burn_in + steps], runs, seed)))[1]
+    z = _simulate(model, next(_attack_free_noise(model, [burn_in + steps], runs, seed)))[2]
     z.flags.writeable = False  # its views cannot be made writeable either
     _last_stream = (model, key, z[:, burn_in:])
     return _last_stream[2]
@@ -595,5 +613,5 @@ def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: in
     for v_all, eta_all in _attack_free_noise(model, widths, runs, seed):
         for start in range(0, v_all.shape[1], _SUB_BLOCK):
             block = (v_all[:, start:start + _SUB_BLOCK], eta_all[:, start:start + _SUB_BLOCK])
-            _, z, state = _simulate(model, block, state=state)
+            _, _, z, state = _simulate(model, block, state=state)
             yield z

@@ -13,12 +13,14 @@ the full benchmark study:
 * synthesize a naive all-ones attack for comparison,
 * simulate 200-run ensembles and compare measured steady deviations with
   the closed-form predictions,
-* replay one run of each attack as a per-step trace (a one-run
-  ensemble, see sim.run).
+* keep run 0 of each attack's ensemble as its per-step trace
+  (EnsembleResult.first_run).
 
 The study draws its noise once: every ensemble runs the same (seed, i)
-substreams, and every trace run 0's.  The all-ones injection does not
-depend on the detector, so it is simulated once and re-scanned by each.
+substreams.  The all-ones injection does not depend on the detector, so
+it is simulated once and re-scanned by each.  A trace is row 0 of its
+ensemble, not a one-run simulation of its own, so it can differ in its
+last bits from `resdet simulate` of the same scenario (see sim.run).
 
 Two estimator gains are available.  ``estimator="fixed"`` uses the gain
 tabulated with the benchmark (the configuration the deviation study is
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -90,17 +91,17 @@ def run_benchmark(seed: int = 0) -> dict:
     """Run the full benchmark study.
 
     Returns {"report": dict, "traces": {name: EnsembleResult}} where the
-    eight traces are one-run results (run index 0 of each ensemble's
-    noise, see sim.run) of the four detector configs under the worst-case
-    and the all-ones attack.  The loop (with the tabulated gain), the
-    ensemble size, the step count and the burn-in are the bundled
-    scenario's; its sim.seed is not, the study runs on `seed`.
+    eight traces are one-run results, run 0 of each ensemble
+    (EnsembleResult.first_run), of the four detector configs under the
+    worst-case and the all-ones attack.  The loop (with the tabulated
+    gain), the ensemble size, the step count and the burn-in are the
+    bundled scenario's; its sim.seed is not, the study runs on `seed`.
 
-    The noise is drawn once, and the traces take its first run.  The
-    all-ones plan fixes psi = magnitude * direction on every attacked step
-    whatever its detector (attacks.attack_energy), so it is simulated for
-    the first detector only, and the others re-scan its mean state and z:
-    5 ensembles and 5 traces make the 8 results of each.
+    The noise is drawn once.  The all-ones plan fixes
+    psi = magnitude * direction on every attacked step whatever its
+    detector (attacks.attack_energy), so it is simulated for the first
+    detector only, and the others re-scan its states and z: 5 ensembles
+    make the 8 ensembles and the 8 traces.
     """
     doc = _bundled_document()
     model = closed_loop_from_document(doc)
@@ -144,8 +145,7 @@ def run_benchmark(seed: int = 0) -> dict:
     }
 
     noise = model_mod._draw_noise(model, steps, runs, seed)
-    trace_noise = tuple(block[:1] for block in noise)
-    ones = None  # ((mean_x, z) of the ensemble, of the trace) of the all-ones bias
+    ones = None  # (mean_x, z, x_first) of the all-ones bias's ensemble
     traces: dict = {}
     for name in _DETECTOR_ORDER:
         det = dets[name]
@@ -165,15 +165,12 @@ def run_benchmark(seed: int = 0) -> dict:
                 seed=seed,
                 mc_runs=runs,
             )
-            trace_scen = replace(scen, mc_runs=1)
             if label == "ones" and ones is not None:
-                ens = sim_mod.EnsembleResult.scanned(scen, *ones[0])
-                trace = sim_mod.EnsembleResult.scanned(trace_scen, *ones[1])
+                ens = sim_mod.EnsembleResult.scanned(scen, *ones)
             else:
                 ens = sim_mod.run_ensemble(scen, noise)
-                trace = sim_mod.run_ensemble(trace_scen, trace_noise)
                 if label == "ones":
-                    ones = ((ens.mean_x, ens.z), (trace.mean_x, trace.z))
+                    ones = (ens.mean_x, ens.z, ens.x_first)
             dev, predicted, rel = sim_mod.measure_steady_deviation(ens)
             key = f"{name}_{label}"
             report["measured"][key] = dev
@@ -185,7 +182,7 @@ def run_benchmark(seed: int = 0) -> dict:
                 # identical for every config: the all-ones attack never
                 # saturates, so its forcing does not depend on the detector
                 report["gamma"]["ones"] = predicted
-            traces[key] = trace
+            traces[key] = ens.first_run()
             del ens  # released before the next simulation starts
 
     measured = report["measured"]

@@ -10,9 +10,15 @@ the distance measures through the detector's scan
 (EnsembleResult.scanned, which also re-scans a trajectory for another
 detector).  The attack comes from
 the plan alone: each attacked step hands it the z history, and the plan's
-schedule (attacks.attack_energy) reads what it needs from that.  `run`
-is the one-run ensemble; a one-run result is the trace of a single
-realization (row 0 of z, stat and alarm; mean_x is its state).
+schedule (attacks.attack_energy) reads what it needs from that.  A
+one-run result is the trace of a single realization (row 0 of z, stat and
+alarm; mean_x is its state).  A trace comes from one of two places: row 0
+of an ensemble already simulated (EnsembleResult.first_run, from run 0's
+state the loop records at each step), which the reactor study and
+`simulate --summary` of an attacked scenario use, or `run`, the one-run
+ensemble, which plain `simulate` uses.  Both read the (seed, 0) noise
+substream, but the wider state block of an ensemble rounds differently,
+so the two can differ in their last bits.
 
 Measurement helpers compare the ensemble-mean state against the predicted
 steady-state deviation, and tabulate the windowed-threshold per-step
@@ -98,8 +104,9 @@ class Scenario:
 class EnsembleResult:
     """Vectorized Monte-Carlo ensemble output.
 
-    mean_x[i] is the across-run mean state at step i + 1; z, stat, alarm
-    are (runs, steps) arrays replayed through the detector semantics.
+    mean_x[i] is the across-run mean state at step i + 1 and x_first[i]
+    run 0's state there (None when the trajectory recorded none); z, stat,
+    alarm are (runs, steps) arrays replayed through the detector semantics.
     """
 
     scenario: Scenario
@@ -107,6 +114,7 @@ class EnsembleResult:
     z: np.ndarray
     stat: np.ndarray
     alarm: np.ndarray
+    x_first: Optional[np.ndarray] = None
 
     @property
     def runs(self) -> int:
@@ -133,10 +141,22 @@ class EnsembleResult:
         }
 
     @classmethod
-    def scanned(cls, scenario: Scenario, mean_x: np.ndarray, z: np.ndarray) -> "EnsembleResult":
+    def scanned(cls, scenario: Scenario, mean_x: np.ndarray, z: np.ndarray,
+                x_first: Optional[np.ndarray] = None) -> "EnsembleResult":
         """The scenario's result on a simulated trajectory: z replayed through its detector's scan."""
         stat, alarm, _ = scenario.detector.scan(z)
-        return cls(scenario=scenario, mean_x=mean_x, z=z, stat=stat, alarm=alarm)
+        return cls(scenario=scenario, mean_x=mean_x, z=z, stat=stat, alarm=alarm, x_first=x_first)
+
+    def first_run(self) -> "EnsembleResult":
+        """Run 0 as the scenario's one-run result: the trace of one realization.
+
+        Its mean_x is x_first and its z, stat and alarm are copies of row 0,
+        so the trace does not keep the ensemble's arrays alive.
+        """
+        if self.x_first is None:
+            raise ValueError("the result recorded no state of run 0")
+        rows = (self.z[:1].copy(), self.stat[:1].copy(), self.alarm[:1].copy())
+        return EnsembleResult(replace(self.scenario, mc_runs=1), self.x_first, *rows, self.x_first)
 
 
 def run_ensemble(scenario: Scenario, noise=None) -> EnsembleResult:
@@ -149,7 +169,8 @@ def run_ensemble(scenario: Scenario, noise=None) -> EnsembleResult:
     (mc_runs, steps, p), such as the [:1] rows of a larger draw for a
     one-run scenario.  Detector statistics and alarms come from the
     detector's scan of the z matrix.  Each attacked step passes the z
-    matrix so far to synthesize_attack.
+    matrix so far to synthesize_attack.  The result records run 0's state
+    at each step (x_first), so its first_run is the trace of run 0.
 
     Raises:
         ValueError: if `noise` has other shapes.
@@ -162,10 +183,10 @@ def run_ensemble(scenario: Scenario, noise=None) -> EnsembleResult:
         return None
 
     # the draw is an argument only, so it is freed before the scan
-    sum_x, z, _ = model_mod._simulate(
+    sum_x, first, z, _ = model_mod._simulate(
         model, _ensemble_noise(scenario, noise), attack if scenario.attacked else None
     )
-    return EnsembleResult.scanned(scenario, sum_x / scenario.mc_runs, z)
+    return EnsembleResult.scanned(scenario, sum_x / scenario.mc_runs, z, first[0])
 
 
 def _ensemble_noise(scenario: Scenario, noise):
@@ -181,12 +202,12 @@ def _ensemble_noise(scenario: Scenario, noise):
 
 
 def run(scenario: Scenario) -> EnsembleResult:
-    """Simulate one run: the scenario's one-run ensemble.
+    """Simulate one run alone: the scenario's one-run ensemble.
 
     Deterministic given the scenario seed; the run consumes the (seed, 0)
-    noise substream.  Member 0 of a larger ensemble draws the same noise,
-    but its last bits may differ, because the matrix products of a wider
-    state block differently.
+    noise substream.  An ensemble already simulated holds the same run as
+    its row 0 (EnsembleResult.first_run), which needs no simulation of
+    its own.
     """
     return run_ensemble(replace(scenario, mc_runs=1))
 

@@ -377,15 +377,20 @@ def test_a_trace_too_long_to_allocate_exits_2(tmp_path, capsys, steps):
     assert not (tmp_path / "t.csv").exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["simulate", "--out", "t.csv", "--summary", "u.json"],
-    ["arl", "--runs", str(10**15)],
-    ["tune", "--detector", "cusum", "--far", "0.05", "--mc", str(10**18)],
+@pytest.mark.parametrize("command, message", [
+    (["simulate", "--out", "t.csv", "--summary", "u.json"],
+     "the noise of runs x steps = 1000000000000000 x 1000 is too large to allocate"),
+    (["arl", "--runs", str(10**15)],
+     "an ARL estimate of runs = 1000000000000000 capped at 1000000 steps is too large to allocate"),
+    # tune_cusum_tau draws 10**18 / 1000 runs of a 50-step burn-in and 1000 steps
+    (["tune", "--detector", "cusum", "--far", "0.05", "--mc", str(10**18)],
+     "the noise of runs x steps = 1000000000000000 x 1050 is too large to allocate"),
 ], ids=["simulate-mc-runs", "arl-runs", "tune-mc"])
-def test_an_ensemble_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch, command):
+def test_an_ensemble_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch, command, message):
     # 10**15 runs of any draw here is past 2**48 bytes, so the allocation fails at
-    # once; it must fail before one noise source per run is built, and the guard
-    # stops a list of 10**15 sources long before it exhausts the memory
+    # once, with one line that names the runs and steps asked for; it must fail
+    # before one noise source per run is built, and the guard stops a list of
+    # 10**15 sources long before it exhausts the memory
     noise, built = ClosedLoopModel.noise, []
 
     def guarded_noise(self, *args, **kwargs):
@@ -401,7 +406,7 @@ def test_an_ensemble_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch
     write_scenario(tmp_path, doc, "s.json")
     assert main(command + ["--scenario", "s.json"]) == 2
     out = capsys.readouterr()
-    assert out.out == "" and out.err.startswith("resdet: ") and out.err.count("\n") == 1
+    assert out.out == "" and out.err == f"resdet: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
 

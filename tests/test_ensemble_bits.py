@@ -1,16 +1,22 @@
 """Bit-identity pins for the ensemble path, and the noise draw's core count.
 
 `run_ensemble` and `iter_distance_stream` draw an ensemble's noise on every
-available core, one slice of runs per thread.  The `reactor`, greedy
-`simulate` and `tune` outputs pinned here were recorded when every run was
-drawn in turn on one thread, the other `simulate` outputs while `sim.run`
-still copied its one-run ensemble into a separate trace type.  The
-core-count tests make `os.sched_getaffinity` report 1, 2, 3 and 8 CPUs and
+available core, one slice of runs per thread.  The `reactor` reports, the
+plain greedy `simulate` trace and the `tune` output pinned here were
+recorded when every run was drawn in turn on one thread, the other plain
+`simulate` traces and the summaries while `sim.run` still copied its
+one-run ensemble into a separate trace type.  The core-count tests make `os.sched_getaffinity` report 1, 2, 3 and 8 CPUs and
 require the same bits under each.
 
-The reactor study draws its noise once and simulates its all-ones attack
-once; `resdet reactor --seed 0` and `--seed 1` are pinned to outputs
-recorded while it drew and simulated them for every ensemble and trace.
+The reactor study draws its noise once, simulates its all-ones attack
+once and takes each trace from row 0 of its ensemble.  The `report.json`
+of `resdet reactor --seed 0` and `--seed 1` were recorded while it drew
+and simulated every ensemble and trace apart; the trace CSVs were
+re-recorded when the traces became row 0 of the ensembles, whose wider
+state block rounds differently from a one-run simulation.  So were the
+`simulate --summary` traces of attacked scenarios; plain `simulate` is
+pinned to the CSVs recorded before, when both paths ran the one-run
+ensemble.
 """
 
 import hashlib
@@ -42,33 +48,37 @@ from resdet.reactor import run_benchmark, scenario_path
 # `resdet reactor --seed 0`
 REACTOR_SHA256 = {
     "report.json": "bf281d3aeb6200cf3c80929cb4e4665e65a5aeae9a292da56e43dc9148350d85",
-    "trace_chi2_ones.csv": "9695bb3859d945a375053e6869fbc38add40e783311fce8671cd7b9ea5a264a6",
-    "trace_chi2_worst.csv": "c26fd29937288c2a2b0465989c67798ee61d14c8bc450a486240f3d1461c0ab4",
-    "trace_cusum_ones.csv": "a7801ded6258cbe8e73ce25cf1f840fb87219da1d4e08dbf3462a79cb5f9db3e",
-    "trace_cusum_worst.csv": "0827ca236311f9cb9a24eb76911829412a77e69f032dce84c7b010489e04f468",
-    "trace_windowed_ell4_ones.csv": "691f80e21b3a141d7d348e0d8a2271926de19f30d6d73a244b6aa91ff48efb82",
-    "trace_windowed_ell4_worst.csv": "bf56946e486561578acbf5aae1742ded8f04b7fc2c0ab092861e7527f0a0b1ed",
-    "trace_windowed_ell50_ones.csv": "7578188c177215cc9f3fde1d622b0d2a09b20350bc69680b62ae1537ff8c63b5",
-    "trace_windowed_ell50_worst.csv": "fb3feddc13f04d41f0433ce883aace93d55269d18312bf473e5e5c0fc6b0459b",
+    "trace_chi2_ones.csv": "4520d10cd37bd26a6f186d0f2b7d41c3a8a587e52521c80184783f645b72849b",
+    "trace_chi2_worst.csv": "02040666181582cb5a96e7f38b43c746c358e465cdb837fd831eab7f8ccc8ba4",
+    "trace_cusum_ones.csv": "2115efd292ada2068f8e3964e48d25033ac7c6041da93e7cdbc8fc9047146f4a",
+    "trace_cusum_worst.csv": "d50050a1dadbc71aa17bcd0521d3d8808ee06081a9211524adc7918ba2e49455",
+    "trace_windowed_ell4_ones.csv": "fe7f3c3f2fe3de45b298bc851031b2d7e8c89d6df18ffafd9d8613f44fe2a740",
+    "trace_windowed_ell4_worst.csv": "a6ad6ddb347145f95b6cde6de2a36a0550fa104261424a834f7523f8f80b74de",
+    "trace_windowed_ell50_ones.csv": "8bd15a135235e6d56d0da2478f8a83104d73f2bca933ed6c2368203e25d6f374",
+    "trace_windowed_ell50_worst.csv": "3348477f206649ba50a7e92f4430fda4d600295d315a81eef3145676788c8e52",
 }
-# `resdet reactor --seed 1`, recorded while every ensemble and trace drew its
-# own noise and each all-ones attack was simulated for its own detector
+# `resdet reactor --seed 1`; report.json recorded while every ensemble and
+# trace drew its own noise and each all-ones attack was simulated for its own
+# detector
 REACTOR_SEED1_SHA256 = {
     "report.json": "edfa77e8f2828e2f37b5636e4fa774946e6a0b3c7aa507a1fdff0a5a18856f65",
-    "trace_chi2_ones.csv": "7f60017ebc2a0e82791f1cfc89d2cbdf75d8b55d3a1478cadff57dd45f07db12",
-    "trace_chi2_worst.csv": "f2bd1d78891ba39e204c8c20da43af422ef0b9e52d2b561f4c1b08a6defd195d",
-    "trace_cusum_ones.csv": "258fe131ce5aa6f2c05e9e651288aa19fccfce91a36b5ebe45775be011ed3ac8",
-    "trace_cusum_worst.csv": "ca8f6cc063c7140be5e31a544d79d4b0143848e4cf9f08796e06829fbf06b8de",
-    "trace_windowed_ell4_ones.csv": "b39231de59c6884bb0ed032efc0f378bd06cb8ae8fc19a14441ed7601853a04c",
-    "trace_windowed_ell4_worst.csv": "d203c1bb33572f8185e459b7d5a77b99f138ad7fde84ada411a6d7342a368ed0",
-    "trace_windowed_ell50_ones.csv": "d11c2d3b65039e3a4834610cced68c04d33bb091c27e261eb2fa2c22684c8e4d",
-    "trace_windowed_ell50_worst.csv": "4d57b8574bef4f7632e86fc4afa110dd66b62c274b50207fcb560669ce020e42",
+    "trace_chi2_ones.csv": "874bbbb24096af1b7249aa6a3b6cf733ef7431a645330b279929fdb34926e8cd",
+    "trace_chi2_worst.csv": "ea345ad40fd21cdecffa6b59745cf0219be8790ea125f30347c5008a1f6918b6",
+    "trace_cusum_ones.csv": "5a1c455bd491b87fc0484a5ddd77bbd56c172ddf352fffd35cd75b3f7b1746ba",
+    "trace_cusum_worst.csv": "ac9dd51744d39c94d678d63e9d19ff8cbdedec96de540f49878c10ad4961d973",
+    "trace_windowed_ell4_ones.csv": "88a3aa657d63458c9f7370577e7fc4a12a23984b30748a44801a0ccb5b47cedb",
+    "trace_windowed_ell4_worst.csv": "5cfb55e0a81eb5ac112f67caf3c9e92a4d3daf32af7a6c54226b03aa06c8c641",
+    "trace_windowed_ell50_ones.csv": "e708f648df98270bf3f8dcb6243fd2b1211f1bc403734230aa832dba1c714927",
+    "trace_windowed_ell50_worst.csv": "fbff5113df49ffbaa0f562d41f289791fe050d677da9d10128d64fb4a8786099",
 }
 # `resdet simulate --summary` of the bundled scenario (chi2), of it with a 5%
 # windowed ell = 50 detector and the greedy attack at seed 0 (greedy), and
 # with a CUSUM tau = 0.86 detector and the all-ones attack (cusum-ones); and
 # of a scalar loop attack-free (attack-free) and under the windowed ell = 4
-# pulse (pulse).  The trace CSV is the same with and without --summary.
+# pulse (pulse).  With --summary an attacked scenario's trace is row 0 of the
+# summary's ensemble, so its CSV can differ in the last digits from plain
+# `simulate`, which runs the one-run ensemble (SIMULATE_TRACE_SHA256); at
+# n = 1 (pulse) the two agree bit for bit.
 SCALAR = {
     "plant": {"F": [[0.5]], "G": [[1.0]], "C": [[1.0]], "R1": [[0.435]], "R2": [[0.5]]},
     "controller": {"K": [[-0.25]]},
@@ -98,7 +108,7 @@ SIMULATE_SCENARIOS = {
 # name: (sha256 of the trace CSV, summary JSON)
 SIMULATE_GOLDEN = {
     "chi2": (
-        "c26fd29937288c2a2b0465989c67798ee61d14c8bc450a486240f3d1461c0ab4",
+        "02040666181582cb5a96e7f38b43c746c358e465cdb837fd831eab7f8ccc8ba4",
         """{
   "alarms": 1,
   "measured_deviation": 892709.6388479302,
@@ -108,7 +118,7 @@ SIMULATE_GOLDEN = {
 """,
     ),
     "greedy": (
-        "d1a69428e1f1946ece790832f7cfebcfb16b798d86a65111a81e46f829a733e5",
+        "f60042c63ca2e88c65ad32574b7085f12d8957e11d5e7a5345f327495c2b5eec",
         """{
   "alarms": 0,
   "measured_deviation": 531325.7033180845,
@@ -118,7 +128,7 @@ SIMULATE_GOLDEN = {
 """,
     ),
     "cusum-ones": (
-        "a7801ded6258cbe8e73ce25cf1f840fb87219da1d4e08dbf3462a79cb5f9db3e",
+        "2115efd292ada2068f8e3964e48d25033ac7c6041da93e7cdbc8fc9047146f4a",
         """{
   "alarms": 12,
   "measured_deviation": 337556.6551562221,
@@ -147,6 +157,14 @@ SIMULATE_GOLDEN = {
 }
 """,
     ),
+}
+# sha256 of the trace CSV of plain `resdet simulate` (no --summary)
+SIMULATE_TRACE_SHA256 = {
+    "chi2": "c26fd29937288c2a2b0465989c67798ee61d14c8bc450a486240f3d1461c0ab4",
+    "greedy": "d1a69428e1f1946ece790832f7cfebcfb16b798d86a65111a81e46f829a733e5",
+    "cusum-ones": "a7801ded6258cbe8e73ce25cf1f840fb87219da1d4e08dbf3462a79cb5f9db3e",
+    "attack-free": "f693073cb12708b3f531e3595ff7a74a15a4f4fd1e5bb33352b5aa9b40b4bb10",
+    "pulse": "94f7016ccdd4b4116f6d97f88ec12cd449952c204b25df0cbf60467b41074fa3",
 }
 # `resdet tune --detector cusum --far 0.05 --scenario <bundled>`
 TUNE_CUSUM = (
@@ -192,15 +210,45 @@ def test_reactor_outputs_are_golden_without_assertions(tmp_path, child_env):
     assert {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()} == REACTOR_SHA256
 
 
-@pytest.mark.parametrize("name", sorted(SIMULATE_SCENARIOS))
-def test_simulate_is_golden(tmp_path, name):
+def write_simulate_scenario(tmp_path, name) -> str:
     base, overrides = SIMULATE_SCENARIOS[name]
     doc = dict(base or json.loads(scenario_path().read_text(encoding="utf-8")), **overrides)
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_SCENARIOS))
+def test_simulate_is_golden(tmp_path, name):
+    path = write_simulate_scenario(tmp_path, name)
     csv, summary = tmp_path / "trace.csv", tmp_path / "summary.json"
-    assert main(["simulate", "--scenario", str(path), "--out", str(csv), "--summary", str(summary)]) == 0
+    assert main(["simulate", "--scenario", path, "--out", str(csv), "--summary", str(summary)]) == 0
     assert (sha256(csv.read_bytes()), summary.read_text(encoding="utf-8")) == SIMULATE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_SCENARIOS))
+def test_plain_simulate_is_golden(tmp_path, name):
+    csv = tmp_path / "trace.csv"
+    assert main(["simulate", "--scenario", write_simulate_scenario(tmp_path, name), "--out", str(csv)]) == 0
+    assert sha256(csv.read_bytes()) == SIMULATE_TRACE_SHA256[name]
+
+
+def read_trace(path):
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return rows[:, :4], rows[:, 4:]  # (k, norm_x, z, stat), (alarm, attack_active)
+
+
+@pytest.mark.parametrize("name", ["chi2", "cusum-ones", "greedy", "pulse"])
+def test_a_summary_trace_is_the_plain_trace_to_rounding(tmp_path, name):
+    # row 0 of the ensemble and the one-run ensemble read the same noise
+    path = write_simulate_scenario(tmp_path, name)
+    plain, summed = tmp_path / "plain.csv", tmp_path / "summed.csv"
+    assert main(["simulate", "--scenario", path, "--out", str(plain)]) == 0
+    assert main(["simulate", "--scenario", path, "--out", str(summed),
+                 "--summary", str(tmp_path / "summary.json")]) == 0
+    (plain_values, plain_flags), (summed_values, summed_flags) = read_trace(plain), read_trace(summed)
+    assert np.allclose(summed_values, plain_values, rtol=1e-9, atol=0.0)
+    assert np.array_equal(summed_flags, plain_flags)
 
 
 def test_tune_cusum_stdout_is_golden(capsys, monkeypatch):
@@ -214,8 +262,9 @@ def test_tune_cusum_stdout_is_golden(capsys, monkeypatch):
 
 
 def test_the_study_simulates_each_distinct_trajectory_once(monkeypatch):
-    # one 200-run draw; an ensemble and a trace for each worst-case attack,
-    # and one of each for the all-ones attack, which no detector changes
+    # one 200-run draw; an ensemble for each worst-case attack and one for
+    # the all-ones attack, which no detector changes; each trace is row 0
+    # of its ensemble
     draws, simulated = [], []
     draw_blocks, run_ensemble = model_mod._draw_blocks, sim.run_ensemble
 
@@ -231,10 +280,13 @@ def test_the_study_simulates_each_distinct_trajectory_once(monkeypatch):
     monkeypatch.setattr(sim, "run_ensemble", recording_run)
     result = run_benchmark(seed=0)
     assert draws == [200]
-    worst = [(kind, True, runs) for kind in ("chi2", "windowed", "windowed", "cusum") for runs in (200, 1)]
-    assert simulated == worst[:2] + [("chi2", False, 200), ("chi2", False, 1)] + worst[2:]
+    worst = [(kind, True, 200) for kind in ("chi2", "windowed", "windowed", "cusum")]
+    assert simulated == worst[:1] + [("chi2", False, 200)] + worst[1:]
     assert len(result["traces"]) == 8
-    assert len({id(trace.z) for key, trace in result["traces"].items() if key.endswith("_ones")}) == 1
+    assert {trace.runs for trace in result["traces"].values()} == {1}
+    ones = [trace for key, trace in result["traces"].items() if key.endswith("_ones")]
+    assert len({id(trace.mean_x) for trace in ones}) == 1
+    assert all(np.array_equal(trace.z, ones[0].z) for trace in ones)
 
 
 def test_the_study_takes_its_geometry_from_the_bundled_scenario(tmp_path, monkeypatch):

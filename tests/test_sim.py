@@ -10,7 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from resdet import attacks as attacks_mod
 from resdet import model as mdl
 from resdet import sim
 from resdet.attacks import plan_attack
@@ -211,6 +213,75 @@ def test_run_is_the_one_run_ensemble(reactor_fixed, name, options):
     assert np.array_equal(trace.z, ens.z)
     assert np.array_equal(trace.stat, ens.stat)
     assert np.array_equal(trace.alarm, ens.alarm)
+
+
+SCHEDULE_DETECTORS = {
+    "chi2": ("chi2", lambda: ChiSqDetector(tune_chi2(3, 0.05))),
+    "windowed-static": ("windowed", lambda: WindowedChiSqDetector(tune_windowed(3, 10, 0.05), 10)),
+    "windowed-greedy": ("windowed", lambda: WindowedChiSqDetector(tune_windowed(3, 10, 0.05), 10)),
+    "windowed-pulse": ("windowed", lambda: WindowedChiSqDetector(tune_windowed(3, 10, 0.05), 10)),
+    "cusum": ("cusum", lambda: CusumDetector(0.86, 3.0)),
+    "cusum-exact": ("cusum", lambda: CusumDetector(0.86, 3.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEDULE_DETECTORS))
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2**16), runs=st.integers(1, 7), direction=st.sampled_from(["worst", "ones"]))
+def test_a_trace_is_row_0_of_its_ensemble(reactor_fixed, kind, seed, runs, direction):
+    det = SCHEDULE_DETECTORS[kind][1]()
+    plan = plan_attack(reactor_fixed, det, k_star=31, kind=kind, direction=direction)
+    sc = sim.Scenario(model=reactor_fixed, detector=det, plan=plan, steps=150, burn_in=30, seed=seed,
+                      mc_runs=runs)
+    ens = sim.run_ensemble(sc)
+    trace = ens.first_run()
+    assert trace.scenario == replace(sc, mc_runs=1) and trace.runs == 1
+    for name in ("z", "stat", "alarm"):
+        assert np.array_equal(getattr(trace, name), getattr(ens, name)[:1]), name
+    assert np.array_equal(trace.mean_x, ens.x_first)
+    # run 0's recorded state is the state of the one-run ensemble, up to the
+    # rounding of a wider state block
+    assert np.allclose(trace.mean_x, sim.run(sc).mean_x, rtol=1e-9, atol=1e-9)
+
+
+def test_a_trace_does_not_keep_its_ensemble_alive(reactor_fixed):
+    ens = sim.run_ensemble(chi2_scenario(reactor_fixed, steps=120, burn_in=20, mc_runs=5))
+    trace = ens.first_run()
+    for name in ("z", "stat", "alarm"):
+        assert not np.shares_memory(getattr(trace, name), getattr(ens, name)), name
+    assert trace.first_run().mean_x is trace.mean_x
+    with pytest.raises(ValueError, match="recorded no state of run 0"):
+        sim.EnsembleResult.scanned(ens.scenario, ens.mean_x, ens.z).first_run()
+
+
+def test_a_copied_scenario_checks_its_plan_once(reactor_fixed, scalar_loop, monkeypatch):
+    calls = []
+    compute_m = attacks_mod.compute_M
+
+    def counting_compute_m(model):
+        calls.append(model)
+        return compute_m(model)
+
+    monkeypatch.setattr(attacks_mod, "compute_M", counting_compute_m)
+    sc = chi2_scenario(reactor_fixed, steps=120, burn_in=20, mc_runs=5)
+    calls.clear()
+    replace(sc, mc_runs=1)
+    sim.run(sc)
+    sim.run_ensemble(sc).first_run()
+    assert calls == []
+
+    # another plan, or another model object, is checked again
+    huge = plan_attack(reactor_fixed, sc.detector, k_star=21, magnitude=1e150)
+    with pytest.raises(ValueError, match="^" + re.escape(NONFINITE_DEVIATION)):
+        replace(sc, plan=huge)
+    det = ChiSqDetector(3.84)
+    stable = sim.Scenario(model=scalar_loop, detector=det,
+                          plan=plan_attack(scalar_loop, det, k_star=51, direction=[1.0]))
+    unstable = mdl.closed_loop_from_document(attack_document("unstable", det, {"kind": "chi2"}))
+    calls.clear()
+    with pytest.raises(ValueError, match="^" + re.escape(UNSTABLE_F)):
+        replace(stable, model=unstable)
+    assert calls == [unstable]
 
 
 def test_a_shared_draw_gives_the_same_bits(reactor_fixed):
