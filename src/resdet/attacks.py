@@ -26,7 +26,10 @@ windowed-pulse, cusum, cusum-exact) is defined here once (`attack_energy`);
 it reads its thresholds through the plan's detector, and the dynamic ones
 derive the detector state they read from the z history.  `check_plan` is
 the one test of whether a plan can be simulated: its steady deviation, or
-that of its pulse held on every step, must exist and be finite.
+that of its pulse held on every step, must exist and be finite.  The bias
+delta is formed in one place, `synthesize_attacks`, for the lanes of a
+lockstep simulation side by side, each lane's psi from its own plan;
+`synthesize_attack` is its one-lane call.
 
 Exact saturation is a knife edge in floating point (the computed statistic
 lands a few ulps either side of the threshold), so synthesized schedules
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -59,6 +63,7 @@ __all__ = [
     "attack_energy",
     "check_plan",
     "synthesize_attack",
+    "synthesize_attacks",
 ]
 
 DEFAULT_SATURATION_MARGIN = 5e-11
@@ -70,11 +75,13 @@ _KINDS = ("chi2", "windowed-static", "windowed-greedy", "windowed-pulse", "cusum
 # The largest magnitude whose square, the per-step energy, is finite.
 _MAX_MAGNITUDE = math.sqrt(sys.float_info.max)
 
-# (model, plan) of the last check_plan call that passed.  The objects
-# themselves are the key, so their addresses cannot be reused while the
-# entry lives; a Scenario copied with dataclasses.replace keeps both and is
-# not checked again.
-_last_checked = None
+# (model, plan) of the last _CHECKED_PAIRS check_plan calls that passed,
+# enough for the reactor study's eight scenarios, built before their traces
+# are copied from them.  The objects themselves are the key, so their
+# addresses cannot be reused while an entry lives; a Scenario copied with
+# dataclasses.replace keeps both and is not checked again.
+_CHECKED_PAIRS = 8
+_checked = deque(maxlen=_CHECKED_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -306,11 +313,10 @@ def check_plan(model: ClosedLoopModel, plan: AttackPlan) -> None:
     and the predicted deviation must be finite.  The pulsed windowed
     schedule has no constant-forcing bound, so its pulse is held on every
     step instead, whose deviation is ell times the period mean of the
-    pulse's steady one.  The last pair that passed is remembered, and
-    passes again without a solve.
+    pulse's steady one.  The last _CHECKED_PAIRS pairs that passed are
+    remembered, and pass again without a solve.
     """
-    global _last_checked
-    if _last_checked is not None and _last_checked[0] is model and _last_checked[1] is plan:
+    if any(known[0] is model and known[1] is plan for known in _checked):
         return
     held, what = plan, "predicted deviation"
     if plan.kind == "windowed-pulse":
@@ -324,7 +330,7 @@ def check_plan(model: ClosedLoopModel, plan: AttackPlan) -> None:
             raise ValueError(f"the {what} is not finite (gamma = {gamma})")
     except ValueError as exc:
         raise ValueError(f"invalid attack: {exc}") from exc
-    _last_checked = (model, plan)
+    _checked.append((model, plan))
 
 
 def attack_energy(plan: AttackPlan, k: int, z_past=None) -> Union[float, np.ndarray]:
@@ -415,8 +421,27 @@ def synthesize_attack(
     are (n,) and (p,) vectors for one run or (n, runs) and (p, runs)
     matrices for an ensemble; `z_past` is the matching (k-1,) or
     (runs, k-1) z history, which the dynamic schedules read (see
-    attack_energy).
+    attack_energy).  The one-lane case of synthesize_attacks.
     """
-    energy = attack_energy(plan, k, z_past)
-    psi = np.multiply.outer(plan.direction, np.sqrt(energy) * np.ones(np.shape(e)[1:]))
-    return -(model.plant.c @ e) - eta + model.sigma_sqrt @ psi
+    return synthesize_attacks((plan,), model, k, e, eta, z_past)
+
+
+def synthesize_attacks(plans, model: ClosedLoopModel, k: int, e: np.ndarray, eta: np.ndarray,
+                       z_past=None) -> np.ndarray:
+    """The sensor biases delta_k of lanes side by side, one plan per lane.
+
+    `e` and `eta` are (n, lanes * runs) and (p, lanes * runs) matrices
+    whose columns l * runs .. (l + 1) * runs - 1 are lane l's runs, and
+    `z_past` is their (lanes * runs, k-1) z history; with one lane they
+    may be one run's vectors, as in synthesize_attack.  Each lane's psi_k
+    comes from its plan's schedule and its own rows of `z_past`; delta is
+    then formed once for every column.
+    """
+    lanes, cols = len(plans), np.shape(e)[1:]
+    runs = cols[0] // lanes if cols else 1
+    root = np.empty((lanes, runs))  # sqrt(psi'psi) of each lane's runs
+    for l, plan in enumerate(plans):
+        rows = z_past if lanes == 1 or z_past is None else z_past[l * runs:(l + 1) * runs]
+        root[l] = np.sqrt(attack_energy(plan, k, rows))
+    psi = np.stack([plan.direction for plan in plans], axis=1)[:, :, None] * root
+    return -(model.plant.c @ e) - eta + model.sigma_sqrt @ psi.reshape(psi.shape[:1] + cols)

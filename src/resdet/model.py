@@ -19,18 +19,21 @@ residual covariance), the one reader of a scenario document's matrices
 (`closed_loop_from_document`), the single dynamics implementation
 `advance`, and its one Monte-Carlo loop, `_simulate`, which advances a
 noise draw (`_draw_noise`, or a chunk of an attack-free noise family) from
-the origin or from where an earlier call stopped: attacked ensembles,
-attack-free streams, and the sub-blocks of `iter_distance_stream`, the
-attack-free stream the ARL estimate can stop early.  The loop records the
-across-run sum of the state and run 0's own state at each step, so an
-ensemble's row 0 is a trace (sim.EnsembleResult.first_run) that needs no
-one-run simulation of its own.  An ensemble's noise is drawn on every
-available core (`_draw_blocks`), one slice of runs per thread, into one
-buffer that holds v and eta side by side; each run owns its (seed, run)
-substream, so no value depends on the core count, and simulations of the
-same runs can share one draw.  A draw's buffer is allocated before its per-run sources
-are built, so an ensemble too large for memory fails at once, with a
-ValueError that names its runs and steps.
+the origin or from where an earlier call stopped: ensembles, attack-free
+streams, and the sub-blocks of `iter_distance_stream`, the attack-free
+stream the ARL estimate can stop early.  The loop can advance several
+lanes on one draw (sim.run_ensembles): the state block holds each lane's
+runs side by side, each step is one `advance` call for all of them, and
+`advance`'s error-recursion check holds each lane to its own bound.  The
+loop records each lane's across-run sum of the state and its run 0's own
+state at each step, so an ensemble's row 0 is a trace
+(sim.EnsembleResult.first_run) that needs no one-run simulation of its
+own.  An ensemble's noise is drawn on every available core
+(`_draw_blocks`), one slice of runs per thread, into one buffer that
+holds v and eta side by side; each run owns its (seed, run) substream,
+so no value depends on the core count.  A draw's buffer is allocated
+before its per-run sources are built, so an ensemble too large for
+memory fails at once, with a ValueError that names its runs and steps.
 
 Two things are remembered, each read-only:
 - `simulate_distance_stream` remembers its last stream, so detectors
@@ -43,8 +46,8 @@ Two things are remembered, each read-only:
   loops), and a second ARL estimate of the same loop, seed and runs, read
   those chunks without drawing them again.
 Every draw forgets the stream before it allocates.  A draw of another
-family, and an ensemble's `_draw_noise` (attacked ensembles and the
-reactor study), forget the family too.
+family, and an ensemble's `_draw_noise` (sim.run_ensembles), forget the
+family too.
 """
 
 from __future__ import annotations
@@ -383,11 +386,14 @@ def distance_measure(model: ClosedLoopModel, r: np.ndarray):
     return float(z) if np.ndim(z) == 0 else z
 
 
-def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None):
+def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None, lanes: int = 1):
     """One step of the closed loop with explicit noise (and optional attack).
 
     Works on single-run vectors (n,) or run-stacked matrices (n, runs);
     the noises and delta are stacked the same way, (p,) or (p, runs).
+    `lanes` > 1 reads the columns as that many lanes of equal width side
+    by side (sim.run_ensembles), and the error-recursion check holds each
+    lane to the bound a separate simulation of it would compute.
 
     Returns:
         (x_next, xhat_next, r, z).
@@ -408,10 +414,19 @@ def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None):
         e_form = model.f_est @ (x - xhat) - model.l_gain @ eta + v
         if delta is not None:
             e_form = e_form - model.l_gain @ delta
-        scale = 1.0 + float(np.abs(x_next).max(initial=0.0)) + float(np.abs(xhat_next).max(initial=0.0))
-        assert float(np.abs(e_direct - e_form).max(initial=0.0)) <= 1e-10 * scale
+        if lanes == 1:
+            scale = 1.0 + float(np.abs(x_next).max(initial=0.0)) + float(np.abs(xhat_next).max(initial=0.0))
+            assert float(np.abs(e_direct - e_form).max(initial=0.0)) <= 1e-10 * scale
+        else:
+            scale = 1.0 + _lane_max(x_next, lanes) + _lane_max(xhat_next, lanes)
+            assert np.all(_lane_max(e_direct - e_form, lanes) <= 1e-10 * scale)
 
     return x_next, xhat_next, r, distance_measure(model, r)
+
+
+def _lane_max(a: np.ndarray, lanes: int) -> np.ndarray:
+    """max |a| over each lane's block of an (n, lanes * runs) matrix: (lanes,)."""
+    return np.abs(a).reshape(a.shape[0], lanes, -1).max(axis=(0, 2), initial=0.0)
 
 
 def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
@@ -511,32 +526,39 @@ def _attack_free_noise(model: ClosedLoopModel, widths, runs: int, seed: int):
         yield noise
 
 
-def _simulate(model: ClosedLoopModel, noise, attack=None, state=None):
-    """Advance one trajectory per run of `noise` in lockstep, from `state` or the origin.
+def _simulate(model: ClosedLoopModel, noise, attack=None, state=None, lanes: int = 1):
+    """Advance one trajectory per run of `noise` and lane in lockstep, from `state` or the origin.
 
     `noise` is a drawn (v, eta) pair, (runs, steps, n) and (runs, steps, p)
-    (_draw_noise).  `attack(k, e, eta, z_past)`, when given, returns step
-    k's sensor bias (or None) from the error e = x - xhat, the sensor noise
-    and the (runs, k - 1) z history.  `state` is the (x, xhat) pair of
-    (n, runs) matrices a previous call returned.  Returns (sum_x, first, z,
-    state): the across-run sum of each step's state, (steps, n), run 0's
-    state at each step, (1, steps, n) ((0, steps, n) without runs), the
-    distance measures, (runs, steps), and the final (x, xhat), which a
-    later call continues from.  `first` and row 0 of z are run 0's trace,
-    so an ensemble's trace needs no one-run simulation of its own.
+    (_draw_noise), which every lane reads: the state is one (n, lanes *
+    runs) block whose columns l * runs .. (l + 1) * runs - 1 are lane l's
+    runs, so each step is one advance call for every lane.
+    `attack(k, e, eta, z_past)`, when given, returns step k's sensor bias
+    (or None) for the whole block from the error e = x - xhat, the sensor
+    noise and the (lanes * runs, k - 1) z history.  `state` is the (x,
+    xhat) pair of (n, lanes * runs) matrices a previous call returned.
+    Returns (sum_x, first, z, state): each lane's across-run sum of each
+    step's state, (lanes, steps, n), each lane's run 0 state at each step,
+    (lanes, steps, n) ((0, steps, n) without runs), the distance measures,
+    (lanes * runs, steps), and the final (x, xhat), which a later call
+    continues from.  `first` and row l * runs of z are lane l's run 0
+    trace, so an ensemble's trace needs no one-run simulation of its own.
     """
     v_all, eta_all = noise
     runs, steps, n = v_all.shape
-    x, xhat = (np.zeros((n, runs)), np.zeros((n, runs))) if state is None else state
-    sum_x = np.empty((steps, n))
-    first = np.empty((min(runs, 1), steps, n))
-    z = np.empty((runs, steps))
+    cols = lanes * runs
+    x, xhat = (np.zeros((n, cols)), np.zeros((n, cols))) if state is None else state
+    sum_x = np.empty((lanes, steps, n))
+    first = np.empty((lanes if runs else 0, steps, n))
+    z = np.empty((cols, steps))
     for t in range(steps):
-        eta = eta_all[:, t, :].T
+        v, eta = v_all[:, t, :].T, eta_all[:, t, :].T
+        if lanes > 1:
+            v, eta = np.tile(v, lanes), np.tile(eta, lanes)
         delta = None if attack is None else attack(t + 1, x - xhat, eta, z[:, :t])
-        sum_x[t] = x.sum(axis=1)
-        first[:, t] = x[:, :1].T
-        x, xhat, _, z[:, t] = advance(model, x, xhat, v_all[:, t, :].T, eta, delta)
+        sum_x[:, t] = x.reshape(n, lanes, runs).sum(axis=2).T
+        first[:, t] = x[:, ::max(runs, 1)].T
+        x, xhat, _, z[:, t] = advance(model, x, xhat, v, eta, delta, lanes)
     return sum_x, first, z, (x, xhat)
 
 

@@ -16,11 +16,13 @@ the full benchmark study:
 * keep run 0 of each attack's ensemble as its per-step trace
   (EnsembleResult.first_run).
 
-The study draws its noise once: every ensemble runs the same (seed, i)
-substreams.  The all-ones injection does not depend on the detector, so
-it is simulated once and re-scanned by each.  A trace is row 0 of its
-ensemble, not a one-run simulation of its own, so it can differ in its
-last bits from `resdet simulate` of the same scenario (see sim.run).
+The study simulates its ensembles as the five lanes of one lockstep loop
+(sim.run_ensembles): one noise draw, the same (seed, i) substreams in
+every lane, one `advance` call per step.  The all-ones injection does not
+depend on the detector, so it is one lane, re-scanned by each detector.
+A trace is row 0 of its ensemble, not a one-run simulation of its own, so
+it can differ in its last bits from `resdet simulate` of the same
+scenario (see sim.run).
 
 Two estimator gains are available.  ``estimator="fixed"`` uses the gain
 tabulated with the benchmark (the configuration the deviation study is
@@ -39,7 +41,6 @@ import numpy as np
 
 from . import attacks as attacks_mod
 from . import detectors as det_mod
-from . import model as model_mod
 from . import sim as sim_mod
 # build_closed_loop is not called here: bench/test_bench.py checks the tracer rebinds it here
 from .model import build_closed_loop, closed_loop_from_document  # noqa: F401
@@ -97,11 +98,16 @@ def run_benchmark(seed: int = 0) -> dict:
     gain), the ensemble size, the step count and the burn-in are the
     bundled scenario's; its sim.seed is not, the study runs on `seed`.
 
-    The noise is drawn once.  The all-ones plan fixes
+    The ensembles are the lanes of one run_ensembles call, on one noise
+    draw: the worst-case attack on each detector config and the all-ones
+    attack, in the order chi2 worst, all-ones, windowed ell = 4 worst,
+    ell = 50 worst, CUSUM worst.  The all-ones plan fixes
     psi = magnitude * direction on every attacked step whatever its
-    detector (attacks.attack_energy), so it is simulated for the first
-    detector only, and the others re-scan its states and z: 5 ensembles
-    make the 8 ensembles and the 8 traces.
+    detector (attacks.attack_energy), so its lane is simulated against the
+    first detector only, and the others re-scan its states and z: 5 lanes
+    make the 8 ensembles and the 8 traces.  Each lane is scanned and
+    measured before the next, so one lane's stat and alarm are held at a
+    time.
     """
     doc = _bundled_document()
     model = closed_loop_from_document(doc)
@@ -144,9 +150,7 @@ def run_benchmark(seed: int = 0) -> dict:
         ],
     }
 
-    noise = model_mod._draw_noise(model, steps, runs, seed)
-    ones = None  # (mean_x, z, x_first) of the all-ones bias's ensemble
-    traces: dict = {}
+    scenarios = {}
     for name in _DETECTOR_ORDER:
         det = dets[name]
         for label, direction, magnitude in (
@@ -156,34 +160,35 @@ def run_benchmark(seed: int = 0) -> dict:
             plan = attacks_mod.plan_attack(
                 model, det, k_star=k_star, direction=direction, magnitude=magnitude
             )
-            scen = sim_mod.Scenario(
-                model=model,
-                detector=det,
-                plan=plan,
-                steps=steps,
-                burn_in=burn_in,
-                seed=seed,
+            scenarios[f"{name}_{label}"] = sim_mod.Scenario(
+                model=model, detector=det, plan=plan, steps=steps, burn_in=burn_in, seed=seed,
                 mc_runs=runs,
             )
-            if label == "ones" and ones is not None:
-                ens = sim_mod.EnsembleResult.scanned(scen, *ones)
-            else:
-                ens = sim_mod.run_ensemble(scen, noise)
-                if label == "ones":
-                    ones = (ens.mean_x, ens.z, ens.x_first)
-            dev, predicted, rel = sim_mod.measure_steady_deviation(ens)
-            key = f"{name}_{label}"
-            report["measured"][key] = dev
-            report["relative_error"][key] = rel
-            report["alarms"][key] = ens.phase_counts()
-            if label == "worst":
-                report["gamma"][name] = predicted
-            elif name == "chi2":
-                # identical for every config: the all-ones attack never
-                # saturates, so its forcing does not depend on the detector
-                report["gamma"]["ones"] = predicted
-            traces[key] = ens.first_run()
-            del ens  # released before the next simulation starts
+    simulated = sim_mod.run_ensembles(
+        scen for key, scen in scenarios.items() if key.endswith("_worst") or key == "chi2_ones"
+    )
+    ones = None  # (mean_x, z, x_first) of the all-ones bias's lane
+    traces: dict = {}
+    for key, scen in scenarios.items():
+        name, label = key.rsplit("_", 1)
+        if label == "ones" and ones is not None:
+            ens = sim_mod.EnsembleResult.scanned(scen, *ones)
+        else:
+            ens = next(simulated)
+            if label == "ones":
+                ones = (ens.mean_x, ens.z, ens.x_first)
+        dev, predicted, rel = sim_mod.measure_steady_deviation(ens)
+        report["measured"][key] = dev
+        report["relative_error"][key] = rel
+        report["alarms"][key] = ens.phase_counts()
+        if label == "worst":
+            report["gamma"][name] = predicted
+        elif name == "chi2":
+            # identical for every config: the all-ones attack never
+            # saturates, so its forcing does not depend on the detector
+            report["gamma"]["ones"] = predicted
+        traces[key] = ens.first_run()
+        del ens  # its stat and alarm are released before the next lane is scanned
 
     measured = report["measured"]
     report["damage_ratio_worst_over_ones"] = measured["chi2_worst"] / measured["chi2_ones"]

@@ -2,19 +2,21 @@
 
 A Scenario bundles a validated closed-loop model, a tuned detector, an
 optional attack plan, and the run geometry (steps, burn-in before the
-attack, seed, ensemble size).  `run_ensemble` hands the scenario and its
-noise draw (drawn there, or drawn once beforehand and shared) to the
-model's one fixed-length simulation loop (model._simulate), which advances
-all Monte-Carlo runs in lockstep as (n, runs) matrix states, and replays
-the distance measures through the detector's scan
+attack, seed, ensemble size).  `run_ensembles` simulates scenarios that
+share a model object, geometry and seed as lanes of the model's one
+fixed-length simulation loop (model._simulate): it draws their noise once
+and advances all Monte-Carlo runs of every lane in lockstep as one
+(n, lanes * runs) matrix state, then replays each lane's distance
+measures through its detector's scan when the lane is consumed
 (EnsembleResult.scanned, which also re-scans a trajectory for another
-detector).  The attack comes from
-the plan alone: each attacked step hands it the z history, and the plan's
-schedule (attacks.attack_energy) reads what it needs from that.  A
-one-run result is the trace of a single realization (row 0 of z, stat and
-alarm; mean_x is its state).  A trace comes from one of two places: row 0
-of an ensemble already simulated (EnsembleResult.first_run, from run 0's
-state the loop records at each step), which the reactor study and
+detector).  `run_ensemble` is its one-lane case.  The attack comes from
+the plans alone: each attacked step hands them the z history, each plan's
+schedule (attacks.attack_energy) reads what it needs from its lane's rows,
+and the bias of every lane is formed at once (attacks.synthesize_attacks).
+A one-run result is the trace of a single realization (row 0 of z, stat
+and alarm; mean_x is its state).  A trace comes from one of two places:
+row 0 of an ensemble already simulated (EnsembleResult.first_run, from run
+0's state the loop records at each step), which the reactor study and
 `simulate --summary` of an attacked scenario use, or `run`, the one-run
 ensemble, which plain `simulate` uses.  Both read the (seed, 0) noise
 substream, but the wider state block of an ensemble rounds differently,
@@ -45,6 +47,7 @@ __all__ = [
     "EnsembleResult",
     "run",
     "run_ensemble",
+    "run_ensembles",
     "measure_steady_deviation",
     "steady_deviation_estimate",
     "sweep_window_contours",
@@ -159,46 +162,77 @@ class EnsembleResult:
         return EnsembleResult(replace(self.scenario, mc_runs=1), self.x_first, *rows, self.x_first)
 
 
-def run_ensemble(scenario: Scenario, noise=None) -> EnsembleResult:
-    """Simulate the Monte-Carlo ensemble in lockstep (model._simulate).
+def run_ensemble(scenario: Scenario) -> EnsembleResult:
+    """Simulate the Monte-Carlo ensemble in lockstep: the one-lane run_ensembles.
 
     Run i consumes the (seed, i) substream, so results are bitwise
     reproducible and independent of scheduling and of the core count.
-    `noise`, when given, is that draw made beforehand (model._draw_noise)
-    and shared: a (v, eta) pair of shapes (mc_runs, steps, n) and
-    (mc_runs, steps, p), such as the [:1] rows of a larger draw for a
-    one-run scenario.  Detector statistics and alarms come from the
-    detector's scan of the z matrix.  Each attacked step passes the z
-    matrix so far to synthesize_attack.  The result records run 0's state
-    at each step (x_first), so its first_run is the trace of run 0.
+    Detector statistics and alarms come from the detector's scan of the z
+    matrix.  Each attacked step passes the z matrix so far to the plan's
+    schedule.  The result records run 0's state at each step (x_first),
+    so its first_run is the trace of run 0.
+    """
+    (result,) = run_ensembles([scenario])
+    return result
+
+
+def run_ensembles(scenarios):
+    """Simulate ensembles as lanes of one lockstep loop; an iterator of one EnsembleResult per lane.
+
+    The lanes share the model object, steps, burn_in, seed and mc_runs,
+    so they read one noise draw (model._draw_noise): the state is one
+    (n, lanes * mc_runs) block (model._simulate) and each step is one
+    advance call and one synthesize_attacks call for every lane, each
+    lane's psi coming from its own plan.  The draw is an argument of the
+    loop only, so it is freed before the first scan, and each lane is
+    scanned when it is consumed: a consumer that drops each result before
+    taking the next holds one lane's stat and alarm at a time.
+
+    Each result equals the lane's own run_ensemble to rounding.  A column
+    of a matrix product rounds the same whatever the width only where the
+    BLAS makes it so: with OpenBLAS at n = 4 and p = 3 every product of at
+    least 2 columns does, so the reactor's lanes of 2 or more runs equal
+    separate ensembles bit for bit.  A one-run lane (whose own ensemble
+    multiplies single columns) or a loop with n >= 10 may differ in the
+    last bits.
 
     Raises:
-        ValueError: if `noise` has other shapes.
+        ValueError: for no scenario, for lanes that differ in one of those
+            fields (naming it), and for attacked lanes mixed with
+            attack-free ones.
     """
-    model, plan = scenario.model, scenario.plan
+    lanes = tuple(scenarios)
+    if not lanes:
+        raise ValueError("run_ensembles needs at least one scenario")
+    head = lanes[0]
+    if any(lane.model is not head.model for lane in lanes):
+        raise ValueError("the lanes must share one model")
+    for name in ("steps", "burn_in", "seed", "mc_runs"):
+        if any(getattr(lane, name) != getattr(head, name) for lane in lanes):
+            raise ValueError(f"the lanes must share one {name}")
+    if any(lane.attacked != head.attacked for lane in lanes):
+        raise ValueError("the lanes must be all attacked or all attack-free")
+    return _simulated_lanes(lanes)
+
+
+def _simulated_lanes(lanes):
+    """run_ensembles' results, each scanned when it is taken."""
+    head = lanes[0]
+    model, runs = head.model, head.mc_runs
+    plans = tuple(lane.plan for lane in lanes)
 
     def attack(k, e, eta, z_past):
-        if k >= plan.k_star:
-            return attacks_mod.synthesize_attack(plan, model, k, e, eta, z_past)
+        if k >= head.k_star:
+            return attacks_mod.synthesize_attacks(plans, model, k, e, eta, z_past)
         return None
 
-    # the draw is an argument only, so it is freed before the scan
+    # the draw is an argument only, so it is freed before the first scan
     sum_x, first, z, _ = model_mod._simulate(
-        model, _ensemble_noise(scenario, noise), attack if scenario.attacked else None
+        model, model_mod._draw_noise(model, head.steps, runs, head.seed),
+        attack if head.attacked else None, lanes=len(lanes),
     )
-    return EnsembleResult.scanned(scenario, sum_x / scenario.mc_runs, z, first[0])
-
-
-def _ensemble_noise(scenario: Scenario, noise):
-    """The scenario's noise: `noise` once its shapes are checked, else drawn here."""
-    model, runs, steps = scenario.model, scenario.mc_runs, scenario.steps
-    if noise is None:
-        return model_mod._draw_noise(model, steps, runs, scenario.seed)
-    want = ((runs, steps, model.n), (runs, steps, model.p))
-    got = tuple(np.shape(block) for block in noise)
-    if got != want:
-        raise ValueError(f"noise must be (v, eta) of shapes {want}, got {got}")
-    return noise
+    for l, lane in enumerate(lanes):
+        yield EnsembleResult.scanned(lane, sum_x[l] / runs, z[l * runs:(l + 1) * runs], first[l])
 
 
 def run(scenario: Scenario) -> EnsembleResult:

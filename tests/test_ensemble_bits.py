@@ -262,30 +262,43 @@ def test_tune_cusum_stdout_is_golden(capsys, monkeypatch):
 
 
 def test_the_study_simulates_each_distinct_trajectory_once(monkeypatch):
-    # one 200-run draw; an ensemble for each worst-case attack and one for
-    # the all-ones attack, which no detector changes; each trace is row 0
-    # of its ensemble
-    draws, simulated = [], []
-    draw_blocks, run_ensemble = model_mod._draw_blocks, sim.run_ensemble
+    # one 200-run draw; one simulation whose lanes are the worst-case attacks
+    # and the all-ones attack, which no detector changes; each trace is row 0
+    # of its lane
+    draws, lanes, simulations = [], [], []
+    draw_blocks, run_ensembles, simulate = model_mod._draw_blocks, sim.run_ensembles, model_mod._simulate
 
     def recording_draw(sources, *args):
         draws.append(len(sources))
         return draw_blocks(sources, *args)
 
-    def recording_run(scenario, noise=None):
-        simulated.append((scenario.detector.kind, scenario.plan.magnitude is None, scenario.mc_runs))
-        return run_ensemble(scenario, noise)
+    def recording_lanes(scenarios):
+        scenarios = list(scenarios)
+        lanes.append([(sc.detector.kind, getattr(sc.detector, "ell", None), sc.plan.magnitude is None,
+                       sc.mc_runs) for sc in scenarios])
+        return run_ensembles(scenarios)
+
+    def recording_simulate(*args, **kwargs):
+        simulations.append(kwargs.get("lanes", 1))
+        return simulate(*args, **kwargs)
+
+    def no_run_ensemble(scenario):
+        raise AssertionError("the study simulated an ensemble on its own")
 
     monkeypatch.setattr(model_mod, "_draw_blocks", recording_draw)
-    monkeypatch.setattr(sim, "run_ensemble", recording_run)
+    monkeypatch.setattr(model_mod, "_simulate", recording_simulate)
+    monkeypatch.setattr(sim, "run_ensembles", recording_lanes)
+    monkeypatch.setattr(sim, "run_ensemble", no_run_ensemble)
     result = run_benchmark(seed=0)
     assert draws == [200]
-    worst = [(kind, True, 200) for kind in ("chi2", "windowed", "windowed", "cusum")]
-    assert simulated == worst[:1] + [("chi2", False, 200)] + worst[1:]
+    assert simulations == [5]
+    worst = [(kind, ell, True, 200)
+             for kind, ell in (("chi2", None), ("windowed", 4), ("windowed", 50), ("cusum", None))]
+    assert lanes == [worst[:1] + [("chi2", None, False, 200)] + worst[1:]]
     assert len(result["traces"]) == 8
     assert {trace.runs for trace in result["traces"].values()} == {1}
     ones = [trace for key, trace in result["traces"].items() if key.endswith("_ones")]
-    assert len({id(trace.mean_x) for trace in ones}) == 1
+    assert len(ones) == 4 and len({id(trace.mean_x) for trace in ones}) == 1
     assert all(np.array_equal(trace.z, ones[0].z) for trace in ones)
 
 

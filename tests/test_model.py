@@ -1,5 +1,7 @@
 """Closed-loop model construction, dynamics, and attack-free statistics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import linalg as sla, stats
@@ -187,6 +189,40 @@ def test_error_recursion_closed_form_random_models():
             e_closed = a_est @ e - model.l_gain @ eta + v - model.l_gain @ delta
             scale = 1.0 + np.abs(x).max() + np.abs(xhat).max()
             assert np.linalg.norm((x - xhat) - e_closed) <= 1e-10 * scale
+
+
+skip_under_O = pytest.mark.skipif(not __debug__, reason="python -O strips the assertion")
+
+
+@skip_under_O
+def test_the_error_recursion_check_fires_on_a_corrupted_loop(reactor_fixed):
+    # advance's state update and the closed-form recursion (F - LC) e - L eta + v
+    # disagree once f_est is not F - LC
+    bad = replace(reactor_fixed, f_est=reactor_fixed.f_est + 1e-6)
+    rng = np.random.default_rng(8)
+    x, xhat, v, eta = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4), rng.normal(size=3)
+    advance(reactor_fixed, x, xhat, v, eta)
+    with pytest.raises(AssertionError):
+        advance(bad, x, xhat, v, eta)
+
+
+@skip_under_O
+def test_each_lane_is_held_to_its_own_error_bound(reactor_fixed):
+    # lane 0 runs near the origin with an error of about 1e-6; lane 1's state
+    # is 1e6 times larger with no error at all, which would hide lane 0's
+    # error under a bound taken over the whole batch
+    bad = replace(reactor_fixed, f_est=reactor_fixed.f_est + 1e-7)
+    rng = np.random.default_rng(9)
+    runs = 3
+    x = np.hstack([rng.normal(size=(4, runs)), np.full((4, runs), 1e6)])
+    xhat = np.hstack([rng.normal(size=(4, runs)), np.full((4, runs), 1e6)])
+    v, eta = rng.normal(size=(4, 2 * runs)), rng.normal(size=(3, 2 * runs))
+    advance(reactor_fixed, x, xhat, v, eta, lanes=2)
+    advance(bad, x, xhat, v, eta)  # one lane: the large state sets the bound
+    with pytest.raises(AssertionError):
+        advance(bad, x, xhat, v, eta, lanes=2)
+    with pytest.raises(AssertionError):
+        advance(bad, x[:, :runs], xhat[:, :runs], v[:, :runs], eta[:, :runs])
 
 
 def test_batched_advance_matches_sequential(reactor_fixed):

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -270,6 +271,15 @@ def test_a_copied_scenario_checks_its_plan_once(reactor_fixed, scalar_loop, monk
     sim.run_ensemble(sc).first_run()
     assert calls == []
 
+    # the last eight pairs are remembered: the reactor study builds its eight
+    # scenarios before it copies a trace from each
+    eight = [chi2_scenario(reactor_fixed, steps=120, burn_in=20, seed=seed, mc_runs=5)
+             for seed in range(8)]
+    calls.clear()
+    for scenario in eight:
+        replace(scenario, mc_runs=1)
+    assert calls == []
+
     # another plan, or another model object, is checked again
     huge = plan_attack(reactor_fixed, sc.detector, k_star=21, magnitude=1e150)
     with pytest.raises(ValueError, match="^" + re.escape(NONFINITE_DEVIATION)):
@@ -284,27 +294,98 @@ def test_a_copied_scenario_checks_its_plan_once(reactor_fixed, scalar_loop, monk
     assert calls == [unstable]
 
 
-def test_a_shared_draw_gives_the_same_bits(reactor_fixed):
-    # an ensemble on a draw made beforehand, and a trace on its first row,
-    # equal the ensemble and the trace that draw their own noise
-    sc = chi2_scenario(reactor_fixed, steps=120, burn_in=20, seed=3, mc_runs=5)
-    noise = mdl._draw_noise(reactor_fixed, 120, 5, 3)
-    for scenario, draw in ((sc, noise), (replace(sc, mc_runs=1), tuple(b[:1] for b in noise))):
-        own, shared = sim.run_ensemble(scenario), sim.run_ensemble(scenario, draw)
-        for name in ("mean_x", "z", "stat", "alarm"):
-            assert np.array_equal(getattr(own, name), getattr(shared, name)), name
+def schedule_lanes(loop, runs, seed=3, direction="worst"):
+    """One scenario per attack schedule, all on one model, geometry and seed."""
+    lanes = []
+    for kind, (_, make) in sorted(SCHEDULE_DETECTORS.items()):
+        det = make()
+        plan = plan_attack(loop, det, k_star=31, kind=kind, direction=direction)
+        lanes.append(sim.Scenario(model=loop, detector=det, plan=plan, steps=150, burn_in=30,
+                                  seed=seed, mc_runs=runs))
+    return lanes
 
 
-@pytest.mark.parametrize("runs, steps, n, p", [
-    (4, 120, 4, 3), (5, 119, 4, 3), (5, 120, 3, 3), (5, 120, 4, 4),
-], ids=["runs", "steps", "n", "p"])
-def test_run_ensemble_rejects_misshaped_noise(reactor_fixed, runs, steps, n, p):
-    sc = chi2_scenario(reactor_fixed, steps=120, burn_in=20, mc_runs=5)
-    noise = (np.zeros((runs, steps, n)), np.zeros((runs, steps, p)))
-    with pytest.raises(ValueError, match=r"noise must be \(v, eta\) of shapes"):
-        sim.run_ensemble(sc, noise)
-    with pytest.raises(ValueError, match=r"noise must be \(v, eta\) of shapes"):
-        sim.run_ensemble(sc, noise[:1])
+@pytest.mark.parametrize("runs, direction", [(2, "worst"), (5, "ones"), (7, "worst")])
+def test_lanes_equal_separate_ensembles(reactor_fixed, runs, direction):
+    # six lanes, one per schedule, among them greedy and cusum-exact, which
+    # read z_past: on the reactor loop every lane is its own ensemble bit for bit
+    lanes = schedule_lanes(reactor_fixed, runs, direction=direction)
+    together = list(sim.run_ensembles(lanes))
+    assert [ens.scenario for ens in together] == lanes
+    for lane, ens in zip(lanes, together):
+        alone = sim.run_ensemble(lane)
+        for name in ("mean_x", "z", "stat", "alarm", "x_first"):
+            assert np.array_equal(getattr(ens, name), getattr(alone, name)), (lane.plan.kind, name)
+
+
+def test_one_run_lanes_equal_separate_ensembles_to_rounding(reactor_fixed):
+    # a one-run ensemble alone multiplies single columns, which the BLAS may
+    # round differently from the same column of a wider product
+    lanes = schedule_lanes(reactor_fixed, 1)
+    for lane, ens in zip(lanes, sim.run_ensembles(lanes)):
+        alone = sim.run_ensemble(lane)
+        assert np.allclose(ens.z, alone.z, rtol=1e-9, atol=0.0), lane.plan.kind
+        assert np.allclose(ens.mean_x, alone.mean_x, rtol=1e-9, atol=1e-9), lane.plan.kind
+        assert np.array_equal(ens.alarm, alone.alarm), lane.plan.kind
+
+
+def test_a_lane_is_scanned_when_it_is_consumed(reactor_fixed, monkeypatch):
+    # the draw is freed before the first scan, and each lane is scanned
+    # only when it is taken
+    draws, scans = [], []
+    draw_noise = mdl._draw_noise
+
+    def recording_draw(*args):
+        v, eta = draw_noise(*args)
+        draws.append(weakref.ref(v.base))
+        return v, eta
+
+    def recording_scan(cls):
+        scan = cls.scan
+
+        def scan_and_record(self, z, carry=None):
+            assert draws and draws[0]() is None, "the draw outlived the simulation"
+            scans.append(self.kind)
+            return scan(self, z, carry)
+        monkeypatch.setattr(cls, "scan", scan_and_record)
+
+    monkeypatch.setattr(mdl, "_draw_noise", recording_draw)
+    for cls in (ChiSqDetector, WindowedChiSqDetector, CusumDetector):
+        recording_scan(cls)
+    lanes = schedule_lanes(reactor_fixed, 3)
+    results = sim.run_ensembles(lanes)
+    assert draws == [] and scans == []
+    kinds = []
+    for lane in lanes:
+        next(results)
+        kinds.append(lane.detector.kind)
+        assert scans == kinds
+    assert len(draws) == 1
+
+
+LANE_CHANGES = {
+    "model": lambda sc: replace(sc, model=replace(sc.model)),
+    "steps": lambda sc: replace(sc, steps=151),
+    "burn_in": lambda sc: replace(sc, burn_in=29, plan=replace(sc.plan, k_star=30)),
+    "seed": lambda sc: replace(sc, seed=4),
+    "mc_runs": lambda sc: replace(sc, mc_runs=4),
+}
+
+
+@pytest.mark.parametrize("field", sorted(LANE_CHANGES))
+def test_lanes_must_share_model_geometry_and_seed(reactor_fixed, field):
+    lanes = schedule_lanes(reactor_fixed, 3)
+    lanes[2] = LANE_CHANGES[field](lanes[2])
+    with pytest.raises(ValueError, match=f"^the lanes must share one {field}$"):
+        sim.run_ensembles(lanes)
+
+
+def test_lanes_are_all_attacked_or_all_attack_free(reactor_fixed):
+    lanes = schedule_lanes(reactor_fixed, 3)
+    with pytest.raises(ValueError, match="all attacked or all attack-free"):
+        sim.run_ensembles([lanes[0], replace(lanes[1], plan=None)])
+    with pytest.raises(ValueError, match="at least one scenario"):
+        sim.run_ensembles([])
 
 
 def test_a_rescanned_trajectory_is_the_simulated_one(reactor_fixed):
