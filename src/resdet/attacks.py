@@ -16,7 +16,8 @@ The resulting steady-state mean deviation is linear in the schedule:
 
     M = (I - F - G K)^{-1} G K (I - F)^{-1} L Sigma^{1/2},
 
-so the worst attack direction is the top eigenvector of M'M and the
+which the loop solves once and keeps (ClosedLoopModel.deviation_map), so
+the worst attack direction is the top eigenvector of M'M and the
 per-detector damage is set by the scalar magnitude the threshold budget
 allows: sqrt(alpha) for the static chi-squared detector, sqrt(beta/ell)
 per step for the windowed one, sqrt(b) for the CUSUM steady phase.
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -74,14 +74,6 @@ _KIND_FOR_DETECTOR = {"chi2": "chi2", "windowed": "windowed-static", "cusum": "c
 _KINDS = ("chi2", "windowed-static", "windowed-greedy", "windowed-pulse", "cusum", "cusum-exact")
 # The largest magnitude whose square, the per-step energy, is finite.
 _MAX_MAGNITUDE = math.sqrt(sys.float_info.max)
-
-# (model, plan) of the last _CHECKED_PAIRS check_plan calls that passed,
-# enough for the reactor study's eight scenarios, built before their traces
-# are copied from them.  The objects themselves are the key, so their
-# addresses cannot be reused while an entry lives; a Scenario copied with
-# dataclasses.replace keeps both and is not checked again.
-_CHECKED_PAIRS = 8
-_checked = deque(maxlen=_CHECKED_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -169,31 +161,8 @@ class DeviationBound:
 
 
 def compute_M(model: ClosedLoopModel) -> np.ndarray:
-    """The (n, p) map from the attacker's psi to the steady-state mean state.
-
-    Requires an open-loop-stable plant and a stable closed loop (both
-    inverses in the formula exist and the attacked error recursion, which
-    loses the estimator correction, converges).
-    """
-    plant = model.plant
-    rho_f = numerics.spectral_radius(plant.f)
-    if rho_f >= 1.0:
-        raise ValueError(
-            f"stability precondition violated: spectral radius of F is {rho_f:.6g} >= 1"
-        )
-    if model.rho_cl >= 1.0:
-        raise ValueError(
-            f"stability precondition violated: spectral radius of F+GK is {model.rho_cl:.6g} >= 1"
-        )
-    eye = np.eye(plant.n)
-    try:
-        inner = np.linalg.solve(eye - plant.f, model.l_gain @ model.sigma_sqrt)
-        m_mat = np.linalg.solve(eye - model.f_cl, plant.g @ (model.k_fb @ inner))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"stability precondition violated: {exc}") from None
-    if not np.all(np.isfinite(m_mat)):
-        raise ValueError("stability precondition violated: deviation map is not finite")
-    return m_mat
+    """The loop's read-only (n, p) deviation map M, solved once (ClosedLoopModel.deviation_map)."""
+    return model.deviation_map
 
 
 def worst_direction(m_mat: np.ndarray):
@@ -217,8 +186,7 @@ def resolve_direction(model: ClosedLoopModel, direction) -> np.ndarray:
     """
     if isinstance(direction, str):
         if direction == "worst":
-            nu1, _ = worst_direction(compute_M(model))
-            return nu1
+            return model.worst_eigenpair[0]
         if direction == "ones":
             return np.ones(model.p) / math.sqrt(model.p)
         raise ValueError(f"unknown direction spec {direction!r}")
@@ -302,22 +270,19 @@ def predicted_deviation(model: ClosedLoopModel, plan: AttackPlan) -> DeviationBo
     """
     steady = _steady_energy(plan)
     mag = math.sqrt(steady) if plan.magnitude is None else float(plan.magnitude)
-    gamma = float(np.linalg.norm(compute_M(model) @ (mag * plan.direction)))
+    gamma = float(np.linalg.norm(model.deviation_map @ (mag * plan.direction)))
     return DeviationBound(gamma=gamma, kind=plan.kind, magnitude=mag, direction=plan.direction)
 
 
 def check_plan(model: ClosedLoopModel, plan: AttackPlan) -> None:
     """Raise ValueError("invalid attack: ...") unless the plan's steady deviation is finite.
 
-    The deviation map M must exist (compute_M's stability precondition)
-    and the predicted deviation must be finite.  The pulsed windowed
-    schedule has no constant-forcing bound, so its pulse is held on every
-    step instead, whose deviation is ell times the period mean of the
-    pulse's steady one.  The last _CHECKED_PAIRS pairs that passed are
-    remembered, and pass again without a solve.
+    The loop's deviation map M must exist (its stability precondition,
+    ClosedLoopModel.deviation_map) and the predicted deviation must be
+    finite.  The pulsed windowed schedule has no constant-forcing bound, so
+    its pulse is held on every step instead, whose deviation is ell times
+    the period mean of the pulse's steady one.
     """
-    if any(known[0] is model and known[1] is plan for known in _checked):
-        return
     held, what = plan, "predicted deviation"
     if plan.kind == "windowed-pulse":
         pulse = math.sqrt(attack_energy(plan, plan.k_star))
@@ -330,7 +295,6 @@ def check_plan(model: ClosedLoopModel, plan: AttackPlan) -> None:
             raise ValueError(f"the {what} is not finite (gamma = {gamma})")
     except ValueError as exc:
         raise ValueError(f"invalid attack: {exc}") from exc
-    _checked.append((model, plan))
 
 
 def attack_energy(plan: AttackPlan, k: int, z_past=None) -> Union[float, np.ndarray]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -85,6 +86,13 @@ def scenario_schema() -> dict:
         return json.load(fh)
 
 
+@functools.cache
+def _scenario_validator():
+    """The scenario schema's validator, built once, so a load does not re-check the shipped schema."""
+    schema = scenario_schema()
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def _load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -93,11 +101,10 @@ def _load_document(path: str) -> dict:
         raise ValueError(f"cannot read scenario file: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
-    try:
-        jsonschema.validate(doc, scenario_schema())
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(part) for part in exc.absolute_path) or "(root)"
-        raise ValueError(f"scenario schema error at {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(doc))  # what validate raises
+    if error is not None:
+        where = "/".join(str(part) for part in error.absolute_path) or "(root)"
+        raise ValueError(f"scenario schema error at {where}: {error.message}") from error
     return doc
 
 

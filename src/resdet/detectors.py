@@ -504,8 +504,8 @@ def estimate_arl(
     and the loop stops as soon as every run has exceeded, so the work
     follows the longest run rather than the chunk width.  The draw does
     not stop early, but it is remembered: the warm-up and the first full
-    chunk stay with the model module's noise family (keyed by the values
-    of R1 and R2, the seed and `runs`) until another draw, so a second
+    chunk stay with the calling thread's noise family (keyed by the values
+    of R1 and R2, the seed and `runs`) until its next draw, so a second
     estimate of another detector on the same loop, seed and runs draws
     nothing unless it runs past them.
 

@@ -14,40 +14,27 @@ measurement and u_k = K xhat_k.  The residual r_k is whitened into the
 distance measure z_k = r_k' Sigma^-1 r_k with Sigma = C P C' + R2; z_k is
 chi-squared with p degrees of freedom when delta = 0.
 
-This module owns model construction/validation (stability certificates,
-residual covariance), the one reader of a scenario document's matrices
-(`closed_loop_from_document`), the single dynamics implementation
-`advance`, and its one Monte-Carlo loop, `_simulate`, which advances a
-noise draw (`_draw_noise`, or a chunk of an attack-free noise family) from
-the origin or from where an earlier call stopped: ensembles, attack-free
-streams, and the sub-blocks of `iter_distance_stream`, the attack-free
-stream the ARL estimate can stop early.  The loop can advance several
-lanes on one draw (sim.run_ensembles): the state block holds each lane's
-runs side by side, each step is one `advance` call for all of them, and
-`advance`'s error-recursion check holds each lane to its own bound.  The
-loop records each lane's across-run sum of the state and its run 0's own
-state at each step, so an ensemble's row 0 is a trace
-(sim.EnsembleResult.first_run) that needs no one-run simulation of its
-own.  An ensemble's noise is drawn on every available core
-(`_draw_blocks`), one slice of runs per thread, into one buffer that
-holds v and eta side by side; each run owns its (seed, run) substream,
-so no value depends on the core count.  A draw's buffer is allocated
-before its per-run sources are built, so an ensemble too large for
-memory fails at once, with a ValueError that names its runs and steps.
+This module owns model construction and validation (stability
+certificates, residual covariance, and a stealthy attack's deviation map
+M with the top eigenpair of M'M, which each loop solves once, on first
+use, and keeps read-only), the one reader of a scenario document's
+matrices (`closed_loop_from_document`), the single dynamics
+implementation `advance`, and its one Monte-Carlo loop, `_simulate`.  The
+loop advances a noise draw from the origin or from where an earlier call
+stopped: ensembles, whose lanes share one draw (sim.run_ensembles) and
+whose run 0 it records as their trace (sim.EnsembleResult.first_run);
+attack-free streams; and the sub-blocks of `iter_distance_stream`, which
+the ARL estimate can stop early.  Each run owns its (seed, run) noise
+substream, drawn on every core (`_draw_blocks`), so no value depends on
+the core count.
 
-Two things are remembered, each read-only:
-- `simulate_distance_stream` remembers its last stream, so detectors
-  measured on the same model object, geometry and seed simulate it once.
-- The attack-free draws (that stream and `iter_distance_stream`'s chunks)
-  remember one noise family (`_attack_free_noise`), keyed by the values of
-  `chol_r1` and `chol_r2`, the seed and the run count: its per-run sources,
-  standing after their last drawn chunk, and at most its first two chunks.
-  Loops that share R1 and R2 (the benchmark's DARE and tabulated-gain
-  loops), and a second ARL estimate of the same loop, seed and runs, read
-  those chunks without drawing them again.
-Every draw forgets the stream before it allocates.  A draw of another
-family, and an ensemble's `_draw_noise` (sim.run_ensembles), forget the
-family too.
+Two things are remembered, read-only and per thread (`_Remembered`), so
+concurrent calls never read one another's draws: the last attack-free
+stream (`simulate_distance_stream`), and one noise family of attack-free
+draws (`_attack_free_noise`), which loops that share R1 and R2 and a
+repeated ARL estimate read without drawing again.  Every draw forgets the
+thread's stream before it allocates; a draw of another family or of an
+ensemble (`_draw_noise`) forgets its family too.
 """
 
 from __future__ import annotations
@@ -55,6 +42,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,14 +64,20 @@ __all__ = [
 # ahead of a consumer that may stop early.
 _SUB_BLOCK = 64
 
-# (model, (steps, runs, seed, burn_in), z) of the last simulate_distance_stream
-# call, until the next noise draw; the model object itself is the key, so
-# its address cannot be reused while the entry lives.
-_last_stream = None
 
-# The _NoiseFamily the attack-free draws last came from, until a draw of
-# another family or of an ensemble (_draw_noise).
-_family = None
+class _Remembered(threading.local):
+    """The attack-free draws' memos, one set per thread, each None until set.
+
+    stream: (model, (steps, runs, seed, burn_in), z) of the last
+    simulate_distance_stream call, keyed by the model object itself.
+    family: the _NoiseFamily the attack-free draws last came from.
+    """
+
+    stream = None
+    family = None
+
+
+_remembered = _Remembered()
 
 # Chunks a noise family remembers: a fixed-length stream is one chunk, an
 # ARL estimate's warm-up and first full chunk are two.
@@ -195,6 +189,46 @@ class ClosedLoopModel:
         """Noise source for one simulation run (substream = (seed, run))."""
         return NoiseModel(chol_r1=self.chol_r1, chol_r2=self.chol_r2, seed=seed, run=run)
 
+    @cached_property
+    def deviation_map(self) -> np.ndarray:
+        """The (n, p) map M from a stealthy attacker's psi to the steady-state mean state.
+
+        M = (I - F - G K)^{-1} G K (I - F)^{-1} L Sigma^{1/2}, solved on
+        first access and kept, read-only.  It needs a stable plant and
+        closed loop (both inverses exist and the attacked error recursion,
+        which loses the estimator correction, converges); a loop without
+        them raises ValueError on every access and keeps nothing.
+        """
+        plant = self.plant
+        for name, rho in (("F", numerics.spectral_radius(plant.f)), ("F+GK", self.rho_cl)):
+            if rho >= 1.0:
+                raise ValueError(
+                    f"stability precondition violated: spectral radius of {name} is {rho:.6g} >= 1"
+                )
+        eye = np.eye(plant.n)
+        try:
+            inner = np.linalg.solve(eye - plant.f, self.l_gain @ self.sigma_sqrt)
+            m_mat = np.linalg.solve(eye - self.f_cl, plant.g @ (self.k_fb @ inner))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"stability precondition violated: {exc}") from None
+        if not np.all(np.isfinite(m_mat)):
+            raise ValueError("stability precondition violated: deviation map is not finite")
+        return _read_only(m_mat)
+
+    @cached_property
+    def worst_eigenpair(self):
+        """(nu1, lambda1), the top eigenpair of M'M, kept like M: unit v = nu1 maximizes ||M v||."""
+        m_mat = self.deviation_map
+        lam, nu1 = numerics.max_eigenpair(m_mat.T @ m_mat)
+        return _read_only(nu1), lam
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A copy of `arr` that cannot be made writeable: a view of a read-only copy."""
+    owner = np.array(arr)
+    owner.flags.writeable = False
+    return owner.view()
+
 
 def build_closed_loop(plant: PlantModel, k_fb, l_gain=None) -> ClosedLoopModel:
     """Assemble and validate the closed loop.
@@ -247,19 +281,10 @@ def build_closed_loop(plant: PlantModel, k_fb, l_gain=None) -> ClosedLoopModel:
     sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
 
     return ClosedLoopModel(
-        plant=plant,
-        k_fb=k_arr,
-        l_gain=l_arr,
-        p_pred=p_pred,
-        sigma=sigma,
-        sigma_sqrt=numerics.psd_sqrt(sigma),
-        sigma_inv=sigma_inv,
-        f_cl=f_cl,
-        f_est=f_est,
-        rho_cl=rho_cl,
-        rho_est=rho_est,
-        chol_r1=numerics.psd_factor(plant.r1),
-        chol_r2=numerics.psd_factor(plant.r2),
+        plant=plant, k_fb=k_arr, l_gain=l_arr, p_pred=p_pred, sigma=sigma,
+        sigma_sqrt=numerics.psd_sqrt(sigma), sigma_inv=sigma_inv, f_cl=f_cl, f_est=f_est,
+        rho_cl=rho_cl, rho_est=rho_est,
+        chol_r1=numerics.psd_factor(plant.r1), chol_r2=numerics.psd_factor(plant.r2),
     )
 
 
@@ -477,7 +502,7 @@ class _NoiseFamily:
 
     def draw(self, model: ClosedLoopModel, width: int):
         """The sources' next `width` steps, kept while fewer than _FAMILY_CHUNKS are."""
-        _forget_stream()
+        _remembered.stream = None
         n = model.n
         buf = _noise_buffer(model, self.runs, width)
         if self.sources is None:
@@ -507,18 +532,18 @@ def _attack_free_noise(model: ClosedLoopModel, widths, runs: int, seed: int):
     before this one.  Run i reads its (seed, i) substream in the same chunk
     widths on every path, so the bits do not depend on the path.
     """
-    global _family
-    family = _family if _family is not None and _family.serves(model, runs, seed) else None
+    family = _remembered.family
+    family = family if family is not None and family.serves(model, runs, seed) else None
     past = []
     for index, width in enumerate(widths):
-        current = family is not None and family is _family
+        current = family is not None and family is _remembered.family
         if current and index < len(family.kept) and family.kept[index][0] == width:
             noise = family.kept[index][1]
         elif current and family.drawn == index:
             noise = family.draw(model, width)
         else:
             _forget_noise()
-            family = _family = _NoiseFamily(model.chol_r1, model.chol_r2, seed, runs)
+            family = _remembered.family = _NoiseFamily(model.chol_r1, model.chol_r2, seed, runs)
             for earlier in past:
                 family.draw(model, earlier)
             noise = family.draw(model, width)
@@ -526,7 +551,8 @@ def _attack_free_noise(model: ClosedLoopModel, widths, runs: int, seed: int):
         yield noise
 
 
-def _simulate(model: ClosedLoopModel, noise, attack=None, state=None, lanes: int = 1):
+def _simulate(model: ClosedLoopModel, noise, attack=None, state=None, lanes: int = 1,
+              record: bool = False):
     """Advance one trajectory per run of `noise` and lane in lockstep, from `state` or the origin.
 
     `noise` is a drawn (v, eta) pair, (runs, steps, n) and (runs, steps, p)
@@ -537,29 +563,32 @@ def _simulate(model: ClosedLoopModel, noise, attack=None, state=None, lanes: int
     (or None) for the whole block from the error e = x - xhat, the sensor
     noise and the (lanes * runs, k - 1) z history.  `state` is the (x,
     xhat) pair of (n, lanes * runs) matrices a previous call returned.
-    Returns (sum_x, first, z, state): each lane's across-run sum of each
-    step's state, (lanes, steps, n), each lane's run 0 state at each step,
-    (lanes, steps, n) ((0, steps, n) without runs), the distance measures,
-    (lanes * runs, steps), and the final (x, xhat), which a later call
-    continues from.  `first` and row l * runs of z are lane l's run 0
-    trace, so an ensemble's trace needs no one-run simulation of its own.
+    Returns (z, state, record): the distance measures, (lanes * runs,
+    steps), the final (x, xhat), which a later call continues from, and,
+    when `record` is asked (ensembles), the pair (sum_x, first): each
+    lane's across-run sum of each step's state, (lanes, steps, n), and
+    each lane's run 0 state at each step, (lanes, steps, n).  `first` and
+    row l * runs of z are lane l's run 0 trace, so an ensemble's trace
+    needs no one-run simulation of its own.  Without `record` the third
+    item is None and neither is computed.
     """
     v_all, eta_all = noise
     runs, steps, n = v_all.shape
     cols = lanes * runs
     x, xhat = (np.zeros((n, cols)), np.zeros((n, cols))) if state is None else state
-    sum_x = np.empty((lanes, steps, n))
-    first = np.empty((lanes if runs else 0, steps, n))
+    if record:
+        sum_x, first = np.empty((lanes, steps, n)), np.empty((lanes, steps, n))
     z = np.empty((cols, steps))
     for t in range(steps):
         v, eta = v_all[:, t, :].T, eta_all[:, t, :].T
         if lanes > 1:
             v, eta = np.tile(v, lanes), np.tile(eta, lanes)
         delta = None if attack is None else attack(t + 1, x - xhat, eta, z[:, :t])
-        sum_x[:, t] = x.reshape(n, lanes, runs).sum(axis=2).T
-        first[:, t] = x[:, ::max(runs, 1)].T
+        if record:
+            sum_x[:, t] = x.reshape(n, lanes, runs).sum(axis=2).T
+            first[:, t] = x[:, ::runs].T
         x, xhat, _, z[:, t] = advance(model, x, xhat, v, eta, delta, lanes)
-    return sum_x, first, z, (x, xhat)
+    return z, (x, xhat), ((sum_x, first) if record else None)
 
 
 def simulate_distance_stream(
@@ -577,41 +606,34 @@ def simulate_distance_stream(
     reproducible and independent of scheduling.  The burn-in and the kept
     steps are one attack-free run of run_ensemble's loop (_simulate).
 
-    The last stream is remembered: a call with the same model object,
-    steps, runs, seed and burn_in returns it again without simulating, so
-    detectors measured on one stream share one simulation.  The next noise
-    draw of any simulation (run_ensemble, iter_distance_stream, another
-    stream) forgets it.  The returned array is read-only.
+    The last stream is remembered, per thread: a call with the same model
+    object, steps, runs, seed and burn_in returns it again without
+    simulating, so detectors measured on one stream share one simulation.
+    The thread's next noise draw of any simulation (run_ensemble,
+    iter_distance_stream, another stream) forgets it.  The returned array
+    is read-only.
 
     The noise is one chunk of the noise family (_attack_free_noise), so a
     loop with the same R1 and R2 simulates from the remembered draw.
     """
-    global _last_stream
     if steps < 0 or burn_in < 0:
         raise ValueError("steps and burn_in must be nonnegative")
     if runs < 1:
         raise ValueError("runs must be >= 1")
     key = (steps, runs, seed, burn_in)
-    if _last_stream is not None and _last_stream[0] is model and _last_stream[1] == key:
-        return _last_stream[2]
-    _forget_stream()  # a remembered chunk is no draw: drop the old z before the new one
-    z = _simulate(model, next(_attack_free_noise(model, [burn_in + steps], runs, seed)))[2]
+    last = _remembered.stream
+    if last is not None and last[0] is model and last[1] == key:
+        return last[2]
+    _remembered.stream = None  # a remembered chunk is no draw: drop the old z before the new one
+    z = _simulate(model, next(_attack_free_noise(model, [burn_in + steps], runs, seed)))[0]
     z.flags.writeable = False  # its views cannot be made writeable either
-    _last_stream = (model, key, z[:, burn_in:])
-    return _last_stream[2]
-
-
-def _forget_stream() -> None:
-    """Drop the stream simulate_distance_stream remembers."""
-    global _last_stream
-    _last_stream = None
+    _remembered.stream = (model, key, z[:, burn_in:])
+    return _remembered.stream[2]
 
 
 def _forget_noise() -> None:
-    """Drop the remembered stream and the noise family."""
-    global _family
-    _forget_stream()
-    _family = None
+    """Drop the calling thread's remembered stream and noise family."""
+    _remembered.stream = _remembered.family = None
 
 
 def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: int = 0):
@@ -635,5 +657,5 @@ def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: in
     for v_all, eta_all in _attack_free_noise(model, widths, runs, seed):
         for start in range(0, v_all.shape[1], _SUB_BLOCK):
             block = (v_all[:, start:start + _SUB_BLOCK], eta_all[:, start:start + _SUB_BLOCK])
-            _, _, z, state = _simulate(model, block, state=state)
+            z, state, _ = _simulate(model, block, state=state)
             yield z

@@ -227,9 +227,9 @@ def _simulated_lanes(lanes):
         return None
 
     # the draw is an argument only, so it is freed before the first scan
-    sum_x, first, z, _ = model_mod._simulate(
+    z, _, (sum_x, first) = model_mod._simulate(
         model, model_mod._draw_noise(model, head.steps, runs, head.seed),
-        attack if head.attacked else None, lanes=len(lanes),
+        attack if head.attacked else None, lanes=len(lanes), record=True,
     )
     for l, lane in enumerate(lanes):
         yield EnsembleResult.scanned(lane, sum_x[l] / runs, z[l * runs:(l + 1) * runs], first[l])

@@ -1,5 +1,9 @@
 """Shared fixtures: benchmark loops and a scalar loop with unit sigma.
 
+The loop fixtures live for the whole session, and a loop keeps its
+deviation map M once it is solved (ClosedLoopModel.deviation_map), so a
+test that counts solves (`m_solves`) builds its own loop objects.
+
 Property tests run under a derandomized hypothesis profile with no deadline
 and no example database, so every run draws the same examples and none is
 stored between runs.
@@ -16,7 +20,7 @@ from hypothesis import settings
 import resdet
 from resdet import model as model_mod
 from resdet import reactor as rx
-from resdet.model import PlantModel, build_closed_loop
+from resdet.model import ClosedLoopModel, PlantModel, build_closed_loop
 
 settings.register_profile("resdet", derandomize=True, deadline=None, database=None)
 settings.load_profile("resdet")
@@ -24,12 +28,27 @@ settings.load_profile("resdet")
 
 @pytest.fixture(autouse=True)
 def no_remembered_stream():
-    """Start every test with no remembered attack-free stream or noise family.
+    """Start every test with no remembered attack-free stream or noise family in its thread.
 
     The loop fixtures live for the whole session, so a test could otherwise
     be handed a stream that an earlier test simulated, or noise it drew.
     """
     model_mod._forget_noise()
+
+
+@pytest.fixture
+def m_solves(monkeypatch):
+    """One entry per solve of a deviation map M, failed or not: the loop it was solved for."""
+    calls = []
+    deviation_map = ClosedLoopModel.deviation_map  # the cached_property itself
+    solve = deviation_map.func
+
+    def counting_solve(loop):
+        calls.append(loop)
+        return solve(loop)
+
+    monkeypatch.setattr(deviation_map, "func", counting_solve)
+    return calls
 
 
 @pytest.fixture(scope="session")

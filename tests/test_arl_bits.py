@@ -197,17 +197,17 @@ def test_an_arl_past_the_kept_chunks_restarts_the_family(reactor_dare, blocks_ca
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # cap = 40 censors some runs
         first = estimate_arl(reactor_dare, detector, **kwargs)
-        family = model_mod._family
+        family = model_mod._remembered.family
         assert family.drawn > 2 and len(family.kept) == 2
         drawn = len(blocks_calls)
         second = estimate_arl(reactor_dare, detector, **kwargs)
         # the sources had moved past the third chunk: a new family redrew the first three
-        assert model_mod._family is not family and len(blocks_calls) > drawn
-        assert len(model_mod._family.kept) == 2
+        assert model_mod._remembered.family is not family and len(blocks_calls) > drawn
+        assert len(model_mod._remembered.family.kept) == 2
         model_mod._forget_noise()
         fresh = estimate_arl(reactor_dare, detector, **kwargs)
     assert first == second == fresh
-    for width, noise in model_mod._family.kept:
+    for width, noise in model_mod._remembered.family.kept:
         for block in noise:
             assert block.shape[:2] == (40, width) and not block.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from resdet.detectors import (
     tune_chi2,
     tune_windowed,
 )
+from resdet.reactor import reactor_loop
 
 ALPHA = 7.814727903251175
 BETA4 = 21.026069817483055
@@ -122,8 +124,42 @@ def test_deviation_map_matches_inverse_chain(reactor_fixed):
 def test_deviation_map_requires_stable_plant():
     plant = mdl.PlantModel(f=[[1.2]], g=[[1.0]], c=[[1.0]], r1=[[1.0]], r2=[[1.0]])
     loop = mdl.build_closed_loop(plant, k_fb=[[-0.5]], l_gain=[[1.0]])
-    with pytest.raises(ValueError, match="stability precondition violated"):
-        compute_M(loop)
+    for _ in range(2):  # raised on every access: nothing is kept
+        with pytest.raises(ValueError, match="stability precondition violated"):
+            compute_M(loop)
+        with pytest.raises(ValueError, match="stability precondition violated"):
+            loop.worst_eigenpair
+    assert "deviation_map" not in vars(loop) and "worst_eigenpair" not in vars(loop)
+
+
+def _solved_deviation_map(loop):
+    """M solved from the loop's matrices, as compute_M solved it on every call."""
+    eye = np.eye(loop.n)
+    inner = np.linalg.solve(eye - loop.plant.f, loop.l_gain @ loop.sigma_sqrt)
+    return np.linalg.solve(eye - loop.f_cl, loop.plant.g @ (loop.k_fb @ inner))
+
+
+@pytest.mark.parametrize("estimator", ["fixed", "dare"])
+def test_the_kept_deviation_map_is_the_solved_one_and_read_only(estimator):
+    loop = reactor_loop(estimator)
+    m = compute_M(loop)
+    assert m is loop.deviation_map is compute_M(loop)
+    solved = _solved_deviation_map(loop)
+    assert np.array_equal(m, solved)  # bit for bit
+    nu1, lam = loop.worst_eigenpair
+    want_nu1, want_lam = worst_direction(solved)
+    assert np.array_equal(nu1, want_nu1) and lam == want_lam
+    assert resolve_direction(loop, "worst") is nu1
+    for arr in (m, nu1):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+    for name in ("deviation_map", "worst_eigenpair"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(loop, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(loop, name)
 
 
 # ----------------------------------------------------------- worst direction

@@ -11,7 +11,7 @@ import pytest
 
 from resdet import detectors as det_mod
 from resdet import sim
-from resdet.cli import load_scenario, main
+from resdet.cli import load_scenario, main, scenario_schema
 from resdet.model import ClosedLoopModel
 from resdet.reactor import scenario_path
 
@@ -183,6 +183,31 @@ def test_simulate_rejects_defective_documents(tmp_path, capsys):
 
     assert main(["simulate", "--scenario", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "t.csv")]) == 2
+
+
+def test_every_shipped_schema_is_a_valid_schema():
+    names = sorted(ref.name for ref in resources.files("resdet").joinpath("schemas").iterdir()
+                   if ref.name.endswith(".json"))
+    assert names == ["arl.schema.json", "report.schema.json", "scenario.schema.json",
+                     "summary.schema.json", "tune.schema.json"]
+    for name in names:
+        schema = output_schema(name)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("doc", [
+    {"controller": {"K": [[0.0]]}},
+    scalar_doc(detector={"kind": "nope"}),
+    scalar_doc(sim={"steps": -1, "burn_in": 50, "seed": 1, "mc_runs": 20}),
+    scalar_doc(attack={"kind": "chi2", "direction": "sideways"}),
+], ids=["missing-plant", "detector-kind", "negative-steps", "direction"])
+def test_a_schema_error_names_what_jsonschema_validate_raises(tmp_path, capsys, doc):
+    with pytest.raises(jsonschema.ValidationError) as raised:
+        jsonschema.validate(doc, scenario_schema())
+    where = "/".join(str(part) for part in raised.value.absolute_path) or "(root)"
+    path = write_scenario(tmp_path, doc)
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == f"resdet: scenario schema error at {where}: {raised.value.message}\n"
 
 
 @pytest.mark.parametrize("section, name, value", [

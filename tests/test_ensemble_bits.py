@@ -261,6 +261,12 @@ def test_tune_cusum_stdout_is_golden(capsys, monkeypatch):
 # ------------------------------------------------------------ shared draws
 
 
+def test_the_study_solves_its_deviation_map_once(m_solves):
+    # the study builds its own loop, so the count starts from a fresh loop
+    run_benchmark(seed=0)
+    assert len(m_solves) == 1
+
+
 def test_the_study_simulates_each_distinct_trajectory_once(monkeypatch):
     # one 200-run draw; one simulation whose lanes are the worst-case attacks
     # and the all-ones attack, which no detector changes; each trace is row 0

@@ -1,5 +1,8 @@
 """Closed-loop model construction, dynamics, and attack-free statistics."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +14,7 @@ from resdet import numerics
 from resdet import reactor as rx
 from resdet import sim
 from resdet.cli import load_scenario
-from resdet.detectors import ChiSqDetector, estimate_arl
+from resdet.detectors import ChiSqDetector, CusumDetector, estimate_arl, measure_alarm_rate, tune_chi2
 from resdet.model import PlantModel, advance, build_closed_loop, simulate_distance_stream
 
 
@@ -290,15 +293,19 @@ STREAM = {"steps": 20, "runs": 3, "seed": 1, "burn_in": 5}
 
 @pytest.fixture
 def draws(monkeypatch):
-    """One entry per NoiseModel.blocks call: whether a stream was remembered during it."""
+    """One entry per run drawn: whether the drawing thread remembered a stream during the draw.
+
+    The memos are per thread and _draw_blocks fills most runs on worker
+    threads, so the entries are taken in the thread that calls it.
+    """
     calls = []
-    blocks = mdl.NoiseModel.blocks
+    draw_blocks = mdl._draw_blocks
 
-    def recording_blocks(self, steps):
-        calls.append(mdl._last_stream is not None)
-        return blocks(self, steps)
+    def recording_draw_blocks(sources, buf, n):
+        calls.extend([mdl._remembered.stream is not None] * len(sources))
+        return draw_blocks(sources, buf, n)
 
-    monkeypatch.setattr(mdl.NoiseModel, "blocks", recording_blocks)
+    monkeypatch.setattr(mdl, "_draw_blocks", recording_draw_blocks)
     return calls
 
 
@@ -404,16 +411,16 @@ def test_loops_that_share_r1_and_r2_share_one_draw(reactor_dare, reactor_fixed, 
 @pytest.mark.parametrize("other", ["seed", "R1", "R2", "run_ensemble"])
 def test_another_draw_forgets_the_family_first(reactor_fixed, reactor_matrices, monkeypatch, other):
     simulate_distance_stream(reactor_fixed, **STREAM)
-    family = mdl._family
+    family = mdl._remembered.family
     assert family is not None
-    seen = []  # the family remembered during each NoiseModel.blocks call
-    blocks = mdl.NoiseModel.blocks
+    seen = []  # the family the drawing thread remembered during each draw, one entry per run
+    draw_blocks = mdl._draw_blocks
 
-    def recording_blocks(self, steps):
-        seen.append(mdl._family)
-        return blocks(self, steps)
+    def recording_draw_blocks(sources, buf, n):
+        seen.extend([mdl._remembered.family] * len(sources))
+        return draw_blocks(sources, buf, n)
 
-    monkeypatch.setattr(mdl.NoiseModel, "blocks", recording_blocks)
+    monkeypatch.setattr(mdl, "_draw_blocks", recording_draw_blocks)
     if other == "run_ensemble":  # the family's own seed and run count
         scenario = sim.Scenario(reactor_fixed, ChiSqDetector(7.8), steps=10, burn_in=2,
                                 seed=STREAM["seed"], mc_runs=STREAM["runs"])
@@ -428,7 +435,48 @@ def test_another_draw_forgets_the_family_first(reactor_fixed, reactor_matrices, 
         simulate_distance_stream(loop, **args)
         assert len(seen) == STREAM["runs"]
         assert all(remembered is not family for remembered in seen)
-    assert mdl._family is not family
+    assert mdl._remembered.family is not family
+
+
+# ------------------------------------------------------------------- threads
+
+def test_a_stream_remembered_in_one_thread_is_not_served_to_another(reactor_fixed, draws):
+    z = simulate_distance_stream(reactor_fixed, **STREAM)
+    draws.clear()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        other = pool.submit(simulate_distance_stream, reactor_fixed, **STREAM).result()
+        # the other thread simulated its own stream, from its own draw
+        assert other is not z and np.array_equal(other, z)
+        assert len(draws) == STREAM["runs"] and not any(draws)
+        pool.submit(mdl._forget_noise).result()  # forgets that thread's memos only
+    draws.clear()
+    assert simulate_distance_stream(reactor_fixed, **STREAM) is z
+    assert draws == []
+
+
+def test_concurrent_calls_equal_serial_ones(reactor_dare, reactor_fixed):
+    # the two loops share R1 and R2, so at equal seeds and runs every call
+    # below reads one noise family key
+    detectors = (ChiSqDetector(tune_chi2(3, 0.05)), CusumDetector(7.5, 3.0))
+    calls = [(fn, loop, det, kwargs)
+             for fn, kwargs in ((measure_alarm_rate, {"steps": 60, "runs": 40, "burn_in": 10}),
+                                (estimate_arl, {"runs": 40, "cap": 2000, "chunk": 16, "warm_up": 10}))
+             for loop in (reactor_dare, reactor_fixed) for det in detectors]
+    serial = [fn(loop, det, **kwargs) for fn, loop, det, kwargs in calls]
+    start = threading.Barrier(len(calls))
+
+    def call(fn, loop, det, kwargs):
+        start.wait()
+        return fn(loop, det, **kwargs)
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+            concurrent = [future.result() for future in [pool.submit(call, *c) for c in calls]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == serial
 
 
 def test_noise_blocks_are_per_run_substreams(reactor_fixed):

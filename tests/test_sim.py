@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resdet import attacks as attacks_mod
 from resdet import model as mdl
 from resdet import sim
 from resdet.attacks import plan_attack
@@ -25,7 +24,7 @@ from resdet.detectors import (
     tune_windowed,
 )
 from resdet.cli import main
-from resdet.reactor import BENCHMARK_BIAS, BENCHMARK_TAU, scenario_path
+from resdet.reactor import BENCHMARK_BIAS, BENCHMARK_TAU, reactor_loop, scenario_path
 
 GAMMA_CHI2 = 892709.6184812458
 
@@ -255,43 +254,43 @@ def test_a_trace_does_not_keep_its_ensemble_alive(reactor_fixed):
         sim.EnsembleResult.scanned(ens.scenario, ens.mean_x, ens.z).first_run()
 
 
-def test_a_copied_scenario_checks_its_plan_once(reactor_fixed, scalar_loop, monkeypatch):
-    calls = []
-    compute_m = attacks_mod.compute_M
+def test_each_loop_object_solves_its_deviation_map_once(m_solves):
+    # the session loops keep the M an earlier test solved: count on loops built here
+    loop = reactor_loop(estimator="fixed")
+    sc = chi2_scenario(loop, steps=120, burn_in=20, mc_runs=5)
+    assert m_solves == [loop]
 
-    def counting_compute_m(model):
-        calls.append(model)
-        return compute_m(model)
-
-    monkeypatch.setattr(attacks_mod, "compute_M", counting_compute_m)
-    sc = chi2_scenario(reactor_fixed, steps=120, burn_in=20, mc_runs=5)
-    calls.clear()
+    # copies, runs and traces of the scenario, the reactor study's eight
+    # scenarios and a replaced plan all read the M the loop keeps
     replace(sc, mc_runs=1)
     sim.run(sc)
     sim.run_ensemble(sc).first_run()
-    assert calls == []
-
-    # the last eight pairs are remembered: the reactor study builds its eight
-    # scenarios before it copies a trace from each
-    eight = [chi2_scenario(reactor_fixed, steps=120, burn_in=20, seed=seed, mc_runs=5)
-             for seed in range(8)]
-    calls.clear()
+    eight = [chi2_scenario(loop, steps=120, burn_in=20, seed=seed, mc_runs=5) for seed in range(8)]
     for scenario in eight:
         replace(scenario, mc_runs=1)
-    assert calls == []
-
-    # another plan, or another model object, is checked again
-    huge = plan_attack(reactor_fixed, sc.detector, k_star=21, magnitude=1e150)
+    huge = plan_attack(loop, sc.detector, k_star=21, magnitude=1e150)
     with pytest.raises(ValueError, match="^" + re.escape(NONFINITE_DEVIATION)):
         replace(sc, plan=huge)
+    assert m_solves == [loop]
+
+    # another loop object, equal or not, solves its own once
+    equal = reactor_loop(estimator="fixed")
+    replace(sc, model=equal, plan=plan_attack(equal, sc.detector, k_star=21))
     det = ChiSqDetector(3.84)
-    stable = sim.Scenario(model=scalar_loop, detector=det,
-                          plan=plan_attack(scalar_loop, det, k_star=51, direction=[1.0]))
+    scalar = mdl.build_closed_loop(mdl.PlantModel([[0.5]], [[1.0]], [[1.0]], [[0.435]], [[0.5]]),
+                                   [[-0.25]], l_gain=[[0.2]])
+    stable = sim.Scenario(model=scalar, detector=det,
+                          plan=plan_attack(scalar, det, k_star=51, direction=[1.0]))
+    replace(stable, mc_runs=1)
+    assert m_solves == [loop, equal, scalar]
+
+    # a loop that fails the precondition raises on every check and keeps nothing
     unstable = mdl.closed_loop_from_document(attack_document("unstable", det, {"kind": "chi2"}))
-    calls.clear()
-    with pytest.raises(ValueError, match="^" + re.escape(UNSTABLE_F)):
-        replace(stable, model=unstable)
-    assert calls == [unstable]
+    m_solves.clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^" + re.escape(UNSTABLE_F)):
+            replace(stable, model=unstable)
+    assert m_solves == [unstable, unstable]
 
 
 def schedule_lanes(loop, runs, seed=3, direction="worst"):
