@@ -49,6 +49,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import detectors, numerics
+from . import model as model_mod
 from .model import ClosedLoopModel
 
 __all__ = [
@@ -353,8 +354,12 @@ def _live_state(plan: AttackPlan, k: int, z_past) -> np.ndarray:
     """The detector state a dynamic schedule reads at step k, from the z history.
 
     windowed-greedy: the pending window sum, the last ell - 1 values of
-    z_past summed left to right (sum() would go pairwise).  cusum-exact: the
-    CUSUM statistic S after z_past, scanned with the detector's (tau, b).
+    z_past added left to right.  For a history of two or more runs that is
+    one reduction over the rows of the time-major (ell - 1, runs) window,
+    which adds them in order, with the bits of a cumsum along each run; a
+    one-run or 1-D history keeps the cumsum, since numpy would sum one
+    contiguous run pairwise.  cusum-exact: the CUSUM statistic S after
+    z_past, scanned with the detector's (tau, b).
     """
     if np.shape(z_past)[-1:] != (k - 1,):
         raise ValueError(
@@ -363,10 +368,14 @@ def _live_state(plan: AttackPlan, k: int, z_past) -> np.ndarray:
         )
     z_past = np.asarray(z_past, dtype=float)
     det = plan.detector
-    if plan.kind == "windowed-greedy":
-        state = z_past[..., max(0, k - det.ell):].cumsum(axis=-1)
-    else:
+    if plan.kind != "windowed-greedy":
         state = detectors.scan_cusum(z_past, det.b, det.tau)[0].reshape(z_past.shape)
+    elif z_past.ndim == 2 and len(z_past) > 1:
+        # the rows of a C-ordered window: a one-lane simulation's time-major
+        # history is one already; a lane's rows of a wider history are copied
+        return np.add.reduce(np.ascontiguousarray(z_past[:, max(0, k - det.ell):].T), axis=0)
+    else:
+        state = z_past[..., max(0, k - det.ell):].cumsum(axis=-1)
     return state[..., -1] if state.shape[-1] else np.zeros(state.shape[:-1])
 
 
@@ -394,12 +403,13 @@ def synthesize_attacks(plans, model: ClosedLoopModel, k: int, e: np.ndarray, eta
                        z_past=None) -> np.ndarray:
     """The sensor biases delta_k of lanes side by side, one plan per lane.
 
-    `e` and `eta` are (n, lanes * runs) and (p, lanes * runs) matrices
-    whose columns l * runs .. (l + 1) * runs - 1 are lane l's runs, and
-    `z_past` is their (lanes * runs, k-1) z history; with one lane they
-    may be one run's vectors, as in synthesize_attack.  Each lane's psi_k
-    comes from its plan's schedule and its own rows of `z_past`; delta is
-    then formed once for every column.
+    `e` is an (n, lanes * runs) matrix whose columns l * runs ..
+    (l + 1) * runs - 1 are lane l's runs, `eta` the (p, lanes * runs)
+    sensor noise of those columns or the (p, runs) noise every lane shares
+    (model._simulate), and `z_past` their (lanes * runs, k-1) z history;
+    with one lane they may be one run's vectors, as in synthesize_attack.
+    Each lane's psi_k comes from its plan's schedule and its own rows of
+    `z_past`; delta is then formed once for every column.
     """
     lanes, cols = len(plans), np.shape(e)[1:]
     runs = cols[0] // lanes if cols else 1
@@ -408,4 +418,8 @@ def synthesize_attacks(plans, model: ClosedLoopModel, k: int, e: np.ndarray, eta
         rows = z_past if lanes == 1 or z_past is None else z_past[l * runs:(l + 1) * runs]
         root[l] = np.sqrt(attack_energy(plan, k, rows))
     psi = np.stack([plan.direction for plan in plans], axis=1)[:, :, None] * root
-    return -(model.plant.c @ e) - eta + model.sigma_sqrt @ psi.reshape(psi.shape[:1] + cols)
+    delta = model.plant.c @ e
+    np.negative(delta, out=delta)
+    model_mod._add_lanes(delta, eta, lanes, np.subtract)
+    delta += model.sigma_sqrt @ psi.reshape(psi.shape[:1] + cols)
+    return delta

@@ -47,6 +47,8 @@ EXIT_USAGE = 2
 EXIT_MODEL = 3
 
 _TRACE_HEADER = "k,norm_x,z,stat,alarm,attack_active"
+# One trace row; "%.12g" writes a float as _fmt does
+_TRACE_ROW = "%d,%.12g,%.12g,%.12g,%d,%d"
 
 
 class ModelPathology(Exception):
@@ -219,16 +221,11 @@ def load_scenario(path: str, seed_override: Optional[int] = None) -> sim_mod.Sce
 
 def _trace_csv(result: sim_mod.EnsembleResult) -> str:
     """One row per step of a one-run result; attack_active is 1 from k_star on."""
-    norm_x = np.linalg.norm(result.mean_x, axis=1)
     k_star = result.scenario.k_star
+    columns = (np.linalg.norm(result.mean_x, axis=1), result.z[0], result.stat[0], result.alarm[0])
     rows = [_TRACE_HEADER]
-    for i in range(result.steps):
-        k = i + 1
-        active = k_star is not None and k >= k_star
-        rows.append(
-            f"{k},{_fmt(norm_x[i])},{_fmt(result.z[0, i])},"
-            f"{_fmt(result.stat[0, i])},{int(result.alarm[0, i])},{int(active)}"
-        )
+    for k, (norm_x, z, stat, alarm) in enumerate(zip(*(col.tolist() for col in columns)), start=1):
+        rows.append(_TRACE_ROW % (k, norm_x, z, stat, alarm, k_star is not None and k >= k_star))
     return "\n".join(rows) + "\n"
 
 

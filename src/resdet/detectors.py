@@ -357,9 +357,9 @@ def tune_cusum_tau(
 
 
 def scan_chi2(z: np.ndarray, alpha: float):
-    """Alarm flags for a chi-squared detector over (..., steps) z arrays."""
+    """Alarm flags for a chi-squared detector over (..., steps) z arrays, in z's memory order."""
     z = np.asarray(z, dtype=float)
-    return z.copy(), z > alpha
+    return z.copy(order="K"), z > alpha
 
 
 def scan_windowed(z: np.ndarray, ell: int, beta: float):
@@ -368,17 +368,20 @@ def scan_windowed(z: np.ndarray, ell: int, beta: float):
     The statistic at column t is the sum of the last min(t+1, ell) values
     (partial sums during warm-up); alarms require a full window.  To resume
     a scan, prepend the samples that precede column 0 and drop their
-    columns (WindowedChiSqDetector.scan).
+    columns (WindowedChiSqDetector.scan).  The scan walks the time axis of
+    z.T, step-major like the simulation's z, and returns views of
+    step-major arrays.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     ell = int(ell)
-    cs = np.cumsum(z, axis=1)
-    w = cs.copy()
-    if ell <= z.shape[1]:
-        w[:, ell:] = cs[:, ell:] - cs[:, :-ell]
+    cs = np.cumsum(z.T, axis=0)
+    w = np.empty_like(cs)
+    w[:ell] = cs[:ell]
+    if ell <= len(cs):
+        np.subtract(cs[ell:], cs[:-ell], out=w[ell:])
     alarms = w > beta
-    alarms[:, : ell - 1] = False  # window not yet full
-    return w, alarms
+    alarms[: ell - 1] = False  # window not yet full
+    return w.T, alarms.T
 
 
 def scan_cusum(z: np.ndarray, b: float, tau: float, s: Optional[np.ndarray] = None):
@@ -389,7 +392,9 @@ def scan_cusum(z: np.ndarray, b: float, tau: float, s: Optional[np.ndarray] = No
     discards column t).  `s` is S before column 0 (zero by default), for
     resuming a scan.  Each run's columns get the same IEEE operations in
     the same order whatever the run count, so a one-run scan equals its
-    row of a many-run scan bit for bit.
+    row of a many-run scan bit for bit.  The scan walks the rows of z.T,
+    which are contiguous for the simulation's step-major z, and returns
+    views of step-major arrays.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     runs, steps = z.shape

@@ -26,7 +26,10 @@ whose run 0 it records as their trace (sim.EnsembleResult.first_run);
 attack-free streams; and the sub-blocks of `iter_distance_stream`, which
 the ARL estimate can stop early.  Each run owns its (seed, run) noise
 substream, drawn on every core (`_draw_blocks`), so no value depends on
-the core count.
+the core count.  The loop is time-major: a draw is one (steps, runs,
+n + p) buffer, so each step reads its noise as one block, which every
+lane adds to its own columns, and z is written one (lanes * runs) row
+per step; callers see z as its (lanes * runs, steps) transpose.
 
 Two things are remembered, read-only and per thread (`_Remembered`), so
 concurrent calls never read one another's draws: the last attack-free
@@ -351,39 +354,50 @@ class NoiseModel:
         eta = self.chol_r2 @ self._rng.standard_normal(self.chol_r2.shape[1])
         return v, eta
 
-    def blocks(self, steps: int):
-        """Pre-generated noise for `steps` steps: v (steps, n), eta (steps, p)."""
-        v = self._rng.standard_normal((steps, self.chol_r1.shape[1])) @ self.chol_r1.T
-        eta = self._rng.standard_normal((steps, self.chol_r2.shape[1])) @ self.chol_r2.T
+    def blocks(self, steps: int, out=None):
+        """Pre-generated noise for `steps` steps: v (steps, n), eta (steps, p).
+
+        v and eta are the first n and the last p columns of one (steps,
+        n + p) array: `out` when given (a run's slab of a draw,
+        _draw_blocks), which the products are written into, else a new one.
+        """
+        n, p = self.chol_r1.shape[0], self.chol_r2.shape[0]
+        if out is None:
+            out = np.empty((steps, n + p))
+        v, eta = out[:, :n], out[:, n:]
+        np.matmul(self._rng.standard_normal((steps, self.chol_r1.shape[1])), self.chol_r1.T, out=v)
+        np.matmul(self._rng.standard_normal((steps, self.chol_r2.shape[1])), self.chol_r2.T, out=eta)
         return v, eta
 
 
 def _draw_blocks(sources, buf: np.ndarray, n: int):
-    """Fill `buf` with each source's next steps: views v (runs, width, n), eta (runs, width, p).
+    """Fill `buf` with each source's next steps: views v (width, runs, n), eta (width, runs, p).
 
-    `buf` is one (runs, width, n + p) allocation, which the caller makes
-    before it builds any source, so a draw too large to allocate fails
-    before a source exists.  v and eta are views of it: two arrays freed at
-    different times, around a remembered stream, fragment the glibc heap
-    and raise the peak resident size.
+    `buf` is one time-major (width, runs, n + p) allocation, which the
+    caller makes before it builds any source, so a draw too large to
+    allocate fails before a source exists.  v and eta are views of it: two
+    arrays freed at different times, around a remembered stream, fragment
+    the glibc heap and raise the peak resident size.  Step t of every run
+    is the contiguous block buf[t], which the simulation reads whole.
 
-    Run i is one `sources[i].blocks(width)` call, so the values do not
-    depend on which thread draws them.  The runs are split into one
-    contiguous slice per CPU (never more slices than runs); the calling
-    thread draws the first slice and one thread started here draws each
-    other slice, in parallel because numpy releases the interpreter lock
-    while it fills normals and multiplies.  Every thread is joined before
-    this returns, and the first exception raised in any slice is raised
-    here.  A one-run draw starts no thread.
+    Run i is one `sources[i].blocks(width, out=buf[:, i])` call, which
+    writes its products into its slab, so the values do not depend on
+    which thread draws them.  The runs are split into one contiguous slice
+    per CPU (never more slices than runs); the calling thread draws the
+    first slice and one thread started here draws each other slice, in
+    parallel because numpy releases the interpreter lock while it fills
+    normals and multiplies.  Every thread is joined before this returns,
+    and the first exception raised in any slice is raised here.  A one-run
+    draw starts no thread.
     """
-    runs, width = buf.shape[:2]
+    width, runs = buf.shape[:2]
     v_all, eta_all = buf[..., :n], buf[..., n:]
     errors = []
 
     def fill(lo: int, hi: int) -> None:
         try:
             for i in range(lo, hi):
-                v_all[i], eta_all[i] = sources[i].blocks(width)
+                sources[i].blocks(width, out=buf[:, i])
         except BaseException as exc:  # re-raised by the caller after the joins
             errors.append(exc)
 
@@ -407,7 +421,8 @@ def _draw_blocks(sources, buf: np.ndarray, n: int):
 def distance_measure(model: ClosedLoopModel, r: np.ndarray):
     """z = r' Sigma^-1 r, clamped at zero against rounding. Vectorizes over columns."""
     y = model.sigma_inv @ r
-    z = np.maximum((r * y).sum(axis=0), 0.0)
+    y *= r
+    z = np.maximum(y.sum(axis=0), 0.0)
     return float(z) if np.ndim(z) == 0 else z
 
 
@@ -417,48 +432,68 @@ def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None, lanes: int = 1)
     Works on single-run vectors (n,) or run-stacked matrices (n, runs);
     the noises and delta are stacked the same way, (p,) or (p, runs).
     `lanes` > 1 reads the columns as that many lanes of equal width side
-    by side (sim.run_ensembles), and the error-recursion check holds each
-    lane to the bound a separate simulation of it would compute.
+    by side (sim.run_ensembles): the noises may then be one lane wide,
+    shared by every lane, and are added to each lane's columns in turn,
+    and the error-recursion check holds each lane to the bound a separate
+    simulation of it would compute.
 
     Returns:
         (x_next, xhat_next, r, z).
     """
-    c = model.plant.c
-    r = c @ (x - xhat) + eta
+    plant = model.plant
+    e = x - xhat
+    r = _add_lanes(plant.c @ e, eta, lanes)
     if delta is not None:
-        r = r + delta
-    u = model.k_fb @ xhat
-    gu = model.plant.g @ u
-    x_next = model.plant.f @ x + gu + v
-    xhat_next = model.plant.f @ xhat + gu + model.l_gain @ r
+        r += delta
+    gu = plant.g @ (model.k_fb @ xhat)
+    x_next = plant.f @ x
+    x_next += gu
+    _add_lanes(x_next, v, lanes)
+    xhat_next = plant.f @ xhat
+    xhat_next += gu
+    xhat_next += model.l_gain @ r
 
     if __debug__:
         # e_{k+1} must match the closed-form error recursion
         # (F-LC) e - L eta + v - L delta regardless of how it was produced.
-        e_direct = x_next - xhat_next
-        e_form = model.f_est @ (x - xhat) - model.l_gain @ eta + v
+        e_form = _add_lanes(model.f_est @ e, model.l_gain @ eta, lanes, np.subtract)
+        _add_lanes(e_form, v, lanes)
         if delta is not None:
-            e_form = e_form - model.l_gain @ delta
+            e_form -= model.l_gain @ delta
+        error = x_next - xhat_next
+        error -= e_form
         if lanes == 1:
             scale = 1.0 + float(np.abs(x_next).max(initial=0.0)) + float(np.abs(xhat_next).max(initial=0.0))
-            assert float(np.abs(e_direct - e_form).max(initial=0.0)) <= 1e-10 * scale
+            assert float(np.abs(error).max(initial=0.0)) <= 1e-10 * scale
         else:
-            scale = 1.0 + _lane_max(x_next, lanes) + _lane_max(xhat_next, lanes)
-            assert np.all(_lane_max(e_direct - e_form, lanes) <= 1e-10 * scale)
+            # max |.| of x_next, xhat_next and the error over each lane's block, in one pass
+            peaks = np.abs(np.stack((x_next, xhat_next, error)))
+            peaks = peaks.reshape(3, len(x), lanes, -1).max(axis=(1, 3), initial=0.0).tolist()
+            assert all(err <= 1e-10 * (1.0 + big + big_hat) for big, big_hat, err in zip(*peaks))
 
     return x_next, xhat_next, r, distance_measure(model, r)
 
 
-def _lane_max(a: np.ndarray, lanes: int) -> np.ndarray:
-    """max |a| over each lane's block of an (n, lanes * runs) matrix: (lanes,)."""
-    return np.abs(a).reshape(a.shape[0], lanes, -1).max(axis=(0, 2), initial=0.0)
+def _add_lanes(a: np.ndarray, b, lanes: int, op=np.add) -> np.ndarray:
+    """op(a, b) written into a, which is returned; a b one lane wide goes to each of a's lanes.
+
+    `a` is a new C-ordered (rows, lanes * runs) result.  A (rows, runs) b,
+    the noise the lanes share, broadcasts over a's (rows, lanes, runs)
+    view: the elementwise operations of a tiled b, with its bits.
+    """
+    if lanes > 1 and np.shape(b)[-1] != a.shape[-1]:
+        lane_view = a.reshape(a.shape[0], lanes, -1)
+        op(lane_view, b[:, None], out=lane_view)
+    else:
+        op(a, b, out=a)
+    return a
 
 
 def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
-    """Noise of runs 0..runs-1 through `steps` steps: v (runs, steps, n), eta (runs, steps, p).
+    """Noise of runs 0..runs-1 through `steps` steps: v (steps, runs, n), eta (steps, runs, p).
 
-    Row i is run i's (seed, i) substream, drawn on every core
-    (_draw_blocks) with the same bits as on one, so the first rows of a
+    Slab [:, i] is run i's (seed, i) substream, drawn on every core
+    (_draw_blocks) with the same bits as on one, so the first slabs of a
     draw are a smaller ensemble's draw.  The remembered stream and noise
     family are forgotten before the draw is allocated.
     """
@@ -468,9 +503,9 @@ def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
 
 
 def _noise_buffer(model: ClosedLoopModel, runs: int, steps: int) -> np.ndarray:
-    """An empty (runs, steps, n + p) noise buffer, else ValueError naming the runs and steps."""
+    """An empty time-major (steps, runs, n + p) noise buffer, else ValueError naming the runs and steps."""
     try:
-        return np.empty((runs, steps, model.n + model.p))
+        return np.empty((steps, runs, model.n + model.p))
     except (MemoryError, ValueError):  # ValueError: past what numpy can address
         raise ValueError(
             f"the noise of runs x steps = {runs} x {steps} is too large to allocate"
@@ -484,7 +519,8 @@ class _NoiseFamily:
     The key is the values of the noise factors, the seed and the run
     count, so loops that share R1 and R2 share the family.  `sources`
     stand after the `drawn` chunks drawn from them; `kept` holds the
-    (width, (v, eta)) of the first _FAMILY_CHUNKS of those, read-only.
+    (width, (v, eta)) of the first _FAMILY_CHUNKS of those, read-only and
+    time-major like every draw, (width, runs, n) and (width, runs, p).
     """
 
     chol_r1: np.ndarray
@@ -555,40 +591,43 @@ def _simulate(model: ClosedLoopModel, noise, attack=None, state=None, lanes: int
               record: bool = False):
     """Advance one trajectory per run of `noise` and lane in lockstep, from `state` or the origin.
 
-    `noise` is a drawn (v, eta) pair, (runs, steps, n) and (runs, steps, p)
-    (_draw_noise), which every lane reads: the state is one (n, lanes *
-    runs) block whose columns l * runs .. (l + 1) * runs - 1 are lane l's
-    runs, so each step is one advance call for every lane.
+    `noise` is a drawn (v, eta) pair, time-major (steps, runs, n) and
+    (steps, runs, p) (_draw_noise), so step t reads one contiguous block,
+    which every lane shares: the state is one (n, lanes * runs) block whose
+    columns l * runs .. (l + 1) * runs - 1 are lane l's runs, and each step
+    is one advance call that adds the step's (n, runs) and (p, runs) noise
+    to every lane's columns.
     `attack(k, e, eta, z_past)`, when given, returns step k's sensor bias
-    (or None) for the whole block from the error e = x - xhat, the sensor
-    noise and the (lanes * runs, k - 1) z history.  `state` is the (x,
-    xhat) pair of (n, lanes * runs) matrices a previous call returned.
+    (or None) for the whole block from the error e = x - xhat, the shared
+    (p, runs) sensor noise and the (lanes * runs, k - 1) z history.
+    `state` is the (x, xhat) pair of (n, lanes * runs) matrices a previous
+    call returned.
     Returns (z, state, record): the distance measures, (lanes * runs,
-    steps), the final (x, xhat), which a later call continues from, and,
-    when `record` is asked (ensembles), the pair (sum_x, first): each
-    lane's across-run sum of each step's state, (lanes, steps, n), and
-    each lane's run 0 state at each step, (lanes, steps, n).  `first` and
-    row l * runs of z are lane l's run 0 trace, so an ensemble's trace
-    needs no one-run simulation of its own.  Without `record` the third
-    item is None and neither is computed.
+    steps), a view of the time-major (steps, lanes * runs) rows the loop
+    writes one step at a time; the final (x, xhat), which a later call
+    continues from; and, when `record` is asked (ensembles), the pair
+    (sum_x, first): each lane's across-run sum of each step's state,
+    (lanes, steps, n), and each lane's run 0 state at each step, (lanes,
+    steps, n).  `first` and row l * runs of z are lane l's run 0 trace, so
+    an ensemble's trace needs no one-run simulation of its own.  Without
+    `record` the third item is None and neither is computed.
     """
     v_all, eta_all = noise
-    runs, steps, n = v_all.shape
+    steps, runs, n = v_all.shape
     cols = lanes * runs
     x, xhat = (np.zeros((n, cols)), np.zeros((n, cols))) if state is None else state
     if record:
         sum_x, first = np.empty((lanes, steps, n)), np.empty((lanes, steps, n))
-    z = np.empty((cols, steps))
+    z = np.empty((steps, cols))
     for t in range(steps):
-        v, eta = v_all[:, t, :].T, eta_all[:, t, :].T
-        if lanes > 1:
-            v, eta = np.tile(v, lanes), np.tile(eta, lanes)
-        delta = None if attack is None else attack(t + 1, x - xhat, eta, z[:, :t])
+        # the step's block, copied once into contiguous (n, runs) and (p, runs) noise
+        v, eta = np.ascontiguousarray(v_all[t].T), np.ascontiguousarray(eta_all[t].T)
+        delta = None if attack is None else attack(t + 1, x - xhat, eta, z[:t].T)
         if record:
             sum_x[:, t] = x.reshape(n, lanes, runs).sum(axis=2).T
             first[:, t] = x[:, ::runs].T
-        x, xhat, _, z[:, t] = advance(model, x, xhat, v, eta, delta, lanes)
-    return z, (x, xhat), ((sum_x, first) if record else None)
+        x, xhat, _, z[t] = advance(model, x, xhat, v, eta, delta, lanes)
+    return z.T, (x, xhat), ((sum_x, first) if record else None)
 
 
 def simulate_distance_stream(
@@ -626,7 +665,8 @@ def simulate_distance_stream(
         return last[2]
     _remembered.stream = None  # a remembered chunk is no draw: drop the old z before the new one
     z = _simulate(model, next(_attack_free_noise(model, [burn_in + steps], runs, seed)))[0]
-    z.flags.writeable = False  # its views cannot be made writeable either
+    z.base.flags.writeable = False  # the time-major rows: no view of them can be made writeable
+    z.flags.writeable = False
     _remembered.stream = (model, key, z[:, burn_in:])
     return _remembered.stream[2]
 
@@ -643,19 +683,20 @@ def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: in
     chunk per width in `widths`.  Each chunk's noise is drawn when the
     chunk starts, block-wise per run from the (seed, i) substreams, so the
     values depend on the chunk widths as well as on the seed.  The chunk
-    is then advanced in sub-blocks of at most _SUB_BLOCK columns, each one
-    _simulate call that continues from the state the previous one left,
-    and each sub-block's z is yielded as a (runs, columns) array as soon as
-    it is computed: a consumer that stops pulling stops the advancing
-    (estimate_arl's early exit).  A chunk's noise is drawn on every
-    available core (_draw_blocks) with the same bits as on one.
+    is then advanced in sub-blocks of at most _SUB_BLOCK steps, each one
+    _simulate call on a slice of the chunk's leading (time) axis that
+    continues from the state the previous one left, and each sub-block's
+    z is yielded as a (runs, columns) array, a view of its time-major
+    rows, as soon as it is computed: a consumer that stops pulling stops
+    the advancing (estimate_arl's early exit).  A chunk's noise is drawn on
+    every available core (_draw_blocks) with the same bits as on one.
 
     The chunks come from the noise family (_attack_free_noise), which keeps
     the first two for the next stream of the same R1, R2, seed and runs.
     """
     state = None
     for v_all, eta_all in _attack_free_noise(model, widths, runs, seed):
-        for start in range(0, v_all.shape[1], _SUB_BLOCK):
-            block = (v_all[:, start:start + _SUB_BLOCK], eta_all[:, start:start + _SUB_BLOCK])
+        for start in range(0, len(v_all), _SUB_BLOCK):
+            block = (v_all[start:start + _SUB_BLOCK], eta_all[start:start + _SUB_BLOCK])
             z, state, _ = _simulate(model, block, state=state)
             yield z

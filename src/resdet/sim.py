@@ -181,12 +181,14 @@ def run_ensembles(scenarios):
 
     The lanes share the model object, steps, burn_in, seed and mc_runs,
     so they read one noise draw (model._draw_noise): the state is one
-    (n, lanes * mc_runs) block (model._simulate) and each step is one
-    advance call and one synthesize_attacks call for every lane, each
-    lane's psi coming from its own plan.  The draw is an argument of the
-    loop only, so it is freed before the first scan, and each lane is
-    scanned when it is consumed: a consumer that drops each result before
-    taking the next holds one lane's stat and alarm at a time.
+    (n, lanes * mc_runs) block (model._simulate), to each lane of which
+    every step's (., mc_runs) noise is added, not tiled, and each step is
+    one advance call and one stealthy-bias evaluation
+    (attacks.synthesize_attacks) for every lane, each lane's psi coming
+    from its own plan.  The draw is an argument of the loop only, so it is
+    freed before the first scan, and each lane is scanned when it is
+    consumed: a consumer that drops each result before taking the next
+    holds one lane's stat and alarm at a time.
 
     Each result equals the lane's own run_ensemble to rounding.  A column
     of a matrix product rounds the same whatever the width only where the

@@ -174,9 +174,9 @@ def blocks_calls(monkeypatch):
     calls = []
     blocks = model_mod.NoiseModel.blocks
 
-    def recording_blocks(self, steps):
+    def recording_blocks(self, steps, out=None):
         calls.append(steps)
-        return blocks(self, steps)
+        return blocks(self, steps, out=out)
 
     monkeypatch.setattr(model_mod.NoiseModel, "blocks", recording_blocks)
     return calls
@@ -209,7 +209,7 @@ def test_an_arl_past_the_kept_chunks_restarts_the_family(reactor_dare, blocks_ca
     assert first == second == fresh
     for width, noise in model_mod._remembered.family.kept:
         for block in noise:
-            assert block.shape[:2] == (40, width) and not block.flags.writeable
+            assert block.shape[:2] == (width, 40) and not block.flags.writeable  # time-major
             with pytest.raises(ValueError, match="read-only"):
                 block[0, 0, 0] = 1.0
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from resdet import attacks as attacks_mod
 from resdet import model as mdl
 from resdet.attacks import (
     AttackPlan,
@@ -432,6 +433,28 @@ def test_attack_energy_schedules(reactor_fixed):
     )
     assert attack_energy(override_pulse, 10) == 4.0
     assert attack_energy(override_pulse, 11) == 0.0
+
+
+@pytest.mark.parametrize("runs", [1, 2, 3, 200])
+def test_the_greedy_window_sum_adds_left_to_right(runs):
+    # a history of two or more runs is summed as one reduction over the rows
+    # of its time-major window; it must keep the bits of a cumsum along each
+    # run, which numpy's pairwise sum of one contiguous run would not
+    greedy = AttackPlan(kind="windowed-greedy", k_star=1, direction=np.array([1.0, 0.0, 0.0]),
+                        detector=WindowedChiSqDetector(BETA50, 50))
+    rng = np.random.default_rng(runs)
+    rows = rng.chisquare(3, size=(300, 2 * runs)) * 10.0 ** rng.uniform(-6, 6, size=(300, 2 * runs))
+    for k in (1, 2, 9, 50, 51, 130, 300):
+        time_major = rows[:k - 1].T  # (2 * runs, k - 1), as a simulation hands it over
+        histories = [time_major[:runs], time_major[runs:], np.ascontiguousarray(time_major[:runs])]
+        if runs == 1:
+            histories.append(time_major[0])  # one run's 1-D history
+        for past in histories:
+            want = past[..., max(0, k - 50):].cumsum(axis=-1)
+            want = want[..., -1] if k > 1 else np.zeros(past.shape[:-1])
+            got = attacks_mod._live_state(greedy, k, past)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want), (k, past.shape, past.flags.c_contiguous)
 
 
 def test_synthesize_requires_live_detector_for_dynamic_modes(reactor_fixed):

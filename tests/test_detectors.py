@@ -338,6 +338,27 @@ def test_windowed_scan_ell_one_equals_chi2_scan():
     assert np.array_equal(a1, a2)
 
 
+@pytest.mark.parametrize("runs", [1, 3])
+def test_windowed_scan_of_step_major_z_has_the_cumsum_bits(runs):
+    # the simulation's z is step-major, (runs, steps) views of (steps, runs)
+    # rows; the scan's running sum walks those rows and must keep the bits
+    # of a cumsum along each run
+    rng = np.random.default_rng(runs)
+    steps = 130
+    rows = rng.chisquare(3, size=(steps, runs)) * 10.0 ** rng.uniform(-4, 4, size=(steps, runs))
+    beta = float(np.median(rows)) * 8
+    for z in (rows.T, np.ascontiguousarray(rows.T), rows[:, 1:].T):
+        cs = np.cumsum(np.ascontiguousarray(z), axis=1)
+        for ell in (1, 7, 50, steps, steps + 3):
+            want = cs.copy()
+            if ell <= steps:
+                want[:, ell:] = cs[:, ell:] - cs[:, :-ell]
+            stat, alarm = scan_windowed(z, ell, beta)
+            assert np.array_equal(stat, want), (z.flags.c_contiguous, ell)
+            full = np.arange(steps) >= ell - 1
+            assert np.array_equal(alarm, (want > beta) & full), (z.flags.c_contiguous, ell)
+
+
 def test_cusum_scan_eq10_timing():
     # exceedance at step 1 (S=tau+eps) -> alarm flag raised at step 2
     z = np.array([[7.0, 3.0, 3.0]])

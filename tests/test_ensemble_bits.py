@@ -322,11 +322,12 @@ def test_the_study_takes_its_geometry_from_the_bundled_scenario(tmp_path, monkey
 
 
 def test_row_0_of_a_draw_is_the_one_run_draw(reactor_fixed):
+    # a draw is time-major: run i is slab [:, i]
     five = model_mod._draw_noise(reactor_fixed, 40, 5, 7)
     one = model_mod._draw_noise(reactor_fixed, 40, 1, 7)
-    assert [block.shape for block in five] == [(5, 40, 4), (5, 40, 3)]
+    assert [block.shape for block in five] == [(40, 5, 4), (40, 5, 3)]
     for rows, row in zip(five, one):
-        assert np.array_equal(rows[:1], row)
+        assert np.array_equal(rows[:, :1], row)
 
 
 # ---------------------------------------------------------------- core count
@@ -376,9 +377,9 @@ def test_each_slice_of_runs_is_drawn_on_its_own_thread(reactor_fixed, monkeypatc
     names = {}  # run index -> name of the thread that drew its noise
     blocks = model_mod.NoiseModel.blocks
 
-    def recording_blocks(self, steps):
+    def recording_blocks(self, steps, out=None):
         names[self.run] = threading.current_thread().name
-        return blocks(self, steps)
+        return blocks(self, steps, out=out)
 
     monkeypatch.setattr(model_mod.NoiseModel, "blocks", recording_blocks)
     before = threading.active_count()
@@ -395,8 +396,9 @@ def test_v_and_eta_are_drawn_into_one_buffer(reactor_fixed):
     # two arrays, freed at different times around a remembered stream,
     # fragment the glibc heap and raise the peak resident size
     v, eta = model_mod._draw_noise(reactor_fixed, 40, 5, 7)
-    assert v.shape == (5, 40, 4) and eta.shape == (5, 40, 3)
+    assert v.shape == (40, 5, 4) and eta.shape == (40, 5, 3)
     assert v.base is not None and v.base is eta.base
+    assert v.base.shape == (40, 5, 7) and v.base.flags.c_contiguous  # step t is one block
 
 
 def test_a_one_run_or_empty_draw_starts_no_thread(reactor_fixed, monkeypatch):
@@ -418,11 +420,12 @@ def test_an_error_on_a_worker_slice_reaches_the_caller(reactor_fixed, monkeypatc
     report_cpus(monkeypatch, 2)  # slices [0, 2), [2, 5)
     raised_on = []
 
-    def failing_blocks(self, steps):
+    def failing_blocks(self, steps, out=None):
         if self.run == 4:
             raised_on.append(threading.current_thread())
             raise RuntimeError("no noise for run 4")
-        return np.zeros((steps, self.chol_r1.shape[0])), np.zeros((steps, self.chol_r2.shape[0]))
+        out[...] = 0.0
+        return out[:, :self.chol_r1.shape[0]], out[:, self.chol_r1.shape[0]:]
 
     monkeypatch.setattr(model_mod.NoiseModel, "blocks", failing_blocks)
     before = threading.active_count()

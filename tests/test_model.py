@@ -13,6 +13,7 @@ from resdet import model as mdl
 from resdet import numerics
 from resdet import reactor as rx
 from resdet import sim
+from resdet.attacks import plan_attack, synthesize_attacks
 from resdet.cli import load_scenario
 from resdet.detectors import ChiSqDetector, CusumDetector, estimate_arl, measure_alarm_rate, tune_chi2
 from resdet.model import PlantModel, advance, build_closed_loop, simulate_distance_stream
@@ -226,6 +227,24 @@ def test_each_lane_is_held_to_its_own_error_bound(reactor_fixed):
         advance(bad, x, xhat, v, eta, lanes=2)
     with pytest.raises(AssertionError):
         advance(bad, x[:, :runs], xhat[:, :runs], v[:, :runs], eta[:, :runs])
+
+
+def test_lanes_read_one_lane_of_noise_with_the_bits_of_tiled_noise(reactor_fixed):
+    # the lanes of a simulation share their noise: advance and the stealthy
+    # bias add the (., runs) noise to each lane's columns, as they would a tiled copy
+    rng = np.random.default_rng(10)
+    lanes, runs = 3, 4
+    x, xhat = rng.normal(size=(4, lanes * runs)), 1e3 * rng.normal(size=(4, lanes * runs))
+    v, eta = rng.normal(size=(4, runs)), rng.normal(size=(3, runs))
+    plans = [plan_attack(reactor_fixed, ChiSqDetector(tune_chi2(3, 0.05)), k_star=1, direction=d)
+             for d in ("worst", "ones", "worst")]
+    delta = synthesize_attacks(plans, reactor_fixed, 1, x - xhat, eta)
+    assert np.array_equal(delta, synthesize_attacks(plans, reactor_fixed, 1, x - xhat, np.tile(eta, lanes)))
+    for bias in (None, delta):
+        shared = advance(reactor_fixed, x, xhat, v, eta, bias, lanes)
+        tiled = advance(reactor_fixed, x, xhat, np.tile(v, lanes), np.tile(eta, lanes), bias, lanes)
+        for got, want in zip(shared, tiled):
+            assert np.array_equal(got, want)
 
 
 def test_batched_advance_matches_sequential(reactor_fixed):
