@@ -525,6 +525,8 @@ def estimate_arl(
         raise ValueError("runs must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    if cap > np.iinfo(np.int64).max:  # the run lengths are int64
+        raise ValueError(f"cap must be at most 2**63 - 1, got {cap}")
     if chunk < 1 or warm_up < 0:
         raise ValueError("chunk must be >= 1 and warm_up >= 0")
     widths = itertools.chain([warm_up], (min(chunk, cap - offset) for offset in range(0, cap, chunk)))

@@ -25,11 +25,13 @@ stopped: ensembles, whose lanes share one draw (sim.run_ensembles) and
 whose run 0 it records as their trace (sim.EnsembleResult.first_run);
 attack-free streams; and the sub-blocks of `iter_distance_stream`, which
 the ARL estimate can stop early.  Each run owns its (seed, run) noise
-substream, drawn on every core (`_draw_blocks`), so no value depends on
-the core count.  The loop is time-major: a draw is one (steps, runs,
-n + p) buffer, so each step reads its noise as one block, which every
-lane adds to its own columns, and z is written one (lanes * runs) row
-per step; callers see z as its (lanes * runs, steps) transpose.
+substream, drawn with the plant's factors of R1 and R2 on every core
+(`_draw_blocks`), so no value depends on the core count.  A draw has one
+form from its allocation (`_noise_buffer`) to the loop: a time-major
+(steps, runs, n + p) array whose last axis holds v, then eta, so each step
+copies its noise once, as one block that every lane adds to its own
+columns, and z is written one (lanes * runs) row per step; callers see
+z as its (lanes * runs, steps) transpose.
 
 Two things are remembered, read-only and per thread (`_Remembered`), so
 concurrent calls never read one another's draws: the last attack-free
@@ -107,7 +109,9 @@ class PlantModel:
     R1 is symmetrized as (R1 + R1') / 2 on construction: a covariance must
     be symmetric, and averaging is the minimal repair for asymmetric input
     (e.g. transcription artifacts in published matrices).  R2 must be
-    symmetric positive definite.
+    symmetric positive definite.  The checks' factors, each with
+    chol @ chol' = R, are kept for every noise draw: `chol_r1`
+    (numerics.psd_factor) and `chol_r2` (Cholesky).
     """
 
     f: np.ndarray
@@ -115,6 +119,8 @@ class PlantModel:
     c: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
+    chol_r1: np.ndarray = field(init=False, repr=False, compare=False)
+    chol_r2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = _as_matrix(self.f, None, None, "F")
@@ -126,16 +132,17 @@ class PlantModel:
         p = c.shape[0]
         r1 = _as_matrix(self.r1, n, n, "R1")
         r1 = 0.5 * (r1 + r1.T)
-        numerics.psd_sqrt(r1)  # raises if R1 is not PSD
+        chol_r1 = numerics.psd_factor(r1)  # raises if R1 is not PSD
         r2 = _as_matrix(self.r2, p, p, "R2")
         if np.abs(r2 - r2.T).max() > 1e-9 * max(1.0, float(np.abs(r2).max())):
             raise ValueError("R2 must be symmetric")
         r2 = 0.5 * (r2 + r2.T)
         try:
-            np.linalg.cholesky(r2)
+            chol_r2 = np.linalg.cholesky(r2)
         except np.linalg.LinAlgError:
             raise ValueError("R2 must be positive definite") from None
-        for name, arr in (("f", f), ("g", g), ("c", c), ("r1", r1), ("r2", r2)):
+        for name, arr in (("f", f), ("g", g), ("c", c), ("r1", r1), ("r2", r2),
+                          ("chol_r1", chol_r1), ("chol_r2", chol_r2)):
             object.__setattr__(self, name, arr)
 
     @property
@@ -173,8 +180,6 @@ class ClosedLoopModel:
     f_est: np.ndarray
     rho_cl: float
     rho_est: float
-    chol_r1: np.ndarray
-    chol_r2: np.ndarray
 
     @property
     def n(self) -> int:
@@ -190,7 +195,7 @@ class ClosedLoopModel:
 
     def noise(self, seed: int, run: int = 0) -> "NoiseModel":
         """Noise source for one simulation run (substream = (seed, run))."""
-        return NoiseModel(chol_r1=self.chol_r1, chol_r2=self.chol_r2, seed=seed, run=run)
+        return NoiseModel(self.plant.chol_r1, self.plant.chol_r2, seed=seed, run=run)
 
     @cached_property
     def deviation_map(self) -> np.ndarray:
@@ -287,7 +292,6 @@ def build_closed_loop(plant: PlantModel, k_fb, l_gain=None) -> ClosedLoopModel:
         plant=plant, k_fb=k_arr, l_gain=l_arr, p_pred=p_pred, sigma=sigma,
         sigma_sqrt=numerics.psd_sqrt(sigma), sigma_inv=sigma_inv, f_cl=f_cl, f_est=f_est,
         rho_cl=rho_cl, rho_est=rho_est,
-        chol_r1=numerics.psd_factor(plant.r1), chol_r2=numerics.psd_factor(plant.r2),
     )
 
 
@@ -370,15 +374,15 @@ class NoiseModel:
         return v, eta
 
 
-def _draw_blocks(sources, buf: np.ndarray, n: int):
-    """Fill `buf` with each source's next steps: views v (width, runs, n), eta (width, runs, p).
+def _draw_blocks(sources, buf: np.ndarray) -> np.ndarray:
+    """Fill `buf`, one time-major (width, runs, n + p) draw, with each source's next steps; return it.
 
-    `buf` is one time-major (width, runs, n + p) allocation, which the
-    caller makes before it builds any source, so a draw too large to
-    allocate fails before a source exists.  v and eta are views of it: two
-    arrays freed at different times, around a remembered stream, fragment
-    the glibc heap and raise the peak resident size.  Step t of every run
-    is the contiguous block buf[t], which the simulation reads whole.
+    The caller allocates `buf` before it builds any source, so a draw too
+    large to allocate fails before a source exists.  v and eta share the
+    one allocation: two arrays freed at different times, around a
+    remembered stream, fragment the glibc heap and raise the peak resident
+    size.  Step t of every run is the contiguous block buf[t], which the
+    simulation reads whole.
 
     Run i is one `sources[i].blocks(width, out=buf[:, i])` call, which
     writes its products into its slab, so the values do not depend on
@@ -391,7 +395,6 @@ def _draw_blocks(sources, buf: np.ndarray, n: int):
     draw starts no thread.
     """
     width, runs = buf.shape[:2]
-    v_all, eta_all = buf[..., :n], buf[..., n:]
     errors = []
 
     def fill(lo: int, hi: int) -> None:
@@ -415,7 +418,7 @@ def _draw_blocks(sources, buf: np.ndarray, n: int):
         worker.join()
     if errors:
         raise errors[0]
-    return v_all, eta_all
+    return buf
 
 
 def distance_measure(model: ClosedLoopModel, r: np.ndarray):
@@ -462,7 +465,7 @@ def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None, lanes: int = 1)
             e_form -= model.l_gain @ delta
         error = x_next - xhat_next
         error -= e_form
-        if lanes == 1:
+        if lanes == 1:  # measured faster than the stacked per-lane form at n = 4 and at n = 100
             scale = 1.0 + float(np.abs(x_next).max(initial=0.0)) + float(np.abs(xhat_next).max(initial=0.0))
             assert float(np.abs(error).max(initial=0.0)) <= 1e-10 * scale
         else:
@@ -490,7 +493,7 @@ def _add_lanes(a: np.ndarray, b, lanes: int, op=np.add) -> np.ndarray:
 
 
 def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
-    """Noise of runs 0..runs-1 through `steps` steps: v (steps, runs, n), eta (steps, runs, p).
+    """Noise of runs 0..runs-1 through `steps` steps, one time-major (steps, runs, n + p) array.
 
     Slab [:, i] is run i's (seed, i) substream, drawn on every core
     (_draw_blocks) with the same bits as on one, so the first slabs of a
@@ -499,7 +502,7 @@ def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
     """
     _forget_noise()
     buf = _noise_buffer(model, runs, steps)
-    return _draw_blocks([model.noise(seed, run=i) for i in range(runs)], buf, model.n)
+    return _draw_blocks([model.noise(seed, run=i) for i in range(runs)], buf)
 
 
 def _noise_buffer(model: ClosedLoopModel, runs: int, steps: int) -> np.ndarray:
@@ -516,15 +519,14 @@ def _noise_buffer(model: ClosedLoopModel, runs: int, steps: int) -> np.ndarray:
 class _NoiseFamily:
     """The per-run noise sources of one attack-free ensemble and its first chunks.
 
-    The key is the values of the noise factors, the seed and the run
-    count, so loops that share R1 and R2 share the family.  `sources`
-    stand after the `drawn` chunks drawn from them; `kept` holds the
-    (width, (v, eta)) of the first _FAMILY_CHUNKS of those, read-only and
-    time-major like every draw, (width, runs, n) and (width, runs, p).
+    The key is the values of the plant's noise factors (`plant` is the
+    first loop's), the seed and the run count, so loops that share R1 and
+    R2 share the family.  `sources` stand after the `drawn` chunks drawn
+    from them; `kept` holds the (width, noise) of the first _FAMILY_CHUNKS
+    of those, each a read-only time-major (width, runs, n + p) draw.
     """
 
-    chol_r1: np.ndarray
-    chol_r2: np.ndarray
+    plant: PlantModel
     seed: int
     runs: int
     sources: list = None
@@ -533,31 +535,29 @@ class _NoiseFamily:
 
     def serves(self, model: ClosedLoopModel, runs: int, seed: int) -> bool:
         return (self.seed == seed and self.runs == runs
-                and np.array_equal(self.chol_r1, model.chol_r1)
-                and np.array_equal(self.chol_r2, model.chol_r2))
+                and np.array_equal(self.plant.chol_r1, model.plant.chol_r1)
+                and np.array_equal(self.plant.chol_r2, model.plant.chol_r2))
 
     def draw(self, model: ClosedLoopModel, width: int):
         """The sources' next `width` steps, kept while fewer than _FAMILY_CHUNKS are."""
         _remembered.stream = None
-        n = model.n
         buf = _noise_buffer(model, self.runs, width)
         if self.sources is None:
             self.sources = [model.noise(self.seed, run=i) for i in range(self.runs)]
         try:
-            noise = _draw_blocks(self.sources, buf, n)
+            noise = _draw_blocks(self.sources, buf)
         except BaseException:
             _forget_noise()  # the sources stopped part-way through the chunk
             raise
         self.drawn += 1
         if len(self.kept) < _FAMILY_CHUNKS:
-            buf.flags.writeable = False  # its views cannot be made writeable either
-            noise = buf[..., :n], buf[..., n:]
+            noise.flags.writeable = False  # its views cannot be made writeable either
             self.kept.append((width, noise))
         return noise
 
 
 def _attack_free_noise(model: ClosedLoopModel, widths, runs: int, seed: int):
-    """The noise (v, eta) of each chunk of `widths` in turn, from the family of (model, seed, runs).
+    """The noise of each chunk of `widths` in turn, from the family of (model, seed, runs).
 
     A chunk the family keeps is handed out as it is, read-only.  Any other
     is drawn from the family's sources when they stand right after this
@@ -579,7 +579,7 @@ def _attack_free_noise(model: ClosedLoopModel, widths, runs: int, seed: int):
             noise = family.draw(model, width)
         else:
             _forget_noise()
-            family = _remembered.family = _NoiseFamily(model.chol_r1, model.chol_r2, seed, runs)
+            family = _remembered.family = _NoiseFamily(model.plant, seed, runs)
             for earlier in past:
                 family.draw(model, earlier)
             noise = family.draw(model, width)
@@ -591,12 +591,11 @@ def _simulate(model: ClosedLoopModel, noise, attack=None, state=None, lanes: int
               record: bool = False):
     """Advance one trajectory per run of `noise` and lane in lockstep, from `state` or the origin.
 
-    `noise` is a drawn (v, eta) pair, time-major (steps, runs, n) and
-    (steps, runs, p) (_draw_noise), so step t reads one contiguous block,
-    which every lane shares: the state is one (n, lanes * runs) block whose
-    columns l * runs .. (l + 1) * runs - 1 are lane l's runs, and each step
-    is one advance call that adds the step's (n, runs) and (p, runs) noise
-    to every lane's columns.
+    `noise` is a time-major (steps, runs, n + p) draw (_draw_noise), so
+    step t reads one contiguous block, which every lane shares: the state
+    is one (n, lanes * runs) block whose columns l * runs .. (l + 1) * runs
+    - 1 are lane l's runs, and each step is one advance call that adds the
+    step's (n, runs) and (p, runs) noise to every lane's columns.
     `attack(k, e, eta, z_past)`, when given, returns step k's sensor bias
     (or None) for the whole block from the error e = x - xhat, the shared
     (p, runs) sensor noise and the (lanes * runs, k - 1) z history.
@@ -612,16 +611,17 @@ def _simulate(model: ClosedLoopModel, noise, attack=None, state=None, lanes: int
     an ensemble's trace needs no one-run simulation of its own.  Without
     `record` the third item is None and neither is computed.
     """
-    v_all, eta_all = noise
-    steps, runs, n = v_all.shape
+    steps, runs = noise.shape[:2]
+    n = model.n
     cols = lanes * runs
     x, xhat = (np.zeros((n, cols)), np.zeros((n, cols))) if state is None else state
     if record:
         sum_x, first = np.empty((lanes, steps, n)), np.empty((lanes, steps, n))
     z = np.empty((steps, cols))
     for t in range(steps):
-        # the step's block, copied once into contiguous (n, runs) and (p, runs) noise
-        v, eta = np.ascontiguousarray(v_all[t].T), np.ascontiguousarray(eta_all[t].T)
+        # the step's block, copied once into contiguous (n + p, runs) noise: v over eta
+        block = np.ascontiguousarray(noise[t].T)
+        v, eta = block[:n], block[n:]
         delta = None if attack is None else attack(t + 1, x - xhat, eta, z[:t].T)
         if record:
             sum_x[:, t] = x.reshape(n, lanes, runs).sum(axis=2).T
@@ -695,8 +695,7 @@ def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: in
     the first two for the next stream of the same R1, R2, seed and runs.
     """
     state = None
-    for v_all, eta_all in _attack_free_noise(model, widths, runs, seed):
-        for start in range(0, len(v_all), _SUB_BLOCK):
-            block = (v_all[start:start + _SUB_BLOCK], eta_all[start:start + _SUB_BLOCK])
-            z, state, _ = _simulate(model, block, state=state)
+    for noise in _attack_free_noise(model, widths, runs, seed):
+        for start in range(0, len(noise), _SUB_BLOCK):
+            z, state, _ = _simulate(model, noise[start:start + _SUB_BLOCK], state=state)
             yield z

@@ -39,6 +39,7 @@ __all__ = [
 # window statistics push a = p*ell/2 into the thousands.
 _GAMMA_EPS = 1e-15
 _GAMMA_ITMAX = 200_000
+_QUANTILE_TOL = 1e-13  # |P(a, x) - q| that ends the quantile's Newton iteration
 _TINY = 1e-300
 
 # Doubling iterations (DARE, Lyapunov): an increment below this fraction of
@@ -128,7 +129,7 @@ def _gamma_pdf(a: float, x: float) -> float:
     return math.exp(-x + (a - 1.0) * math.log(x) - math.lgamma(a))
 
 
-def inverse_regularized_lower_gamma(a: float, q: float, tol: float = 1e-13) -> float:
+def inverse_regularized_lower_gamma(a: float, q: float) -> float:
     """Inverse of the regularized lower incomplete gamma in its second argument.
 
     Finds x >= 0 with P(a, x) = q using Newton iterations safeguarded by
@@ -138,7 +139,6 @@ def inverse_regularized_lower_gamma(a: float, q: float, tol: float = 1e-13) -> f
     Args:
         a: shape parameter, must be > 0.
         q: target probability in [0, 1).
-        tol: absolute tolerance on P(a, x) - q.
 
     Returns:
         The quantile x.
@@ -165,7 +165,7 @@ def inverse_regularized_lower_gamma(a: float, q: float, tol: float = 1e-13) -> f
             hi = x
         else:
             lo = x
-        if abs(err) <= tol:
+        if abs(err) <= _QUANTILE_TOL:
             return x
         dpdx = _gamma_pdf(a, x)
         if dpdx > 0.0:
@@ -251,7 +251,7 @@ def psd_factor(mat: np.ndarray) -> np.ndarray:
     """A factor A with A @ A.T equal to the given symmetric PSD matrix.
 
     Uses Cholesky when the matrix is positive definite and falls back to the
-    symmetric square root for the semidefinite case.
+    symmetric square root (psd_sqrt, which rejects a matrix that is not PSD).
     """
     sym = _check_symmetric(mat, "covariance")
     try:

@@ -248,23 +248,20 @@ def run(scenario: Scenario) -> EnsembleResult:
     return run_ensemble(replace(scenario, mc_runs=1))
 
 
-def steady_deviation_estimate(result: EnsembleResult, tail_fraction: Optional[float] = None) -> float:
+def steady_deviation_estimate(result: EnsembleResult) -> float:
     """||mean over runs and tail steps of x_k||, the measured steady deviation."""
     scenario = result.scenario
     if not scenario.attacked:
         raise ValueError("no prediction available: scenario has no attack")
-    frac = scenario.tail_fraction if tail_fraction is None else tail_fraction
-    if not (0.0 < frac <= 1.0):
-        raise ValueError("tail_fraction must lie in (0, 1]")
     k_star = scenario.plan.k_star
     span = result.steps - k_star + 1
     if span < 1:
         raise ValueError("trace ends before the attack starts")
-    tail = max(1, int(round(frac * span)))
+    tail = max(1, int(round(scenario.tail_fraction * span)))
     return float(np.linalg.norm(result.mean_x[result.steps - tail:].mean(axis=0)))
 
 
-def measure_steady_deviation(result: EnsembleResult, tail_fraction: Optional[float] = None):
+def measure_steady_deviation(result: EnsembleResult):
     """Measured vs. predicted steady-state deviation.
 
     Returns:
@@ -277,7 +274,7 @@ def measure_steady_deviation(result: EnsembleResult, tail_fraction: Optional[flo
             and for the pulsed windowed schedule which has no
             constant-forcing bound.
     """
-    measured = steady_deviation_estimate(result, tail_fraction)
+    measured = steady_deviation_estimate(result)
     predicted = attacks_mod.predicted_deviation(result.scenario.model, result.scenario.plan).gamma
     if predicted > 0.0:
         rel = abs(measured - predicted) / predicted

@@ -208,10 +208,9 @@ def test_an_arl_past_the_kept_chunks_restarts_the_family(reactor_dare, blocks_ca
         fresh = estimate_arl(reactor_dare, detector, **kwargs)
     assert first == second == fresh
     for width, noise in model_mod._remembered.family.kept:
-        for block in noise:
-            assert block.shape[:2] == (width, 40) and not block.flags.writeable  # time-major
-            with pytest.raises(ValueError, match="read-only"):
-                block[0, 0, 0] = 1.0
+        assert noise.shape == (width, 40, 4 + 3) and not noise.flags.writeable  # time-major
+        with pytest.raises(ValueError, match="read-only"):
+            noise[0, 0, 0] = 1.0
 
 
 def test_arl_stops_advancing_once_every_run_has_exceeded(reactor_dare, monkeypatch):

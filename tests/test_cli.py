@@ -435,6 +435,14 @@ def test_an_ensemble_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
 
+def test_a_cap_past_int64_exits_2(capsys, bundled_scenario):
+    # run lengths are int64: one past its range is a usage error, its largest value a cap
+    assert main(["arl", "--scenario", bundled_scenario, "--runs", "3", "--cap", str(10**19)]) == 2
+    assert capsys.readouterr() == ("", f"resdet: cap must be at most 2**63 - 1, got {10**19}\n")
+    assert main(["arl", "--scenario", bundled_scenario, "--runs", "3", "--cap", str(2**63 - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["cap"] == 2**63 - 1
+
+
 def boom(*args, **kwargs):
     raise ValueError("boom")
 

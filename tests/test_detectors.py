@@ -382,7 +382,8 @@ def test_arl_matches_inverse_rate(reactor_dare):
 
 def test_arl_rejects_bad_geometry(reactor_dare):
     d = ChiSqDetector(tune_chi2(3, 0.05))
-    for bad in ({"runs": 0}, {"cap": 0}, {"chunk": 0}, {"warm_up": -1}):
+    # run lengths are int64: a cap past its range is refused rather than overflow
+    for bad in ({"runs": 0}, {"cap": 0}, {"cap": 2**63}, {"chunk": 0}, {"warm_up": -1}):
         with pytest.raises(ValueError, match="must be"):
             estimate_arl(reactor_dare, d, **bad)
 

@@ -325,9 +325,8 @@ def test_row_0_of_a_draw_is_the_one_run_draw(reactor_fixed):
     # a draw is time-major: run i is slab [:, i]
     five = model_mod._draw_noise(reactor_fixed, 40, 5, 7)
     one = model_mod._draw_noise(reactor_fixed, 40, 1, 7)
-    assert [block.shape for block in five] == [(40, 5, 4), (40, 5, 3)]
-    for rows, row in zip(five, one):
-        assert np.array_equal(rows[:, :1], row)
+    assert five.shape == (40, 5, 4 + 3) and one.shape == (40, 1, 4 + 3)
+    assert np.array_equal(five[:, :1], one)
 
 
 # ---------------------------------------------------------------- core count
@@ -395,10 +394,11 @@ def test_each_slice_of_runs_is_drawn_on_its_own_thread(reactor_fixed, monkeypatc
 def test_v_and_eta_are_drawn_into_one_buffer(reactor_fixed):
     # two arrays, freed at different times around a remembered stream,
     # fragment the glibc heap and raise the peak resident size
-    v, eta = model_mod._draw_noise(reactor_fixed, 40, 5, 7)
-    assert v.shape == (40, 5, 4) and eta.shape == (40, 5, 3)
-    assert v.base is not None and v.base is eta.base
-    assert v.base.shape == (40, 5, 7) and v.base.flags.c_contiguous  # step t is one block
+    noise = model_mod._draw_noise(reactor_fixed, 40, 5, 7)
+    assert noise.shape == (40, 5, 4 + 3) and noise.flags.c_contiguous  # step t is one block
+    # each row is v over eta: run 0's slab is its own NoiseModel.blocks draw
+    v, eta = reactor_fixed.noise(7, run=0).blocks(40)
+    assert np.array_equal(noise[:, 0, :4], v) and np.array_equal(noise[:, 0, 4:], eta)
 
 
 def test_a_one_run_or_empty_draw_starts_no_thread(reactor_fixed, monkeypatch):

@@ -70,10 +70,29 @@ def test_plant_rejects_bad_shapes_and_covariances():
     f = np.array([[0.5]])
     with pytest.raises(ValueError):
         PlantModel(f, np.ones((2, 1)), np.ones((1, 1)), f, f)  # G rows != n
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not positive semidefinite"):
         PlantModel(f, np.ones((1, 1)), np.ones((1, 1)), np.array([[-1.0]]), f)
     with pytest.raises(ValueError):
         PlantModel(f, np.ones((1, 1)), np.ones((1, 1)), f, np.array([[0.0]]))  # R2 not PD
+
+
+def test_the_plant_factors_r1_and_r2_once(reactor_matrices, monkeypatch):
+    m = reactor_matrices
+    plant = PlantModel(m["f"], m["g"], m["c"], m["r1"], m["r2"])
+    for chol, cov in ((plant.chol_r1, plant.r1), (plant.chol_r2, plant.r2)):
+        assert np.array_equal(chol, np.linalg.cholesky(cov))  # both are positive definite
+    # a semidefinite R1 falls back to its symmetric square root
+    r1 = np.diag([1.0, 0.0])
+    semi = PlantModel(np.eye(2) * 0.5, np.eye(2), np.eye(2), r1, np.eye(2))
+    assert np.array_equal(semi.chol_r1, numerics.psd_sqrt(r1))
+
+    def no_factor(mat):
+        raise AssertionError("the loop factored a covariance again")
+
+    monkeypatch.setattr(numerics, "psd_factor", no_factor)
+    loop = build_closed_loop(plant, m["k_fb"], l_gain=m["l_gain"])
+    noise = loop.noise(0)
+    assert noise.chol_r1 is plant.chol_r1 and noise.chol_r2 is plant.chol_r2
 
 
 def test_build_rejects_unstable_closed_loop():
@@ -320,9 +339,9 @@ def draws(monkeypatch):
     calls = []
     draw_blocks = mdl._draw_blocks
 
-    def recording_draw_blocks(sources, buf, n):
+    def recording_draw_blocks(sources, buf):
         calls.extend([mdl._remembered.stream is not None] * len(sources))
-        return draw_blocks(sources, buf, n)
+        return draw_blocks(sources, buf)
 
     monkeypatch.setattr(mdl, "_draw_blocks", recording_draw_blocks)
     return calls
@@ -435,9 +454,9 @@ def test_another_draw_forgets_the_family_first(reactor_fixed, reactor_matrices, 
     seen = []  # the family the drawing thread remembered during each draw, one entry per run
     draw_blocks = mdl._draw_blocks
 
-    def recording_draw_blocks(sources, buf, n):
+    def recording_draw_blocks(sources, buf):
         seen.extend([mdl._remembered.family] * len(sources))
-        return draw_blocks(sources, buf, n)
+        return draw_blocks(sources, buf)
 
     monkeypatch.setattr(mdl, "_draw_blocks", recording_draw_blocks)
     if other == "run_ensemble":  # the family's own seed and run count
