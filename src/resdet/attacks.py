@@ -28,9 +28,11 @@ it reads its thresholds through the plan's detector, and the dynamic ones
 derive the detector state they read from the z history.  `check_plan` is
 the one test of whether a plan can be simulated: its steady deviation, or
 that of its pulse held on every step, must exist and be finite.  The bias
-delta is formed in one place, `synthesize_attacks`, for the lanes of a
-lockstep simulation side by side, each lane's psi from its own plan;
-`synthesize_attack` is its one-lane call.
+delta is formed in one place, `_lane_biases`, for the lanes of a
+lockstep simulation side by side, each lane's psi from its own plan:
+the loop calls it with the C e it forms once per step, and
+`synthesize_attacks`, which checks the lanes and forms C e, is its
+public entry; `synthesize_attack` is the one-lane call.
 
 Exact saturation is a knife edge in floating point (the computed statistic
 lands a few ulps either side of the threshold), so synthesized schedules
@@ -405,21 +407,47 @@ def synthesize_attacks(plans, model: ClosedLoopModel, k: int, e: np.ndarray, eta
 
     `e` is an (n, lanes * runs) matrix whose columns l * runs ..
     (l + 1) * runs - 1 are lane l's runs, `eta` the (p, lanes * runs)
-    sensor noise of those columns or the (p, runs) noise every lane shares
-    (model._simulate), and `z_past` their (lanes * runs, k-1) z history;
-    with one lane they may be one run's vectors, as in synthesize_attack.
-    Each lane's psi_k comes from its plan's schedule and its own rows of
-    `z_past`; delta is then formed once for every column.
+    sensor noise of those columns or the (p, runs) noise every lane
+    shares, which is tiled across them, and `z_past` their
+    (lanes * runs, k-1) z history; with one lane they may be one run's
+    vectors, as in synthesize_attack.  Each lane's psi_k comes from its
+    plan's schedule and its own rows of `z_past`; delta is then formed
+    once for every column (_lane_biases, which the lanes loop calls with
+    the C e it forms for advance too).
+
+    Raises:
+        ValueError: naming the lanes and the column count when there is no
+            plan, when the columns do not split into one equal lane per
+            plan, or when eta is neither full width nor one lane wide,
+            under python -O too.
     """
-    lanes, cols = len(plans), np.shape(e)[1:]
+    lanes, runs = len(plans), model_mod._lane_runs(len(plans), e)
+    if lanes != 1:
+        eta = model_mod._lane_noise(eta, lanes, runs)
+    return _lane_biases(plans, _lane_directions(plans, runs), model, k, model.plant.c @ e, eta, z_past)
+
+
+def _lane_directions(plans, runs: int) -> np.ndarray:
+    """The plans' directions side by side, (p, len(plans) * runs): each lane's in each of its columns."""
+    return np.repeat(np.stack([plan.direction for plan in plans], axis=1), runs, axis=1)
+
+
+def _lane_biases(plans, directions: np.ndarray, model: ClosedLoopModel, k: int,
+                 c_err: np.ndarray, eta: np.ndarray, z_past) -> np.ndarray:
+    """synthesize_attacks from the product c_err = C e and the lanes' directions (_lane_directions).
+
+    `eta` is as wide as c_err.  The lanes loop (sim.run_ensembles) forms
+    the directions once per simulation and hands this step's C e, which
+    advance reads too.
+    """
+    lanes, cols = len(plans), np.shape(c_err)[1:]
     runs = cols[0] // lanes if cols else 1
-    root = np.empty((lanes, runs))  # sqrt(psi'psi) of each lane's runs
+    root = np.empty((lanes, runs))  # psi'psi of each lane's runs, then its square root
     for l, plan in enumerate(plans):
         rows = z_past if lanes == 1 or z_past is None else z_past[l * runs:(l + 1) * runs]
-        root[l] = np.sqrt(attack_energy(plan, k, rows))
-    psi = np.stack([plan.direction for plan in plans], axis=1)[:, :, None] * root
-    delta = model.plant.c @ e
-    np.negative(delta, out=delta)
-    model_mod._add_lanes(delta, eta, lanes, np.subtract)
+        root[l] = attack_energy(plan, k, rows)
+    psi = directions * np.sqrt(root, out=root).reshape(-1)
+    delta = np.negative(c_err)
+    delta -= eta
     delta += model.sigma_sqrt @ psi.reshape(psi.shape[:1] + cols)
     return delta

@@ -29,9 +29,9 @@ substream, drawn with the plant's factors of R1 and R2 on every core
 (`_draw_blocks`), so no value depends on the core count.  A draw has one
 form from its allocation (`_noise_buffer`) to the loop: a time-major
 (steps, runs, n + p) array whose last axis holds v, then eta, so each step
-copies its noise once, as one block that every lane adds to its own
-columns, and z is written one (lanes * runs) row per step; callers see
-z as its (lanes * runs, steps) transpose.
+copies its noise once, into every lane's columns of one buffer, and z is
+written one (lanes * runs) row per step; callers see z as its
+(lanes * runs, steps) transpose.
 
 Two things are remembered, read-only and per thread (`_Remembered`), so
 concurrent calls never read one another's draws: the last attack-free
@@ -429,29 +429,45 @@ def distance_measure(model: ClosedLoopModel, r: np.ndarray):
     return float(z) if np.ndim(z) == 0 else z
 
 
-def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None, lanes: int = 1):
+def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None, lanes: int = 1, *, c_err=None):
     """One step of the closed loop with explicit noise (and optional attack).
 
     Works on single-run vectors (n,) or run-stacked matrices (n, runs);
     the noises and delta are stacked the same way, (p,) or (p, runs).
     `lanes` > 1 reads the columns as that many lanes of equal width side
-    by side (sim.run_ensembles): the noises may then be one lane wide,
-    shared by every lane, and are added to each lane's columns in turn,
-    and the error-recursion check holds each lane to the bound a separate
-    simulation of it would compute.
+    by side (sim.run_ensembles).  The noises are then full width, as the
+    loop passes them (_simulate), or one lane wide, which is shared by
+    every lane and tiled across them; a `lanes` that does not split the
+    columns into equal lanes, or noise of neither width, raises
+    ValueError naming the lanes and the column count, under python -O
+    too.  `c_err`, keyword only, is the product C (x - xhat) when the
+    caller has formed it already, for the stealthy bias of the same step
+    (_simulate): r is then c_err + eta.
+
+    Unless python runs with -O, the step is checked against the
+    closed-form error recursion, each lane against its own bound
+    (_check_error).
 
     Returns:
         (x_next, xhat_next, r, z).
     """
     plant = model.plant
-    e = x - xhat
-    r = _add_lanes(plant.c @ e, eta, lanes)
+    runs = None
+    if lanes != 1:
+        runs = _lane_runs(lanes, x)
+        v, eta = _lane_noise(v, lanes, runs), _lane_noise(eta, lanes, runs)
+    if c_err is None:
+        e = x - xhat
+        r = plant.c @ e
+        r += eta
+    else:
+        r = c_err + eta
     if delta is not None:
         r += delta
     gu = plant.g @ (model.k_fb @ xhat)
     x_next = plant.f @ x
     x_next += gu
-    _add_lanes(x_next, v, lanes)
+    x_next += v
     xhat_next = plant.f @ xhat
     xhat_next += gu
     xhat_next += model.l_gain @ r
@@ -459,37 +475,72 @@ def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None, lanes: int = 1)
     if __debug__:
         # e_{k+1} must match the closed-form error recursion
         # (F-LC) e - L eta + v - L delta regardless of how it was produced.
-        e_form = _add_lanes(model.f_est @ e, model.l_gain @ eta, lanes, np.subtract)
-        _add_lanes(e_form, v, lanes)
+        if c_err is not None:
+            e = x - xhat
+        e_form = model.f_est @ e
+        e_form -= model.l_gain @ eta
+        e_form += v
         if delta is not None:
             e_form -= model.l_gain @ delta
-        error = x_next - xhat_next
-        error -= e_form
-        if lanes == 1:  # measured faster than the stacked per-lane form at n = 4 and at n = 100
-            scale = 1.0 + float(np.abs(x_next).max(initial=0.0)) + float(np.abs(xhat_next).max(initial=0.0))
-            assert float(np.abs(error).max(initial=0.0)) <= 1e-10 * scale
-        else:
-            # max |.| of x_next, xhat_next and the error over each lane's block, in one pass
-            peaks = np.abs(np.stack((x_next, xhat_next, error)))
-            peaks = peaks.reshape(3, len(x), lanes, -1).max(axis=(1, 3), initial=0.0).tolist()
-            assert all(err <= 1e-10 * (1.0 + big + big_hat) for big, big_hat, err in zip(*peaks))
+        _check_error(x_next, xhat_next, e_form, lanes, runs)
 
     return x_next, xhat_next, r, distance_measure(model, r)
 
 
-def _add_lanes(a: np.ndarray, b, lanes: int, op=np.add) -> np.ndarray:
-    """op(a, b) written into a, which is returned; a b one lane wide goes to each of a's lanes.
+def _check_error(x_next, xhat_next, e_form, lanes: int, runs) -> None:
+    """Assert that x_next - xhat_next is e_form to 1e-10 of each lane's bound.
 
-    `a` is a new C-ordered (rows, lanes * runs) result.  A (rows, runs) b,
-    the noise the lanes share, broadcasts over a's (rows, lanes, runs)
-    view: the elementwise operations of a tiled b, with its bits.
+    A lane's bound is 1 + max |x_next| + max |xhat_next| over its columns.
+    One lane takes the three maxima in one pass each.  Lanes side by side
+    (`runs` columns each) are checked in two stages with the same pass
+    set.  Stage 1 holds the largest |error| of all columns to the least
+    of the bounds taken over each lane's run-0 column alone, summed in the
+    same order: a sum of smaller terms rounds no larger, so no lane's own
+    bound is below it, and a pass is every lane's pass.  An error of NaN,
+    which any NaN in x_next or xhat_next makes, fails stage 1.  Stage 2,
+    every lane's maxima against its own bound, runs only when stage 1
+    fails.
     """
-    if lanes > 1 and np.shape(b)[-1] != a.shape[-1]:
-        lane_view = a.reshape(a.shape[0], lanes, -1)
-        op(lane_view, b[:, None], out=lane_view)
-    else:
-        op(a, b, out=a)
-    return a
+    error = x_next - xhat_next
+    error -= e_form
+    if lanes == 1:  # measured faster than the stacked per-lane form at n = 4 and at n = 100
+        scale = 1.0 + float(np.abs(x_next).max(initial=0.0)) + float(np.abs(xhat_next).max(initial=0.0))
+        assert float(np.abs(error).max(initial=0.0)) <= 1e-10 * scale
+        return
+    if not runs:  # an empty batch
+        return
+    heads = np.abs(np.concatenate((x_next[:, ::runs], xhat_next[:, ::runs])))
+    heads = heads.reshape(2, len(x_next), lanes).max(axis=1).tolist()
+    least = min([1.0 + big + big_hat for big, big_hat in zip(*heads)])
+    if float(np.abs(error).max()) <= 1e-10 * least:
+        return
+    # max |.| of x_next, xhat_next and the error over each lane's block, in one pass
+    peaks = np.abs(np.stack((x_next, xhat_next, error)))
+    peaks = peaks.reshape(3, len(x_next), lanes, -1).max(axis=(1, 3), initial=0.0).tolist()
+    assert all(err <= 1e-10 * (1.0 + big + big_hat) for big, big_hat, err in zip(*peaks))
+
+
+def _lane_runs(lanes: int, x) -> int:
+    """The runs of each lane when x's columns are `lanes` equal lanes, else ValueError naming both."""
+    cols = x.shape[1] if x.ndim == 2 else 1
+    if lanes < 1 or cols % lanes:
+        raise ValueError(f"lanes = {lanes} does not split the {cols} columns into equal lanes")
+    return cols // lanes
+
+
+def _lane_noise(noise, lanes: int, runs: int):
+    """Noise of `lanes` lanes of `runs` runs: full-width noise as it is, one lane's tiled across them.
+
+    Noise of any other width raises ValueError naming the lanes and the
+    column count.
+    """
+    width = noise.shape[-1]
+    if width == lanes * runs:
+        return noise
+    if width != runs:
+        raise ValueError(f"noise {width} columns wide is neither the {lanes * runs} columns "
+                         f"nor one of lanes = {lanes}")
+    return np.tile(noise, lanes)
 
 
 def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
@@ -591,14 +642,16 @@ def _simulate(model: ClosedLoopModel, noise, attack=None, state=None, lanes: int
               record: bool = False):
     """Advance one trajectory per run of `noise` and lane in lockstep, from `state` or the origin.
 
-    `noise` is a time-major (steps, runs, n + p) draw (_draw_noise), so
-    step t reads one contiguous block, which every lane shares: the state
-    is one (n, lanes * runs) block whose columns l * runs .. (l + 1) * runs
-    - 1 are lane l's runs, and each step is one advance call that adds the
-    step's (n, runs) and (p, runs) noise to every lane's columns.
-    `attack(k, e, eta, z_past)`, when given, returns step k's sensor bias
-    (or None) for the whole block from the error e = x - xhat, the shared
-    (p, runs) sensor noise and the (lanes * runs, k - 1) z history.
+    `noise` is a time-major (steps, runs, n + p) draw (_draw_noise), which
+    every lane shares: the state is one (n, lanes * runs) block whose
+    columns l * runs .. (l + 1) * runs - 1 are lane l's runs.  Each step
+    copies its noise once, into every lane's columns of one (n + p,
+    lanes * runs) buffer that the steps reuse (v over eta), and is one
+    advance call with full-width noise.  `attack(k, c_err, eta, z_past)`,
+    when given, returns step k's sensor bias (or None) for the whole
+    block from c_err = C (x - xhat), which advance then reads too, the
+    full-width (p, lanes * runs) sensor noise and the (lanes * runs, k - 1)
+    z history.
     `state` is the (x, xhat) pair of (n, lanes * runs) matrices a previous
     call returned.
     Returns (z, state, record): the distance measures, (lanes * runs,
@@ -611,22 +664,25 @@ def _simulate(model: ClosedLoopModel, noise, attack=None, state=None, lanes: int
     an ensemble's trace needs no one-run simulation of its own.  Without
     `record` the third item is None and neither is computed.
     """
-    steps, runs = noise.shape[:2]
-    n = model.n
+    steps, runs, width = noise.shape
+    n, c = model.n, model.plant.c
     cols = lanes * runs
     x, xhat = (np.zeros((n, cols)), np.zeros((n, cols))) if state is None else state
     if record:
         sum_x, first = np.empty((lanes, steps, n)), np.empty((lanes, steps, n))
     z = np.empty((steps, cols))
+    block = np.empty((width, lanes, runs))
+    v, eta = block[:n].reshape(n, cols), block[n:].reshape(width - n, cols)
     for t in range(steps):
-        # the step's block, copied once into contiguous (n + p, runs) noise: v over eta
-        block = np.ascontiguousarray(noise[t].T)
-        v, eta = block[:n], block[n:]
-        delta = None if attack is None else attack(t + 1, x - xhat, eta, z[:t].T)
+        np.copyto(block, noise[t].T[:, None])
+        c_err = delta = None
+        if attack is not None:
+            c_err = c @ (x - xhat)
+            delta = attack(t + 1, c_err, eta, z[:t].T)
         if record:
             sum_x[:, t] = x.reshape(n, lanes, runs).sum(axis=2).T
             first[:, t] = x[:, ::runs].T
-        x, xhat, _, z[t] = advance(model, x, xhat, v, eta, delta, lanes)
+        x, xhat, _, z[t] = advance(model, x, xhat, v, eta, delta, lanes, c_err=c_err)
     return z.T, (x, xhat), ((sum_x, first) if record else None)
 
 

@@ -12,7 +12,8 @@ measures through its detector's scan when the lane is consumed
 detector).  `run_ensemble` is its one-lane case.  The attack comes from
 the plans alone: each attacked step hands them the z history, each plan's
 schedule (attacks.attack_energy) reads what it needs from its lane's rows,
-and the bias of every lane is formed at once (attacks.synthesize_attacks).
+and the bias of every lane is formed at once (attacks._lane_biases, the
+per-step part of attacks.synthesize_attacks).
 A one-run result is the trace of a single realization (row 0 of z, stat
 and alarm; mean_x is its state).  A trace comes from one of two places:
 row 0 of an ensemble already simulated (EnsembleResult.first_run, from run
@@ -181,11 +182,13 @@ def run_ensembles(scenarios):
 
     The lanes share the model object, steps, burn_in, seed and mc_runs,
     so they read one noise draw (model._draw_noise): the state is one
-    (n, lanes * mc_runs) block (model._simulate), to each lane of which
-    every step's (., mc_runs) noise is added, not tiled, and each step is
-    one advance call and one stealthy-bias evaluation
-    (attacks.synthesize_attacks) for every lane, each lane's psi coming
-    from its own plan.  The draw is an argument of the loop only, so it is
+    (n, lanes * mc_runs) block (model._simulate), each step copies its
+    (., mc_runs) noise into every lane's columns once, and each step is
+    one advance call and one stealthy-bias evaluation for every lane
+    (attacks._lane_biases, the per-step part of synthesize_attacks), each
+    lane's psi coming from its own plan.  The bias directions are formed
+    once per call, and the bias and advance read one product C (x - xhat)
+    per step.  The draw is dropped when the loop returns, so it is
     freed before the first scan, and each lane is scanned when it is
     consumed: a consumer that drops each result before taking the next
     holds one lane's stat and alarm at a time.
@@ -222,17 +225,19 @@ def _simulated_lanes(lanes):
     head = lanes[0]
     model, runs = head.model, head.mc_runs
     plans = tuple(lane.plan for lane in lanes)
+    noise = model_mod._draw_noise(model, head.steps, runs, head.seed)
+    # formed once, after the draw, which is the allocation that can fail
+    directions = attacks_mod._lane_directions(plans, runs) if head.attacked else None
 
-    def attack(k, e, eta, z_past):
+    def attack(k, c_err, eta, z_past):
         if k >= head.k_star:
-            return attacks_mod.synthesize_attacks(plans, model, k, e, eta, z_past)
+            return attacks_mod._lane_biases(plans, directions, model, k, c_err, eta, z_past)
         return None
 
-    # the draw is an argument only, so it is freed before the first scan
     z, _, (sum_x, first) = model_mod._simulate(
-        model, model_mod._draw_noise(model, head.steps, runs, head.seed),
-        attack if head.attacked else None, lanes=len(lanes), record=True,
+        model, noise, attack if head.attacked else None, lanes=len(lanes), record=True,
     )
+    del noise  # freed before the first scan
     for l, lane in enumerate(lanes):
         yield EnsembleResult.scanned(lane, sum_x[l] / runs, z[l * runs:(l + 1) * runs], first[l])
 

@@ -16,7 +16,9 @@ re-recorded when the traces became row 0 of the ensembles, whose wider
 state block rounds differently from a one-run simulation.  So were the
 `simulate --summary` traces of attacked scenarios; plain `simulate` is
 pinned to the CSVs recorded before, when both paths ran the one-run
-ensemble.
+ensemble.  `resdet reactor --seed 0` and the greedy `simulate --summary`
+are also run under `python -O`, which drops advance's error check, and
+keep the same pins.
 """
 
 import hashlib
@@ -216,6 +218,18 @@ def write_simulate_scenario(tmp_path, name) -> str:
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def test_greedy_summary_is_golden_without_assertions(tmp_path, child_env):
+    # the attacked one-lane path: its bias and advance share C e, and no bit moves under `python -O`
+    csv, summary = tmp_path / "trace.csv", tmp_path / "summary.json"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "resdet.cli", "simulate", "--scenario",
+         write_simulate_scenario(tmp_path, "greedy"), "--out", str(csv), "--summary", str(summary)],
+        capture_output=True, text=True, timeout=300, env=child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (sha256(csv.read_bytes()), summary.read_text(encoding="utf-8")) == SIMULATE_GOLDEN["greedy"]
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE_SCENARIOS))

@@ -1,5 +1,6 @@
 """Closed-loop model construction, dynamics, and attack-free statistics."""
 
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -7,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla, stats
 
 from resdet import model as mdl
@@ -264,6 +266,137 @@ def test_lanes_read_one_lane_of_noise_with_the_bits_of_tiled_noise(reactor_fixed
         tiled = advance(reactor_fixed, x, xhat, np.tile(v, lanes), np.tile(eta, lanes), bias, lanes)
         for got, want in zip(shared, tiled):
             assert np.array_equal(got, want)
+
+
+# advance and synthesize_attacks on columns that do not split into lanes, or
+# with noise of neither width; prints each call's ValueError message, or
+# "ok" and the result's shape
+LANE_PROBE = """
+import numpy as np
+from resdet import reactor as rx
+from resdet.attacks import plan_attack, synthesize_attacks
+from resdet.detectors import ChiSqDetector, tune_chi2
+from resdet.model import advance
+
+loop = rx.reactor_loop(estimator="fixed")
+plan = plan_attack(loop, ChiSqDetector(tune_chi2(3, 0.05)), k_star=1)
+rng = np.random.default_rng(11)
+
+def probe(call):
+    try:
+        print("ok", np.shape(call()[0]))
+    except ValueError as exc:
+        print(exc)
+
+for cols, lanes, width in ((7, 2, 7), (7, 0, 7), (7, -1, 7), (6, 2, 4), (0, 2, 0), (0, 1, 0)):
+    x, xhat = rng.normal(size=(4, cols)), rng.normal(size=(4, cols))
+    v, eta = rng.normal(size=(4, width)), rng.normal(size=(3, width))
+    probe(lambda: advance(loop, x, xhat, v, eta, lanes=lanes))
+    probe(lambda: [synthesize_attacks([plan] * max(lanes, 0), loop, 1, x - xhat, eta)])
+"""
+LANE_PROBE_OUT = [
+    *["lanes = 2 does not split the 7 columns into equal lanes"] * 2,
+    *["lanes = 0 does not split the 7 columns into equal lanes"] * 2,
+    "lanes = -1 does not split the 7 columns into equal lanes",
+    "lanes = 0 does not split the 7 columns into equal lanes",  # no plan
+    *["noise 4 columns wide is neither the 6 columns nor one of lanes = 2"] * 2,
+    "ok (4, 0)", "ok (3, 0)", "ok (4, 0)", "ok (3, 0)",  # empty batches
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["checked", "python-O"])
+def test_lanes_that_do_not_split_the_columns_raise(child_env, flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", LANE_PROBE], capture_output=True, text=True,
+                          timeout=120, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == LANE_PROBE_OUT
+
+
+def lane_bounds_hold(x_next, xhat_next, e_form, lanes):
+    """The one-stage reference: every lane's maxima against its own bound."""
+    error = x_next - xhat_next
+    error -= e_form
+    runs = x_next.shape[1] // lanes
+    for lane in range(lanes):
+        cols = slice(lane * runs, (lane + 1) * runs)
+        big, big_hat = float(np.abs(x_next[:, cols]).max()), float(np.abs(xhat_next[:, cols]).max())
+        if not float(np.abs(error[:, cols]).max()) <= 1e-10 * (1.0 + big + big_hat):
+            return False
+    return True
+
+
+def least_run_0_bound(x_next, xhat_next, lanes):
+    """1e-10 times the least of the lanes' bounds taken over their run-0 columns."""
+    runs = x_next.shape[1] // lanes
+    return 1e-10 * min(1.0 + float(np.abs(x_next[:, col]).max()) + float(np.abs(xhat_next[:, col]).max())
+                       for col in range(0, lanes * runs, runs))
+
+
+def check_raises(x_next, xhat_next, e_form, lanes) -> bool:
+    try:
+        mdl._check_error(x_next, xhat_next, e_form, lanes, x_next.shape[1] // lanes)
+    except AssertionError:
+        return True
+    return False
+
+
+# where an injected error sits against a bound: one ulp below, on it, one
+# ulp above, a factor of two either side, or at 0 (no error in the lane)
+OFFSETS = {"below": -np.inf, "on": None, "above": np.inf, "half": 0.5, "double": 2.0, "none": 0.0}
+
+
+@skip_under_O
+@settings(max_examples=300)
+@given(data=st.data())
+def test_the_two_stage_check_raises_where_the_lane_bounds_do(data):
+    lanes, runs, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5)), 4
+    cols = lanes * runs
+    exponents = data.draw(st.lists(st.floats(-3.0, 8.0), min_size=cols, max_size=cols))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** np.array(exponents)
+    x_next, xhat_next = scale * rng.normal(size=(n, cols)), scale * rng.normal(size=(n, cols))
+    # one error per lane, at a drawn entry whose x_next - xhat_next is exactly 0
+    spots = [(data.draw(st.integers(0, n - 1)), lane * runs + data.draw(st.integers(0, runs - 1)))
+             for lane in range(lanes)]
+    for row, col in spots:
+        xhat_next[row, col] = x_next[row, col]
+    e_form = x_next - xhat_next
+    least = least_run_0_bound(x_next, xhat_next, lanes)
+    for lane, (row, col) in enumerate(spots):
+        block = slice(lane * runs, (lane + 1) * runs)
+        own = 1e-10 * (1.0 + float(np.abs(x_next[:, block]).max()) + float(np.abs(xhat_next[:, block]).max()))
+        bound = own if data.draw(st.booleans()) else least
+        offset = OFFSETS[data.draw(st.sampled_from(sorted(OFFSETS)))]
+        if offset is None:
+            err = bound
+        elif np.isinf(offset):
+            err = float(np.nextafter(bound, offset))
+        else:
+            err = bound * offset
+        e_form[row, col] = -err if data.draw(st.booleans()) else err  # error = 0 - e_form
+    holds = lane_bounds_hold(x_next, xhat_next, e_form, lanes)
+    assert check_raises(x_next, xhat_next, e_form, lanes) == (not holds)
+
+
+@skip_under_O
+def test_a_lane_whose_run_0_is_near_the_origin_passes_in_stage_2():
+    # lane 0's run 0 sits near the origin and its other runs are large: its
+    # error is far above the least run-0 bound (stage 1 fails) and below its
+    # own bound (stage 2 passes)
+    rng = np.random.default_rng(12)
+    lanes, runs = 2, 3
+    x_next, xhat_next = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+    x_next[:, 1:], xhat_next[:, 1:] = 1e8 * x_next[:, 1:], 1e8 * xhat_next[:, 1:]
+    x_next[:, 0], xhat_next[:, 0] = 1e-3 * x_next[:, 0], 1e-3 * xhat_next[:, 0]
+    e_form = x_next - xhat_next
+    e_form[2, 1] -= 1e-6
+    error = x_next - xhat_next - e_form
+    assert np.abs(error).max() > least_run_0_bound(x_next, xhat_next, lanes)
+    assert lane_bounds_hold(x_next, xhat_next, e_form, lanes)
+    assert not check_raises(x_next, xhat_next, e_form, lanes)
+    e_form[2, 1] -= 1.0  # now above lane 0's own bound
+    assert check_raises(x_next, xhat_next, e_form, lanes)
+    assert not lane_bounds_hold(x_next, xhat_next, e_form, lanes)
 
 
 def test_batched_advance_matches_sequential(reactor_fixed):

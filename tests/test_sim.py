@@ -317,6 +317,29 @@ def test_lanes_equal_separate_ensembles(reactor_fixed, runs, direction):
             assert np.array_equal(getattr(ens, name), getattr(alone, name)), (lane.plan.kind, name)
 
 
+def test_five_lanes_make_one_advance_call_per_step(reactor_fixed, monkeypatch):
+    # every step advances all lanes' runs in one call, with the step's noise
+    # in every lane's columns and, once attacked, the C e the bias was formed
+    # from; each lane keeps the bits of its own ensemble
+    lanes, runs = schedule_lanes(reactor_fixed, 4)[:5], 4
+    calls, advance = [], mdl.advance
+
+    def recording_advance(model, x, xhat, v, eta, delta=None, lanes=1, **kwargs):
+        calls.append((x.shape, v.shape, eta.shape, lanes, delta is not None, kwargs["c_err"] is not None))
+        return advance(model, x, xhat, v, eta, delta, lanes, **kwargs)
+
+    monkeypatch.setattr(mdl, "advance", recording_advance)
+    together = list(sim.run_ensembles(lanes))
+    steps, burn_in = lanes[0].steps, lanes[0].burn_in
+    full = ((4, 5 * runs), (4, 5 * runs), (3, 5 * runs), 5)
+    assert calls == [full + (False, True)] * burn_in + [full + (True, True)] * (steps - burn_in)
+    monkeypatch.undo()
+    for lane, ens in zip(lanes, together):
+        alone = sim.run_ensemble(lane)
+        for name in ("mean_x", "z", "stat", "alarm", "x_first"):
+            assert np.array_equal(getattr(ens, name), getattr(alone, name)), (lane.plan.kind, name)
+
+
 def test_one_run_lanes_equal_separate_ensembles_to_rounding(reactor_fixed):
     # a one-run ensemble alone multiplies single columns, which the BLAS may
     # round differently from the same column of a wider product
