@@ -60,6 +60,10 @@ __all__ = [
 # float drift from incremental add/subtract stays bounded on long streams.
 _WINDOW_REFRESH = 1024
 
+# Values per block of scan_windowed's in-place window sums: a block
+# narrower than the window reads a copy of no more than this many.
+_WINDOW_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class AlarmEvent:
@@ -371,14 +375,21 @@ def scan_windowed(z: np.ndarray, ell: int, beta: float):
     columns (WindowedChiSqDetector.scan).  The scan walks the time axis of
     z.T, step-major like the simulation's z, and returns views of
     step-major arrays.
+
+    The window sums are formed in the cumulative sum's own buffer, the one
+    float (steps, runs) array the scan allocates: block by block from the
+    end backwards, rows lo..hi-1 lose rows lo - ell..hi - ell - 1, which no
+    earlier block changed.  A block spans max(ell, _WINDOW_BLOCK / runs)
+    rows; where that is more than ell, the rows it reads overlap the rows
+    it writes, and numpy reads them from a copy of the block.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     ell = int(ell)
-    cs = np.cumsum(z.T, axis=0)
-    w = np.empty_like(cs)
-    w[:ell] = cs[:ell]
-    if ell <= len(cs):
-        np.subtract(cs[ell:], cs[:-ell], out=w[ell:])
+    w = np.cumsum(z.T, axis=0)
+    rows = max(ell, _WINDOW_BLOCK // max(1, w.shape[1]))
+    for hi in range(len(w), ell, -rows):
+        lo = max(ell, hi - rows)
+        w[lo:hi] -= w[lo - ell:hi - ell]
     alarms = w > beta
     alarms[: ell - 1] = False  # window not yet full
     return w.T, alarms.T
@@ -507,12 +518,16 @@ def estimate_arl(
     to the cap, so the result depends on the seed and on `chunk`.  Each
     chunk is advanced and scanned in sub-blocks (iter_distance_stream),
     and the loop stops as soon as every run has exceeded, so the work
-    follows the longest run rather than the chunk width.  The draw does
-    not stop early, but it is remembered: the warm-up and the first full
-    chunk stay with the calling thread's noise family (keyed by the values
-    of R1 and R2, the seed and `runs`) until its next draw, so a second
-    estimate of another detector on the same loop, seed and runs draws
-    nothing unless it runs past them.
+    follows the longest run rather than the chunk width.  The draw stops
+    early too, with the same bits: a chunk draws every run's process noise
+    v when it starts and its sensor noise only as far as the sub-blocks
+    read (model._LazyChunk), so an estimate that stops after about 200 of
+    4,096 steps holds the chunk's v and a few hundred steps of eta.  The
+    draw is remembered: the warm-up and the first full chunk, with the eta
+    drawn so far, stay with the calling thread's noise family (keyed by
+    the values of R1 and R2, the seed and `runs`) until its next draw, so a
+    second estimate of another detector on the same loop, seed and runs
+    draws nothing that the first drew, and only the eta it reads past it.
 
     The two CUSUM rates differ: 1/ARL counts exceedances with a restart on
     the exceedance step, while tune_cusum_tau and measure_alarm_rate count

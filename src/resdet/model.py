@@ -26,12 +26,16 @@ whose run 0 it records as their trace (sim.EnsembleResult.first_run);
 attack-free streams; and the sub-blocks of `iter_distance_stream`, which
 the ARL estimate can stop early.  Each run owns its (seed, run) noise
 substream, drawn with the plant's factors of R1 and R2 on every core
-(`_draw_blocks`), so no value depends on the core count.  A draw has one
-form from its allocation (`_noise_buffer`) to the loop: a time-major
-(steps, runs, n + p) array whose last axis holds v, then eta, so each step
-copies its noise once, into every lane's columns of one buffer, and z is
-written one (lanes * runs) row per step; callers see z as its
-(lanes * runs, steps) transpose.
+(`_draw_blocks`), so no value depends on the core count.  The loop takes
+a draw in one form: a time-major (steps, runs, n + p) array whose last
+axis holds v, then eta, so each step copies its noise once, into every
+lane's columns of one buffer, and z is written one (lanes * runs) row per
+step; callers see z as its (lanes * runs, steps) transpose.  Ensembles and
+fixed-length streams draw that array whole (`_noise_buffer`).
+`iter_distance_stream` draws each chunk only as far as it reads it
+(`_LazyChunk`): every run's v at the chunk's start, eta in doubling
+draws, with the bits of the whole draw, and each sub-block assembled
+from the two.
 
 Two things are remembered, read-only and per thread (`_Remembered`), so
 concurrent calls never read one another's draws: the last attack-free
@@ -47,7 +51,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -68,6 +72,10 @@ __all__ = [
 # Columns per sub-block of iter_distance_stream: how far the stream runs
 # ahead of a consumer that may stop early.
 _SUB_BLOCK = 64
+
+# Fewest rows of one eta draw of a lazy chunk narrower than the chunk: the
+# rows of a BLAS product of fewer rows can round differently.
+_LAZY_ROWS = 64
 
 
 class _Remembered(threading.local):
@@ -335,7 +343,9 @@ class NoiseModel:
     members get independent, reproducible substreams regardless of
     scheduling order.  `draw` and `blocks` consume the same underlying
     stream in different orders (per-step interleaved vs. block-wise); use
-    one style per NoiseModel instance.
+    one style per NoiseModel instance.  `blocks(w)` is `v_rows` of w
+    rows, then `eta_rows` of w rows, so a lazy chunk (`_LazyChunk`) that
+    calls them itself draws the same normals.
 
     Ensemble draws may call `blocks` on worker threads (`_draw_blocks`);
     each instance is used by one thread at a time.
@@ -369,24 +379,32 @@ class NoiseModel:
         if out is None:
             out = np.empty((steps, n + p))
         v, eta = out[:, :n], out[:, n:]
-        np.matmul(self._rng.standard_normal((steps, self.chol_r1.shape[1])), self.chol_r1.T, out=v)
-        np.matmul(self._rng.standard_normal((steps, self.chol_r2.shape[1])), self.chol_r2.T, out=eta)
-        return v, eta
+        return self.v_rows(v), self.eta_rows(eta)
+
+    def v_rows(self, out):
+        """Fill `out`, (steps, n), with the next steps of v; return it."""
+        return np.matmul(self._rng.standard_normal((len(out), self.chol_r1.shape[1])), self.chol_r1.T,
+                         out=out)
+
+    def eta_rows(self, out):
+        """Fill `out`, (steps, p), with the next steps of eta; return it."""
+        return np.matmul(self._rng.standard_normal((len(out), self.chol_r2.shape[1])), self.chol_r2.T,
+                         out=out)
 
 
-def _draw_blocks(sources, buf: np.ndarray) -> np.ndarray:
-    """Fill `buf`, one time-major (width, runs, n + p) draw, with each source's next steps; return it.
+def _draw_blocks(fills, buf: np.ndarray) -> np.ndarray:
+    """Fill `buf`, one (width, runs, columns) draw, run by run; return it.
 
     The caller allocates `buf` before it builds any source, so a draw too
-    large to allocate fails before a source exists.  v and eta share the
-    one allocation: two arrays freed at different times, around a
-    remembered stream, fragment the glibc heap and raise the peak resident
-    size.  Step t of every run is the contiguous block buf[t], which the
-    simulation reads whole.
+    large to allocate fails before a source exists.  A whole draw
+    (`_whole_fills`) puts v and eta in the one time-major allocation: two
+    arrays freed at different times, around a remembered stream, fragment
+    the glibc heap and raise the peak resident size.  Step t of every run
+    is then the contiguous block buf[t], which the simulation reads whole.
 
-    Run i is one `sources[i].blocks(width, out=buf[:, i])` call, which
-    writes its products into its slab, so the values do not depend on
-    which thread draws them.  The runs are split into one contiguous slice
+    Run i is one `fills[i](buf[:, i])` call, which writes its source's
+    next products into its slab, so the values do not depend on which
+    thread draws them.  The runs are split into one contiguous slice
     per CPU (never more slices than runs); the calling thread draws the
     first slice and one thread started here draws each other slice, in
     parallel because numpy releases the interpreter lock while it fills
@@ -394,13 +412,13 @@ def _draw_blocks(sources, buf: np.ndarray) -> np.ndarray:
     and the first exception raised in any slice is raised here.  A one-run
     draw starts no thread.
     """
-    width, runs = buf.shape[:2]
+    runs = buf.shape[1]
     errors = []
 
     def fill(lo: int, hi: int) -> None:
         try:
             for i in range(lo, hi):
-                sources[i].blocks(width, out=buf[:, i])
+                fills[i](buf[:, i])
         except BaseException as exc:  # re-raised by the caller after the joins
             errors.append(exc)
 
@@ -552,14 +570,25 @@ def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
     family are forgotten before the draw is allocated.
     """
     _forget_noise()
-    buf = _noise_buffer(model, runs, steps)
-    return _draw_blocks([model.noise(seed, run=i) for i in range(runs)], buf)
+    buf = _noise_buffer(steps, runs, model.n + model.p)
+    return _draw_blocks(_whole_fills([model.noise(seed, run=i) for i in range(runs)], steps), buf)
 
 
-def _noise_buffer(model: ClosedLoopModel, runs: int, steps: int) -> np.ndarray:
-    """An empty time-major (steps, runs, n + p) noise buffer, else ValueError naming the runs and steps."""
+def _whole_fills(sources, width: int) -> list:
+    """The _draw_blocks fills that draw each source's next `width` steps whole, v over eta."""
+    return [partial(source.blocks, width) for source in sources]
+
+
+def _noise_buffer(steps: int, runs: int, columns: int, run_major: bool = False) -> np.ndarray:
+    """An empty (steps, runs, columns) noise buffer, else ValueError naming the runs and steps.
+
+    The buffer is time-major, or, when `run_major`, the transposed view of
+    a (runs, steps, columns) array, whose run slabs are contiguous.
+    """
     try:
-        return np.empty((steps, runs, model.n + model.p))
+        if run_major:
+            return np.empty((runs, steps, columns)).transpose(1, 0, 2)
+        return np.empty((steps, runs, columns))
     except (MemoryError, ValueError):  # ValueError: past what numpy can address
         raise ValueError(
             f"the noise of runs x steps = {runs} x {steps} is too large to allocate"
@@ -572,9 +601,12 @@ class _NoiseFamily:
 
     The key is the values of the plant's noise factors (`plant` is the
     first loop's), the seed and the run count, so loops that share R1 and
-    R2 share the family.  `sources` stand after the `drawn` chunks drawn
-    from them; `kept` holds the (width, noise) of the first _FAMILY_CHUNKS
-    of those, each a read-only time-major (width, runs, n + p) draw.
+    R2 share the family.  `sources` stand after the `drawn` chunks started
+    from them, less any eta that the last one, a _LazyChunk, has not drawn
+    yet; `kept` holds the first _FAMILY_CHUNKS of those chunks, each a
+    read-only time-major (width, runs, n + p) draw or a _LazyChunk.  A
+    draw that fails stops the sources part-way, so the thread forgets the
+    family if it remembers it.
     """
 
     plant: PlantModel
@@ -589,51 +621,126 @@ class _NoiseFamily:
                 and np.array_equal(self.plant.chol_r1, model.plant.chol_r1)
                 and np.array_equal(self.plant.chol_r2, model.plant.chol_r2))
 
-    def draw(self, model: ClosedLoopModel, width: int):
-        """The sources' next `width` steps, kept while fewer than _FAMILY_CHUNKS are."""
-        _remembered.stream = None
-        buf = _noise_buffer(model, self.runs, width)
+    def draw(self, model: ClosedLoopModel, width: int, lazy: bool = False):
+        """The sources' next `width` steps, kept while fewer than _FAMILY_CHUNKS are.
+
+        The chunk is drawn whole, or, when `lazy`, as a _LazyChunk.
+        """
+        buf = self.buffer(width, model.n if lazy else model.n + model.p, run_major=lazy)
         if self.sources is None:
             self.sources = [model.noise(self.seed, run=i) for i in range(self.runs)]
-        try:
-            noise = _draw_blocks(self.sources, buf)
-        except BaseException:
-            _forget_noise()  # the sources stopped part-way through the chunk
-            raise
+        if lazy:
+            noise = _LazyChunk(self, self.fill([source.v_rows for source in self.sources], buf), model.p)
+        else:
+            noise = self.fill(_whole_fills(self.sources, width), buf)
         self.drawn += 1
         if len(self.kept) < _FAMILY_CHUNKS:
-            noise.flags.writeable = False  # its views cannot be made writeable either
-            self.kept.append((width, noise))
+            self.kept.append(noise)
         return noise
 
+    def buffer(self, steps: int, columns: int, run_major: bool = False) -> np.ndarray:
+        """An empty (steps, runs, columns) buffer (_noise_buffer), allocated after the stream is forgotten."""
+        _remembered.stream = None
+        return _noise_buffer(steps, self.runs, columns, run_major)
 
-def _attack_free_noise(model: ClosedLoopModel, widths, runs: int, seed: int):
+    def fill(self, fills, buf: np.ndarray) -> np.ndarray:
+        """`buf` filled by _draw_blocks(fills, buf) and made read-only; a failure forgets the family."""
+        try:
+            _draw_blocks(fills, buf)
+        except BaseException:
+            if _remembered.family is self:  # its sources stopped part-way
+                _forget_noise()
+            raise
+        if buf.base is not None:  # a run-major buffer's owner
+            buf.base.flags.writeable = False
+        buf.flags.writeable = False  # its views cannot be made writeable either
+        return buf
+
+
+class _LazyChunk:
+    """A chunk of a noise family that draws eta only as far as it is read.
+
+    It reads like the time-major (width, runs, n + p) array of a whole
+    draw: `len` is the width, and a slice of steps is a new time-major
+    array of v over eta, one _simulate input.  Each run's v block is drawn
+    when the chunk starts, into `v`, a (width, runs, n) view whose run
+    slabs are contiguous: time-major v rows are 8 * runs * n bytes apart,
+    and at 400 runs and n = 4 (12,800 bytes) the fill took about a third
+    longer.  Eta is drawn when a slice first reaches past the drawn depth,
+    for every run at once, by draws that double the depth, take at least
+    _LAZY_ROWS rows, and run to the chunk's end rather than leave fewer
+    than _LAZY_ROWS.  So run i's source makes the calls of one
+    NoiseModel.blocks(width) in the same order, and no eta product spans
+    fewer than _LAZY_ROWS rows unless the chunk does: a product of fewer
+    rows can round differently (a one-row product goes to gemv).  The
+    drawn rows stay, read-only, in `eta`, one (rows, runs, p) array per
+    draw, so a later reader of a kept chunk extends them.  Only the
+    family's last chunk has eta left to draw.
+    """
+
+    def __init__(self, family: _NoiseFamily, v: np.ndarray, p: int):
+        self.family, self.v, self.p = family, v, p
+        self.eta = []
+        self.depth = 0
+
+    def __len__(self) -> int:
+        return len(self.v)
+
+    def __getitem__(self, steps: slice) -> np.ndarray:
+        lo, hi, _ = steps.indices(len(self))
+        while self.depth < hi:
+            self._draw_eta()
+        n = self.v.shape[2]
+        out = np.empty((hi - lo, self.v.shape[1], n + self.p))
+        out[:, :, :n] = self.v[lo:hi]
+        start = 0
+        for eta in self.eta:
+            a, b = max(lo, start), min(hi, start + len(eta))
+            if a < b:
+                out[a - lo:b - lo, :, n:] = eta[a - start:b - start]
+            start += len(eta)
+        return out
+
+    def _draw_eta(self) -> None:
+        width, family = len(self), self.family
+        depth = min(width, max(2 * self.depth, _LAZY_ROWS))
+        if width - depth < _LAZY_ROWS:
+            depth = width
+        buf = family.buffer(depth - self.depth, self.p)
+        self.eta.append(family.fill([source.eta_rows for source in family.sources], buf))
+        self.depth = depth
+
+
+def _attack_free_noise(model: ClosedLoopModel, widths, runs: int, seed: int, lazy: bool = False):
     """The noise of each chunk of `widths` in turn, from the family of (model, seed, runs).
 
-    A chunk the family keeps is handed out as it is, read-only.  Any other
-    is drawn from the family's sources when they stand right after this
-    consumer's earlier chunks.  When they have moved past them (another
-    consumer drew further), or the family was forgotten or serves another
-    key, the family restarts: the old one and the remembered stream are
-    forgotten, and new sources draw this consumer's earlier chunks again
-    before this one.  Run i reads its (seed, i) substream in the same chunk
-    widths on every path, so the bits do not depend on the path.
+    A chunk the family keeps is handed out as it is, read-only, whole or
+    lazy.  Any other is drawn from the family's sources, whole or, when
+    `lazy`, as a _LazyChunk, when they stand right after this consumer's
+    earlier chunks.  When they have moved past them (another consumer drew
+    further), or the family was forgotten or serves another key, the
+    family restarts: the old one and the remembered stream are forgotten,
+    and new sources draw this consumer's earlier chunks again, whole,
+    before this one.  A consumer reads each chunk to its end before it
+    asks for the next, so a lazy chunk has drawn all its eta before the
+    sources draw on.  Run i reads its (seed, i) substream in the same
+    chunk widths on every path, so the bits do not depend on the path.
     """
     family = _remembered.family
     family = family if family is not None and family.serves(model, runs, seed) else None
     past = []
     for index, width in enumerate(widths):
         current = family is not None and family is _remembered.family
-        if current and index < len(family.kept) and family.kept[index][0] == width:
-            noise = family.kept[index][1]
+        if current and index < len(family.kept) and len(family.kept[index]) == width:
+            noise = family.kept[index]
         elif current and family.drawn == index:
-            noise = family.draw(model, width)
+            noise = family.draw(model, width, lazy)
         else:
             _forget_noise()
             family = _remembered.family = _NoiseFamily(model.plant, seed, runs)
             for earlier in past:
                 family.draw(model, earlier)
-            noise = family.draw(model, width)
+            noise = family.draw(model, width, lazy)
         past.append(width)
         yield noise
 
@@ -720,7 +827,8 @@ def simulate_distance_stream(
     if last is not None and last[0] is model and last[1] == key:
         return last[2]
     _remembered.stream = None  # a remembered chunk is no draw: drop the old z before the new one
-    z = _simulate(model, next(_attack_free_noise(model, [burn_in + steps], runs, seed)))[0]
+    noise = next(_attack_free_noise(model, [burn_in + steps], runs, seed))
+    z = _simulate(model, noise[:])[0]  # a lazy chunk that an ARL estimate left is read whole
     z.base.flags.writeable = False  # the time-major rows: no view of them can be made writeable
     z.flags.writeable = False
     _remembered.stream = (model, key, z[:, burn_in:])
@@ -736,22 +844,26 @@ def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: in
     """Attack-free distance measures of one ensemble, sub-block by sub-block.
 
     Continues the same trajectories from the origin through one noise
-    chunk per width in `widths`.  Each chunk's noise is drawn when the
-    chunk starts, block-wise per run from the (seed, i) substreams, so the
-    values depend on the chunk widths as well as on the seed.  The chunk
-    is then advanced in sub-blocks of at most _SUB_BLOCK steps, each one
-    _simulate call on a slice of the chunk's leading (time) axis that
-    continues from the state the previous one left, and each sub-block's
-    z is yielded as a (runs, columns) array, a view of its time-major
-    rows, as soon as it is computed: a consumer that stops pulling stops
-    the advancing (estimate_arl's early exit).  A chunk's noise is drawn on
-    every available core (_draw_blocks) with the same bits as on one.
+    chunk per width in `widths`.  Each chunk's noise is block-wise per run
+    from the (seed, i) substreams, with the bits of one
+    NoiseModel.blocks(width) call per run and chunk, so the values depend
+    on the chunk widths as well as on the seed.  The chunk is advanced in
+    sub-blocks of at most _SUB_BLOCK steps, each one _simulate call on the
+    chunk's next steps that continues from the state the previous one
+    left, and each sub-block's z is yielded as a (runs, columns) array, a
+    view of its time-major rows, as soon as it is computed.  The noise is
+    drawn only as far as it is read (_LazyChunk): every run's v when the
+    chunk starts, and eta in doubling draws as the sub-blocks reach it.  A
+    consumer that stops pulling (estimate_arl's early exit) stops the
+    advancing and leaves most of the chunk's eta undrawn.  Every draw runs
+    on every available core (_draw_blocks) with the same bits as on one.
 
     The chunks come from the noise family (_attack_free_noise), which keeps
-    the first two for the next stream of the same R1, R2, seed and runs.
+    the first two, with the eta drawn so far, for the next stream of the
+    same R1, R2, seed and runs.
     """
     state = None
-    for noise in _attack_free_noise(model, widths, runs, seed):
+    for noise in _attack_free_noise(model, widths, runs, seed, lazy=True):
         for start in range(0, len(noise), _SUB_BLOCK):
             z, state, _ = _simulate(model, noise[start:start + _SUB_BLOCK], state=state)
             yield z

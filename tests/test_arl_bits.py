@@ -1,15 +1,18 @@
 """Bit-identity pins for the attack-free stream and the ARL estimate.
 
-`iter_distance_stream` draws each chunk's noise at once but advances it in
-sub-blocks, and `estimate_arl` stops pulling sub-blocks once every run has
-exceeded.  Neither may change a bit of what was computed before the
-sub-blocks existed: the values below were recorded with the whole-chunk
-stream, which advanced every run through every chunk it started.  The
+`iter_distance_stream` advances each chunk in sub-blocks and draws its
+noise only as far as they read it, and `estimate_arl` stops pulling
+sub-blocks once every run has exceeded.  None of these may change a bit of
+what was computed before: the values below were recorded with the
+whole-chunk stream, which drew every chunk it started at once and advanced
+every run through it.  The
 stream and the fixed-length loop behind `simulate_distance_stream` and
 `run_ensemble` are separate code, held here to the same bits.
 """
 
 import hashlib
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -169,29 +172,59 @@ def test_stream_sub_blocks_join_into_the_whole_chunk_stream(reactor_dare, reacto
 
 
 @pytest.fixture
-def blocks_calls(monkeypatch):
-    """One entry per NoiseModel.blocks call: its width."""
-    calls = []
-    blocks = model_mod.NoiseModel.blocks
+def row_draws(monkeypatch):
+    """Every source built, as (seed, run), and every row draw, as (run, "v" or "eta", rows).
 
-    def recording_blocks(self, steps, out=None):
-        calls.append(steps)
-        return blocks(self, steps, out=out)
+    NoiseModel.blocks draws its v rows and then its eta rows, so whole and
+    lazy draws are both recorded; worker threads append too.
+    """
+    draws = {"sources": [], "rows": []}
+    noise = model_mod.ClosedLoopModel.noise
+    v_rows, eta_rows = model_mod.NoiseModel.v_rows, model_mod.NoiseModel.eta_rows
 
-    monkeypatch.setattr(model_mod.NoiseModel, "blocks", recording_blocks)
-    return calls
+    def recording_noise(self, seed, run=0):
+        draws["sources"].append((seed, run))
+        return noise(self, seed, run)
+
+    def recording_v_rows(self, out):
+        draws["rows"].append((self.run, "v", len(out)))
+        return v_rows(self, out)
+
+    def recording_eta_rows(self, out):
+        draws["rows"].append((self.run, "eta", len(out)))
+        return eta_rows(self, out)
+
+    monkeypatch.setattr(model_mod.ClosedLoopModel, "noise", recording_noise)
+    monkeypatch.setattr(model_mod.NoiseModel, "v_rows", recording_v_rows)
+    monkeypatch.setattr(model_mod.NoiseModel, "eta_rows", recording_eta_rows)
+    return draws
 
 
-def test_two_arls_of_one_loop_seed_and_runs_draw_once(loops, blocks_calls):
+def _per_run(rows, runs):
+    return [[(kind, count) for run, kind, count in rows if run == i] for i in range(runs)]
+
+
+def test_two_arls_of_one_loop_seed_and_runs_draw_once(loops, row_draws):
+    drawn = []
     for name in ("chi2", "cusum7.5"):
         result = estimate_arl(loops["dare"], DETECTORS[name](), runs=40, seed=0)
         arl, half_width, censored = PINNED[("dare", name, "s0c4096")]
         assert result == ArlResult(arl, 1.0 / arl, half_width, 40, censored, 1_000_000), name
-        # the warm-up and the first 4096-column chunk, drawn by the first estimate only
-        assert blocks_calls == [50] * 40 + [4096] * 40, name
+        drawn.append(_per_run(row_draws["rows"], 40))
+    # one source per run, built by the first estimate: the second draws no
+    # normal the first drew, and reads on from its rows where it reads further
+    assert row_draws["sources"] == [(0, i) for i in range(40)]
+    for run in drawn[1]:
+        # the warm-up's v and its eta in one draw (50 < 64 rows), then the
+        # 4096-step chunk's v, and its eta by doubling, only as deep as the
+        # longer estimate read
+        assert run[:3] == [("v", 50), ("eta", 50), ("v", 4096)]
+        assert run[3:] == [("eta", 64)] + [("eta", 64 * 2 ** k) for k in range(len(run) - 4)]
+        assert sum(count for _, count in run[3:]) < 4096
+    assert drawn[0] == [run[:len(drawn[0][0])] for run in drawn[1]]
 
 
-def test_an_arl_past_the_kept_chunks_restarts_the_family(reactor_dare, blocks_calls):
+def test_an_arl_past_the_kept_chunks_restarts_the_family(reactor_dare, row_draws):
     detector = ChiSqDetector(tune_chi2(3, 0.05))
     kwargs = dict(runs=40, seed=1, cap=40, chunk=8)
     with warnings.catch_warnings():
@@ -199,18 +232,59 @@ def test_an_arl_past_the_kept_chunks_restarts_the_family(reactor_dare, blocks_ca
         first = estimate_arl(reactor_dare, detector, **kwargs)
         family = model_mod._remembered.family
         assert family.drawn > 2 and len(family.kept) == 2
-        drawn = len(blocks_calls)
+        drawn = len(row_draws["sources"])
         second = estimate_arl(reactor_dare, detector, **kwargs)
         # the sources had moved past the third chunk: a new family redrew the first three
-        assert model_mod._remembered.family is not family and len(blocks_calls) > drawn
-        assert len(model_mod._remembered.family.kept) == 2
+        restarted = model_mod._remembered.family
+        assert restarted is not family and len(row_draws["sources"]) == 2 * drawn
+        assert len(restarted.kept) == 2
         model_mod._forget_noise()
         fresh = estimate_arl(reactor_dare, detector, **kwargs)
     assert first == second == fresh
-    for width, noise in model_mod._remembered.family.kept:
-        assert noise.shape == (width, 40, 4 + 3) and not noise.flags.writeable  # time-major
-        with pytest.raises(ValueError, match="read-only"):
-            noise[0, 0, 0] = 1.0
+    # the first family kept its two lazy chunks, the restarted one redrew them whole
+    for kept in (family.kept, restarted.kept):
+        for width, noise in zip((50, 8), kept):
+            assert noise[:].shape == (width, 40, 4 + 3)  # time-major
+            arrays = [noise] if isinstance(noise, np.ndarray) else [noise.v, *noise.eta]
+            for arr in arrays:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0, 0] = 1.0
+    assert not any(isinstance(noise, np.ndarray) for noise in family.kept)
+    assert all(isinstance(noise, np.ndarray) for noise in restarted.kept)
+
+
+def test_a_failed_eta_draw_forgets_the_family(reactor_dare, monkeypatch):
+    # an eta draw past the warm-up fails on run 4, on the worker thread:
+    # the sources stopped part-way, so the next estimate draws afresh
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
+    eta_rows = model_mod.NoiseModel.eta_rows
+
+    def failing_eta_rows(self, out):
+        if self.run == 4 and len(out) == 64:
+            raise RuntimeError("no eta for run 4")
+        return eta_rows(self, out)
+
+    monkeypatch.setattr(model_mod.NoiseModel, "eta_rows", failing_eta_rows)
+    with pytest.raises(RuntimeError, match="no eta for run 4"):
+        estimate_arl(reactor_dare, DETECTORS["chi2"](), runs=40, seed=0)
+    assert model_mod._remembered.family is None
+    monkeypatch.setattr(model_mod.NoiseModel, "eta_rows", eta_rows)
+    arl, half_width, censored = PINNED[("dare", "chi2", "s0c4096")]
+    result = estimate_arl(reactor_dare, DETECTORS["chi2"](), runs=40, seed=0)
+    assert result == ArlResult(arl, 1.0 / arl, half_width, 40, censored, 1_000_000)
+
+def test_an_arl_estimate_does_not_hold_the_unread_eta_of_its_chunk(reactor_dare):
+    # 400 runs of a 4,146-step draw were about 93 MB; the estimate reads about
+    # 200 steps, so it holds the chunk's v block, 52 MB, and little eta
+    detector = ChiSqDetector(tune_chi2(3, 0.05))
+    tracemalloc.start()
+    try:
+        estimate_arl(reactor_dare, detector, runs=400, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70e6, peak
 
 
 def test_arl_stops_advancing_once_every_run_has_exceeded(reactor_dare, monkeypatch):

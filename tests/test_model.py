@@ -1,5 +1,6 @@
 """Closed-loop model construction, dynamics, and attack-free statistics."""
 
+import os
 import subprocess
 import sys
 import threading
@@ -608,6 +609,72 @@ def test_another_draw_forgets_the_family_first(reactor_fixed, reactor_matrices, 
         assert all(remembered is not family for remembered in seen)
     assert mdl._remembered.family is not family
 
+
+
+def _scale_loop(n=100):
+    """A random stable loop at n = 100, p = m = 50, built like the benchmark's `scale` cases."""
+    rng = np.random.default_rng([n, 2, 0])
+    p = n // 2
+
+    def orthogonal():
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        return q * np.sign(np.diag(r))
+
+    f = 0.6 * orthogonal()
+    g = rng.standard_normal((n, p))
+    c = rng.standard_normal((p, n))
+    k_fb = 0.3 * orthogonal()[:p]
+    b, d = rng.standard_normal((n, n)), rng.standard_normal((p, p))
+    plant = PlantModel(f, g / np.linalg.norm(g, 2), c / np.linalg.norm(c, 2), b @ b.T / n,
+                       d @ d.T / p + np.eye(p))
+    return build_closed_loop(plant, k_fb, l_gain=0.3 * orthogonal()[:, :p])
+
+
+@pytest.fixture(scope="module")
+def lazy_loops(scalar_loop, reactor_dare):
+    return {"1x1": scalar_loop, "reactor": reactor_dare, "n100": _scale_loop()}
+
+
+def _whole_draw(sources, width):
+    """Each source's next NoiseModel.blocks(width), stacked as a time-major (width, runs, n + p) draw."""
+    return np.stack([np.concatenate(source.blocks(width), axis=1) for source in sources], axis=1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("loop", ["1x1", "reactor", "n100"])
+def test_a_lazy_chunk_reads_the_rows_of_the_whole_draw(lazy_loops, monkeypatch, loop, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    model, runs, seed = lazy_loops[loop], 3, 11
+    for width in (50, 63, 64, 65, 4096):
+        sources = [model.noise(seed, run=i) for i in range(runs)]
+        whole, after = _whole_draw(sources, width), _whole_draw(sources, 20)
+        for depth in sorted({min(depth, width) for depth in (0, 1, 64, 65, 449, width)}):
+            family = mdl._NoiseFamily(model.plant, seed, runs)
+            chunk = family.draw(model, width, lazy=True)
+            assert len(chunk) == width
+            assert np.array_equal(chunk[:depth], whole[:depth]), (width, depth)
+            # a second reader reads on from the rows the first drew
+            assert np.array_equal(chunk[depth // 2:], whole[depth // 2:]), (width, depth)
+            assert chunk.depth == width
+            # the next chunk starts where the whole draw's sources stand
+            assert np.array_equal(family.draw(model, 20, lazy=True)[:], after), (width, depth)
+
+
+def test_a_lazy_chunk_draws_eta_by_doubling_and_leaves_no_short_tail(reactor_dare):
+    family = mdl._NoiseFamily(reactor_dare.plant, 1, 2)
+    chunk = family.draw(reactor_dare, 4096, lazy=True)
+    assert chunk.v.shape == (4096, 2, 4) and chunk.eta == []
+    for hi, drawn in ((1, [64]), (64, [64]), (65, [64, 64]), (200, [64, 64, 128]),
+                      (449, [64, 64, 128, 256]), (4000, [64, 64, 128, 256, 512, 1024, 2048])):
+        chunk[:hi]
+        assert [len(eta) for eta in chunk.eta] == drawn, hi
+    for width, drawn in ((50, [50]), (65, [65]), (130, [64, 66]), (191, [64, 127]), (192, [64, 64, 64])):
+        family = mdl._NoiseFamily(reactor_dare.plant, 1, 2)
+        chunk = family.draw(reactor_dare, width, lazy=True)
+        chunk[:]
+        assert [len(eta) for eta in chunk.eta] == drawn, width
+    for arr in (chunk.v, *chunk.eta):
+        assert not arr.flags.writeable
 
 # ------------------------------------------------------------------- threads
 
