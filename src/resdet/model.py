@@ -23,24 +23,28 @@ implementation `advance`, and its one Monte-Carlo loop, `_simulate`.  The
 loop advances a noise draw from the origin or from where an earlier call
 stopped: ensembles, whose lanes share one draw (sim.run_ensembles) and
 whose run 0 it records as their trace (sim.EnsembleResult.first_run);
-attack-free streams; and the sub-blocks of `iter_distance_stream`, which
-the ARL estimate can stop early.  Each run owns its (seed, run) noise
-substream, drawn with the plant's factors of R1 and R2 on every core
-(`_draw_blocks`), so no value depends on the core count.  The loop takes
-a draw in one form: a time-major (steps, runs, n + p) array whose last
+attack-free streams; and the blocks of `iter_distance_stream`, which the
+ARL estimate can stop early.
+
+Each run owns its (seed, run) noise substream (NoiseModel): one row of
+n + p standard normals per step, multiplied by the plant's factors of R1
+and R2 in fixed tiles of _TILE steps aligned to step 0.  So step t's
+noise depends only on (seed, run, t): a draw of T steps is the first T
+steps of any longer one, however either is split into pieces, and the
+draw's size is free.  Each consumer sets it by a fixed rule: an ensemble
+draws pieces of at most _PIECE_BYTES (`_draw_noise`), a fixed-length
+stream draws what it does not find kept in one piece, and the ARL stream
+draws ahead in pieces that double from _TILE rows up to _PIECE_BYTES.
+Every piece is drawn on every core (`_draw_blocks`) with the same bits as
+on one.  A piece is a time-major (rows, runs, n + p) array whose last
 axis holds v, then eta, so each step copies its noise once, into every
 lane's columns of one buffer, and z is written one (lanes * runs) row per
-step; callers see z as its (lanes * runs, steps) transpose.  Ensembles and
-fixed-length streams draw that array whole (`_noise_buffer`).
-`iter_distance_stream` draws each chunk only as far as it reads it
-(`_LazyChunk`): every run's v at the chunk's start, eta in doubling
-draws, with the bits of the whole draw, and each sub-block assembled
-from the two.
+step; callers see z as its (lanes * runs, steps) transpose.
 
 Two things are remembered, read-only and per thread (`_Remembered`), so
 concurrent calls never read one another's draws: the last attack-free
 stream (`simulate_distance_stream`), and one noise family of attack-free
-draws (`_attack_free_noise`), which loops that share R1 and R2 and a
+draws (`_NoiseFamily`), whose kept pieces loops that share R1 and R2 and a
 repeated ARL estimate read without drawing again.  Every draw forgets the
 thread's stream before it allocates; a draw of another family or of an
 ensemble (`_draw_noise`) forgets its family too.
@@ -48,10 +52,11 @@ ensemble (`_draw_noise`) forgets its family too.
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -69,13 +74,13 @@ __all__ = [
     "simulate_distance_stream",
 ]
 
-# Columns per sub-block of iter_distance_stream: how far the stream runs
-# ahead of a consumer that may stop early.
-_SUB_BLOCK = 64
+# Steps of one noise product: each run's normals are multiplied by the
+# factors of R1 and R2 in tiles of this many rows, aligned to step 0.
+_TILE = 64
 
-# Fewest rows of one eta draw of a lazy chunk narrower than the chunk: the
-# rows of a BLAS product of fewer rows can round differently.
-_LAZY_ROWS = 64
+# Bytes of noise drawn at once: an ensemble's pieces and the ARL stream's
+# largest; a noise family keeps pieces until they hold this many.
+_PIECE_BYTES = 16 << 20
 
 
 class _Remembered(threading.local):
@@ -91,10 +96,6 @@ class _Remembered(threading.local):
 
 
 _remembered = _Remembered()
-
-# Chunks a noise family remembers: a fixed-length stream is one chunk, an
-# ARL estimate's warm-up and first full chunk are two.
-_FAMILY_CHUNKS = 2
 
 
 def _as_matrix(value, rows: int | None, cols: int | None, name: str) -> np.ndarray:
@@ -334,18 +335,22 @@ def _gain_matrix(rows, name: str, shape: tuple) -> np.ndarray:
     return mat
 
 
-@dataclass
+@dataclass(slots=True)
 class NoiseModel:
     """Seeded Gaussian noise source for one run.
 
-    Samples v_k = chol_r1 @ w and eta_k = chol_r2 @ w' with w standard
-    normal.  The stream is fully determined by (seed, run), so ensemble
-    members get independent, reproducible substreams regardless of
-    scheduling order.  `draw` and `blocks` consume the same underlying
-    stream in different orders (per-step interleaved vs. block-wise); use
-    one style per NoiseModel instance.  `blocks(w)` is `v_rows` of w
-    rows, then `eta_rows` of w rows, so a lazy chunk (`_LazyChunk`) that
-    calls them itself draws the same normals.
+    Step t's noise is v_t = chol_r1 @ w_t[:n] and eta_t = chol_r2 @ w_t[n:],
+    where w_t is row t of the (seed, run) substream's standard normals, n +
+    p to a row.  The products are formed on tiles of _TILE rows aligned to
+    step 0, each one BLAS product of one shape: the rows of a product over
+    more rows can round differently (with two BLAS threads at n = 100), and
+    so can those of one over fewer.  So step t's noise depends only on
+    (seed, run, t), never on how the steps are split into calls:
+    `blocks(a)` then `blocks(b)` is `blocks(a + b)`, and `draw()` is
+    `blocks(1)`.  A call that ends inside a tile forms the whole tile, and
+    the next call draws that tile's normals again, from the bit generator's
+    state it kept, rather than hold its rows.  Ensemble members get
+    independent, reproducible substreams regardless of scheduling order.
 
     Ensemble draws may call `blocks` on worker threads (`_draw_blocks`);
     each instance is used by one thread at a time.
@@ -356,6 +361,12 @@ class NoiseModel:
     seed: int
     run: int = 0
     _rng: np.random.Generator = field(init=False, repr=False)
+    # The rows of the tile the last call ended inside that it handed out,
+    # and PCG64's 128-bit state where that tile's normals begin: normals
+    # read whole 64-bit words, so the rest of the state stays as it is, and
+    # the whole state would take 520 bytes a run.
+    _used: int = field(init=False, repr=False, default=0)
+    _resume: int = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if int(self.seed) < 0 or int(self.run) < 0:
@@ -363,47 +374,72 @@ class NoiseModel:
         self._rng = np.random.default_rng((int(self.seed), int(self.run)))
 
     def draw(self):
-        """One step of noise: (v, eta)."""
-        v = self.chol_r1 @ self._rng.standard_normal(self.chol_r1.shape[1])
-        eta = self.chol_r2 @ self._rng.standard_normal(self.chol_r2.shape[1])
-        return v, eta
+        """One step of noise: (v, eta), the next row of `blocks`."""
+        v, eta = self.blocks(1)
+        return v[0], eta[0]
 
     def blocks(self, steps: int, out=None):
-        """Pre-generated noise for `steps` steps: v (steps, n), eta (steps, p).
+        """The next `steps` steps of noise: v (steps, n), eta (steps, p).
 
         v and eta are the first n and the last p columns of one (steps,
         n + p) array: `out` when given (a run's slab of a draw,
-        _draw_blocks), which the products are written into, else a new one.
+        _draw_blocks), which the rows are written into, else a new one.
         """
-        n, p = self.chol_r1.shape[0], self.chol_r2.shape[0]
+        n = self.chol_r1.shape[0]
         if out is None:
-            out = np.empty((steps, n + p))
-        v, eta = out[:, :n], out[:, n:]
-        return self.v_rows(v), self.eta_rows(eta)
+            out = np.empty((steps, n + self.chol_r2.shape[0]))
+        head = 0
+        if self._used:  # the rest of the tile the last call ended inside, drawn again
+            bits = self._rng.bit_generator
+            state = bits.state
+            state["state"]["state"] = self._resume
+            bits.state = state
+            head = min(steps, _TILE - self._used)
+            out[:head] = self._tile(out.shape[1])[self._used:self._used + head]
+            self._used = (self._used + head) % _TILE
+        whole = head + (steps - head) // _TILE * _TILE
+        self._tiles(out[head:whole])
+        if whole < steps:
+            self._resume = self._rng.bit_generator.state["state"]["state"]
+            out[whole:] = self._tile(out.shape[1])[:steps - whole]
+            self._used = steps - whole
+        return out[:, :n], out[:, n:]
 
-    def v_rows(self, out):
-        """Fill `out`, (steps, n), with the next steps of v; return it."""
-        return np.matmul(self._rng.standard_normal((len(out), self.chol_r1.shape[1])), self.chol_r1.T,
-                         out=out)
+    def fork(self) -> "NoiseModel":
+        """A source that draws on from where this one stands; this one stays where it is."""
+        twin = copy.copy(self)
+        twin._rng = np.random.Generator(copy.copy(self._rng.bit_generator))
+        return twin
 
-    def eta_rows(self, out):
-        """Fill `out`, (steps, p), with the next steps of eta; return it."""
-        return np.matmul(self._rng.standard_normal((len(out), self.chol_r2.shape[1])), self.chol_r2.T,
-                         out=out)
+    def _tile(self, columns: int) -> np.ndarray:
+        """The next tile, a new (_TILE, n + p) array."""
+        return self._tiles(np.empty((_TILE, columns)))
+
+    def _tiles(self, out: np.ndarray) -> np.ndarray:
+        """Fill `out`, (k * _TILE, n + p), with the next k tiles; return it.
+
+        One batched matmul per factor makes one BLAS product per tile.
+        """
+        n = self.chol_r1.shape[0]
+        normals = self._rng.standard_normal(out.shape).reshape(-1, _TILE, out.shape[1])
+        tiles = out.reshape(normals.shape)  # a view: splitting the row axis never copies
+        np.matmul(normals[..., :n], self.chol_r1.T, out=tiles[..., :n])
+        np.matmul(normals[..., n:], self.chol_r2.T, out=tiles[..., n:])
+        return out
 
 
-def _draw_blocks(fills, buf: np.ndarray) -> np.ndarray:
-    """Fill `buf`, one (width, runs, columns) draw, run by run; return it.
+def _draw_blocks(sources, buf: np.ndarray) -> np.ndarray:
+    """Fill `buf`, one time-major (rows, runs, n + p) piece, run by run; return it.
 
-    The caller allocates `buf` before it builds any source, so a draw too
-    large to allocate fails before a source exists.  A whole draw
-    (`_whole_fills`) puts v and eta in the one time-major allocation: two
-    arrays freed at different times, around a remembered stream, fragment
-    the glibc heap and raise the peak resident size.  Step t of every run
-    is then the contiguous block buf[t], which the simulation reads whole.
+    The caller allocates `buf` before it builds any source, so a piece too
+    large to allocate fails before a source exists.  v and eta share the
+    one allocation: two arrays freed at different times, around a
+    remembered stream, fragment the glibc heap and raise the peak resident
+    size.  Step t of every run is then the contiguous block buf[t], which
+    the simulation reads whole.
 
-    Run i is one `fills[i](buf[:, i])` call, which writes its source's
-    next products into its slab, so the values do not depend on which
+    Run i is one `sources[i].blocks` call, which writes the source's next
+    rows into its slab buf[:, i], so the values do not depend on which
     thread draws them.  The runs are split into one contiguous slice
     per CPU (never more slices than runs); the calling thread draws the
     first slice and one thread started here draws each other slice, in
@@ -418,7 +454,7 @@ def _draw_blocks(fills, buf: np.ndarray) -> np.ndarray:
     def fill(lo: int, hi: int) -> None:
         try:
             for i in range(lo, hi):
-                fills[i](buf[:, i])
+                sources[i].blocks(len(buf), buf[:, i])
         except BaseException as exc:  # re-raised by the caller after the joins
             errors.append(exc)
 
@@ -561,34 +597,40 @@ def _lane_noise(noise, lanes: int, runs: int):
     return np.tile(noise, lanes)
 
 
-def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
-    """Noise of runs 0..runs-1 through `steps` steps, one time-major (steps, runs, n + p) array.
+def _piece_rows(runs: int, columns: int) -> int:
+    """Rows of the largest piece of whole tiles of `runs` runs within _PIECE_BYTES, at least one tile."""
+    return max(1, _PIECE_BYTES // (8 * _TILE * columns * max(runs, 1))) * _TILE
 
-    Slab [:, i] is run i's (seed, i) substream, drawn on every core
-    (_draw_blocks) with the same bits as on one, so the first slabs of a
-    draw are a smaller ensemble's draw.  The remembered stream and noise
-    family are forgotten before the draw is allocated.
+
+def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
+    """Noise of runs 0..runs-1 through `steps` steps, an iterator of time-major (rows, runs, n + p) pieces.
+
+    Each piece but the last has _piece_rows rows.  Slab [:, i] is run i's
+    (seed, i) substream, drawn on every core (_draw_blocks) with the same
+    bits as on one, so the first slabs of a draw are a smaller ensemble's
+    draw.  The remembered stream and noise family are forgotten, and the
+    first piece allocated, before any source is built.  Each later piece
+    is a new array: freeing one raises glibc's mmap threshold, so at n =
+    100 advance's per-step arrays come from the heap, where with one
+    reused piece they were trimmed and faulted in again at every step.
     """
     _forget_noise()
-    buf = _noise_buffer(steps, runs, model.n + model.p)
-    return _draw_blocks(_whole_fills([model.noise(seed, run=i) for i in range(runs)], steps), buf)
+    buf = _noise_buffer(min(steps, _piece_rows(runs, model.n + model.p)), runs, model.n + model.p, steps)
+    return _pieces([model.noise(seed, run=i) for i in range(runs)], buf, steps)
 
 
-def _whole_fills(sources, width: int) -> list:
-    """The _draw_blocks fills that draw each source's next `width` steps whole, v over eta."""
-    return [partial(source.blocks, width) for source in sources]
+def _pieces(sources, buf: np.ndarray, steps: int):
+    """The sources' next `steps` steps, drawn into `buf`, then into new arrays like it."""
+    for start in range(0, steps, max(1, len(buf))):
+        if start:
+            buf = np.empty_like(buf)
+        yield _draw_blocks(sources, buf[:steps - start])
 
 
-def _noise_buffer(steps: int, runs: int, columns: int, run_major: bool = False) -> np.ndarray:
-    """An empty (steps, runs, columns) noise buffer, else ValueError naming the runs and steps.
-
-    The buffer is time-major, or, when `run_major`, the transposed view of
-    a (runs, steps, columns) array, whose run slabs are contiguous.
-    """
+def _noise_buffer(rows: int, runs: int, columns: int, steps: int) -> np.ndarray:
+    """An empty (rows, runs, columns) piece of a `steps`-step draw, else ValueError naming both."""
     try:
-        if run_major:
-            return np.empty((runs, steps, columns)).transpose(1, 0, 2)
-        return np.empty((steps, runs, columns))
+        return np.empty((rows, runs, columns))
     except (MemoryError, ValueError):  # ValueError: past what numpy can address
         raise ValueError(
             f"the noise of runs x steps = {runs} x {steps} is too large to allocate"
@@ -597,23 +639,21 @@ def _noise_buffer(steps: int, runs: int, columns: int, run_major: bool = False) 
 
 @dataclass
 class _NoiseFamily:
-    """The per-run noise sources of one attack-free ensemble and its first chunks.
+    """The attack-free noise of one key: the pieces it keeps, and the sources that stand after them.
 
     The key is the values of the plant's noise factors (`plant` is the
     first loop's), the seed and the run count, so loops that share R1 and
-    R2 share the family.  `sources` stand after the `drawn` chunks started
-    from them, less any eta that the last one, a _LazyChunk, has not drawn
-    yet; `kept` holds the first _FAMILY_CHUNKS of those chunks, each a
-    read-only time-major (width, runs, n + p) draw or a _LazyChunk.  A
-    draw that fails stops the sources part-way, so the thread forgets the
-    family if it remembers it.
+    R2 share the family.  `kept` holds read-only time-major (rows, runs,
+    n + p) pieces, in order the first rows of every run's stream, and
+    `sources` (one NoiseModel per run, built at the first draw) stand
+    right after them.  A draw that fails stops the sources part-way, so the
+    thread forgets the family if it remembers it.
     """
 
     plant: PlantModel
     seed: int
     runs: int
     sources: list = None
-    drawn: int = 0
     kept: list = field(default_factory=list)
 
     def serves(self, model: ClosedLoopModel, runs: int, seed: int) -> bool:
@@ -621,144 +661,87 @@ class _NoiseFamily:
                 and np.array_equal(self.plant.chol_r1, model.plant.chol_r1)
                 and np.array_equal(self.plant.chol_r2, model.plant.chol_r2))
 
-    def draw(self, model: ClosedLoopModel, width: int, lazy: bool = False):
-        """The sources' next `width` steps, kept while fewer than _FAMILY_CHUNKS are.
+    def pieces(self, model: ClosedLoopModel, size):
+        """Every run's noise from step 0 on, an endless iterator of read-only time-major pieces.
 
-        The chunk is drawn whole, or, when `lazy`, as a _LazyChunk.
+        The kept pieces come first, those that another reader keeps
+        meanwhile too.  Past them, a piece of size(rows read) rows is drawn
+        from the family's own sources and kept while the kept pieces hold
+        less than _PIECE_BYTES; after that, from copies of the sources
+        (NoiseModel.fork), made once, and not kept.  Every piece holds the
+        rows of the one draw of each run, so the reader of a prefix draws
+        on from it.
         """
-        buf = self.buffer(width, model.n if lazy else model.n + model.p, run_major=lazy)
-        if self.sources is None:
-            self.sources = [model.noise(self.seed, run=i) for i in range(self.runs)]
-        if lazy:
-            noise = _LazyChunk(self, self.fill([source.v_rows for source in self.sources], buf), model.p)
-        else:
-            noise = self.fill(_whole_fills(self.sources, width), buf)
-        self.drawn += 1
-        if len(self.kept) < _FAMILY_CHUNKS:
-            self.kept.append(noise)
-        return noise
+        index, rows, forks = 0, 0, None
+        while True:
+            if forks is None and index == len(self.kept) and \
+                    sum(piece.nbytes for piece in self.kept) < _PIECE_BYTES:
+                self.kept.append(self.draw(model, self.sources, size(rows)))
+            if forks is None and index < len(self.kept):
+                piece = self.kept[index]
+                index += 1
+            else:
+                forks = forks or [source.fork() for source in self.sources]
+                piece = self.draw(model, forks, size(rows))
+            rows += len(piece)
+            yield piece
 
-    def buffer(self, steps: int, columns: int, run_major: bool = False) -> np.ndarray:
-        """An empty (steps, runs, columns) buffer (_noise_buffer), allocated after the stream is forgotten."""
+    def draw(self, model: ClosedLoopModel, sources, rows: int) -> np.ndarray:
+        """The next `rows` steps of `sources`, or of new ones when None, read-only (_draw_blocks).
+
+        The stream is forgotten and the piece allocated before a source
+        is built.
+        """
         _remembered.stream = None
-        return _noise_buffer(steps, self.runs, columns, run_major)
-
-    def fill(self, fills, buf: np.ndarray) -> np.ndarray:
-        """`buf` filled by _draw_blocks(fills, buf) and made read-only; a failure forgets the family."""
+        buf = _noise_buffer(rows, self.runs, model.n + model.p, rows)
+        if sources is None:
+            sources = self.sources = [model.noise(self.seed, run=i) for i in range(self.runs)]
         try:
-            _draw_blocks(fills, buf)
+            _draw_blocks(sources, buf)
         except BaseException:
-            if _remembered.family is self:  # its sources stopped part-way
+            if sources is self.sources and _remembered.family is self:  # stopped part-way
                 _forget_noise()
             raise
-        if buf.base is not None:  # a run-major buffer's owner
-            buf.base.flags.writeable = False
         buf.flags.writeable = False  # its views cannot be made writeable either
         return buf
 
 
-class _LazyChunk:
-    """A chunk of a noise family that draws eta only as far as it is read.
+def _attack_free_noise(model: ClosedLoopModel, runs: int, seed: int, size):
+    """The pieces (_NoiseFamily.pieces) of the calling thread's family of (model, seed, runs).
 
-    It reads like the time-major (width, runs, n + p) array of a whole
-    draw: `len` is the width, and a slice of steps is a new time-major
-    array of v over eta, one _simulate input.  Each run's v block is drawn
-    when the chunk starts, into `v`, a (width, runs, n) view whose run
-    slabs are contiguous: time-major v rows are 8 * runs * n bytes apart,
-    and at 400 runs and n = 4 (12,800 bytes) the fill took about a third
-    longer.  Eta is drawn when a slice first reaches past the drawn depth,
-    for every run at once, by draws that double the depth, take at least
-    _LAZY_ROWS rows, and run to the chunk's end rather than leave fewer
-    than _LAZY_ROWS.  So run i's source makes the calls of one
-    NoiseModel.blocks(width) in the same order, and no eta product spans
-    fewer than _LAZY_ROWS rows unless the chunk does: a product of fewer
-    rows can round differently (a one-row product goes to gemv).  The
-    drawn rows stay, read-only, in `eta`, one (rows, runs, p) array per
-    draw, so a later reader of a kept chunk extends them.  Only the
-    family's last chunk has eta left to draw.
-    """
-
-    def __init__(self, family: _NoiseFamily, v: np.ndarray, p: int):
-        self.family, self.v, self.p = family, v, p
-        self.eta = []
-        self.depth = 0
-
-    def __len__(self) -> int:
-        return len(self.v)
-
-    def __getitem__(self, steps: slice) -> np.ndarray:
-        lo, hi, _ = steps.indices(len(self))
-        while self.depth < hi:
-            self._draw_eta()
-        n = self.v.shape[2]
-        out = np.empty((hi - lo, self.v.shape[1], n + self.p))
-        out[:, :, :n] = self.v[lo:hi]
-        start = 0
-        for eta in self.eta:
-            a, b = max(lo, start), min(hi, start + len(eta))
-            if a < b:
-                out[a - lo:b - lo, :, n:] = eta[a - start:b - start]
-            start += len(eta)
-        return out
-
-    def _draw_eta(self) -> None:
-        width, family = len(self), self.family
-        depth = min(width, max(2 * self.depth, _LAZY_ROWS))
-        if width - depth < _LAZY_ROWS:
-            depth = width
-        buf = family.buffer(depth - self.depth, self.p)
-        self.eta.append(family.fill([source.eta_rows for source in family.sources], buf))
-        self.depth = depth
-
-
-def _attack_free_noise(model: ClosedLoopModel, widths, runs: int, seed: int, lazy: bool = False):
-    """The noise of each chunk of `widths` in turn, from the family of (model, seed, runs).
-
-    A chunk the family keeps is handed out as it is, read-only, whole or
-    lazy.  Any other is drawn from the family's sources, whole or, when
-    `lazy`, as a _LazyChunk, when they stand right after this consumer's
-    earlier chunks.  When they have moved past them (another consumer drew
-    further), or the family was forgotten or serves another key, the
-    family restarts: the old one and the remembered stream are forgotten,
-    and new sources draw this consumer's earlier chunks again, whole,
-    before this one.  A consumer reads each chunk to its end before it
-    asks for the next, so a lazy chunk has drawn all its eta before the
-    sources draw on.  Run i reads its (seed, i) substream in the same
-    chunk widths on every path, so the bits do not depend on the path.
+    A family that serves another key, or none, is replaced by a new one,
+    after the old one and the remembered stream are forgotten.
     """
     family = _remembered.family
-    family = family if family is not None and family.serves(model, runs, seed) else None
-    past = []
-    for index, width in enumerate(widths):
-        current = family is not None and family is _remembered.family
-        if current and index < len(family.kept) and len(family.kept[index]) == width:
-            noise = family.kept[index]
-        elif current and family.drawn == index:
-            noise = family.draw(model, width, lazy)
-        else:
-            _forget_noise()
-            family = _remembered.family = _NoiseFamily(model.plant, seed, runs)
-            for earlier in past:
-                family.draw(model, earlier)
-            noise = family.draw(model, width, lazy)
-        past.append(width)
-        yield noise
+    if family is None or not family.serves(model, runs, seed):
+        _forget_noise()
+        family = _remembered.family = _NoiseFamily(model.plant, seed, runs)
+    return family.pieces(model, size)
 
 
-def _simulate(model: ClosedLoopModel, noise, attack=None, state=None, lanes: int = 1,
-              record: bool = False):
-    """Advance one trajectory per run of `noise` and lane in lockstep, from `state` or the origin.
+def _rows(pieces, steps: int):
+    """The first `steps` rows of the iterator `pieces`, piece by piece; no piece past them is taken."""
+    while steps > 0:
+        piece = next(pieces)[:steps]
+        steps -= len(piece)
+        yield piece
 
-    `noise` is a time-major (steps, runs, n + p) draw (_draw_noise), which
-    every lane shares: the state is one (n, lanes * runs) block whose
-    columns l * runs .. (l + 1) * runs - 1 are lane l's runs.  Each step
-    copies its noise once, into every lane's columns of one (n + p,
-    lanes * runs) buffer that the steps reuse (v over eta), and is one
-    advance call with full-width noise.  `attack(k, c_err, eta, z_past)`,
-    when given, returns step k's sensor bias (or None) for the whole
-    block from c_err = C (x - xhat), which advance then reads too, the
-    full-width (p, lanes * runs) sensor noise and the (lanes * runs, k - 1)
-    z history.
+
+def _simulate(model: ClosedLoopModel, noise, steps: int, runs: int, attack=None, state=None,
+              lanes: int = 1, record: bool = False):
+    """Advance one trajectory per run and lane in lockstep, from `state` or the origin, for `steps` steps.
+
+    `noise` is an iterable of time-major (rows, runs, n + p) pieces with
+    `steps` rows in all (_draw_noise), which every lane shares: the state
+    is one (n, lanes * runs) block whose columns l * runs .. (l + 1) *
+    runs - 1 are lane l's runs.  Each piece is read to its end before the
+    next is taken.  Each step copies its noise once, into every lane's
+    columns of one (n + p, lanes * runs) buffer that the steps reuse (v
+    over eta), and is one advance call with full-width noise.
+    `attack(k, c_err, eta, z_past)`, when given, returns step k's sensor
+    bias (or None) for the whole block from c_err = C (x - xhat), which
+    advance then reads too, the full-width (p, lanes * runs) sensor noise
+    and the (lanes * runs, k - 1) z history.
     `state` is the (x, xhat) pair of (n, lanes * runs) matrices a previous
     call returned.
     Returns (z, state, record): the distance measures, (lanes * runs,
@@ -771,25 +754,27 @@ def _simulate(model: ClosedLoopModel, noise, attack=None, state=None, lanes: int
     an ensemble's trace needs no one-run simulation of its own.  Without
     `record` the third item is None and neither is computed.
     """
-    steps, runs, width = noise.shape
     n, c = model.n, model.plant.c
     cols = lanes * runs
     x, xhat = (np.zeros((n, cols)), np.zeros((n, cols))) if state is None else state
     if record:
         sum_x, first = np.empty((lanes, steps, n)), np.empty((lanes, steps, n))
     z = np.empty((steps, cols))
-    block = np.empty((width, lanes, runs))
-    v, eta = block[:n].reshape(n, cols), block[n:].reshape(width - n, cols)
-    for t in range(steps):
-        np.copyto(block, noise[t].T[:, None])
-        c_err = delta = None
-        if attack is not None:
-            c_err = c @ (x - xhat)
-            delta = attack(t + 1, c_err, eta, z[:t].T)
-        if record:
-            sum_x[:, t] = x.reshape(n, lanes, runs).sum(axis=2).T
-            first[:, t] = x[:, ::runs].T
-        x, xhat, _, z[t] = advance(model, x, xhat, v, eta, delta, lanes, c_err=c_err)
+    block = np.empty((n + model.p, lanes, runs))
+    v, eta = block[:n].reshape(n, cols), block[n:].reshape(model.p, cols)
+    t = 0
+    for piece in noise:
+        for row in piece:
+            np.copyto(block, row.T[:, None])
+            c_err = delta = None
+            if attack is not None:
+                c_err = c @ (x - xhat)
+                delta = attack(t + 1, c_err, eta, z[:t].T)
+            if record:
+                sum_x[:, t] = x.reshape(n, lanes, runs).sum(axis=2).T
+                first[:, t] = x[:, ::runs].T
+            x, xhat, _, z[t] = advance(model, x, xhat, v, eta, delta, lanes, c_err=c_err)
+            t += 1
     return z.T, (x, xhat), ((sum_x, first) if record else None)
 
 
@@ -815,8 +800,10 @@ def simulate_distance_stream(
     iter_distance_stream, another stream) forgets it.  The returned array
     is read-only.
 
-    The noise is one chunk of the noise family (_attack_free_noise), so a
-    loop with the same R1 and R2 simulates from the remembered draw.
+    The noise is the first burn_in + steps rows of the noise family
+    (_attack_free_noise), whatever of them it does not keep yet drawn as
+    one piece, so a loop with the same R1 and R2, or a shorter stream,
+    simulates from the kept draw.
     """
     if steps < 0 or burn_in < 0:
         raise ValueError("steps and burn_in must be nonnegative")
@@ -826,9 +813,10 @@ def simulate_distance_stream(
     last = _remembered.stream
     if last is not None and last[0] is model and last[1] == key:
         return last[2]
-    _remembered.stream = None  # a remembered chunk is no draw: drop the old z before the new one
-    noise = next(_attack_free_noise(model, [burn_in + steps], runs, seed))
-    z = _simulate(model, noise[:])[0]  # a lazy chunk that an ARL estimate left is read whole
+    _remembered.stream = None  # a kept piece is no draw: drop the old z before the new one
+    total = burn_in + steps
+    noise = list(_rows(_attack_free_noise(model, runs, seed, lambda rows: total - rows), total))
+    z = _simulate(model, noise, total, runs)[0]  # the noise first: the allocation that can fail
     z.base.flags.writeable = False  # the time-major rows: no view of them can be made writeable
     z.flags.writeable = False
     _remembered.stream = (model, key, z[:, burn_in:])
@@ -841,29 +829,34 @@ def _forget_noise() -> None:
 
 
 def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: int = 0):
-    """Attack-free distance measures of one ensemble, sub-block by sub-block.
+    """Attack-free distance measures of one ensemble, block by block.
 
-    Continues the same trajectories from the origin through one noise
-    chunk per width in `widths`.  Each chunk's noise is block-wise per run
-    from the (seed, i) substreams, with the bits of one
-    NoiseModel.blocks(width) call per run and chunk, so the values depend
-    on the chunk widths as well as on the seed.  The chunk is advanced in
-    sub-blocks of at most _SUB_BLOCK steps, each one _simulate call on the
-    chunk's next steps that continues from the state the previous one
-    left, and each sub-block's z is yielded as a (runs, columns) array, a
-    view of its time-major rows, as soon as it is computed.  The noise is
-    drawn only as far as it is read (_LazyChunk): every run's v when the
-    chunk starts, and eta in doubling draws as the sub-blocks reach it.  A
+    Continues the same trajectories from the origin, one block per width
+    in `widths`: each block is one _simulate call that continues from the
+    state the previous one left, and its z is yielded as a (runs, width)
+    array, a view of its time-major rows, as soon as it is computed.  Run
+    i reads its (seed, i) substream, whose step t does not depend on the
+    widths, so the blocks join into the stream of their summed width
+    (simulate_distance_stream).
+
+    The noise comes from the noise family (_attack_free_noise): its kept
+    pieces, then pieces drawn ahead of the blocks, 64 rows, then as many
+    as were read before (64, 128, 256, ...), up to _piece_rows.  So a
     consumer that stops pulling (estimate_arl's early exit) stops the
-    advancing and leaves most of the chunk's eta undrawn.  Every draw runs
-    on every available core (_draw_blocks) with the same bits as on one.
-
-    The chunks come from the noise family (_attack_free_noise), which keeps
-    the first two, with the eta drawn so far, for the next stream of the
-    same R1, R2, seed and runs.
+    advancing and the drawing, and a long run makes few draws.  The
+    family keeps the first pieces (at least _PIECE_BYTES of them) for the
+    next stream of the same R1, R2, seed and runs.  Every draw runs on
+    every available core (_draw_blocks) with the same bits as on one.
     """
-    state = None
-    for noise in _attack_free_noise(model, widths, runs, seed, lazy=True):
-        for start in range(0, len(noise), _SUB_BLOCK):
-            z, state, _ = _simulate(model, noise[start:start + _SUB_BLOCK], state=state)
-            yield z
+    most = _piece_rows(runs, model.n + model.p)
+    noise = _attack_free_noise(model, runs, seed, lambda rows: min(rows + _TILE, most))
+    state, piece = None, ()
+    for width in widths:
+        parts, left = [], width
+        while left:
+            if not len(piece):
+                piece = next(noise)
+            parts.append(piece[:left])
+            piece, left = piece[left:], left - len(parts[-1])
+        z, state, _ = _simulate(model, parts, width, runs, state=state)
+        yield z

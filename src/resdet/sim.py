@@ -188,9 +188,11 @@ def run_ensembles(scenarios):
     (attacks._lane_biases, the per-step part of synthesize_attacks), each
     lane's psi coming from its own plan.  The bias directions are formed
     once per call, and the bias and advance read one product C (x - xhat)
-    per step.  The draw is dropped when the loop returns, so it is
-    freed before the first scan, and each lane is scanned when it is
-    consumed: a consumer that drops each result before taking the next
+    per step.  The draw is streamed in pieces of at most
+    model._PIECE_BYTES, each drawn when the loop reaches it, so an
+    ensemble holds at most two pieces of its noise however many steps it
+    runs, and the draw is freed before the first scan.  Each lane is scanned when it
+    is consumed: a consumer that drops each result before taking the next
     holds one lane's stat and alarm at a time.
 
     Each result equals the lane's own run_ensemble to rounding.  A column
@@ -226,7 +228,7 @@ def _simulated_lanes(lanes):
     model, runs = head.model, head.mc_runs
     plans = tuple(lane.plan for lane in lanes)
     noise = model_mod._draw_noise(model, head.steps, runs, head.seed)
-    # formed once, after the draw, which is the allocation that can fail
+    # formed once, after the draw's first piece, which is the allocation that can fail
     directions = attacks_mod._lane_directions(plans, runs) if head.attacked else None
 
     def attack(k, c_err, eta, z_past):
@@ -235,7 +237,7 @@ def _simulated_lanes(lanes):
         return None
 
     z, _, (sum_x, first) = model_mod._simulate(
-        model, noise, attack if head.attacked else None, lanes=len(lanes), record=True,
+        model, noise, head.steps, runs, attack if head.attacked else None, lanes=len(lanes), record=True,
     )
     del noise  # freed before the first scan
     for l, lane in enumerate(lanes):

@@ -61,7 +61,7 @@ def test_criterion_02_cusum_threshold_matches_tabulated_value(reactor_matrices):
         f"Monte-Carlo calibration of the one-sensor CUSUM to ARL0 = 20 selects "
         f"tau={tau:.4g}, away from the tabulated 0.86"
     )
-    arl = estimate_arl(loop, CusumDetector(tau, 3.0), runs=4000, seed=1, cap=100_000, chunk=512)
+    arl = estimate_arl(loop, CusumDetector(tau, 3.0), runs=4000, seed=1, cap=100_000)
     assert arl.censored == 0
     assert abs(arl.arl - 1.0 / a_star) <= 0.05 / a_star, arl
 

@@ -1,17 +1,19 @@
 """Bit-identity pins for the attack-free stream and the ARL estimate.
 
-`iter_distance_stream` advances each chunk in sub-blocks and draws its
-noise only as far as they read it, and `estimate_arl` stops pulling
-sub-blocks once every run has exceeded.  None of these may change a bit of
-what was computed before: the values below were recorded with the
-whole-chunk stream, which drew every chunk it started at once and advanced
-every run through it.  The
-stream and the fixed-length loop behind `simulate_distance_stream` and
-`run_ensemble` are separate code, held here to the same bits.
+Step t of run i's noise depends only on (seed, i, t), so `estimate_arl`
+has no chunk width to pin: its result depends on the seed, the runs, the
+cap and the warm-up.  `iter_distance_stream` advances the stream in the
+blocks its consumer asks for and draws the noise ahead of them, in pieces
+that double from 64 steps, and `estimate_arl` stops pulling blocks once
+every run has exceeded.  None of these may change a bit of what the
+stream computes: the values below were recorded with the prefix-consistent
+draw, and the stream and the fixed-length loop behind
+`simulate_distance_stream` and `run_ensemble` are held to the same bits.
 """
 
 import hashlib
 import os
+import threading
 import tracemalloc
 import warnings
 
@@ -37,13 +39,13 @@ DETECTORS = {
     "cusum7.5": lambda: CusumDetector(7.5, 3.0),
     "cusum0.86": lambda: CusumDetector(0.86, 3.0),
 }
-# (seed, chunk) pairs, a cap inside the first chunk, and no warm-up; 40 runs each
+# three seeds, a cap inside the first block, and no warm-up; 40 runs each
 CASES = {
-    "s0c4096": dict(seed=0, chunk=4096),
-    "s3c128": dict(seed=3, chunk=128),
-    "s5c7": dict(seed=5, chunk=7),
+    "s0": dict(seed=0),
+    "s3": dict(seed=3),
+    "s5": dict(seed=5),
     "cap23": dict(seed=1, cap=23),
-    "nowarm": dict(seed=2, warm_up=0, chunk=64),
+    "nowarm": dict(seed=2, warm_up=0),
 }
 # thresholds no attack-free run reaches: every run is censored at cap = 300
 NEVER = {
@@ -53,59 +55,59 @@ NEVER = {
 }
 # (loop, detector, case) -> (arl, half_width, censored)
 PINNED = {
-    ('dare', 'chi2', 's0c4096'): (14.475, 3.796164322589653, 0),
-    ('dare', 'chi2', 's3c128'): (29.475, 7.728322468653023, 0),
-    ('dare', 'chi2', 's5c7'): (17.65, 6.454031147374642, 0),
-    ('dare', 'chi2', 'cap23'): (14.775, 2.51128753880636, 14),
-    ('dare', 'chi2', 'nowarm'): (18.675, 7.278163390123454, 0),
-    ('dare', 'windowed4', 's0c4096'): (32.05, 8.831983596928282, 0),
-    ('dare', 'windowed4', 's3c128'): (35.175, 8.06569676993968, 0),
-    ('dare', 'windowed4', 's5c7'): (42.325, 11.374753906608154, 0),
-    ('dare', 'windowed4', 'cap23'): (19.125, 2.1067662362870196, 27),
-    ('dare', 'windowed4', 'nowarm'): (49.275, 14.73914578379281, 0),
-    ('dare', 'windowed50', 's0c4096'): (337.775, 102.20932449296242, 0),
-    ('dare', 'windowed50', 's3c128'): (252.45, 58.798657719722016, 0),
-    ('dare', 'windowed50', 's5c7'): (311.275, 77.42318032253912, 0),
+    ('dare', 'chi2', 's0'): (20.125, 6.738739163435583, 0),
+    ('dare', 'chi2', 's3'): (21.75, 6.62209258893367, 0),
+    ('dare', 'chi2', 's5'): (18.625, 5.802295865232339, 0),
+    ('dare', 'chi2', 'cap23'): (12.225, 2.509325575957382, 11),
+    ('dare', 'chi2', 'nowarm'): (21.475, 7.104410762480678, 0),
+    ('dare', 'windowed4', 's0'): (45.8, 13.418597060681234, 0),
+    ('dare', 'windowed4', 's3'): (33.675, 11.620843288831914, 0),
+    ('dare', 'windowed4', 's5'): (45.775, 10.60972224557293, 0),
+    ('dare', 'windowed4', 'cap23'): (16.125, 2.345696414003028, 19),
+    ('dare', 'windowed4', 'nowarm'): (44.2, 11.368433236660637, 0),
+    ('dare', 'windowed50', 's0'): (269.2, 83.5071889698188, 0),
+    ('dare', 'windowed50', 's3'): (341.15, 91.25450592935263, 0),
+    ('dare', 'windowed50', 's5'): (306.8, 84.18355770028327, 0),
     ('dare', 'windowed50', 'cap23'): (23.0, 0.0, 40),
-    ('dare', 'windowed50', 'nowarm'): (284.95, 71.12098897454919, 0),
-    ('dare', 'cusum7.5', 's0c4096'): (17.6, 3.961120224872938, 0),
-    ('dare', 'cusum7.5', 's3c128'): (23.425, 6.011658397838961, 0),
-    ('dare', 'cusum7.5', 's5c7'): (18.575, 4.67621803959633, 0),
-    ('dare', 'cusum7.5', 'cap23'): (14.7, 2.474453350664624, 14),
-    ('dare', 'cusum7.5', 'nowarm'): (16.575, 3.880149848414858, 0),
-    ('dare', 'cusum0.86', 's0c4096'): (2.575, 0.6800058634739662, 0),
-    ('dare', 'cusum0.86', 's3c128'): (3.0, 0.7687752497416813, 0),
-    ('dare', 'cusum0.86', 's5c7'): (3.025, 0.7069928915611163, 0),
-    ('dare', 'cusum0.86', 'cap23'): (3.5, 1.004814053470234, 0),
-    ('dare', 'cusum0.86', 'nowarm'): (3.6, 0.7286486262340859, 0),
+    ('dare', 'windowed50', 'nowarm'): (369.225, 92.26809693371393, 0),
+    ('dare', 'cusum7.5', 's0'): (18.525, 5.818104896763514, 0),
+    ('dare', 'cusum7.5', 's3'): (11.6, 2.3167660041421354, 0),
+    ('dare', 'cusum7.5', 's5'): (20.975, 6.028266491905934, 0),
+    ('dare', 'cusum7.5', 'cap23'): (13.375, 2.337809488629945, 11),
+    ('dare', 'cusum7.5', 'nowarm'): (20.375, 6.29883272662076, 0),
+    ('dare', 'cusum0.86', 's0'): (3.275, 0.8273640410425488, 0),
+    ('dare', 'cusum0.86', 's3'): (2.775, 0.5892028295578479, 0),
+    ('dare', 'cusum0.86', 's5'): (2.7, 0.4770124978204691, 0),
+    ('dare', 'cusum0.86', 'cap23'): (3.675, 0.9834803584132298, 0),
+    ('dare', 'cusum0.86', 'nowarm'): (3.1, 0.735376826479511, 0),
     ('dare', 'chi2', 'censored'): (300.0, 0.0, 5),
     ('dare', 'windowed', 'censored'): (300.0, 0.0, 5),
     ('dare', 'cusum', 'censored'): (300.0, 0.0, 5),
-    ('fixed', 'chi2', 's0c4096'): (14.0, 4.025378466041646, 0),
-    ('fixed', 'chi2', 's3c128'): (26.875, 7.341430474386883, 0),
-    ('fixed', 'chi2', 's5c7'): (17.025, 5.096332213037236, 0),
-    ('fixed', 'chi2', 'cap23'): (13.275, 2.6370854103609274, 15),
-    ('fixed', 'chi2', 'nowarm'): (20.675, 4.87197098797728, 0),
-    ('fixed', 'windowed4', 's0c4096'): (26.075, 7.465235035027707, 0),
-    ('fixed', 'windowed4', 's3c128'): (37.775, 12.558261474280993, 0),
-    ('fixed', 'windowed4', 's5c7'): (35.35, 9.96509627110083, 0),
-    ('fixed', 'windowed4', 'cap23'): (17.175, 2.154957498539779, 20),
-    ('fixed', 'windowed4', 'nowarm'): (45.7, 13.835320477601835, 0),
-    ('fixed', 'windowed50', 's0c4096'): (358.8, 106.21396365006065, 0),
-    ('fixed', 'windowed50', 's3c128'): (236.075, 51.50294002835277, 0),
-    ('fixed', 'windowed50', 's5c7'): (271.075, 64.3613580737896, 0),
+    ('fixed', 'chi2', 's0'): (20.025, 6.997715742682366, 0),
+    ('fixed', 'chi2', 's3'): (18.1, 5.375841076710813, 0),
+    ('fixed', 'chi2', 's5'): (23.575, 6.8488223037773395, 0),
+    ('fixed', 'chi2', 'cap23'): (13.125, 2.510012437398953, 12),
+    ('fixed', 'chi2', 'nowarm'): (22.425, 5.3877779802162005, 0),
+    ('fixed', 'windowed4', 's0'): (39.625, 11.750926788326757, 0),
+    ('fixed', 'windowed4', 's3'): (30.15, 7.909594634496212, 0),
+    ('fixed', 'windowed4', 's5'): (50.175, 15.968809719944527, 0),
+    ('fixed', 'windowed4', 'cap23'): (17.15, 2.2254129204861433, 20),
+    ('fixed', 'windowed4', 'nowarm'): (43.125, 11.550232515142115, 0),
+    ('fixed', 'windowed50', 's0'): (259.475, 70.09980441082483, 0),
+    ('fixed', 'windowed50', 's3'): (252.0, 68.69907717067649, 0),
+    ('fixed', 'windowed50', 's5'): (366.2, 104.59236480639909, 0),
     ('fixed', 'windowed50', 'cap23'): (23.0, 0.0, 40),
-    ('fixed', 'windowed50', 'nowarm'): (251.0, 72.34194843650359, 0),
-    ('fixed', 'cusum7.5', 's0c4096'): (15.1, 3.594109939388368, 0),
-    ('fixed', 'cusum7.5', 's3c128'): (21.025, 6.1327546807579845, 0),
-    ('fixed', 'cusum7.5', 's5c7'): (19.275, 5.818951352791483, 0),
-    ('fixed', 'cusum7.5', 'cap23'): (12.95, 2.382944935180535, 11),
-    ('fixed', 'cusum7.5', 'nowarm'): (18.4, 4.379770465827328, 0),
-    ('fixed', 'cusum0.86', 's0c4096'): (3.35, 0.9191875453843702, 0),
-    ('fixed', 'cusum0.86', 's3c128'): (3.375, 1.001592257998259, 0),
-    ('fixed', 'cusum0.86', 's5c7'): (2.975, 0.7861564892825255, 0),
-    ('fixed', 'cusum0.86', 'cap23'): (3.425, 1.1486428000258748, 0),
-    ('fixed', 'cusum0.86', 'nowarm'): (4.0, 0.9974346582287469, 0),
+    ('fixed', 'windowed50', 'nowarm'): (279.7, 63.15864942613429, 0),
+    ('fixed', 'cusum7.5', 's0'): (22.65, 8.522822278432395, 0),
+    ('fixed', 'cusum7.5', 's3'): (14.575, 4.30439057600135, 0),
+    ('fixed', 'cusum7.5', 's5'): (24.45, 7.527833610793669, 0),
+    ('fixed', 'cusum7.5', 'cap23'): (13.6, 2.2455169240979362, 11),
+    ('fixed', 'cusum7.5', 'nowarm'): (23.025, 5.14107371554989, 0),
+    ('fixed', 'cusum0.86', 's0'): (3.95, 1.0961227238046958, 0),
+    ('fixed', 'cusum0.86', 's3'): (2.875, 0.5666187385462952, 0),
+    ('fixed', 'cusum0.86', 's5'): (2.775, 0.5850084154555779, 0),
+    ('fixed', 'cusum0.86', 'cap23'): (3.875, 1.0366298328026307, 0),
+    ('fixed', 'cusum0.86', 'nowarm'): (3.8, 0.9601999791710057, 0),
     ('fixed', 'chi2', 'censored'): (300.0, 0.0, 5),
     ('fixed', 'windowed', 'censored'): (300.0, 0.0, 5),
     ('fixed', 'cusum', 'censored'): (300.0, 0.0, 5),
@@ -137,7 +139,7 @@ def test_arl_is_bit_identical_to_the_whole_chunk_stream(loops, loop, name):
 def test_fully_censored_arl_is_bit_identical(loops, loop):
     for name, make in NEVER.items():
         with pytest.warns(UserWarning, match="5 of 5 runs"):
-            result = estimate_arl(loops[loop], make(), runs=5, seed=4, cap=300, chunk=128)
+            result = estimate_arl(loops[loop], make(), runs=5, seed=4, cap=300)
         arl, half_width, censored = PINNED[(loop, name, "censored")]
         assert result == ArlResult(arl, 1.0 / arl, half_width, 5, censored, 300), name
 
@@ -145,18 +147,22 @@ def test_fully_censored_arl_is_bit_identical(loops, loop):
 def test_stream_sub_blocks_join_into_the_whole_chunk_stream(reactor_dare, reactor_fixed):
     z = model_mod.simulate_distance_stream(reactor_dare, steps=300, runs=7, seed=4, burn_in=50)
     assert z.shape == (7, 300)
-    assert sha256(z) == "0e70f392496adf93b66fe57bddffd76870eb1390cbbfc04f008a4cf5117f634c"
-    # burn-in and kept steps are one chunk, whose sub-blocks straddle the burn-in
+    assert sha256(z) == "649d99dd0acebc2a4d51ac6a587523cf76727a95c3a7f12328a5d51dde2a53ce"
+    # the burn-in and the kept steps are one block of the stream
     blocks = list(model_mod.iter_distance_stream(reactor_dare, [350], runs=7, seed=4))
     assert np.array_equal(np.concatenate(blocks, axis=1)[:, 50:], z)
     z = model_mod.simulate_distance_stream(reactor_fixed, steps=200, runs=3, seed=9)
-    assert sha256(z) == "1f0940bb362003e27556a6f20f90571a842d75608959494a8671f9b8ef1da040"
+    assert sha256(z) == "548c05f74e96586155d1d3accdeb88380d688564184ff81b23691fa9aada2292"
     blocks = list(model_mod.iter_distance_stream(reactor_fixed, [50, 130, 0, 7, 64], runs=5, seed=2))
-    assert [b.shape[1] for b in blocks] == [50, 64, 64, 2, 7, 64]
+    assert [b.shape[1] for b in blocks] == [50, 130, 0, 7, 64]
     joined = np.concatenate(blocks, axis=1)
-    assert sha256(joined) == "668307b2681c07b28db42ebe92d7187d263ae0c8e675247092d50bd319efae26"
+    assert sha256(joined) == "b152dc03af142a4f3942cd04feb0ec6978d98de5e30dc45311594f195a8d39ed"
+    # the blocks' widths change no bit: one block of the summed width is the same stream
+    model_mod._forget_noise()
+    whole = list(model_mod.iter_distance_stream(reactor_fixed, [251], runs=5, seed=2))
+    assert np.array_equal(whole[0], joined)
     # the streaming loop and the fixed-length loop give the same bits; 150 and
-    # 200 steps are not multiples of the 64-column sub-block
+    # 200 steps are not multiples of the 64-step tile
     for runs in (1, 7, 200):
         z = {}
         for burn_in in (0, 50):
@@ -173,110 +179,110 @@ def test_stream_sub_blocks_join_into_the_whole_chunk_stream(reactor_dare, reacto
 
 @pytest.fixture
 def row_draws(monkeypatch):
-    """Every source built, as (seed, run), and every row draw, as (run, "v" or "eta", rows).
+    """Every source built, as (seed, run), and every draw of normals, as (run, rows).
 
-    NoiseModel.blocks draws its v rows and then its eta rows, so whole and
-    lazy draws are both recorded; worker threads append too.
+    A source draws its normals in whole 64-step tiles (NoiseModel._tiles),
+    v and eta together; worker threads append too.
     """
     draws = {"sources": [], "rows": []}
     noise = model_mod.ClosedLoopModel.noise
-    v_rows, eta_rows = model_mod.NoiseModel.v_rows, model_mod.NoiseModel.eta_rows
+    tiles = model_mod.NoiseModel._tiles
 
     def recording_noise(self, seed, run=0):
         draws["sources"].append((seed, run))
         return noise(self, seed, run)
 
-    def recording_v_rows(self, out):
-        draws["rows"].append((self.run, "v", len(out)))
-        return v_rows(self, out)
-
-    def recording_eta_rows(self, out):
-        draws["rows"].append((self.run, "eta", len(out)))
-        return eta_rows(self, out)
+    def recording_tiles(self, out):
+        if len(out):
+            draws["rows"].append((self.run, len(out)))
+        return tiles(self, out)
 
     monkeypatch.setattr(model_mod.ClosedLoopModel, "noise", recording_noise)
-    monkeypatch.setattr(model_mod.NoiseModel, "v_rows", recording_v_rows)
-    monkeypatch.setattr(model_mod.NoiseModel, "eta_rows", recording_eta_rows)
+    monkeypatch.setattr(model_mod.NoiseModel, "_tiles", recording_tiles)
     return draws
 
 
 def _per_run(rows, runs):
-    return [[(kind, count) for run, kind, count in rows if run == i] for i in range(runs)]
+    return [[count for run, count in rows if run == i] for i in range(runs)]
 
 
 def test_two_arls_of_one_loop_seed_and_runs_draw_once(loops, row_draws):
     drawn = []
     for name in ("chi2", "cusum7.5"):
         result = estimate_arl(loops["dare"], DETECTORS[name](), runs=40, seed=0)
-        arl, half_width, censored = PINNED[("dare", name, "s0c4096")]
+        arl, half_width, censored = PINNED[("dare", name, "s0")]
         assert result == ArlResult(arl, 1.0 / arl, half_width, 40, censored, 1_000_000), name
         drawn.append(_per_run(row_draws["rows"], 40))
     # one source per run, built by the first estimate: the second draws no
-    # normal the first drew, and reads on from its rows where it reads further
+    # normal the first drew, and reads on from its pieces where it reads further
     assert row_draws["sources"] == [(0, i) for i in range(40)]
     for run in drawn[1]:
-        # the warm-up's v and its eta in one draw (50 < 64 rows), then the
-        # 4096-step chunk's v, and its eta by doubling, only as deep as the
-        # longer estimate read
-        assert run[:3] == [("v", 50), ("eta", 50), ("v", 4096)]
-        assert run[3:] == [("eta", 64)] + [("eta", 64 * 2 ** k) for k in range(len(run) - 4)]
-        assert sum(count for _, count in run[3:]) < 4096
+        # pieces of 64, 128, 256, ... steps drawn ahead of the 50-step warm-up
+        # and the 64-step blocks, only as deep as the longer estimate read
+        assert run == [64 * 2 ** k for k in range(len(run))]
+        assert sum(run) < 4096
     assert drawn[0] == [run[:len(drawn[0][0])] for run in drawn[1]]
 
 
-def test_an_arl_past_the_kept_chunks_restarts_the_family(reactor_dare, row_draws):
+def test_an_arl_past_the_kept_pieces_draws_on_from_copies(reactor_dare, row_draws, monkeypatch):
+    # under a one-byte budget the family keeps only its first piece; an
+    # estimate that reads past it draws on from copies of the sources, which
+    # stay where the kept piece ends, so the family serves the next estimate
+    # without a restart, and the budget changes no bit
     detector = ChiSqDetector(tune_chi2(3, 0.05))
-    kwargs = dict(runs=40, seed=1, cap=40, chunk=8)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # cap = 40 censors some runs
-        first = estimate_arl(reactor_dare, detector, **kwargs)
-        family = model_mod._remembered.family
-        assert family.drawn > 2 and len(family.kept) == 2
-        drawn = len(row_draws["sources"])
-        second = estimate_arl(reactor_dare, detector, **kwargs)
-        # the sources had moved past the third chunk: a new family redrew the first three
-        restarted = model_mod._remembered.family
-        assert restarted is not family and len(row_draws["sources"]) == 2 * drawn
-        assert len(restarted.kept) == 2
-        model_mod._forget_noise()
-        fresh = estimate_arl(reactor_dare, detector, **kwargs)
-    assert first == second == fresh
-    # the first family kept its two lazy chunks, the restarted one redrew them whole
-    for kept in (family.kept, restarted.kept):
-        for width, noise in zip((50, 8), kept):
-            assert noise[:].shape == (width, 40, 4 + 3)  # time-major
-            arrays = [noise] if isinstance(noise, np.ndarray) else [noise.v, *noise.eta]
-            for arr in arrays:
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[0, 0, 0] = 1.0
-    assert not any(isinstance(noise, np.ndarray) for noise in family.kept)
-    assert all(isinstance(noise, np.ndarray) for noise in restarted.kept)
+    kwargs = dict(runs=40, seed=1, cap=400)
+    default = estimate_arl(reactor_dare, detector, **kwargs)
+    model_mod._forget_noise()
+    monkeypatch.setattr(model_mod, "_PIECE_BYTES", 1)
+    row_draws["sources"].clear()
+    row_draws["rows"].clear()
+    first = estimate_arl(reactor_dare, detector, **kwargs)
+    family = model_mod._remembered.family
+    drawn = _per_run(row_draws["rows"], 40)
+    second = estimate_arl(reactor_dare, detector, **kwargs)
+    assert model_mod._remembered.family is family
+    assert first == second == default
+    assert row_draws["sources"] == [(1, i) for i in range(40)]
+    assert [len(piece) for piece in family.kept] == [64]
+    # the second estimate read the kept piece and drew the first's further pieces again
+    for run, again in zip(drawn, _per_run(row_draws["rows"], 40)):
+        assert len(run) > 1 and set(run) == {64}
+        assert again == run + run[1:]
+    for piece in family.kept:
+        assert piece.shape == (64, 40, 4 + 3)  # time-major
+        assert not piece.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            piece[0, 0, 0] = 1.0
 
 
 def test_a_failed_eta_draw_forgets_the_family(reactor_dare, monkeypatch):
-    # an eta draw past the warm-up fails on run 4, on the worker thread:
-    # the sources stopped part-way, so the next estimate draws afresh
+    # v and eta are one draw; the draw of the second piece (128 steps, past
+    # the warm-up) fails on run 24, on the worker thread: the sources stopped
+    # part-way, so the next estimate draws afresh
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
-    eta_rows = model_mod.NoiseModel.eta_rows
+    blocks = model_mod.NoiseModel.blocks
+    raised_on = []
 
-    def failing_eta_rows(self, out):
-        if self.run == 4 and len(out) == 64:
-            raise RuntimeError("no eta for run 4")
-        return eta_rows(self, out)
+    def failing_blocks(self, steps, out=None):
+        if self.run == 24 and steps == 128:
+            raised_on.append(threading.current_thread())
+            raise RuntimeError("no noise for run 24")
+        return blocks(self, steps, out)
 
-    monkeypatch.setattr(model_mod.NoiseModel, "eta_rows", failing_eta_rows)
-    with pytest.raises(RuntimeError, match="no eta for run 4"):
+    monkeypatch.setattr(model_mod.NoiseModel, "blocks", failing_blocks)
+    with pytest.raises(RuntimeError, match="no noise for run 24"):
         estimate_arl(reactor_dare, DETECTORS["chi2"](), runs=40, seed=0)
+    assert raised_on and raised_on[0] is not threading.main_thread()
     assert model_mod._remembered.family is None
-    monkeypatch.setattr(model_mod.NoiseModel, "eta_rows", eta_rows)
-    arl, half_width, censored = PINNED[("dare", "chi2", "s0c4096")]
+    monkeypatch.setattr(model_mod.NoiseModel, "blocks", blocks)
+    arl, half_width, censored = PINNED[("dare", "chi2", "s0")]
     result = estimate_arl(reactor_dare, DETECTORS["chi2"](), runs=40, seed=0)
     assert result == ArlResult(arl, 1.0 / arl, half_width, 40, censored, 1_000_000)
 
-def test_an_arl_estimate_does_not_hold_the_unread_eta_of_its_chunk(reactor_dare):
-    # 400 runs of a 4,146-step draw were about 93 MB; the estimate reads about
-    # 200 steps, so it holds the chunk's v block, 52 MB, and little eta
+
+def test_an_arl_estimate_holds_only_the_pieces_it_reads(reactor_dare):
+    # the estimate reads about 200 steps of 400 runs and draws pieces of
+    # 64, 128 and 256 steps ahead of them, 10 MB of noise
     detector = ChiSqDetector(tune_chi2(3, 0.05))
     tracemalloc.start()
     try:
@@ -284,7 +290,7 @@ def test_an_arl_estimate_does_not_hold_the_unread_eta_of_its_chunk(reactor_dare)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 70e6, peak
+    assert peak < 20e6, peak
 
 
 def test_arl_stops_advancing_once_every_run_has_exceeded(reactor_dare, monkeypatch):
@@ -300,6 +306,6 @@ def test_arl_stops_advancing_once_every_run_has_exceeded(reactor_dare, monkeypat
     result = estimate_arl(reactor_dare, DETECTORS["chi2"](), runs=400, seed=2, cap=10_000)
     assert result.censored == 0
     assert set(columns) == {400}
-    # the warm-up and whole sub-blocks up to the longest run, not 50 + 4096
+    # the warm-up and whole 64-step blocks up to the longest run, not 50 + 10,000
     assert len(columns) < 1000
     assert (len(columns) - 50) % 64 == 0

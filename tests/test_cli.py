@@ -669,21 +669,22 @@ def test_arl_stdout(capsys, bundled_scenario):
     assert main(["arl", "--scenario", bundled_scenario, "--runs", "0"]) == 2
 
 
-# `resdet arl` stdout, recorded when every run was advanced through the
-# whole first chunk; stopping once every run has exceeded changes no byte.
+# `resdet arl` stdout, recorded with the prefix-consistent draw, where step
+# t of run i's noise depends only on (seed, i, t); stopping once every run
+# has exceeded changes no byte.
 ARL_GOLDEN = {
     ("bundled", "--runs 50 --seed 1"):
-        '{"detector": {"kind": "chi2", "params": {"alpha": 7.814727903251175}}, "arl": 19.88, "alarm_rate": 0.05030181086519115, "half_width": 6.3110385072506086, "runs": 50, "censored": 0, "cap": 1000000}\n',
+        '{"detector": {"kind": "chi2", "params": {"alpha": 7.814727903251175}}, "arl": 19.24, "alarm_rate": 0.05197505197505198, "half_width": 5.452042200863819, "runs": 50, "censored": 0, "cap": 1000000}\n',
     ("bundled", "--cap 7 --runs 30 --seed 3"):
-        '{"detector": {"kind": "chi2", "params": {"alpha": 7.814727903251175}}, "arl": 6.066666666666666, "alarm_rate": 0.16483516483516483, "half_width": 0.586370667229333, "runs": 30, "censored": 21, "cap": 7}\n',
+        '{"detector": {"kind": "chi2", "params": {"alpha": 7.814727903251175}}, "arl": 5.7, "alarm_rate": 0.17543859649122806, "half_width": 0.7288350648288938, "runs": 30, "censored": 20, "cap": 7}\n',
     ("windowed4", "--runs 50 --seed 1"):
-        '{"detector": {"kind": "windowed", "params": {"beta": 21.026069817483055, "window": 4}}, "arl": 31.38, "alarm_rate": 0.03186743148502231, "half_width": 6.486069305827685, "runs": 50, "censored": 0, "cap": 1000000}\n',
+        '{"detector": {"kind": "windowed", "params": {"beta": 21.026069817483055, "window": 4}}, "arl": 34.88, "alarm_rate": 0.0286697247706422, "half_width": 8.923111062852461, "runs": 50, "censored": 0, "cap": 1000000}\n',
     ("windowed4", "--cap 7 --runs 30 --seed 3"):
-        '{"detector": {"kind": "windowed", "params": {"beta": 21.026069817483055, "window": 4}}, "arl": 6.733333333333333, "alarm_rate": 0.1485148514851485, "half_width": 0.28087831591721424, "runs": 30, "censored": 25, "cap": 7}\n',
+        '{"detector": {"kind": "windowed", "params": {"beta": 21.026069817483055, "window": 4}}, "arl": 6.533333333333333, "alarm_rate": 0.15306122448979592, "half_width": 0.3482566543772102, "runs": 30, "censored": 23, "cap": 7}\n',
     ("cusum086", "--runs 50 --seed 1"):
-        '{"detector": {"kind": "cusum", "params": {"tau": 0.86, "b": 3.0}}, "arl": 3.5, "alarm_rate": 0.2857142857142857, "half_width": 0.8570927604407822, "runs": 50, "censored": 0, "cap": 1000000}\n',
+        '{"detector": {"kind": "cusum", "params": {"tau": 0.86, "b": 3.0}}, "arl": 4.08, "alarm_rate": 0.24509803921568626, "half_width": 0.9664503298152469, "runs": 50, "censored": 0, "cap": 1000000}\n',
     ("cusum086", "--cap 7 --runs 30 --seed 3"):
-        '{"detector": {"kind": "cusum", "params": {"tau": 0.86, "b": 3.0}}, "arl": 3.566666666666667, "alarm_rate": 0.2803738317757009, "half_width": 0.7731296204141229, "runs": 30, "censored": 5, "cap": 7}\n',
+        '{"detector": {"kind": "cusum", "params": {"tau": 0.86, "b": 3.0}}, "arl": 2.9, "alarm_rate": 0.3448275862068966, "half_width": 0.6466532052159735, "runs": 30, "censored": 1, "cap": 7}\n',
 }
 ARL_DETECTORS = {
     "windowed4": {"kind": "windowed", "window": 4, "far": 0.05},

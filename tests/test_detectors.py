@@ -402,7 +402,7 @@ def test_cusum_scan_eq10_timing():
 
 def test_arl_matches_inverse_rate(reactor_dare):
     d = ChiSqDetector(tune_chi2(3, 0.05))
-    res = estimate_arl(reactor_dare, d, runs=2000, seed=6, cap=100_000, chunk=512)
+    res = estimate_arl(reactor_dare, d, runs=2000, seed=6, cap=100_000)
     assert res.censored == 0
     assert abs(res.arl - 20.0) <= 0.05 * 20.0
     assert res.alarm_rate == pytest.approx(1.0 / res.arl, rel=1e-12)
@@ -412,7 +412,7 @@ def test_arl_matches_inverse_rate(reactor_dare):
 def test_arl_rejects_bad_geometry(reactor_dare):
     d = ChiSqDetector(tune_chi2(3, 0.05))
     # run lengths are int64: a cap past its range is refused rather than overflow
-    for bad in ({"runs": 0}, {"cap": 0}, {"cap": 2**63}, {"chunk": 0}, {"warm_up": -1}):
+    for bad in ({"runs": 0}, {"cap": 0}, {"cap": 2**63}, {"warm_up": -1}):
         with pytest.raises(ValueError, match="must be"):
             estimate_arl(reactor_dare, d, **bad)
 
@@ -420,7 +420,7 @@ def test_arl_rejects_bad_geometry(reactor_dare):
 def test_arl_censoring_warns(reactor_dare):
     d = ChiSqDetector(1e9)
     with pytest.warns(UserWarning, match="censored"):
-        res = estimate_arl(reactor_dare, d, runs=4, seed=6, cap=300, chunk=128)
+        res = estimate_arl(reactor_dare, d, runs=4, seed=6, cap=300)
     assert res.arl >= res.cap
     assert res.censored == 4
 
@@ -429,7 +429,7 @@ def test_windowed_rate_and_arl_both_reported(reactor_dare):
     d = WindowedChiSqDetector(tune_windowed(3, 4, 0.05), 4)
     est = measure_alarm_rate(reactor_dare, d, steps=1000, runs=300, seed=12)
     assert abs(est.rate - 0.05) <= 0.005
-    res = estimate_arl(reactor_dare, d, runs=400, seed=13, cap=10_000, chunk=256)
+    res = estimate_arl(reactor_dare, d, runs=400, seed=13, cap=10_000)
     # windowed alarms are serially dependent: ARL and 1/rate need not agree,
     # but both live on the same order of magnitude
     assert res.censored == 0

@@ -1,24 +1,19 @@
 """Bit-identity pins for the ensemble path, and the noise draw's core count.
 
 `run_ensemble` and `iter_distance_stream` draw an ensemble's noise on every
-available core, one slice of runs per thread.  The `reactor` reports, the
-plain greedy `simulate` trace and the `tune` output pinned here were
-recorded when every run was drawn in turn on one thread, the other plain
-`simulate` traces and the summaries while `sim.run` still copied its
-one-run ensemble into a separate trace type.  The core-count tests make `os.sched_getaffinity` report 1, 2, 3 and 8 CPUs and
-require the same bits under each.
+available core, one slice of runs per thread.  Every pin here was recorded
+with the prefix-consistent draw, where step t of run i's noise depends only
+on (seed, i, t), so it holds whatever the size of the pieces the noise is
+drawn in.  The core-count tests make `os.sched_getaffinity` report 1, 2, 3
+and 8 CPUs and require the same bits under each.
 
 The reactor study draws its noise once, simulates its all-ones attack
-once and takes each trace from row 0 of its ensemble.  The `report.json`
-of `resdet reactor --seed 0` and `--seed 1` were recorded while it drew
-and simulated every ensemble and trace apart; the trace CSVs were
-re-recorded when the traces became row 0 of the ensembles, whose wider
-state block rounds differently from a one-run simulation.  So were the
-`simulate --summary` traces of attacked scenarios; plain `simulate` is
-pinned to the CSVs recorded before, when both paths ran the one-run
-ensemble.  `resdet reactor --seed 0` and the greedy `simulate --summary`
-are also run under `python -O`, which drops advance's error check, and
-keep the same pins.
+once and takes each trace from row 0 of its ensemble.  With `--summary`,
+`simulate` takes its trace from row 0 of the summary's ensemble, whose
+wider state block can round differently from the one-run simulation of
+plain `simulate`.  `resdet reactor --seed 0` and the greedy
+`simulate --summary` are also run under `python -O`, which drops
+advance's error check, and keep the same pins.
 """
 
 import hashlib
@@ -49,29 +44,27 @@ from resdet.reactor import run_benchmark, scenario_path
 
 # `resdet reactor --seed 0`
 REACTOR_SHA256 = {
-    "report.json": "bf281d3aeb6200cf3c80929cb4e4665e65a5aeae9a292da56e43dc9148350d85",
-    "trace_chi2_ones.csv": "4520d10cd37bd26a6f186d0f2b7d41c3a8a587e52521c80184783f645b72849b",
-    "trace_chi2_worst.csv": "02040666181582cb5a96e7f38b43c746c358e465cdb837fd831eab7f8ccc8ba4",
-    "trace_cusum_ones.csv": "2115efd292ada2068f8e3964e48d25033ac7c6041da93e7cdbc8fc9047146f4a",
-    "trace_cusum_worst.csv": "d50050a1dadbc71aa17bcd0521d3d8808ee06081a9211524adc7918ba2e49455",
-    "trace_windowed_ell4_ones.csv": "fe7f3c3f2fe3de45b298bc851031b2d7e8c89d6df18ffafd9d8613f44fe2a740",
-    "trace_windowed_ell4_worst.csv": "a6ad6ddb347145f95b6cde6de2a36a0550fa104261424a834f7523f8f80b74de",
-    "trace_windowed_ell50_ones.csv": "8bd15a135235e6d56d0da2478f8a83104d73f2bca933ed6c2368203e25d6f374",
-    "trace_windowed_ell50_worst.csv": "3348477f206649ba50a7e92f4430fda4d600295d315a81eef3145676788c8e52",
+    "report.json": "9d008dd7575b4f552ce1be993176e5dad726b31e422ebd676fdadc52c5ebcbee",
+    "trace_chi2_ones.csv": "1eb08e8451cc9fdf8e85437786aa33fd6e03251b01391cb81e091b91a44cafd6",
+    "trace_chi2_worst.csv": "0342d1d12f13c62f1b4c408ca0741e3aa3fa47eeab2e6a0965d311789798ec6c",
+    "trace_cusum_ones.csv": "e0aec8afaeed91706cb3942d6f910e76898d5da8d455e91e0605526edaf8f8f7",
+    "trace_cusum_worst.csv": "4f8990625b0ef5d3d52548718c1033bd108e60d6f3cb85a87d1d51bb84026926",
+    "trace_windowed_ell4_ones.csv": "6dfd4c10a27ec22cf1aea27afa8203a7f7c3927d6803b3568bde3dfe487c1a9a",
+    "trace_windowed_ell4_worst.csv": "661af256918c6436477dc19dfa64f32ca88d72db27b8813158e97a3e9aa6de5d",
+    "trace_windowed_ell50_ones.csv": "f763b73eaaa6ca9c57e1fa04280aef7dc0c7b54df01ec3d48a5628712d106d81",
+    "trace_windowed_ell50_worst.csv": "d4711b08da6d70958fb533106094f29fa0abb6138ce5940fe0ed41ef57bc1ecd",
 }
-# `resdet reactor --seed 1`; report.json recorded while every ensemble and
-# trace drew its own noise and each all-ones attack was simulated for its own
-# detector
+# `resdet reactor --seed 1`
 REACTOR_SEED1_SHA256 = {
-    "report.json": "edfa77e8f2828e2f37b5636e4fa774946e6a0b3c7aa507a1fdff0a5a18856f65",
-    "trace_chi2_ones.csv": "874bbbb24096af1b7249aa6a3b6cf733ef7431a645330b279929fdb34926e8cd",
-    "trace_chi2_worst.csv": "ea345ad40fd21cdecffa6b59745cf0219be8790ea125f30347c5008a1f6918b6",
-    "trace_cusum_ones.csv": "5a1c455bd491b87fc0484a5ddd77bbd56c172ddf352fffd35cd75b3f7b1746ba",
-    "trace_cusum_worst.csv": "ac9dd51744d39c94d678d63e9d19ff8cbdedec96de540f49878c10ad4961d973",
-    "trace_windowed_ell4_ones.csv": "88a3aa657d63458c9f7370577e7fc4a12a23984b30748a44801a0ccb5b47cedb",
-    "trace_windowed_ell4_worst.csv": "5cfb55e0a81eb5ac112f67caf3c9e92a4d3daf32af7a6c54226b03aa06c8c641",
-    "trace_windowed_ell50_ones.csv": "e708f648df98270bf3f8dcb6243fd2b1211f1bc403734230aa832dba1c714927",
-    "trace_windowed_ell50_worst.csv": "fbff5113df49ffbaa0f562d41f289791fe050d677da9d10128d64fb4a8786099",
+    "report.json": "11bcd946d0f2d0c35a04abe820491f400147e6071202d582b277a5b4391b300a",
+    "trace_chi2_ones.csv": "286ad397ae559d3b82b32688201d1f3e4908009e3ddb721853512608f0b5a6b6",
+    "trace_chi2_worst.csv": "54e2c0c3208f40e1d0096c736099ebcea267184e92e1adf2f2e435981cddef10",
+    "trace_cusum_ones.csv": "55e09fee58447581fbdaac6bf0773d18cb2aa2ed42184cc7505fa556ddf954df",
+    "trace_cusum_worst.csv": "51470abb84b014feb802cecfb3311dd0749b140621723ba880e372195f3e79b0",
+    "trace_windowed_ell4_ones.csv": "10286b83b6c03c1e46f2666c87f7615b813ac68de78da2dc04441c24861f560b",
+    "trace_windowed_ell4_worst.csv": "f213757dfd1df2601ce709396c026498404ab802404bbd64915adb6e39887a42",
+    "trace_windowed_ell50_ones.csv": "c76776f68abedc0e973fa111cd5ecf30ce09d1f4ff07d41f0cdc823175190e02",
+    "trace_windowed_ell50_worst.csv": "6d880ade81a886519b060dc7479e6c6f8d0b2fbef970ab45f6486ab8c86a864d",
 }
 # `resdet simulate --summary` of the bundled scenario (chi2), of it with a 5%
 # windowed ell = 50 detector and the greedy attack at seed 0 (greedy), and
@@ -110,50 +103,50 @@ SIMULATE_SCENARIOS = {
 # name: (sha256 of the trace CSV, summary JSON)
 SIMULATE_GOLDEN = {
     "chi2": (
-        "02040666181582cb5a96e7f38b43c746c358e465cdb837fd831eab7f8ccc8ba4",
+        "0342d1d12f13c62f1b4c408ca0741e3aa3fa47eeab2e6a0965d311789798ec6c",
         """{
-  "alarms": 1,
-  "measured_deviation": 892709.6388479302,
+  "alarms": 3,
+  "measured_deviation": 892709.5801023375,
   "predicted_gamma": 892709.6184812463,
-  "relative_error": 2.281445559669064e-08
+  "relative_error": 4.299148118272146e-08
 }
 """,
     ),
     "greedy": (
-        "f60042c63ca2e88c65ad32574b7085f12d8957e11d5e7a5345f327495c2b5eec",
+        "fb7f553ffc06837f2b80c50645abcbce231d35d1fe19e0029294ddba75a284b2",
         """{
   "alarms": 0,
-  "measured_deviation": 531325.7033180845,
+  "measured_deviation": 530715.9762988393,
   "predicted_gamma": 605198.7631445284,
-  "relative_error": 0.12206412888653273
+  "relative_error": 0.12307161114918161
 }
 """,
     ),
     "cusum-ones": (
-        "2115efd292ada2068f8e3964e48d25033ac7c6041da93e7cdbc8fc9047146f4a",
+        "e0aec8afaeed91706cb3942d6f910e76898d5da8d455e91e0605526edaf8f8f7",
         """{
-  "alarms": 12,
-  "measured_deviation": 337556.6551562221,
+  "alarms": 13,
+  "measured_deviation": 337556.5964106964,
   "predicted_gamma": 337556.63476725435,
-  "relative_error": 6.040162054313563e-08
+  "relative_error": 1.1362999272862653e-07
 }
 """,
     ),
     "attack-free": (
-        "f693073cb12708b3f531e3595ff7a74a15a4f4fd1e5bb33352b5aa9b40b4bb10",
+        "7c93a7562ef6b999d6f9b7b82ac059d1e2e313267c670f4ba92cef4c5470198f",
         """{
-  "alarms": 19,
-  "measured_deviation": 0.10491803938382734,
+  "alarms": 23,
+  "measured_deviation": 0.12932881075472052,
   "predicted_gamma": null,
   "relative_error": null
 }
 """,
     ),
     "pulse": (
-        "94f7016ccdd4b4116f6d97f88ec12cd449952c204b25df0cbf60467b41074fa3",
+        "a9c8c8113f5dc5c732478b83afb9d003ffd810c5c2524a12229e00eed98977b9",
         """{
-  "alarms": 10,
-  "measured_deviation": 0.09110139896698452,
+  "alarms": 7,
+  "measured_deviation": 0.12538084218434029,
   "predicted_gamma": null,
   "relative_error": null
 }
@@ -162,11 +155,11 @@ SIMULATE_GOLDEN = {
 }
 # sha256 of the trace CSV of plain `resdet simulate` (no --summary)
 SIMULATE_TRACE_SHA256 = {
-    "chi2": "c26fd29937288c2a2b0465989c67798ee61d14c8bc450a486240f3d1461c0ab4",
-    "greedy": "d1a69428e1f1946ece790832f7cfebcfb16b798d86a65111a81e46f829a733e5",
-    "cusum-ones": "a7801ded6258cbe8e73ce25cf1f840fb87219da1d4e08dbf3462a79cb5f9db3e",
-    "attack-free": "f693073cb12708b3f531e3595ff7a74a15a4f4fd1e5bb33352b5aa9b40b4bb10",
-    "pulse": "94f7016ccdd4b4116f6d97f88ec12cd449952c204b25df0cbf60467b41074fa3",
+    "chi2": "d8ca6a08380440af057f4e84c5e225b234166684fa91f00bb3cbeecc41c541f5",
+    "greedy": "7403693ceb9b44dcdd98143330812cd7dd73927c4da5eee311ca8061eef6a9fb",
+    "cusum-ones": "f383a19fcaa74cd79ffe8f93d3383d09995a3e28f5c6ef7055363a23554312a3",
+    "attack-free": "7c93a7562ef6b999d6f9b7b82ac059d1e2e313267c670f4ba92cef4c5470198f",
+    "pulse": "a9c8c8113f5dc5c732478b83afb9d003ffd810c5c2524a12229e00eed98977b9",
 }
 # `resdet tune --detector cusum --far 0.05 --scenario <bundled>`
 TUNE_CUSUM = (
@@ -336,9 +329,9 @@ def test_the_study_takes_its_geometry_from_the_bundled_scenario(tmp_path, monkey
 
 
 def test_row_0_of_a_draw_is_the_one_run_draw(reactor_fixed):
-    # a draw is time-major: run i is slab [:, i]
-    five = model_mod._draw_noise(reactor_fixed, 40, 5, 7)
-    one = model_mod._draw_noise(reactor_fixed, 40, 1, 7)
+    # a draw is time-major: run i is slab [:, i] of each piece
+    (five,) = model_mod._draw_noise(reactor_fixed, 40, 5, 7)
+    (one,) = model_mod._draw_noise(reactor_fixed, 40, 1, 7)
     assert five.shape == (40, 5, 4 + 3) and one.shape == (40, 1, 4 + 3)
     assert np.array_equal(five[:, :1], one)
 
@@ -362,7 +355,7 @@ def test_stream_and_arl_do_not_depend_on_the_core_count(reactor_dare, monkeypatc
             z = model_mod.simulate_distance_stream(reactor_dare, steps=200, runs=9, seed=4, burn_in=50)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # cap = 40 censors some runs
-                arls = [estimate_arl(reactor_dare, det, runs=9, seed=6, cap=40, chunk=16, **kw)
+                arls = [estimate_arl(reactor_dare, det, runs=9, seed=6, cap=40, **kw)
                         for det in detectors for kw in ({}, {"warm_up": 0})]
             results[count] = z, arls
     finally:
@@ -408,7 +401,7 @@ def test_each_slice_of_runs_is_drawn_on_its_own_thread(reactor_fixed, monkeypatc
 def test_v_and_eta_are_drawn_into_one_buffer(reactor_fixed):
     # two arrays, freed at different times around a remembered stream,
     # fragment the glibc heap and raise the peak resident size
-    noise = model_mod._draw_noise(reactor_fixed, 40, 5, 7)
+    (noise,) = model_mod._draw_noise(reactor_fixed, 40, 5, 7)
     assert noise.shape == (40, 5, 4 + 3) and noise.flags.c_contiguous  # step t is one block
     # each row is v over eta: run 0's slab is its own NoiseModel.blocks draw
     v, eta = reactor_fixed.noise(7, run=0).blocks(40)

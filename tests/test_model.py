@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -18,7 +19,15 @@ from resdet import reactor as rx
 from resdet import sim
 from resdet.attacks import plan_attack, synthesize_attacks
 from resdet.cli import load_scenario
-from resdet.detectors import ChiSqDetector, CusumDetector, estimate_arl, measure_alarm_rate, tune_chi2
+from resdet.detectors import (
+    ChiSqDetector,
+    CusumDetector,
+    WindowedChiSqDetector,
+    estimate_arl,
+    measure_alarm_rate,
+    tune_chi2,
+    tune_windowed,
+)
 from resdet.model import PlantModel, advance, build_closed_loop, simulate_distance_stream
 
 
@@ -515,8 +524,9 @@ def test_another_model_geometry_or_seed_is_simulated(reactor_fixed, draws, simul
     simulations.clear()
     simulate_distance_stream(model, **args)
     assert simulations == [model]
-    if change == "model":
-        assert draws == []  # the equal loop's noise is the remembered family's
+    if change in ("model", {"burn_in": 4}):
+        # the equal loop's noise, and the first 24 of 25 rows, are the remembered family's
+        assert draws == []
     else:
         assert len(draws) == args["runs"]
         assert not any(draws)  # the old stream was forgotten before the draw
@@ -530,7 +540,7 @@ def test_any_noise_draw_forgets_the_stream(reactor_fixed, draws, between):
         scenario = sim.Scenario(reactor_fixed, ChiSqDetector(7.8), steps=10, burn_in=2, mc_runs=2)
         sim.run_ensemble(scenario)
     elif between == "estimate_arl":
-        estimate_arl(reactor_fixed, ChiSqDetector(0.1), runs=2, cap=20, chunk=8)
+        estimate_arl(reactor_fixed, ChiSqDetector(0.1), runs=2, cap=20)
     else:
         simulate_distance_stream(reactor_fixed, **{**STREAM, "seed": 2})
     assert draws and not any(draws)
@@ -640,41 +650,162 @@ def _whole_draw(sources, width):
     return np.stack([np.concatenate(source.blocks(width), axis=1) for source in sources], axis=1)
 
 
+def _joined(pieces, rows):
+    """The first `rows` (at least one) rows of an iterator of time-major pieces, copied into one array."""
+    return np.concatenate([piece.copy() for piece in mdl._rows(pieces, rows)])
+
+
+# budgets for a piece of one tile, of the default size, and of every step
+BUDGETS = {"tile": 1, "default": mdl._PIECE_BYTES, "whole": 1 << 40}
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("loop", ["1x1", "reactor", "n100"])
 def test_a_lazy_chunk_reads_the_rows_of_the_whole_draw(lazy_loops, monkeypatch, loop, cpus):
+    # the family's pieces, drawn only as far as they are read, hold the rows
+    # of one whole draw, whatever their sizes and the budget
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     model, runs, seed = lazy_loops[loop], 3, 11
-    for width in (50, 63, 64, 65, 4096):
+    whole = _whole_draw([model.noise(seed, run=i) for i in range(runs)], 1100)
+    sizes = {"doubling": lambda rows: rows + 64, "30": lambda rows: 30, "100": lambda rows: 100}
+    for budget in BUDGETS.values():
+        monkeypatch.setattr(mdl, "_PIECE_BYTES", budget)
+        for name, size in sizes.items():
+            for depth in (1, 64, 65, 449):
+                family = mdl._NoiseFamily(model.plant, seed, runs)
+                assert np.array_equal(_joined(family.pieces(model, size), depth), whole[:depth]), \
+                    (budget, name, depth)
+                # a second reader reads the kept pieces, then draws on from where they end
+                assert np.array_equal(_joined(family.pieces(model, lambda rows: 500), 1100), whole), \
+                    (budget, name, depth)
+                for piece in family.kept:
+                    assert not piece.flags.writeable
+
+
+def test_a_lazy_chunk_draws_eta_by_doubling_and_leaves_no_short_tail(reactor_dare, monkeypatch):
+    # the ARL stream draws v and eta together, ahead of its blocks, in pieces
+    # of 64, 128, 256, ... rows up to _piece_rows; every product spans whole
+    # 64-row tiles, so no product of fewer rows is formed
+    tiles = []
+    fill_tiles = mdl.NoiseModel._tiles
+
+    def recording_tiles(self, out):
+        if self.run == 0 and len(out):
+            tiles.append(len(out))
+        return fill_tiles(self, out)
+
+    monkeypatch.setattr(mdl.NoiseModel, "_tiles", recording_tiles)
+    for depth, drawn in ((1, [64]), (64, [64]), (65, [64, 128]), (200, [64, 128, 256]),
+                         (449, [64, 128, 256, 512]), (4000, [64, 128, 256, 512, 1024, 2048])):
+        tiles.clear()
+        mdl._forget_noise()
+        blocks = list(mdl.iter_distance_stream(reactor_dare, [depth], runs=2, seed=1))
+        assert blocks[0].shape == (2, depth)
+        assert tiles == drawn, depth
+    # under a budget of three tiles of two runs the pieces stop doubling at 192 rows
+    monkeypatch.setattr(mdl, "_PIECE_BYTES", 3 * 64 * 2 * 7 * 8)
+    tiles.clear()
+    mdl._forget_noise()
+    list(mdl.iter_distance_stream(reactor_dare, [1000], runs=2, seed=1))
+    assert tiles == [64, 128] + [192] * 5
+    # a source asked for rows that end inside a tile forms the whole tile, and
+    # the next call forms it again from the same normals
+    tiles.clear()
+    source = reactor_dare.noise(1, run=0)
+    parts = [np.concatenate(source.blocks(rows), axis=1) for rows in (30, 30, 30, 1, 100)]
+    assert tiles == [64] * 7
+    assert np.array_equal(np.concatenate(parts), _whole_draw([reactor_dare.noise(1, run=0)], 191)[:, 0])
+
+
+def _prefix_case(model, runs=3, seed=5, steps=300):
+    """(whole, split): a (steps, runs, n + p) draw in one call per run, and in pieces of several sizes."""
+    whole = _whole_draw([model.noise(seed, run=i) for i in range(runs)], steps)
+    splits = {}
+    for sizes in ((1,) * 5 + (steps - 5,), (7,) * 42 + (6,), (63, 65, 64, 108), (128, 172), (299, 1)):
         sources = [model.noise(seed, run=i) for i in range(runs)]
-        whole, after = _whole_draw(sources, width), _whole_draw(sources, 20)
-        for depth in sorted({min(depth, width) for depth in (0, 1, 64, 65, 449, width)}):
-            family = mdl._NoiseFamily(model.plant, seed, runs)
-            chunk = family.draw(model, width, lazy=True)
-            assert len(chunk) == width
-            assert np.array_equal(chunk[:depth], whole[:depth]), (width, depth)
-            # a second reader reads on from the rows the first drew
-            assert np.array_equal(chunk[depth // 2:], whole[depth // 2:]), (width, depth)
-            assert chunk.depth == width
-            # the next chunk starts where the whole draw's sources stand
-            assert np.array_equal(family.draw(model, 20, lazy=True)[:], after), (width, depth)
+        splits[sizes] = np.concatenate([_whole_draw(sources, size) for size in sizes])
+    return whole, splits
 
 
-def test_a_lazy_chunk_draws_eta_by_doubling_and_leaves_no_short_tail(reactor_dare):
-    family = mdl._NoiseFamily(reactor_dare.plant, 1, 2)
-    chunk = family.draw(reactor_dare, 4096, lazy=True)
-    assert chunk.v.shape == (4096, 2, 4) and chunk.eta == []
-    for hi, drawn in ((1, [64]), (64, [64]), (65, [64, 64]), (200, [64, 64, 128]),
-                      (449, [64, 64, 128, 256]), (4000, [64, 64, 128, 256, 512, 1024, 2048])):
-        chunk[:hi]
-        assert [len(eta) for eta in chunk.eta] == drawn, hi
-    for width, drawn in ((50, [50]), (65, [65]), (130, [64, 66]), (191, [64, 127]), (192, [64, 64, 64])):
-        family = mdl._NoiseFamily(reactor_dare.plant, 1, 2)
-        chunk = family.draw(reactor_dare, width, lazy=True)
-        chunk[:]
-        assert [len(eta) for eta in chunk.eta] == drawn, width
-    for arr in (chunk.v, *chunk.eta):
-        assert not arr.flags.writeable
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("loop", ["reactor", "n100"])
+def test_each_run_s_noise_through_step_t_is_the_start_of_a_longer_draw(lazy_loops, monkeypatch, loop,
+                                                                       cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    model = lazy_loops[loop]
+    whole, splits = _prefix_case(model)
+    for sizes, split in splits.items():
+        assert np.array_equal(split, whole), sizes
+    for steps in (1, 63, 64, 65, 200):
+        shorter = _whole_draw([model.noise(5, run=i) for i in range(3)], steps)
+        assert np.array_equal(shorter, whole[:steps]), steps
+    # an ensemble's pieces, under any budget, join into the same draw
+    for budget in BUDGETS.values():
+        monkeypatch.setattr(mdl, "_PIECE_BYTES", budget)
+        assert np.array_equal(_joined(mdl._draw_noise(model, 300, 3, 5), 300), whole), budget
+
+
+PREFIX_CHILD = """
+import sys
+import numpy as np
+sys.path.insert(0, {tests!r})
+from test_model import _prefix_case, _scale_loop
+whole, splits = _prefix_case(_scale_loop())
+for sizes, split in splits.items():
+    assert np.array_equal(split, whole), sizes
+print("prefix-consistent")
+"""
+
+
+def test_the_noise_is_prefix_consistent_with_two_blas_threads(child_env):
+    # with two BLAS threads at n = 100 the rows of a 64-row product can round
+    # differently from the same rows of a longer one; every product is one tile
+    env = {**child_env, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+    code = PREFIX_CHILD.format(tests=os.path.dirname(__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "prefix-consistent\n"
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+def test_an_ensemble_and_an_arl_do_not_depend_on_the_budget(reactor_fixed, monkeypatch, budget):
+    detector = ChiSqDetector(tune_chi2(3, 0.05))
+    plan = plan_attack(reactor_fixed, detector, k_star=21)
+    scenario = sim.Scenario(reactor_fixed, detector, plan, steps=300, burn_in=20, seed=3, mc_runs=9)
+
+    def results():
+        mdl._forget_noise()
+        ens = sim.run_ensemble(scenario)
+        arl = estimate_arl(reactor_fixed, CusumDetector(7.5, 3.0), runs=40, seed=2, cap=2000)
+        windowed = estimate_arl(reactor_fixed, WindowedChiSqDetector(tune_windowed(3, 50, 0.05), 50),
+                                runs=40, seed=2, cap=2000)
+        return ens.z, ens.mean_x, ens.alarm, arl, windowed
+
+    default = results()
+    monkeypatch.setattr(mdl, "_PIECE_BYTES", BUDGETS[budget])
+    for ours, theirs in zip(results(), default):
+        assert np.array_equal(ours, theirs) if isinstance(ours, np.ndarray) else ours == theirs
+
+
+def test_an_ensemble_holds_about_two_pieces_of_noise():
+    # 200 runs x 1,000 steps at n = 100 are 240 MB of noise drawn whole; in
+    # pieces of _piece_rows steps (64 here, 15.4 MB) the loop holds the piece
+    # it reads and, for a moment, the next
+    loop = _scale_loop()
+    detector = ChiSqDetector(tune_chi2(loop.p, 0.05))
+    plan = plan_attack(loop, detector, k_star=51, direction="ones")
+    scenario = sim.Scenario(loop, detector, plan, steps=1000, burn_in=50, seed=0, mc_runs=200)
+    piece = mdl._piece_rows(200, loop.n + loop.p) * 200 * (loop.n + loop.p) * 8
+    assert mdl._piece_rows(200, loop.n + loop.p) == 64
+    tracemalloc.start()
+    try:
+        sim.run_ensemble(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two pieces, and the ensemble's own arrays: z, the run sums and run 0, 5 MB
+    assert peak < 2 * piece + 8e6, (peak, piece)
+
 
 # ------------------------------------------------------------------- threads
 
@@ -698,7 +829,7 @@ def test_concurrent_calls_equal_serial_ones(reactor_dare, reactor_fixed):
     detectors = (ChiSqDetector(tune_chi2(3, 0.05)), CusumDetector(7.5, 3.0))
     calls = [(fn, loop, det, kwargs)
              for fn, kwargs in ((measure_alarm_rate, {"steps": 60, "runs": 40, "burn_in": 10}),
-                                (estimate_arl, {"runs": 40, "cap": 2000, "chunk": 16, "warm_up": 10}))
+                                (estimate_arl, {"runs": 40, "cap": 2000, "warm_up": 10}))
              for loop in (reactor_dare, reactor_fixed) for det in detectors]
     serial = [fn(loop, det, **kwargs) for fn, loop, det, kwargs in calls]
     start = threading.Barrier(len(calls))
