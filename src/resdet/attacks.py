@@ -407,23 +407,19 @@ def synthesize_attacks(plans, model: ClosedLoopModel, k: int, e: np.ndarray, eta
 
     `e` is an (n, lanes * runs) matrix whose columns l * runs ..
     (l + 1) * runs - 1 are lane l's runs, `eta` the (p, lanes * runs)
-    sensor noise of those columns or the (p, runs) noise every lane
-    shares, which is tiled across them, and `z_past` their
-    (lanes * runs, k-1) z history; with one lane they may be one run's
-    vectors, as in synthesize_attack.  Each lane's psi_k comes from its
-    plan's schedule and its own rows of `z_past`; delta is then formed
-    once for every column (_lane_biases, which the lanes loop calls with
-    the C e it forms for advance too).
+    sensor noise of those columns, and `z_past` their (lanes * runs, k-1)
+    z history; with one lane they may be one run's vectors, as in
+    synthesize_attack.  Each lane's psi_k comes from its plan's schedule
+    and its own rows of `z_past`; delta is then formed once for every
+    column (_lane_biases, which the lanes loop calls with the C e it forms
+    for advance too).
 
     Raises:
         ValueError: naming the lanes and the column count when there is no
             plan, when the columns do not split into one equal lane per
-            plan, or when eta is neither full width nor one lane wide,
-            under python -O too.
+            plan, or when eta is not as wide as e, under python -O too.
     """
-    lanes, runs = len(plans), model_mod._lane_runs(len(plans), e)
-    if lanes != 1:
-        eta = model_mod._lane_noise(eta, lanes, runs)
+    runs = model_mod._lane_runs(len(plans), e, eta)
     return _lane_biases(plans, _lane_directions(plans, runs), model, k, model.plant.c @ e, eta, z_past)
 
 

@@ -35,11 +35,11 @@ draw's size is free.  Each consumer sets it by a fixed rule: an ensemble
 draws pieces of at most _PIECE_BYTES (`_draw_noise`), a fixed-length
 stream draws what it does not find kept in one piece, and the ARL stream
 draws ahead in pieces that double from _TILE rows up to _PIECE_BYTES.
-Every piece is drawn on every core (`_draw_blocks`) with the same bits as
-on one.  A piece is a time-major (rows, runs, n + p) array whose last
-axis holds v, then eta, so each step copies its noise once, into every
-lane's columns of one buffer, and z is written one (lanes * runs) row per
-step; callers see z as its (lanes * runs, steps) transpose.
+Every piece is drawn run by run on the calling thread (`_draw_blocks`).
+A piece is a time-major (rows, runs, n + p) array whose last axis holds
+v, then eta, so each step copies its noise once, into every lane's
+columns of one buffer, and z is written one (lanes * runs) row per step;
+callers see z as its (lanes * runs, steps) transpose.
 
 Two things are remembered, read-only and per thread (`_Remembered`), so
 concurrent calls never read one another's draws: the last attack-free
@@ -53,7 +53,6 @@ ensemble (`_draw_noise`) forgets its family too.
 from __future__ import annotations
 
 import copy
-import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -346,14 +345,11 @@ class NoiseModel:
     more rows can round differently (with two BLAS threads at n = 100), and
     so can those of one over fewer.  So step t's noise depends only on
     (seed, run, t), never on how the steps are split into calls:
-    `blocks(a)` then `blocks(b)` is `blocks(a + b)`, and `draw()` is
-    `blocks(1)`.  A call that ends inside a tile forms the whole tile, and
-    the next call draws that tile's normals again, from the bit generator's
-    state it kept, rather than hold its rows.  Ensemble members get
-    independent, reproducible substreams regardless of scheduling order.
-
-    Ensemble draws may call `blocks` on worker threads (`_draw_blocks`);
-    each instance is used by one thread at a time.
+    `blocks(a)` then `blocks(b)` is `blocks(a + b)`.  A call that ends
+    inside a tile forms the whole tile, and the next call draws that tile's
+    normals again, from the bit generator's state it kept, rather than hold
+    its rows.  Ensemble members get independent, reproducible substreams
+    regardless of scheduling order.
     """
 
     chol_r1: np.ndarray
@@ -372,11 +368,6 @@ class NoiseModel:
         if int(self.seed) < 0 or int(self.run) < 0:
             raise ValueError("seed and run index must be nonnegative integers")
         self._rng = np.random.default_rng((int(self.seed), int(self.run)))
-
-    def draw(self):
-        """One step of noise: (v, eta), the next row of `blocks`."""
-        v, eta = self.blocks(1)
-        return v[0], eta[0]
 
     def blocks(self, steps: int, out=None):
         """The next `steps` steps of noise: v (steps, n), eta (steps, p).
@@ -439,39 +430,11 @@ def _draw_blocks(sources, buf: np.ndarray) -> np.ndarray:
     the simulation reads whole.
 
     Run i is one `sources[i].blocks` call, which writes the source's next
-    rows into its slab buf[:, i], so the values do not depend on which
-    thread draws them.  The runs are split into one contiguous slice
-    per CPU (never more slices than runs); the calling thread draws the
-    first slice and one thread started here draws each other slice, in
-    parallel because numpy releases the interpreter lock while it fills
-    normals and multiplies.  Every thread is joined before this returns,
-    and the first exception raised in any slice is raised here.  A one-run
-    draw starts no thread.
+    rows into its slab buf[:, i].  The runs are drawn in order on the
+    calling thread, so an error in any run's draw is raised from here.
     """
-    runs = buf.shape[1]
-    errors = []
-
-    def fill(lo: int, hi: int) -> None:
-        try:
-            for i in range(lo, hi):
-                sources[i].blocks(len(buf), buf[:, i])
-        except BaseException as exc:  # re-raised by the caller after the joins
-            errors.append(exc)
-
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    slices = max(1, min(cpus, runs))  # iter_distance_stream takes runs = 0
-    edges = [runs * s // slices for s in range(slices + 1)]
-    workers = [threading.Thread(target=fill, args=edges[s:s + 2]) for s in range(1, slices)]
-    for worker in workers:
-        worker.start()
-    fill(edges[0], edges[1])
-    for worker in workers:
-        worker.join()
-    if errors:
-        raise errors[0]
+    for i in range(buf.shape[1]):
+        sources[i].blocks(len(buf), buf[:, i])
     return buf
 
 
@@ -489,14 +452,12 @@ def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None, lanes: int = 1,
     Works on single-run vectors (n,) or run-stacked matrices (n, runs);
     the noises and delta are stacked the same way, (p,) or (p, runs).
     `lanes` > 1 reads the columns as that many lanes of equal width side
-    by side (sim.run_ensembles).  The noises are then full width, as the
-    loop passes them (_simulate), or one lane wide, which is shared by
-    every lane and tiled across them; a `lanes` that does not split the
-    columns into equal lanes, or noise of neither width, raises
-    ValueError naming the lanes and the column count, under python -O
-    too.  `c_err`, keyword only, is the product C (x - xhat) when the
-    caller has formed it already, for the stealthy bias of the same step
-    (_simulate): r is then c_err + eta.
+    by side (sim.run_ensembles), with full-width noise, as the loop passes
+    it (_simulate); a `lanes` that does not split the columns into equal
+    lanes, or noise of another width, raises ValueError naming the lanes
+    and the column count, under python -O too.  `c_err`, keyword only, is
+    the product C (x - xhat) when the caller has formed it already, for
+    the stealthy bias of the same step (_simulate): r is then c_err + eta.
 
     Unless python runs with -O, the step is checked against the
     closed-form error recursion, each lane against its own bound
@@ -506,10 +467,7 @@ def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None, lanes: int = 1,
         (x_next, xhat_next, r, z).
     """
     plant = model.plant
-    runs = None
-    if lanes != 1:
-        runs = _lane_runs(lanes, x)
-        v, eta = _lane_noise(v, lanes, runs), _lane_noise(eta, lanes, runs)
+    runs = None if lanes == 1 else _lane_runs(lanes, x, v, eta)
     if c_err is None:
         e = x - xhat
         r = plant.c @ e
@@ -574,27 +532,20 @@ def _check_error(x_next, xhat_next, e_form, lanes: int, runs) -> None:
     assert all(err <= 1e-10 * (1.0 + big + big_hat) for big, big_hat, err in zip(*peaks))
 
 
-def _lane_runs(lanes: int, x) -> int:
-    """The runs of each lane when x's columns are `lanes` equal lanes, else ValueError naming both."""
+def _lane_runs(lanes: int, x, *noises) -> int:
+    """The runs of each lane when x's columns are `lanes` equal lanes, else ValueError naming both.
+
+    Each of `noises` must be as wide as x, else ValueError naming its
+    width, the column count and the lanes.
+    """
     cols = x.shape[1] if x.ndim == 2 else 1
     if lanes < 1 or cols % lanes:
         raise ValueError(f"lanes = {lanes} does not split the {cols} columns into equal lanes")
+    for noise in noises:
+        width = noise.shape[1] if noise.ndim == 2 else 1
+        if width != cols:
+            raise ValueError(f"noise of width {width} is not as wide as the {cols} columns of lanes = {lanes}")
     return cols // lanes
-
-
-def _lane_noise(noise, lanes: int, runs: int):
-    """Noise of `lanes` lanes of `runs` runs: full-width noise as it is, one lane's tiled across them.
-
-    Noise of any other width raises ValueError naming the lanes and the
-    column count.
-    """
-    width = noise.shape[-1]
-    if width == lanes * runs:
-        return noise
-    if width != runs:
-        raise ValueError(f"noise {width} columns wide is neither the {lanes * runs} columns "
-                         f"nor one of lanes = {lanes}")
-    return np.tile(noise, lanes)
 
 
 def _piece_rows(runs: int, columns: int) -> int:
@@ -606,9 +557,8 @@ def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
     """Noise of runs 0..runs-1 through `steps` steps, an iterator of time-major (rows, runs, n + p) pieces.
 
     Each piece but the last has _piece_rows rows.  Slab [:, i] is run i's
-    (seed, i) substream, drawn on every core (_draw_blocks) with the same
-    bits as on one, so the first slabs of a draw are a smaller ensemble's
-    draw.  The remembered stream and noise family are forgotten, and the
+    (seed, i) substream (_draw_blocks), so the first slabs of a draw are a
+    smaller ensemble's draw.  The remembered stream and noise family are forgotten, and the
     first piece allocated, before any source is built.  Each later piece
     is a new array: freeing one raises glibc's mmap threshold, so at n =
     100 advance's per-step arrays come from the heap, where with one
@@ -845,8 +795,7 @@ def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: in
     consumer that stops pulling (estimate_arl's early exit) stops the
     advancing and the drawing, and a long run makes few draws.  The
     family keeps the first pieces (at least _PIECE_BYTES of them) for the
-    next stream of the same R1, R2, seed and runs.  Every draw runs on
-    every available core (_draw_blocks) with the same bits as on one.
+    next stream of the same R1, R2, seed and runs.
     """
     most = _piece_rows(runs, model.n + model.p)
     noise = _attack_free_noise(model, runs, seed, lambda rows: min(rows + _TILE, most))

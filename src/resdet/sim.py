@@ -167,7 +167,7 @@ def run_ensemble(scenario: Scenario) -> EnsembleResult:
     """Simulate the Monte-Carlo ensemble in lockstep: the one-lane run_ensembles.
 
     Run i consumes the (seed, i) substream, so results are bitwise
-    reproducible and independent of scheduling and of the core count.
+    reproducible and independent of scheduling.
     Detector statistics and alarms come from the detector's scan of the z
     matrix.  Each attacked step passes the z matrix so far to the plan's
     schedule.  The result records run 0's state at each step (x_first),

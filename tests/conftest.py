@@ -6,11 +6,13 @@ test that counts solves (`m_solves`) builds its own loop objects.
 
 Property tests run under a derandomized hypothesis profile with no deadline
 and no example database, so every run draws the same examples and none is
-stored between runs.
+stored between runs.  Every test must join every thread it starts
+(`no_thread_left_running`).
 """
 
 import json
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,14 @@ def no_remembered_stream():
     be handed a stream that an earlier test simulated, or noise it drew.
     """
     model_mod._forget_noise()
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail every test that leaves a thread running: each thread it starts must be joined."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before, "the test left a thread running"
 
 
 @pytest.fixture

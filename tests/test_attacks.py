@@ -60,14 +60,14 @@ def drive_attacked(model, detector, plan, steps, seed=0):
     stat is the detector's post-update statistic (z itself for the static
     detector).
     """
-    noise = model.noise(seed)
+    v_rows, eta_rows = model.noise(seed).blocks(steps)
     x = np.zeros(model.n)
     xhat = np.zeros(model.n)
     z_out = np.empty(steps)
     stat = np.empty(steps)
     alarm = np.zeros(steps, dtype=bool)
     for k in range(1, steps + 1):
-        v, eta = noise.draw()
+        v, eta = v_rows[k - 1], eta_rows[k - 1]
         delta = None
         if k >= plan.k_star:
             z_past = z_out[: k - 1]

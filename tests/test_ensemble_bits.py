@@ -1,11 +1,10 @@
-"""Bit-identity pins for the ensemble path, and the noise draw's core count.
+"""Bit-identity pins for the ensemble path, and the thread the noise is drawn on.
 
-`run_ensemble` and `iter_distance_stream` draw an ensemble's noise on every
-available core, one slice of runs per thread.  Every pin here was recorded
-with the prefix-consistent draw, where step t of run i's noise depends only
-on (seed, i, t), so it holds whatever the size of the pieces the noise is
-drawn in.  The core-count tests make `os.sched_getaffinity` report 1, 2, 3
-and 8 CPUs and require the same bits under each.
+`run_ensemble` and `iter_distance_stream` draw an ensemble's noise run by
+run on the calling thread.  Every pin here was recorded with the
+prefix-consistent draw, where step t of run i's noise depends only on
+(seed, i, t), so it holds whatever the size of the pieces the noise is
+drawn in.
 
 The reactor study draws its noise once, simulates its all-ones attack
 once and takes each trace from row 0 of its ensemble.  With `--summary`,
@@ -18,11 +17,9 @@ advance's error check, and keep the same pins.
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -32,14 +29,7 @@ from resdet import reactor as reactor_mod
 from resdet import sim
 from resdet.attacks import plan_attack
 from resdet.cli import main
-from resdet.detectors import (
-    ChiSqDetector,
-    CusumDetector,
-    WindowedChiSqDetector,
-    estimate_arl,
-    tune_chi2,
-    tune_windowed,
-)
+from resdet.detectors import ChiSqDetector, estimate_arl, tune_chi2
 from resdet.reactor import run_benchmark, scenario_path
 
 # `resdet reactor --seed 0`
@@ -170,10 +160,6 @@ TUNE_CUSUM = (
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def report_cpus(monkeypatch, count: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def chi2_scenario(model, runs: int) -> sim.Scenario:
@@ -336,66 +322,20 @@ def test_row_0_of_a_draw_is_the_one_run_draw(reactor_fixed):
     assert np.array_equal(five[:, :1], one)
 
 
-# ---------------------------------------------------------------- core count
+# ------------------------------------------------------------ drawing thread
 
 
-def test_stream_and_arl_do_not_depend_on_the_core_count(reactor_dare, monkeypatch):
-    detectors = [
-        ChiSqDetector(tune_chi2(3, 0.05)),
-        WindowedChiSqDetector(tune_windowed(3, 4, 0.05), 4),
-        CusumDetector(7.5, 3.0),
-    ]
-    results = {}
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
-        for count in (1, 2, 3, 8):
-            report_cpus(monkeypatch, count)
-            model_mod._forget_noise()  # draw on `count` cores rather than return a remembered z
-            z = model_mod.simulate_distance_stream(reactor_dare, steps=200, runs=9, seed=4, burn_in=50)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # cap = 40 censors some runs
-                arls = [estimate_arl(reactor_dare, det, runs=9, seed=6, cap=40, **kw)
-                        for det in detectors for kw in ({}, {"warm_up": 0})]
-            results[count] = z, arls
-    finally:
-        sys.setswitchinterval(interval)
-    z_one, arls_one = results[1]
-    for count, (z, arls) in results.items():
-        assert np.array_equal(z, z_one), count
-        assert arls == arls_one, count
-
-
-def test_ensemble_does_not_depend_on_the_core_count(reactor_fixed, monkeypatch):
-    scenario = chi2_scenario(reactor_fixed, runs=5)
-    results = {}
-    for count in (1, 2, 3):
-        report_cpus(monkeypatch, count)
-        results[count] = sim.run_ensemble(scenario)
-    one = results[1]
-    for count, ens in results.items():
-        for name in ("mean_x", "z", "stat", "alarm"):
-            assert np.array_equal(getattr(ens, name), getattr(one, name)), (count, name)
-
-
-def test_each_slice_of_runs_is_drawn_on_its_own_thread(reactor_fixed, monkeypatch):
-    report_cpus(monkeypatch, 3)
-    names = {}  # run index -> name of the thread that drew its noise
+def test_every_run_is_drawn_on_the_calling_thread_in_run_order(reactor_fixed, monkeypatch):
+    drawn = []  # (run index, thread) of each run's draw, in the order they were drawn
     blocks = model_mod.NoiseModel.blocks
 
     def recording_blocks(self, steps, out=None):
-        names[self.run] = threading.current_thread().name
+        drawn.append((self.run, threading.current_thread()))
         return blocks(self, steps, out=out)
 
     monkeypatch.setattr(model_mod.NoiseModel, "blocks", recording_blocks)
-    before = threading.active_count()
     sim.run_ensemble(chi2_scenario(reactor_fixed, runs=5))
-    assert threading.active_count() == before  # every worker was joined
-    # slices [0, 1), [1, 3), [3, 5); the caller draws the first
-    main_name = threading.main_thread().name
-    assert names[0] == main_name
-    assert names[1] == names[2] != main_name
-    assert names[3] == names[4] not in (main_name, names[1])
+    assert drawn == [(run, threading.current_thread()) for run in range(5)]
 
 
 def test_v_and_eta_are_drawn_into_one_buffer(reactor_fixed):
@@ -408,38 +348,38 @@ def test_v_and_eta_are_drawn_into_one_buffer(reactor_fixed):
     assert np.array_equal(noise[:, 0, :4], v) and np.array_equal(noise[:, 0, 4:], eta)
 
 
-def test_a_one_run_or_empty_draw_starts_no_thread(reactor_fixed, monkeypatch):
-    report_cpus(monkeypatch, 3)
-
+def test_no_draw_starts_a_thread(reactor_fixed, reactor_dare, monkeypatch):
     def no_thread(*args, **kwargs):
-        raise AssertionError("a one-run draw started a thread")
+        raise AssertionError("a draw started a thread")
 
-    monkeypatch.setattr(model_mod.threading, "Thread", no_thread)
+    monkeypatch.setattr(threading, "Thread", no_thread)
     trace = sim.run(chi2_scenario(reactor_fixed, runs=5))
     assert trace.z.shape == (1, 120)
+    assert sim.run_ensemble(chi2_scenario(reactor_fixed, runs=200)).z.shape == (200, 120)
     z = model_mod.simulate_distance_stream(reactor_fixed, steps=30, runs=1, seed=2)
     assert z.shape == (1, 30)
+    z = model_mod.simulate_distance_stream(reactor_fixed, steps=30, runs=1000, seed=2)
+    assert z.shape == (1000, 30)
     blocks = list(model_mod.iter_distance_stream(reactor_fixed, [5], runs=0))
     assert [b.shape for b in blocks] == [(0, 5)]
+    assert estimate_arl(reactor_dare, ChiSqDetector(tune_chi2(3, 0.05)), runs=400, seed=2).runs == 400
 
 
-def test_an_error_on_a_worker_slice_reaches_the_caller(reactor_fixed, monkeypatch):
-    report_cpus(monkeypatch, 2)  # slices [0, 2), [2, 5)
-    raised_on = []
+def test_an_error_in_a_draw_is_raised_on_the_calling_thread(reactor_fixed, monkeypatch):
+    drawn, raised_on = [], []
 
     def failing_blocks(self, steps, out=None):
-        if self.run == 4:
+        drawn.append(self.run)
+        if self.run == 3:
             raised_on.append(threading.current_thread())
-            raise RuntimeError("no noise for run 4")
+            raise RuntimeError("no noise for run 3")
         out[...] = 0.0
         return out[:, :self.chol_r1.shape[0]], out[:, self.chol_r1.shape[0]:]
 
     monkeypatch.setattr(model_mod.NoiseModel, "blocks", failing_blocks)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="no noise for run 4"):
+    with pytest.raises(RuntimeError, match="no noise for run 3"):
         sim.run_ensemble(chi2_scenario(reactor_fixed, runs=5))
-    with pytest.raises(RuntimeError, match="no noise for run 4"):
+    with pytest.raises(RuntimeError, match="no noise for run 3"):
         model_mod.simulate_distance_stream(reactor_fixed, steps=30, runs=5, seed=2)
-    assert len(raised_on) == 2
-    assert all(thread is not threading.main_thread() for thread in raised_on)
-    assert threading.active_count() == before
+    assert drawn == [0, 1, 2, 3] * 2  # the draw stops at the run that failed
+    assert raised_on == [threading.current_thread()] * 2
