@@ -19,9 +19,11 @@ certificates, residual covariance, and a stealthy attack's deviation map
 M with the top eigenpair of M'M, which each loop solves once, on first
 use, and keeps read-only), the one reader of a scenario document's
 matrices (`closed_loop_from_document`), the single dynamics
-implementation `advance`, and its one Monte-Carlo loop, `_simulate`.  The
-loop advances a noise draw from the origin or from where an earlier call
-stopped: ensembles, whose lanes share one draw (sim.run_ensembles) and
+implementation `advance`, and its one Monte-Carlo loop, `_simulate`, which
+allocates one set of step buffers (`_StepBuffers`) per call, so that no
+step allocates an array the size of the state.  The loop advances a
+noise draw from the origin or from where an earlier call stopped:
+ensembles, whose lanes share one draw (sim.run_ensembles) and
 whose run 0 it records as their trace (sim.EnsembleResult.first_run);
 attack-free streams; and the blocks of `iter_distance_stream`, which the
 ARL estimate can stop early.
@@ -32,14 +34,15 @@ and R2 in fixed tiles of _TILE steps aligned to step 0.  So step t's
 noise depends only on (seed, run, t): a draw of T steps is the first T
 steps of any longer one, however either is split into pieces, and the
 draw's size is free.  Each consumer sets it by a fixed rule: an ensemble
-draws pieces of at most _PIECE_BYTES (`_draw_noise`), a fixed-length
-stream draws what it does not find kept in one piece, and the ARL stream
-draws ahead in pieces that double from _TILE rows up to _PIECE_BYTES.
-Every piece is drawn run by run on the calling thread (`_draw_blocks`).
-A piece is a time-major (rows, runs, n + p) array whose last axis holds
-v, then eta, so each step copies its noise once, into every lane's
-columns of one buffer, and z is written one (lanes * runs) row per step;
-callers see z as its (lanes * runs, steps) transpose.
+draws pieces of at most _PIECE_BYTES, each over the last in one buffer
+(`_draw_noise`), a fixed-length stream draws what it does not find kept
+in one piece, and the ARL stream draws ahead in pieces that double from
+_TILE rows up to _PIECE_BYTES.  Every piece is drawn run by run on the
+calling thread (`_draw_blocks`).  A piece is a time-major (rows, runs,
+n + p) array whose last axis holds v, then eta, so each step copies its
+noise once, into every lane's columns of one buffer, and z is written
+one (lanes * runs) row per step; callers see z as its (lanes * runs,
+steps) transpose.
 
 Two things are remembered, read-only and per thread (`_Remembered`), so
 concurrent calls never read one another's draws: the last attack-free
@@ -440,24 +443,63 @@ def _draw_blocks(sources, buf: np.ndarray) -> np.ndarray:
 
 def distance_measure(model: ClosedLoopModel, r: np.ndarray):
     """z = r' Sigma^-1 r, clamped at zero against rounding. Vectorizes over columns."""
-    y = model.sigma_inv @ r
+    shape = np.shape(r)
+    z = _distance(model, r, np.empty(shape), np.empty(shape[1:]))
+    return float(z) if z.ndim == 0 else z
+
+
+def _distance(model: ClosedLoopModel, r, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """distance_measure of r written into z, with y = Sigma^-1 r formed in y; returns z."""
+    np.matmul(model.sigma_inv, r, out=y)
     y *= r
-    z = np.maximum(y.sum(axis=0), 0.0)
-    return float(z) if np.ndim(z) == 0 else z
+    return np.maximum(y.sum(axis=0, out=z), 0.0, out=z)
 
 
-def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None, lanes: int = 1, *, c_err=None):
+class _StepBuffers:
+    """The arrays advance writes, for states of `shape`, (n,) or (n, columns).
+
+    Two (x, xhat) pairs, zeros at first, take the next state in turn, so
+    a loop that hands each step the state the last one wrote (_simulate)
+    reads one pair while the step writes the other.  r, K xhat, G K xhat,
+    L r, e = x - xhat and y = Sigma^-1 r have one array each, which the
+    error check reuses once the step has read them.  `z` is where the
+    distance measures go: _simulate points it at its row of z before each
+    step.
+    """
+
+    __slots__ = ("pairs", "turn", "r", "k_xhat", "gu", "l_r", "e", "y", "z")
+
+    def __init__(self, model: ClosedLoopModel, shape: tuple):
+        n, cols = shape[0], tuple(shape[1:])
+        self.pairs = [(np.zeros((n, *cols)), np.zeros((n, *cols))) for _ in range(2)]
+        self.turn = 0
+        self.r, self.y = np.empty((model.p, *cols)), np.empty((model.p, *cols))
+        self.k_xhat = np.empty((model.m, *cols))
+        self.gu, self.l_r, self.e = (np.empty((n, *cols)) for _ in range(3))
+        self.z = np.empty(cols)
+
+
+def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None, lanes: int = 1, *, c_err=None,
+            buffers: _StepBuffers | None = None):
     """One step of the closed loop with explicit noise (and optional attack).
 
     Works on single-run vectors (n,) or run-stacked matrices (n, runs);
     the noises and delta are stacked the same way, (p,) or (p, runs).
     `lanes` > 1 reads the columns as that many lanes of equal width side
-    by side (sim.run_ensembles), with full-width noise, as the loop passes
-    it (_simulate); a `lanes` that does not split the columns into equal
-    lanes, or noise of another width, raises ValueError naming the lanes
-    and the column count, under python -O too.  `c_err`, keyword only, is
-    the product C (x - xhat) when the caller has formed it already, for
-    the stealthy bias of the same step (_simulate): r is then c_err + eta.
+    by side (sim.run_ensembles).  The noise must be as wide as the state,
+    for one lane too, as the loop passes it (_simulate): a `lanes` that
+    does not split the columns into equal lanes, or noise of another
+    width, raises ValueError naming the lanes and the column count, under
+    python -O too.  `c_err`, keyword only, is the product C (x - xhat)
+    when the caller has formed it already, for the stealthy bias of the
+    same step (_simulate): r is then c_err + eta.
+
+    `buffers`, keyword only, is the _StepBuffers the step writes into:
+    the next state into the pair after the one it wrote last, and z into
+    `buffers.z`.  The loop allocates one set per call, so its steps
+    allocate nothing the size of the state; a call without one builds a
+    set of its own, whose arrays it returns.  Every product is the same
+    BLAS call either way, so the bits are too.
 
     Unless python runs with -O, the step is checked against the
     closed-form error recursion, each lane against its own bound
@@ -467,39 +509,46 @@ def advance(model: ClosedLoopModel, x, xhat, v, eta, delta=None, lanes: int = 1,
         (x_next, xhat_next, r, z).
     """
     plant = model.plant
-    runs = None if lanes == 1 else _lane_runs(lanes, x, v, eta)
+    runs = _lane_runs(lanes, x, v, eta)
+    if buffers is None:
+        buffers = _StepBuffers(model, x.shape)
+    x_next, xhat_next = buffers.pairs[buffers.turn]
+    buffers.turn ^= 1
     if c_err is None:
-        e = x - xhat
-        r = plant.c @ e
+        e = np.subtract(x, xhat, out=buffers.e)
+        r = np.matmul(plant.c, e, out=buffers.r)
         r += eta
     else:
-        r = c_err + eta
+        r = np.add(c_err, eta, out=buffers.r)
     if delta is not None:
         r += delta
-    gu = plant.g @ (model.k_fb @ xhat)
-    x_next = plant.f @ x
+    gu = np.matmul(plant.g, np.matmul(model.k_fb, xhat, out=buffers.k_xhat), out=buffers.gu)
+    np.matmul(plant.f, x, out=x_next)
     x_next += gu
     x_next += v
-    xhat_next = plant.f @ xhat
+    np.matmul(plant.f, xhat, out=xhat_next)
     xhat_next += gu
-    xhat_next += model.l_gain @ r
+    xhat_next += np.matmul(model.l_gain, r, out=buffers.l_r)
 
     if __debug__:
         # e_{k+1} must match the closed-form error recursion
         # (F-LC) e - L eta + v - L delta regardless of how it was produced.
+        # The check writes over what the step has read: e_form over G K
+        # xhat, L eta and L delta over L r, and the error over e.
         if c_err is not None:
-            e = x - xhat
-        e_form = model.f_est @ e
-        e_form -= model.l_gain @ eta
+            e = np.subtract(x, xhat, out=buffers.e)
+        e_form = np.matmul(model.f_est, e, out=buffers.gu)
+        e_form -= np.matmul(model.l_gain, eta, out=buffers.l_r)
         e_form += v
         if delta is not None:
-            e_form -= model.l_gain @ delta
-        _check_error(x_next, xhat_next, e_form, lanes, runs)
+            e_form -= np.matmul(model.l_gain, delta, out=buffers.l_r)
+        _check_error(x_next, xhat_next, e_form, lanes, runs, error=buffers.e, scratch=buffers.l_r)
 
-    return x_next, xhat_next, r, distance_measure(model, r)
+    z = _distance(model, r, buffers.y, buffers.z)
+    return x_next, xhat_next, r, float(z) if z.ndim == 0 else z
 
 
-def _check_error(x_next, xhat_next, e_form, lanes: int, runs) -> None:
+def _check_error(x_next, xhat_next, e_form, lanes: int, runs: int, error=None, scratch=None) -> None:
     """Assert that x_next - xhat_next is e_form to 1e-10 of each lane's bound.
 
     A lane's bound is 1 + max |x_next| + max |xhat_next| over its columns.
@@ -511,20 +560,22 @@ def _check_error(x_next, xhat_next, e_form, lanes: int, runs) -> None:
     bound is below it, and a pass is every lane's pass.  An error of NaN,
     which any NaN in x_next or xhat_next makes, fails stage 1.  Stage 2,
     every lane's maxima against its own bound, runs only when stage 1
-    fails.
+    fails.  `error` and `scratch`, arrays of x_next's shape when given,
+    take the error and each |.| before its maximum (advance's buffers).
     """
-    error = x_next - xhat_next
+    error = np.subtract(x_next, xhat_next, out=error)
     error -= e_form
     if lanes == 1:  # measured faster than the stacked per-lane form at n = 4 and at n = 100
-        scale = 1.0 + float(np.abs(x_next).max(initial=0.0)) + float(np.abs(xhat_next).max(initial=0.0))
-        assert float(np.abs(error).max(initial=0.0)) <= 1e-10 * scale
+        scale = (1.0 + float(np.abs(x_next, out=scratch).max(initial=0.0))
+                 + float(np.abs(xhat_next, out=scratch).max(initial=0.0)))
+        assert float(np.abs(error, out=scratch).max(initial=0.0)) <= 1e-10 * scale
         return
     if not runs:  # an empty batch
         return
     heads = np.abs(np.concatenate((x_next[:, ::runs], xhat_next[:, ::runs])))
     heads = heads.reshape(2, len(x_next), lanes).max(axis=1).tolist()
     least = min([1.0 + big + big_hat for big, big_hat in zip(*heads)])
-    if float(np.abs(error).max()) <= 1e-10 * least:
+    if float(np.abs(error, out=scratch).max()) <= 1e-10 * least:
         return
     # max |.| of x_next, xhat_next and the error over each lane's block, in one pass
     peaks = np.abs(np.stack((x_next, xhat_next, error)))
@@ -558,11 +609,10 @@ def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
 
     Each piece but the last has _piece_rows rows.  Slab [:, i] is run i's
     (seed, i) substream (_draw_blocks), so the first slabs of a draw are a
-    smaller ensemble's draw.  The remembered stream and noise family are forgotten, and the
-    first piece allocated, before any source is built.  Each later piece
-    is a new array: freeing one raises glibc's mmap threshold, so at n =
-    100 advance's per-step arrays come from the heap, where with one
-    reused piece they were trimmed and faulted in again at every step.
+    smaller ensemble's draw.  The remembered stream and noise family are
+    forgotten, and the piece's buffer allocated, before any source is
+    built.  Every piece is drawn into that one buffer (_pieces), so a
+    consumer reads each piece before it takes the next, as _simulate does.
     """
     _forget_noise()
     buf = _noise_buffer(min(steps, _piece_rows(runs, model.n + model.p)), runs, model.n + model.p, steps)
@@ -570,10 +620,8 @@ def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
 
 
 def _pieces(sources, buf: np.ndarray, steps: int):
-    """The sources' next `steps` steps, drawn into `buf`, then into new arrays like it."""
+    """The sources' next `steps` steps, piece by piece, each drawn into (a view of) `buf` over the last."""
     for start in range(0, steps, max(1, len(buf))):
-        if start:
-            buf = np.empty_like(buf)
         yield _draw_blocks(sources, buf[:steps - start])
 
 
@@ -685,45 +733,54 @@ def _simulate(model: ClosedLoopModel, noise, steps: int, runs: int, attack=None,
     `steps` rows in all (_draw_noise), which every lane shares: the state
     is one (n, lanes * runs) block whose columns l * runs .. (l + 1) *
     runs - 1 are lane l's runs.  Each piece is read to its end before the
-    next is taken.  Each step copies its noise once, into every lane's
-    columns of one (n + p, lanes * runs) buffer that the steps reuse (v
-    over eta), and is one advance call with full-width noise.
+    next is taken, so the pieces may share one buffer (_pieces).  Each
+    step copies its noise once, into every lane's columns of one (n + p,
+    lanes * runs) buffer that the steps reuse (v over eta), and is one
+    advance call with full-width noise, which writes into one set of step
+    buffers (_StepBuffers) allocated per call, and its z straight into
+    row t of z: no step allocates an array the size of the state.
     `attack(k, c_err, eta, z_past)`, when given, returns step k's sensor
-    bias (or None) for the whole block from c_err = C (x - xhat), which
-    advance then reads too, the full-width (p, lanes * runs) sensor noise
-    and the (lanes * runs, k - 1) z history.
+    bias (or None) for the whole block from c_err = C (x - xhat), formed
+    in a buffer of its own, which advance then reads too, the full-width
+    (p, lanes * runs) sensor noise and the (lanes * runs, k - 1) z
+    history.
     `state` is the (x, xhat) pair of (n, lanes * runs) matrices a previous
-    call returned.
+    call returned; it is read, never written.
     Returns (z, state, record): the distance measures, (lanes * runs,
     steps), a view of the time-major (steps, lanes * runs) rows the loop
-    writes one step at a time; the final (x, xhat), which a later call
-    continues from; and, when `record` is asked (ensembles), the pair
-    (sum_x, first): each lane's across-run sum of each step's state,
-    (lanes, steps, n), and each lane's run 0 state at each step, (lanes,
-    steps, n).  `first` and row l * runs of z are lane l's run 0 trace, so
+    writes one step at a time; the final (x, xhat), a pair of the call's
+    step buffers, which a later call continues from; and, when `record`
+    is asked (ensembles), the pair (sum_x, first): each lane's across-run
+    sum of each step's state, (lanes, steps, n), and each lane's run 0
+    state at each step, (lanes, steps, n).  `first` and row l * runs of z are lane l's run 0 trace, so
     an ensemble's trace needs no one-run simulation of its own.  Without
     `record` the third item is None and neither is computed.
     """
     n, c = model.n, model.plant.c
     cols = lanes * runs
-    x, xhat = (np.zeros((n, cols)), np.zeros((n, cols))) if state is None else state
+    step = _StepBuffers(model, (n, cols))
+    # the origin is the zeros of the pair that the first step does not write
+    x, xhat = step.pairs[1] if state is None else state
     if record:
         sum_x, first = np.empty((lanes, steps, n)), np.empty((lanes, steps, n))
     z = np.empty((steps, cols))
     block = np.empty((n + model.p, lanes, runs))
     v, eta = block[:n].reshape(n, cols), block[n:].reshape(model.p, cols)
+    c_err = delta = None
+    if attack is not None:
+        c_err = np.empty((model.p, cols))
     t = 0
     for piece in noise:
         for row in piece:
             np.copyto(block, row.T[:, None])
-            c_err = delta = None
             if attack is not None:
-                c_err = c @ (x - xhat)
+                np.matmul(c, np.subtract(x, xhat, out=step.e), out=c_err)
                 delta = attack(t + 1, c_err, eta, z[:t].T)
             if record:
                 sum_x[:, t] = x.reshape(n, lanes, runs).sum(axis=2).T
                 first[:, t] = x[:, ::runs].T
-            x, xhat, _, z[t] = advance(model, x, xhat, v, eta, delta, lanes, c_err=c_err)
+            step.z = z[t]
+            x, xhat, _, _ = advance(model, x, xhat, v, eta, delta, lanes, c_err=c_err, buffers=step)
             t += 1
     return z.T, (x, xhat), ((sum_x, first) if record else None)
 

@@ -189,11 +189,12 @@ def run_ensembles(scenarios):
     lane's psi coming from its own plan.  The bias directions are formed
     once per call, and the bias and advance read one product C (x - xhat)
     per step.  The draw is streamed in pieces of at most
-    model._PIECE_BYTES, each drawn when the loop reaches it, so an
-    ensemble holds at most two pieces of its noise however many steps it
-    runs, and the draw is freed before the first scan.  Each lane is scanned when it
-    is consumed: a consumer that drops each result before taking the next
-    holds one lane's stat and alarm at a time.
+    model._PIECE_BYTES, each drawn over the last in one buffer when the
+    loop reaches it, so an ensemble holds one piece of its noise however
+    many steps it runs, and the draw is freed before the first scan.
+    Each lane is scanned when it is consumed: a consumer that drops each
+    result before taking the next holds one lane's stat and alarm at a
+    time.
 
     Each result equals the lane's own run_ensemble to rounding.  A column
     of a matrix product rounds the same whatever the width only where the

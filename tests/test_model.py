@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla, stats
 
+from resdet import attacks
 from resdet import model as mdl
 from resdet import numerics
 from resdet import reactor as rx
@@ -261,8 +262,9 @@ def test_each_lane_is_held_to_its_own_error_bound(reactor_fixed):
 
 
 # advance and synthesize_attacks on columns that do not split into lanes, or
-# with noise that is not full width (one lane wide, one column, or neither);
-# prints each call's ValueError message, or "ok" and the result's shape
+# with noise that is not full width (one lane wide, one column, or neither),
+# for two lanes and for one; then on one run's vectors; prints each call's
+# ValueError message, or "ok" and the result's shape
 LANE_PROBE = """
 import numpy as np
 from resdet import reactor as rx
@@ -280,12 +282,15 @@ def probe(call):
     except ValueError as exc:
         print(exc)
 
-for cols, lanes, width in ((7, 2, 7), (7, 0, 7), (7, -1, 7), (6, 2, 4), (6, 2, 3), (6, 2, 1), (0, 2, 0),
-                          (0, 1, 0)):
+for cols, lanes, width in ((7, 2, 7), (7, 0, 7), (7, -1, 7), (6, 2, 4), (6, 2, 3), (6, 2, 1), (6, 1, 1),
+                          (6, 1, 3), (0, 2, 0), (0, 1, 0)):
     x, xhat = rng.normal(size=(4, cols)), rng.normal(size=(4, cols))
     v, eta = rng.normal(size=(4, width)), rng.normal(size=(3, width))
     probe(lambda: advance(loop, x, xhat, v, eta, lanes=lanes))
     probe(lambda: [synthesize_attacks([plan] * max(lanes, 0), loop, 1, x - xhat, eta)])
+x, xhat, v, eta = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4), rng.normal(size=3)
+probe(lambda: advance(loop, x, xhat, v, eta))
+probe(lambda: [synthesize_attacks([plan], loop, 1, x - xhat, eta)])
 """
 LANE_PROBE_OUT = [
     *["lanes = 2 does not split the 7 columns into equal lanes"] * 2,
@@ -294,7 +299,10 @@ LANE_PROBE_OUT = [
     "lanes = 0 does not split the 7 columns into equal lanes",  # no plan
     *[f"noise of width {width} is not as wide as the 6 columns of lanes = 2" for width in (4, 3, 1)
       for _ in range(2)],
+    *[f"noise of width {width} is not as wide as the 6 columns of lanes = 1" for width in (1, 3)
+      for _ in range(2)],
     "ok (4, 0)", "ok (3, 0)", "ok (4, 0)", "ok (3, 0)",  # empty batches
+    "ok (4,)", "ok (3,)",  # one run's vectors
 ]
 
 
@@ -762,10 +770,10 @@ def test_an_ensemble_and_an_arl_do_not_depend_on_the_budget(reactor_fixed, monke
         assert np.array_equal(ours, theirs) if isinstance(ours, np.ndarray) else ours == theirs
 
 
-def test_an_ensemble_holds_about_two_pieces_of_noise():
+def test_an_ensemble_holds_about_one_piece_of_noise(monkeypatch):
     # 200 runs x 1,000 steps at n = 100 are 240 MB of noise drawn whole; in
-    # pieces of _piece_rows steps (64 here, 15.4 MB) the loop holds the piece
-    # it reads and, for a moment, the next
+    # pieces of _piece_rows steps (64 here, 15.4 MB) drawn one over the
+    # other into one buffer, the loop holds the piece it reads
     loop = _scale_loop()
     detector = ChiSqDetector(tune_chi2(loop.p, 0.05))
     plan = plan_attack(loop, detector, k_star=51, direction="ones")
@@ -778,8 +786,78 @@ def test_an_ensemble_holds_about_two_pieces_of_noise():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # two pieces, and the ensemble's own arrays: z, the run sums and run 0, 5 MB
-    assert peak < 2 * piece + 8e6, (peak, piece)
+    # one piece, and the ensemble's own arrays: z, the run sums and run 0, 5 MB
+    assert peak < piece + 8e6, (peak, piece)
+    # every piece of a draw of several is a view of the one buffer
+    monkeypatch.setattr(mdl, "_PIECE_BYTES", 1)
+    pieces = list(mdl._draw_noise(loop, 150, 3, 0))
+    assert [len(piece) for piece in pieces] == [64, 64, 22]
+    assert pieces[0].base is not None and all(piece.base is pieces[0].base for piece in pieces)
+
+
+def _step_by_step(model, noise, runs, lanes, attack):
+    """_simulate's loop from the origin, one one-shot advance call a step, on (steps, runs, n + p) noise."""
+    n, cols, steps = model.n, lanes * runs, len(noise)
+    x, xhat = np.zeros((n, cols)), np.zeros((n, cols))
+    z, sum_x, first = np.empty((steps, cols)), np.empty((lanes, steps, n)), np.empty((lanes, steps, n))
+    for t, row in enumerate(noise):
+        v, eta = np.tile(row[:, :n].T, lanes), np.tile(row[:, n:].T, lanes)
+        c_err = model.plant.c @ (x - xhat)
+        delta = attack(t + 1, c_err, eta, z[:t].T)
+        sum_x[:, t] = x.reshape(n, lanes, runs).sum(axis=2).T
+        first[:, t] = x[:, ::runs].T
+        x, xhat, _, z[t] = advance(model, x, xhat, v, eta, delta, lanes, c_err=c_err)
+    return z.T, (x, xhat), (sum_x, first)
+
+
+def _buffered_bits_that_differ(model, runs=3, steps=150, seed=4):
+    """The outputs in which _simulate and _step_by_step differ on an attacked two-lane ensemble.
+
+    Lane 0 carries the all-ones attack and lane 1 the worst-direction one,
+    both from step 21.  _simulate reads the noise in 64-step pieces drawn
+    one over the other into one buffer (_pieces), the reference one copy
+    of the same draw.
+    """
+    n, p, lanes = model.n, model.p, 2
+    detector = ChiSqDetector(tune_chi2(p, 0.05))
+    plans = [plan_attack(model, detector, k_star=21, direction=d) for d in ("ones", "worst")]
+    directions = attacks._lane_directions(plans, runs)
+
+    def attack(k, c_err, eta, z_past):
+        return attacks._lane_biases(plans, directions, model, k, c_err, eta, z_past) if k >= 21 else None
+
+    def pieces():
+        sources = [model.noise(seed, run=i) for i in range(runs)]
+        return mdl._pieces(sources, np.empty((64, runs, n + p)), steps)
+
+    buffered = mdl._simulate(model, pieces(), steps, runs, attack, lanes=lanes, record=True)
+    reference = _step_by_step(model, _joined(pieces(), steps), runs, lanes, attack)
+    names = ("z", "x", "xhat", "sum_x", "first")
+    flat = [[out[0], *out[1], *out[2]] for out in (buffered, reference)]
+    return [name for name, ours, theirs in zip(names, *flat) if not np.array_equal(ours, theirs)]
+
+
+@pytest.mark.parametrize("loop", ["reactor", "n100"])
+def test_the_buffered_loop_equals_one_shot_steps_bit_for_bit(lazy_loops, loop):
+    assert _buffered_bits_that_differ(lazy_loops[loop]) == []
+
+
+BITS_CHILD = """
+import sys
+sys.path.insert(0, {tests!r})
+from resdet import reactor as rx
+from test_model import _buffered_bits_that_differ as differ, _scale_loop
+print(differ(rx.reactor_loop(estimator="dare")), differ(_scale_loop()))
+"""
+
+
+def test_the_buffered_loop_equals_one_shot_steps_without_assertions(child_env):
+    # `python -O` drops advance's error check, whose scratch shares the step buffers
+    code = BITS_CHILD.format(tests=os.path.dirname(__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=300,
+                          env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] []\n"
 
 
 # ------------------------------------------------------------------- threads
