@@ -91,9 +91,6 @@ class _Detector:
     def exceedance(self, stat: np.ndarray, alarm: np.ndarray) -> np.ndarray:
         return alarm
 
-    def fresh(self):
-        return type(self)(**self.params)
-
 
 class ChiSqDetector(_Detector):
     """Static chi-squared detector: alarm iff z > alpha, memoryless."""
@@ -522,12 +519,9 @@ def estimate_arl(
     every run has exceeded, so the work follows the longest run rather
     than the cap.  Step t of run i's noise depends only on (seed, i, t), so
     the result depends on the seed alone.  The noise is drawn ahead of the
-    blocks in pieces that double from 64 steps, and stops with them.  The
-    draw is remembered: the first pieces stay with the calling thread's
-    noise family (keyed by the values of R1 and R2, the seed and `runs`)
-    until its next draw, so a second estimate of another detector on the
-    same loop, seed and runs draws no normal that the first drew and kept,
-    and reads on from the kept pieces where it reads further.
+    blocks in pieces that double from 64 steps, and stops with them.
+    Nothing of the draw is kept, so each estimate draws its own noise, and
+    the thread's remembered fixed-length draw is forgotten first.
 
     The two CUSUM rates differ: 1/ARL counts exceedances with a restart on
     the exceedance step, while tune_cusum_tau and measure_alarm_rate count

@@ -35,27 +35,25 @@ noise depends only on (seed, run, t): a draw of T steps is the first T
 steps of any longer one, however either is split into pieces, and the
 draw's size is free.  Each consumer sets it by a fixed rule: an ensemble
 draws pieces of at most _PIECE_BYTES, each over the last in one buffer
-(`_draw_noise`), a fixed-length stream draws what it does not find kept
-in one piece, and the ARL stream draws ahead in pieces that double from
-_TILE rows up to _PIECE_BYTES.  Every piece is drawn run by run on the
-calling thread (`_draw_blocks`).  A piece is a time-major (rows, runs,
-n + p) array whose last axis holds v, then eta, so each step copies its
-noise once, into every lane's columns of one buffer, and z is written
-one (lanes * runs) row per step; callers see z as its (lanes * runs,
-steps) transpose.
+(`_draw_noise`), a fixed-length stream draws its steps in one piece, and
+the ARL stream draws ahead in pieces that double from _TILE rows up to
+_PIECE_BYTES (`_doubling_pieces`).  Every piece is drawn run by run on
+the calling thread (`_draw_blocks`).  A piece is a time-major (rows,
+runs, n + p) array whose last axis holds v, then eta, so each step
+copies its noise once, into every lane's columns of one buffer, and z is
+written one (lanes * runs) row per step; callers see z as its (lanes *
+runs, steps) transpose.
 
-Two things are remembered, read-only and per thread (`_Remembered`), so
-concurrent calls never read one another's draws: the last attack-free
-stream (`simulate_distance_stream`), and one noise family of attack-free
-draws (`_NoiseFamily`), whose kept pieces loops that share R1 and R2 and a
-repeated ARL estimate read without drawing again.  Every draw forgets the
-thread's stream before it allocates; a draw of another family or of an
-ensemble (`_draw_noise`) forgets its family too.
+Each thread remembers one attack-free draw (`_AttackFreeDraw`), read-only,
+so concurrent calls never read one another's: the last fixed-length
+stream's noise and the last stream simulated on it.  Loops that share R1
+and R2 simulate their streams from it without drawing again, and a
+repeated stream is returned without simulating.  Every other draw
+forgets it before it allocates.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -81,23 +79,32 @@ __all__ = [
 _TILE = 64
 
 # Bytes of noise drawn at once: an ensemble's pieces and the ARL stream's
-# largest; a noise family keeps pieces until they hold this many.
+# largest.
 _PIECE_BYTES = 16 << 20
 
 
-class _Remembered(threading.local):
-    """The attack-free draws' memos, one set per thread, each None until set.
+class _AttackFreeDraw(threading.local):
+    """The calling thread's last fixed-length attack-free draw; every field None until set.
 
-    stream: (model, (steps, runs, seed, burn_in), z) of the last
-    simulate_distance_stream call, keyed by the model object itself.
-    family: the _NoiseFamily the attack-free draws last came from.
+    key: (chol_r1, chol_r2, seed, runs), the plant's noise factors compared
+    by value, so loops that share R1 and R2 share the draw.
+    noise: the read-only time-major (rows, runs, n + p) draw of runs 0 ..
+    runs - 1 from step 0.
+    stream: (model, steps, burn_in, z), the last stream simulated on
+    `noise`, keyed by the model object itself.
     """
 
-    stream = None
-    family = None
+    key = noise = stream = None
+
+    def holds(self, model: ClosedLoopModel, runs: int, seed: int, rows: int) -> bool:
+        """Whether the draw is of model's R1 and R2, `seed` and `runs`, with at least `rows` rows."""
+        if self.key is None or self.key[2:] != (seed, runs) or len(self.noise) < rows:
+            return False
+        return (np.array_equal(self.key[0], model.plant.chol_r1)
+                and np.array_equal(self.key[1], model.plant.chol_r2))
 
 
-_remembered = _Remembered()
+_attack_free = _AttackFreeDraw()
 
 
 def _as_matrix(value, rows: int | None, cols: int | None, name: str) -> np.ndarray:
@@ -399,12 +406,6 @@ class NoiseModel:
             self._used = steps - whole
         return out[:, :n], out[:, n:]
 
-    def fork(self) -> "NoiseModel":
-        """A source that draws on from where this one stands; this one stays where it is."""
-        twin = copy.copy(self)
-        twin._rng = np.random.Generator(copy.copy(self._rng.bit_generator))
-        return twin
-
     def _tile(self, columns: int) -> np.ndarray:
         """The next tile, a new (_TILE, n + p) array."""
         return self._tiles(np.empty((_TILE, columns)))
@@ -427,10 +428,10 @@ def _draw_blocks(sources, buf: np.ndarray) -> np.ndarray:
 
     The caller allocates `buf` before it builds any source, so a piece too
     large to allocate fails before a source exists.  v and eta share the
-    one allocation: two arrays freed at different times, around a
-    remembered stream, fragment the glibc heap and raise the peak resident
-    size.  Step t of every run is then the contiguous block buf[t], which
-    the simulation reads whole.
+    one allocation: two arrays freed at different times, with the
+    thread's remembered draw and stream allocated between them, fragment
+    the glibc heap and raise the peak resident size.  Step t of every run
+    is then the contiguous block buf[t], which the simulation reads whole.
 
     Run i is one `sources[i].blocks` call, which writes the source's next
     rows into its slab buf[:, i].  The runs are drawn in order on the
@@ -609,10 +610,10 @@ def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
 
     Each piece but the last has _piece_rows rows.  Slab [:, i] is run i's
     (seed, i) substream (_draw_blocks), so the first slabs of a draw are a
-    smaller ensemble's draw.  The remembered stream and noise family are
-    forgotten, and the piece's buffer allocated, before any source is
-    built.  Every piece is drawn into that one buffer (_pieces), so a
-    consumer reads each piece before it takes the next, as _simulate does.
+    smaller ensemble's draw.  The thread's remembered draw is forgotten,
+    and the piece's buffer allocated, before any source is built.  Every
+    piece is drawn into that one buffer (_pieces), so a consumer reads
+    each piece before it takes the next, as _simulate does.
     """
     _forget_noise()
     buf = _noise_buffer(min(steps, _piece_rows(runs, model.n + model.p)), runs, model.n + model.p, steps)
@@ -635,94 +636,21 @@ def _noise_buffer(rows: int, runs: int, columns: int, steps: int) -> np.ndarray:
         ) from None
 
 
-@dataclass
-class _NoiseFamily:
-    """The attack-free noise of one key: the pieces it keeps, and the sources that stand after them.
+def _doubling_pieces(model: ClosedLoopModel, runs: int, seed: int):
+    """Every run's noise from step 0 on, an endless iterator of new time-major pieces.
 
-    The key is the values of the plant's noise factors (`plant` is the
-    first loop's), the seed and the run count, so loops that share R1 and
-    R2 share the family.  `kept` holds read-only time-major (rows, runs,
-    n + p) pieces, in order the first rows of every run's stream, and
-    `sources` (one NoiseModel per run, built at the first draw) stand
-    right after them.  A draw that fails stops the sources part-way, so the
-    thread forgets the family if it remembers it.
+    The pieces have 64 rows, then as many as were drawn before (64, 128,
+    256, ...), up to _piece_rows.  Each piece is allocated before the
+    sources are built, and is let go before the next is allocated.
     """
-
-    plant: PlantModel
-    seed: int
-    runs: int
-    sources: list = None
-    kept: list = field(default_factory=list)
-
-    def serves(self, model: ClosedLoopModel, runs: int, seed: int) -> bool:
-        return (self.seed == seed and self.runs == runs
-                and np.array_equal(self.plant.chol_r1, model.plant.chol_r1)
-                and np.array_equal(self.plant.chol_r2, model.plant.chol_r2))
-
-    def pieces(self, model: ClosedLoopModel, size):
-        """Every run's noise from step 0 on, an endless iterator of read-only time-major pieces.
-
-        The kept pieces come first, those that another reader keeps
-        meanwhile too.  Past them, a piece of size(rows read) rows is drawn
-        from the family's own sources and kept while the kept pieces hold
-        less than _PIECE_BYTES; after that, from copies of the sources
-        (NoiseModel.fork), made once, and not kept.  Every piece holds the
-        rows of the one draw of each run, so the reader of a prefix draws
-        on from it.
-        """
-        index, rows, forks = 0, 0, None
-        while True:
-            if forks is None and index == len(self.kept) and \
-                    sum(piece.nbytes for piece in self.kept) < _PIECE_BYTES:
-                self.kept.append(self.draw(model, self.sources, size(rows)))
-            if forks is None and index < len(self.kept):
-                piece = self.kept[index]
-                index += 1
-            else:
-                forks = forks or [source.fork() for source in self.sources]
-                piece = self.draw(model, forks, size(rows))
-            rows += len(piece)
-            yield piece
-
-    def draw(self, model: ClosedLoopModel, sources, rows: int) -> np.ndarray:
-        """The next `rows` steps of `sources`, or of new ones when None, read-only (_draw_blocks).
-
-        The stream is forgotten and the piece allocated before a source
-        is built.
-        """
-        _remembered.stream = None
-        buf = _noise_buffer(rows, self.runs, model.n + model.p, rows)
-        if sources is None:
-            sources = self.sources = [model.noise(self.seed, run=i) for i in range(self.runs)]
-        try:
-            _draw_blocks(sources, buf)
-        except BaseException:
-            if sources is self.sources and _remembered.family is self:  # stopped part-way
-                _forget_noise()
-            raise
-        buf.flags.writeable = False  # its views cannot be made writeable either
-        return buf
-
-
-def _attack_free_noise(model: ClosedLoopModel, runs: int, seed: int, size):
-    """The pieces (_NoiseFamily.pieces) of the calling thread's family of (model, seed, runs).
-
-    A family that serves another key, or none, is replaced by a new one,
-    after the old one and the remembered stream are forgotten.
-    """
-    family = _remembered.family
-    if family is None or not family.serves(model, runs, seed):
-        _forget_noise()
-        family = _remembered.family = _NoiseFamily(model.plant, seed, runs)
-    return family.pieces(model, size)
-
-
-def _rows(pieces, steps: int):
-    """The first `steps` rows of the iterator `pieces`, piece by piece; no piece past them is taken."""
-    while steps > 0:
-        piece = next(pieces)[:steps]
-        steps -= len(piece)
-        yield piece
+    most, rows, sources = _piece_rows(runs, model.n + model.p), 0, None
+    while True:
+        size = min(rows + _TILE, most)
+        buf = _noise_buffer(size, runs, model.n + model.p, size)
+        sources = sources or [model.noise(seed, run=i) for i in range(runs)]
+        rows += size
+        yield _draw_blocks(sources, buf)
+        del buf
 
 
 def _simulate(model: ClosedLoopModel, noise, steps: int, runs: int, attack=None, state=None,
@@ -800,39 +728,41 @@ def simulate_distance_stream(
     reproducible and independent of scheduling.  The burn-in and the kept
     steps are one attack-free run of run_ensemble's loop (_simulate).
 
-    The last stream is remembered, per thread: a call with the same model
-    object, steps, runs, seed and burn_in returns it again without
+    The noise is the thread's remembered draw (_AttackFreeDraw) when it is
+    of the same R1 and R2, seed and runs and holds burn_in + steps rows,
+    so a loop that shares R1 and R2, or a shorter stream, simulates
+    without drawing again.  Otherwise the old draw is forgotten and
+    burn_in + steps rows are drawn in one piece, and remembered.  The last
+    stream simulated on the draw is remembered with it: a call with the
+    same model object, steps and burn_in returns it again without
     simulating, so detectors measured on one stream share one simulation.
-    The thread's next noise draw of any simulation (run_ensemble,
-    iter_distance_stream, another stream) forgets it.  The returned array
-    is read-only.
-
-    The noise is the first burn_in + steps rows of the noise family
-    (_attack_free_noise), whatever of them it does not keep yet drawn as
-    one piece, so a loop with the same R1 and R2, or a shorter stream,
-    simulates from the kept draw.
+    Every other noise draw of the thread (run_ensemble,
+    iter_distance_stream) forgets both.  The returned array is read-only.
     """
     if steps < 0 or burn_in < 0:
         raise ValueError("steps and burn_in must be nonnegative")
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    key = (steps, runs, seed, burn_in)
-    last = _remembered.stream
-    if last is not None and last[0] is model and last[1] == key:
-        return last[2]
-    _remembered.stream = None  # a kept piece is no draw: drop the old z before the new one
-    total = burn_in + steps
-    noise = list(_rows(_attack_free_noise(model, runs, seed, lambda rows: total - rows), total))
-    z = _simulate(model, noise, total, runs)[0]  # the noise first: the allocation that can fail
+    total, memo = burn_in + steps, _attack_free
+    if not memo.holds(model, runs, seed, total):
+        _forget_noise()  # let the old draw go before the new one is allocated
+        noise = _noise_buffer(total, runs, model.n + model.p, total)
+        _draw_blocks([model.noise(seed, run=i) for i in range(runs)], noise)
+        noise.flags.writeable = False  # its views cannot be made writeable either
+        memo.key, memo.noise = (model.plant.chol_r1, model.plant.chol_r2, seed, runs), noise
+    elif memo.stream is not None and memo.stream[0] is model and memo.stream[1:3] == (steps, burn_in):
+        return memo.stream[3]
+    memo.stream = None  # drop the old z before the new one
+    z = _simulate(model, [memo.noise[:total]], total, runs)[0]
     z.base.flags.writeable = False  # the time-major rows: no view of them can be made writeable
     z.flags.writeable = False
-    _remembered.stream = (model, key, z[:, burn_in:])
-    return _remembered.stream[2]
+    memo.stream = (model, steps, burn_in, z[:, burn_in:])
+    return memo.stream[3]
 
 
 def _forget_noise() -> None:
-    """Drop the calling thread's remembered stream and noise family."""
-    _remembered.stream = _remembered.family = None
+    """Drop the calling thread's remembered draw and the stream simulated on it."""
+    _attack_free.key = _attack_free.noise = _attack_free.stream = None
 
 
 def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: int = 0):
@@ -846,16 +776,14 @@ def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: in
     widths, so the blocks join into the stream of their summed width
     (simulate_distance_stream).
 
-    The noise comes from the noise family (_attack_free_noise): its kept
-    pieces, then pieces drawn ahead of the blocks, 64 rows, then as many
-    as were read before (64, 128, 256, ...), up to _piece_rows.  So a
-    consumer that stops pulling (estimate_arl's early exit) stops the
-    advancing and the drawing, and a long run makes few draws.  The
-    family keeps the first pieces (at least _PIECE_BYTES of them) for the
-    next stream of the same R1, R2, seed and runs.
+    The thread's remembered draw is forgotten, and the noise drawn ahead
+    of the blocks in pieces of 64, 128, 256, ... rows up to _piece_rows
+    (_doubling_pieces), none of them kept.  So a consumer that stops
+    pulling (estimate_arl's early exit) stops the advancing and the
+    drawing, and a long run makes few draws.
     """
-    most = _piece_rows(runs, model.n + model.p)
-    noise = _attack_free_noise(model, runs, seed, lambda rows: min(rows + _TILE, most))
+    _forget_noise()
+    noise = _doubling_pieces(model, runs, seed)
     state, piece = None, ()
     for width in widths:
         parts, left = [], width

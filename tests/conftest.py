@@ -30,7 +30,7 @@ settings.load_profile("resdet")
 
 @pytest.fixture(autouse=True)
 def no_remembered_stream():
-    """Start every test with no remembered attack-free stream or noise family in its thread.
+    """Start every test with no remembered attack-free draw, or stream simulated on it, in its thread.
 
     The loop fixtures live for the whole session, so a test could otherwise
     be handed a stream that an earlier test simulated, or noise it drew.

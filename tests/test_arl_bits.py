@@ -205,60 +205,31 @@ def _per_run(rows, runs):
     return [[count for run, count in rows if run == i] for i in range(runs)]
 
 
-def test_two_arls_of_one_loop_seed_and_runs_draw_once(loops, row_draws):
+def test_two_arls_of_one_loop_seed_and_runs_draw_the_same_rows(loops, row_draws):
     drawn = []
     for name in ("chi2", "cusum7.5"):
+        before = len(row_draws["rows"])
         result = estimate_arl(loops["dare"], DETECTORS[name](), runs=40, seed=0)
         arl, half_width, censored = PINNED[("dare", name, "s0")]
         assert result == ArlResult(arl, 1.0 / arl, half_width, 40, censored, 1_000_000), name
-        drawn.append(_per_run(row_draws["rows"], 40))
-    # one source per run, built by the first estimate: the second draws no
-    # normal the first drew, and reads on from its pieces where it reads further
-    assert row_draws["sources"] == [(0, i) for i in range(40)]
-    for run in drawn[1]:
-        # pieces of 64, 128, 256, ... steps drawn ahead of the 50-step warm-up
-        # and the 64-step blocks, only as deep as the longer estimate read
-        assert run == [64 * 2 ** k for k in range(len(run))]
-        assert sum(run) < 4096
+        drawn.append(_per_run(row_draws["rows"][before:], 40))
+    # each estimate builds its own source per run and keeps nothing, so the
+    # second draws the same rows again from step 0
+    assert row_draws["sources"] == [(0, i) for i in range(40)] * 2
+    for estimate in drawn:
+        for run in estimate:
+            # pieces of 64, 128, 256, ... steps drawn ahead of the 50-step warm-up
+            # and the 64-step blocks, only as deep as the estimate read
+            assert run == [64 * 2 ** k for k in range(len(run))]
+            assert sum(run) < 4096
     assert drawn[0] == [run[:len(drawn[0][0])] for run in drawn[1]]
 
 
-def test_an_arl_past_the_kept_pieces_draws_on_from_copies(reactor_dare, row_draws, monkeypatch):
-    # under a one-byte budget the family keeps only its first piece; an
-    # estimate that reads past it draws on from copies of the sources, which
-    # stay where the kept piece ends, so the family serves the next estimate
-    # without a restart, and the budget changes no bit
-    detector = ChiSqDetector(tune_chi2(3, 0.05))
-    kwargs = dict(runs=40, seed=1, cap=400)
-    default = estimate_arl(reactor_dare, detector, **kwargs)
-    model_mod._forget_noise()
-    monkeypatch.setattr(model_mod, "_PIECE_BYTES", 1)
-    row_draws["sources"].clear()
-    row_draws["rows"].clear()
-    first = estimate_arl(reactor_dare, detector, **kwargs)
-    family = model_mod._remembered.family
-    drawn = _per_run(row_draws["rows"], 40)
-    second = estimate_arl(reactor_dare, detector, **kwargs)
-    assert model_mod._remembered.family is family
-    assert first == second == default
-    assert row_draws["sources"] == [(1, i) for i in range(40)]
-    assert [len(piece) for piece in family.kept] == [64]
-    # the second estimate read the kept piece and drew the first's further pieces again
-    for run, again in zip(drawn, _per_run(row_draws["rows"], 40)):
-        assert len(run) > 1 and set(run) == {64}
-        assert again == run + run[1:]
-    for piece in family.kept:
-        assert piece.shape == (64, 40, 4 + 3)  # time-major
-        assert not piece.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            piece[0, 0, 0] = 1.0
-
-
 def test_a_failed_eta_draw_forgets_the_family(reactor_dare, monkeypatch):
-    # v and eta are one draw; the draw of the second piece (128 steps, past
-    # the warm-up) fails on run 24, on the calling thread: the sources
-    # stopped part-way, so the family is forgotten and the next estimate
-    # draws afresh
+    # v and eta are one draw; a draw of 128 steps fails on run 24, on the
+    # calling thread: the ARL stream's second piece (past the warm-up), and
+    # a fixed-length stream's one piece.  Either way the thread remembers
+    # no draw afterwards, and the next estimate draws afresh
     blocks = model_mod.NoiseModel.blocks
     raised_on = []
 
@@ -269,10 +240,14 @@ def test_a_failed_eta_draw_forgets_the_family(reactor_dare, monkeypatch):
         return blocks(self, steps, out)
 
     monkeypatch.setattr(model_mod.NoiseModel, "blocks", failing_blocks)
-    with pytest.raises(RuntimeError, match="no noise for run 24"):
-        estimate_arl(reactor_dare, DETECTORS["chi2"](), runs=40, seed=0)
-    assert raised_on == [threading.current_thread()]
-    assert model_mod._remembered.family is None
+    failing = (lambda: estimate_arl(reactor_dare, DETECTORS["chi2"](), runs=40, seed=0),
+               lambda: model_mod.simulate_distance_stream(reactor_dare, steps=78, runs=40, burn_in=50))
+    for call in failing:
+        model_mod.simulate_distance_stream(reactor_dare, steps=10, runs=2, seed=5)  # a draw to forget
+        with pytest.raises(RuntimeError, match="no noise for run 24"):
+            call()
+        assert model_mod._attack_free.noise is None and model_mod._attack_free.stream is None
+    assert raised_on == [threading.current_thread()] * 2
     monkeypatch.setattr(model_mod.NoiseModel, "blocks", blocks)
     arl, half_width, censored = PINNED[("dare", "chi2", "s0")]
     result = estimate_arl(reactor_dare, DETECTORS["chi2"](), runs=40, seed=0)

@@ -328,7 +328,7 @@ def test_each_kind_fits_only_its_detector_kind(reactor_fixed):
             if det_kind == own_kind:
                 plan = AttackPlan(kind=kind, k_star=1, direction=direction, detector=det)
                 assert plan.detector is det
-                plan_attack(reactor_fixed, det, k_star=1, kind=kind).check_fits(det.fresh())
+                plan_attack(reactor_fixed, det, k_star=1, kind=kind).check_fits(type(det)(**det.params))
                 continue
             message = f"attack kind '{kind}' does not match detector kind '{det_kind}'"
             with pytest.raises(ValueError, match=message):

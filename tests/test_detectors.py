@@ -244,7 +244,7 @@ def test_scans_match_sequential_classes():
     for proto in detectors:
         stat_scan, alarm_scan, _ = proto.scan(z)
         for i in range(z.shape[0]):
-            d = proto.fresh()
+            d = type(proto)(**proto.params)
             for t in range(z.shape[1]):
                 event = d.update(float(z[i, t]))
                 got_alarm = event is not None

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -466,12 +467,13 @@ STREAM = {"steps": 20, "runs": 3, "seed": 1, "burn_in": 5}
 
 @pytest.fixture
 def draws(monkeypatch):
-    """One entry per run drawn: whether the drawing thread remembered a stream during the draw."""
+    """One entry per run drawn: whether the drawing thread remembered a draw or a stream during the draw."""
     calls = []
     draw_blocks = mdl._draw_blocks
 
     def recording_draw_blocks(sources, buf):
-        calls.extend([mdl._remembered.stream is not None] * len(sources))
+        calls.extend([mdl._attack_free.noise is not None or mdl._attack_free.stream is not None]
+                     * len(sources))
         return draw_blocks(sources, buf)
 
     monkeypatch.setattr(mdl, "_draw_blocks", recording_draw_blocks)
@@ -513,11 +515,11 @@ def test_another_model_geometry_or_seed_is_simulated(reactor_fixed, draws, simul
     simulate_distance_stream(model, **args)
     assert simulations == [model]
     if change in ("model", {"burn_in": 4}):
-        # the equal loop's noise, and the first 24 of 25 rows, are the remembered family's
+        # the equal loop's noise, and the first 24 of 25 rows, are the remembered draw's
         assert draws == []
     else:
         assert len(draws) == args["runs"]
-        assert not any(draws)  # the old stream was forgotten before the draw
+        assert not any(draws)  # the old draw and stream were forgotten before the draw
 
 
 @pytest.mark.parametrize("between", ["run_ensemble", "estimate_arl", "stream"])
@@ -557,7 +559,7 @@ def test_bad_arguments_raise_with_a_stream_remembered(reactor_fixed, draws, bad,
     assert draws == []
 
 
-# ------------------------------------------------------------- noise family
+# ---------------------------------------------------------- remembered draw
 
 def _reactor_scaled(reactor_matrices, r1=1.0, r2=1.0):
     """The tabulated fixed-gain loop with R1 and R2 scaled: other noise, same gains."""
@@ -580,14 +582,15 @@ def test_loops_that_share_r1_and_r2_share_one_draw(reactor_dare, reactor_fixed, 
 
 @pytest.mark.parametrize("other", ["seed", "R1", "R2", "run_ensemble"])
 def test_another_draw_forgets_the_family_first(reactor_fixed, reactor_matrices, monkeypatch, other):
+    # the remembered draw goes before a draw of another seed, R1, R2 or an ensemble is allocated
     simulate_distance_stream(reactor_fixed, **STREAM)
-    family = mdl._remembered.family
-    assert family is not None
-    seen = []  # the family the drawing thread remembered during each draw, one entry per run
+    first = mdl._attack_free.noise
+    assert first is not None
+    seen = []  # the draw the drawing thread remembered during each draw, one entry per run
     draw_blocks = mdl._draw_blocks
 
     def recording_draw_blocks(sources, buf):
-        seen.extend([mdl._remembered.family] * len(sources))
+        seen.extend([mdl._attack_free.noise] * len(sources))
         return draw_blocks(sources, buf)
 
     monkeypatch.setattr(mdl, "_draw_blocks", recording_draw_blocks)
@@ -604,9 +607,23 @@ def test_another_draw_forgets_the_family_first(reactor_fixed, reactor_matrices, 
             loop = _reactor_scaled(reactor_matrices, **{other.lower(): 2.0})
         simulate_distance_stream(loop, **args)
         assert len(seen) == STREAM["runs"]
-        assert all(remembered is not family for remembered in seen)
-    assert mdl._remembered.family is not family
+        assert all(remembered is None for remembered in seen)
+    assert mdl._attack_free.noise is not first
 
+
+def test_a_second_stream_holds_only_one_draw_at_its_peak(reactor_fixed):
+    # each stream draws 1,050 steps of 200 runs, 11.8 MB; the first draw
+    # is let go before the second is allocated
+    draw = 1050 * 200 * (reactor_fixed.n + reactor_fixed.p) * 8
+    tracemalloc.start()
+    try:
+        for seed in (1, 2):
+            simulate_distance_stream(reactor_fixed, steps=1000, runs=200, seed=seed, burn_in=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one draw, and the stream's own z and step buffers
+    assert peak < 1.5 * draw, (peak, draw)
 
 
 def _scale_loop(n=100):
@@ -639,8 +656,15 @@ def _whole_draw(sources, width):
 
 
 def _joined(pieces, rows):
-    """The first `rows` (at least one) rows of an iterator of time-major pieces, copied into one array."""
-    return np.concatenate([piece.copy() for piece in mdl._rows(pieces, rows)])
+    """The first `rows` (at least one) rows of an iterator of time-major pieces, copied into one array.
+
+    Each piece is copied before the next is taken, and no piece past the rows is taken.
+    """
+    parts = []
+    while rows > 0:
+        parts.append(next(pieces)[:rows].copy())
+        rows -= len(parts[-1])
+    return np.concatenate(parts)
 
 
 # budgets for a piece of one tile, of the default size, and of every step
@@ -649,23 +673,30 @@ BUDGETS = {"tile": 1, "default": mdl._PIECE_BYTES, "whole": 1 << 40}
 
 @pytest.mark.parametrize("loop", ["1x1", "reactor", "n100"])
 def test_a_lazy_chunk_reads_the_rows_of_the_whole_draw(lazy_loops, monkeypatch, loop):
-    # the family's pieces, drawn only as far as they are read, hold the rows
-    # of one whole draw, whatever their sizes and the budget
+    # the ARL stream's own pieces, drawn only as far as they are read, hold
+    # the rows of one whole draw, whatever the budget, and none is kept
     model, runs, seed = lazy_loops[loop], 3, 11
     whole = _whole_draw([model.noise(seed, run=i) for i in range(runs)], 1100)
-    sizes = {"doubling": lambda rows: rows + 64, "30": lambda rows: 30, "100": lambda rows: 100}
     for budget in BUDGETS.values():
         monkeypatch.setattr(mdl, "_PIECE_BYTES", budget)
-        for name, size in sizes.items():
-            for depth in (1, 64, 65, 449):
-                family = mdl._NoiseFamily(model.plant, seed, runs)
-                assert np.array_equal(_joined(family.pieces(model, size), depth), whole[:depth]), \
-                    (budget, name, depth)
-                # a second reader reads the kept pieces, then draws on from where they end
-                assert np.array_equal(_joined(family.pieces(model, lambda rows: 500), 1100), whole), \
-                    (budget, name, depth)
-                for piece in family.kept:
-                    assert not piece.flags.writeable
+        for depth in (1, 64, 65, 449, 1100):
+            assert np.array_equal(_joined(mdl._doubling_pieces(model, runs, seed), depth), whole[:depth]), \
+                (budget, depth)
+        most = mdl._piece_rows(runs, model.n + model.p)
+        pieces = mdl._doubling_pieces(model, runs, seed)
+        assert [len(next(pieces)) for _ in range(5)] == [min(64 << k, most) for k in range(5)], budget
+    # a piece its reader dropped is let go before the next one is allocated
+    last = weakref.ref(next(pieces))
+    held = []
+    noise_buffer = mdl._noise_buffer
+
+    def recording_noise_buffer(*args):
+        held.append(last() is not None)
+        return noise_buffer(*args)
+
+    monkeypatch.setattr(mdl, "_noise_buffer", recording_noise_buffer)
+    next(pieces)
+    assert held == [False]
 
 
 def test_a_lazy_chunk_draws_eta_by_doubling_and_leaves_no_short_tail(reactor_dare, monkeypatch):

@@ -69,7 +69,7 @@ def test_scenario_rejects_a_plan_made_against_another_detector(reactor_fixed):
     with pytest.raises(ValueError, match="differ"):
         sim.Scenario(model=reactor_fixed, detector=CusumDetector(BENCHMARK_TAU, 4.0), plan=cusum_plan)
     # the matching pairs build, also with an equal detector in place of the planned one
-    for det, plan in ((ell50, greedy), (ell50.fresh(), greedy), (benchmark_cusum, cusum_plan)):
+    for det, plan in ((ell50, greedy), (type(ell50)(**ell50.params), greedy), (benchmark_cusum, cusum_plan)):
         assert sim.Scenario(model=reactor_fixed, detector=det, plan=plan).attacked
 
 
