@@ -519,7 +519,8 @@ def estimate_arl(
     every run has exceeded, so the work follows the longest run rather
     than the cap.  Step t of run i's noise depends only on (seed, i, t), so
     the result depends on the seed alone.  The noise is drawn ahead of the
-    blocks in pieces that double from 64 steps, and stops with them.
+    blocks in pieces that double from 64 steps up to model._PIECE_BYTES,
+    then are drawn over one another in one buffer, and stops with them.
     Nothing of the draw is kept, so each estimate draws its own noise, and
     the thread's remembered fixed-length draw is forgotten first.
 

@@ -22,27 +22,27 @@ matrices (`closed_loop_from_document`), the single dynamics
 implementation `advance`, and its one Monte-Carlo loop, `_simulate`, which
 allocates one set of step buffers (`_StepBuffers`) per call, so that no
 step allocates an array the size of the state.  The loop advances a
-noise draw from the origin or from where an earlier call stopped:
-ensembles, whose lanes share one draw (sim.run_ensembles) and
+stream of noise rows from the origin or from where an earlier call
+stopped: ensembles, whose lanes share one draw (sim.run_ensembles) and
 whose run 0 it records as their trace (sim.EnsembleResult.first_run);
 attack-free streams; and the blocks of `iter_distance_stream`, which the
 ARL estimate can stop early.
 
 Each run owns its (seed, run) noise substream (NoiseModel): one row of
 n + p standard normals per step, multiplied by the plant's factors of R1
-and R2 in fixed tiles of _TILE steps aligned to step 0.  So step t's
+and R2 in whole tiles of _TILE steps aligned to step 0.  So step t's
 noise depends only on (seed, run, t): a draw of T steps is the first T
-steps of any longer one, however either is split into pieces, and the
-draw's size is free.  Each consumer sets it by a fixed rule: an ensemble
-draws pieces of at most _PIECE_BYTES, each over the last in one buffer
-(`_draw_noise`), a fixed-length stream draws its steps in one piece, and
-the ARL stream draws ahead in pieces that double from _TILE rows up to
-_PIECE_BYTES (`_doubling_pieces`).  Every piece is drawn run by run on
-the calling thread (`_draw_blocks`).  A piece is a time-major (rows,
-runs, n + p) array whose last axis holds v, then eta, so each step
-copies its noise once, into every lane's columns of one buffer, and z is
-written one (lanes * runs) row per step; callers see z as its (lanes *
-runs, steps) transpose.
+steps of any longer one, however either is split into whole tiles, and
+the draw's size is free.  One generator draws every run's noise
+(`_noise_pieces`), run by run on the calling thread (`_draw_blocks`),
+each piece over the last in one buffer; each consumer passes its size
+rule: an ensemble pieces of at most _PIECE_BYTES, a fixed-length stream
+its steps in one piece, and the ARL stream pieces that double from
+_TILE rows up to _PIECE_BYTES.  A piece is a time-major (rows, runs,
+n + p) array whose last axis holds v, then eta, and the loop reads it
+row by row, so each step copies its noise once, into every lane's
+columns of one buffer, and z is written one (lanes * runs) row per step;
+callers see z as its (lanes * runs, steps) transpose.
 
 Each thread remembers one attack-free draw (`_AttackFreeDraw`), read-only,
 so concurrent calls never read one another's: the last fixed-length
@@ -54,6 +54,7 @@ forgets it before it allocates.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -354,25 +355,21 @@ class NoiseModel:
     step 0, each one BLAS product of one shape: the rows of a product over
     more rows can round differently (with two BLAS threads at n = 100), and
     so can those of one over fewer.  So step t's noise depends only on
-    (seed, run, t), never on how the steps are split into calls:
-    `blocks(a)` then `blocks(b)` is `blocks(a + b)`.  A call that ends
-    inside a tile forms the whole tile, and the next call draws that tile's
-    normals again, from the bit generator's state it kept, rather than hold
-    its rows.  Ensemble members get independent, reproducible substreams
-    regardless of scheduling order.
+    (seed, run, t), never on how the steps are split into calls of whole
+    tiles: `blocks(64)` then `blocks(b)` is `blocks(64 + b)`.  A call that
+    ends inside a tile forms the whole tile and hands out its first rows;
+    it is the source's last, and a later call raises ValueError.  Ensemble
+    members get independent, reproducible substreams regardless of
+    scheduling order.
     """
 
     chol_r1: np.ndarray
     chol_r2: np.ndarray
     seed: int
     run: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False)
-    # The rows of the tile the last call ended inside that it handed out,
-    # and PCG64's 128-bit state where that tile's normals begin: normals
-    # read whole 64-bit words, so the rest of the state stays as it is, and
-    # the whole state would take 520 bytes a run.
-    _used: int = field(init=False, repr=False, default=0)
-    _resume: int = field(init=False, repr=False, default=None)
+    # None once a call has ended inside a tile: the rest of that tile's
+    # normals are drawn, so the substream cannot go on
+    _rng: np.random.Generator | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if int(self.seed) < 0 or int(self.run) < 0:
@@ -385,30 +382,20 @@ class NoiseModel:
         v and eta are the first n and the last p columns of one (steps,
         n + p) array: `out` when given (a run's slab of a draw,
         _draw_blocks), which the rows are written into, else a new one.
+        Raises ValueError after a call whose steps ended inside a tile.
         """
+        if self._rng is None:
+            raise ValueError(f"the noise of run {self.run} ended inside a {_TILE}-step tile at the last call; "
+                             "only a source's last call may ask for steps that are not whole tiles")
         n = self.chol_r1.shape[0]
         if out is None:
             out = np.empty((steps, n + self.chol_r2.shape[0]))
-        head = 0
-        if self._used:  # the rest of the tile the last call ended inside, drawn again
-            bits = self._rng.bit_generator
-            state = bits.state
-            state["state"]["state"] = self._resume
-            bits.state = state
-            head = min(steps, _TILE - self._used)
-            out[:head] = self._tile(out.shape[1])[self._used:self._used + head]
-            self._used = (self._used + head) % _TILE
-        whole = head + (steps - head) // _TILE * _TILE
-        self._tiles(out[head:whole])
+        whole = steps // _TILE * _TILE
+        self._tiles(out[:whole])
         if whole < steps:
-            self._resume = self._rng.bit_generator.state["state"]["state"]
-            out[whole:] = self._tile(out.shape[1])[:steps - whole]
-            self._used = steps - whole
+            out[whole:] = self._tiles(np.empty((_TILE, out.shape[1])))[:steps - whole]
+            self._rng = None
         return out[:, :n], out[:, n:]
-
-    def _tile(self, columns: int) -> np.ndarray:
-        """The next tile, a new (_TILE, n + p) array."""
-        return self._tiles(np.empty((_TILE, columns)))
 
     def _tiles(self, out: np.ndarray) -> np.ndarray:
         """Fill `out`, (k * _TILE, n + p), with the next k tiles; return it.
@@ -426,12 +413,13 @@ class NoiseModel:
 def _draw_blocks(sources, buf: np.ndarray) -> np.ndarray:
     """Fill `buf`, one time-major (rows, runs, n + p) piece, run by run; return it.
 
-    The caller allocates `buf` before it builds any source, so a piece too
-    large to allocate fails before a source exists.  v and eta share the
-    one allocation: two arrays freed at different times, with the
-    thread's remembered draw and stream allocated between them, fragment
-    the glibc heap and raise the peak resident size.  Step t of every run
-    is then the contiguous block buf[t], which the simulation reads whole.
+    `buf` is a view of the buffer of _noise_pieces, whose first buffer is
+    allocated before any source is built, so a draw too large to allocate
+    fails before a source exists.  v and eta share the one allocation:
+    two arrays freed at different times, with the thread's remembered
+    draw and stream allocated between them, fragment the glibc heap and
+    raise the peak resident size.  Step t of every run is then the
+    contiguous row buf[t], which the simulation reads whole.
 
     Run i is one `sources[i].blocks` call, which writes the source's next
     rows into its slab buf[:, i].  The runs are drawn in order on the
@@ -605,29 +593,51 @@ def _piece_rows(runs: int, columns: int) -> int:
     return max(1, _PIECE_BYTES // (8 * _TILE * columns * max(runs, 1))) * _TILE
 
 
-def _draw_noise(model: ClosedLoopModel, steps: int, runs: int, seed: int):
-    """Noise of runs 0..runs-1 through `steps` steps, an iterator of time-major (rows, runs, n + p) pieces.
+def _noise_pieces(model: ClosedLoopModel, runs: int, seed: int, steps: int | None = None,
+                  first: int | None = None, most: int | None = None):
+    """Noise of runs 0..runs-1 from step 0, an iterator of time-major (rows, runs, n + p) pieces.
 
-    Each piece but the last has _piece_rows rows.  Slab [:, i] is run i's
-    (seed, i) substream (_draw_blocks), so the first slabs of a draw are a
-    smaller ensemble's draw.  The thread's remembered draw is forgotten,
-    and the piece's buffer allocated, before any source is built.  Every
-    piece is drawn into that one buffer (_pieces), so a consumer reads
-    each piece before it takes the next, as _simulate does.
+    Each piece has `first` rows more than were drawn before it, at most
+    `most` (by default _piece_rows; `first` defaults to `most`), and the
+    pieces end after `steps` rows in all (at least one piece, maybe
+    empty), or never when `steps` is None.  So an ensemble's pieces have
+    _piece_rows rows, a fixed-length stream is one piece, and the ARL
+    stream's (`first` = _TILE) have 64, 128, 256, ... rows up to
+    _piece_rows; every piece but the last is whole tiles, as NoiseModel
+    requires.  Slab [:, i] is run i's (seed, i) substream (_draw_blocks),
+    so the first slabs of a draw are a smaller ensemble's draw.
+
+    The thread's remembered draw is forgotten, and the first piece's
+    buffer allocated, in this call; the sources are built when the first
+    piece is taken.  Each piece is drawn over the last into a view of
+    that buffer, which is replaced only by a larger one while the pieces
+    grow, the old one let go first.  So a consumer reads each piece before
+    it takes the next, and, reading it row by row as _simulate does,
+    holds one buffer at a time.
     """
     _forget_noise()
-    buf = _noise_buffer(min(steps, _piece_rows(runs, model.n + model.p)), runs, model.n + model.p, steps)
-    return _pieces([model.noise(seed, run=i) for i in range(runs)], buf, steps)
+    columns = model.n + model.p
+    most = _piece_rows(runs, columns) if most is None else most
+    first = most if first is None else first
+    end = np.inf if steps is None else steps
 
+    def pieces(buf):
+        sources, drawn = [model.noise(seed, run=i) for i in range(runs)], 0
+        while True:
+            size = min(most, drawn + first, end - drawn)
+            if size > len(buf):
+                buf = None  # the outgrown buffer is let go before the next is allocated
+                buf = _noise_buffer(size, runs, columns, size)
+            yield _draw_blocks(sources, buf[:size])
+            drawn += size
+            if drawn >= end:
+                return
 
-def _pieces(sources, buf: np.ndarray, steps: int):
-    """The sources' next `steps` steps, piece by piece, each drawn into (a view of) `buf` over the last."""
-    for start in range(0, steps, max(1, len(buf))):
-        yield _draw_blocks(sources, buf[:steps - start])
+    return pieces(_noise_buffer(min(most, first, end), runs, columns, steps or first))
 
 
 def _noise_buffer(rows: int, runs: int, columns: int, steps: int) -> np.ndarray:
-    """An empty (rows, runs, columns) piece of a `steps`-step draw, else ValueError naming both."""
+    """An empty (rows, runs, columns) buffer for a `steps`-step draw, else ValueError naming both."""
     try:
         return np.empty((rows, runs, columns))
     except (MemoryError, ValueError):  # ValueError: past what numpy can address
@@ -636,33 +646,17 @@ def _noise_buffer(rows: int, runs: int, columns: int, steps: int) -> np.ndarray:
         ) from None
 
 
-def _doubling_pieces(model: ClosedLoopModel, runs: int, seed: int):
-    """Every run's noise from step 0 on, an endless iterator of new time-major pieces.
-
-    The pieces have 64 rows, then as many as were drawn before (64, 128,
-    256, ...), up to _piece_rows.  Each piece is allocated before the
-    sources are built, and is let go before the next is allocated.
-    """
-    most, rows, sources = _piece_rows(runs, model.n + model.p), 0, None
-    while True:
-        size = min(rows + _TILE, most)
-        buf = _noise_buffer(size, runs, model.n + model.p, size)
-        sources = sources or [model.noise(seed, run=i) for i in range(runs)]
-        rows += size
-        yield _draw_blocks(sources, buf)
-        del buf
-
-
-def _simulate(model: ClosedLoopModel, noise, steps: int, runs: int, attack=None, state=None,
+def _simulate(model: ClosedLoopModel, rows, steps: int, runs: int, attack=None, state=None,
               lanes: int = 1, record: bool = False):
     """Advance one trajectory per run and lane in lockstep, from `state` or the origin, for `steps` steps.
 
-    `noise` is an iterable of time-major (rows, runs, n + p) pieces with
-    `steps` rows in all (_draw_noise), which every lane shares: the state
-    is one (n, lanes * runs) block whose columns l * runs .. (l + 1) *
-    runs - 1 are lane l's runs.  Each piece is read to its end before the
-    next is taken, so the pieces may share one buffer (_pieces).  Each
-    step copies its noise once, into every lane's columns of one (n + p,
+    `rows` is an iterator of time-major (runs, n + p) noise rows, one a
+    step, of which the call reads the next `steps` (the rows of
+    _noise_pieces), and which every lane shares: the state is one (n,
+    lanes * runs) block whose columns l * runs .. (l + 1) * runs - 1 are
+    lane l's runs.  No row is held once the step has copied it, so the
+    piece behind a spent row can be drawn over or let go.  Each step
+    copies its noise once, into every lane's columns of one (n + p,
     lanes * runs) buffer that the steps reuse (v over eta), and is one
     advance call with full-width noise, which writes into one set of step
     buffers (_StepBuffers) allocated per call, and its z straight into
@@ -697,19 +691,16 @@ def _simulate(model: ClosedLoopModel, noise, steps: int, runs: int, attack=None,
     c_err = delta = None
     if attack is not None:
         c_err = np.empty((model.p, cols))
-    t = 0
-    for piece in noise:
-        for row in piece:
-            np.copyto(block, row.T[:, None])
-            if attack is not None:
-                np.matmul(c, np.subtract(x, xhat, out=step.e), out=c_err)
-                delta = attack(t + 1, c_err, eta, z[:t].T)
-            if record:
-                sum_x[:, t] = x.reshape(n, lanes, runs).sum(axis=2).T
-                first[:, t] = x[:, ::runs].T
-            step.z = z[t]
-            x, xhat, _, _ = advance(model, x, xhat, v, eta, delta, lanes, c_err=c_err, buffers=step)
-            t += 1
+    for t in range(steps):
+        np.copyto(block, next(rows).T[:, None])
+        if attack is not None:
+            np.matmul(c, np.subtract(x, xhat, out=step.e), out=c_err)
+            delta = attack(t + 1, c_err, eta, z[:t].T)
+        if record:
+            sum_x[:, t] = x.reshape(n, lanes, runs).sum(axis=2).T
+            first[:, t] = x[:, ::runs].T
+        step.z = z[t]
+        x, xhat, _, _ = advance(model, x, xhat, v, eta, delta, lanes, c_err=c_err, buffers=step)
     return z.T, (x, xhat), ((sum_x, first) if record else None)
 
 
@@ -732,7 +723,8 @@ def simulate_distance_stream(
     of the same R1 and R2, seed and runs and holds burn_in + steps rows,
     so a loop that shares R1 and R2, or a shorter stream, simulates
     without drawing again.  Otherwise the old draw is forgotten and
-    burn_in + steps rows are drawn in one piece, and remembered.  The last
+    burn_in + steps rows are drawn in one piece (_noise_pieces), and
+    remembered.  The last
     stream simulated on the draw is remembered with it: a call with the
     same model object, steps and burn_in returns it again without
     simulating, so detectors measured on one stream share one simulation.
@@ -745,15 +737,13 @@ def simulate_distance_stream(
         raise ValueError("runs must be >= 1")
     total, memo = burn_in + steps, _attack_free
     if not memo.holds(model, runs, seed, total):
-        _forget_noise()  # let the old draw go before the new one is allocated
-        noise = _noise_buffer(total, runs, model.n + model.p, total)
-        _draw_blocks([model.noise(seed, run=i) for i in range(runs)], noise)
+        noise = next(_noise_pieces(model, runs, seed, total, total, total)).base  # the one piece's buffer
         noise.flags.writeable = False  # its views cannot be made writeable either
         memo.key, memo.noise = (model.plant.chol_r1, model.plant.chol_r2, seed, runs), noise
     elif memo.stream is not None and memo.stream[0] is model and memo.stream[1:3] == (steps, burn_in):
         return memo.stream[3]
     memo.stream = None  # drop the old z before the new one
-    z = _simulate(model, [memo.noise[:total]], total, runs)[0]
+    z = _simulate(model, iter(memo.noise), total, runs)[0]
     z.base.flags.writeable = False  # the time-major rows: no view of them can be made writeable
     z.flags.writeable = False
     memo.stream = (model, steps, burn_in, z[:, burn_in:])
@@ -776,21 +766,17 @@ def iter_distance_stream(model: ClosedLoopModel, widths, runs: int = 1, seed: in
     widths, so the blocks join into the stream of their summed width
     (simulate_distance_stream).
 
-    The thread's remembered draw is forgotten, and the noise drawn ahead
-    of the blocks in pieces of 64, 128, 256, ... rows up to _piece_rows
-    (_doubling_pieces), none of them kept.  So a consumer that stops
-    pulling (estimate_arl's early exit) stops the advancing and the
-    drawing, and a long run makes few draws.
+    The blocks read one stream of noise rows, drawn ahead of them in
+    pieces of 64, 128, 256, ... rows up to _piece_rows (_noise_pieces),
+    and the thread's remembered draw is forgotten before the first.  The
+    pieces grow in a new buffer each, the last let go first, and then are
+    drawn over one another in the largest; none is kept.  So a consumer
+    that stops pulling (estimate_arl's early exit) stops the advancing
+    and the drawing, a long run makes few draws, and the stream holds one
+    buffer of noise at a time.
     """
-    _forget_noise()
-    noise = _doubling_pieces(model, runs, seed)
-    state, piece = None, ()
+    rows = itertools.chain.from_iterable(_noise_pieces(model, runs, seed, first=_TILE))
+    state = None
     for width in widths:
-        parts, left = [], width
-        while left:
-            if not len(piece):
-                piece = next(noise)
-            parts.append(piece[:left])
-            piece, left = piece[left:], left - len(parts[-1])
-        z, state, _ = _simulate(model, parts, width, runs, state=state)
+        z, state, _ = _simulate(model, rows, width, runs, state=state)
         yield z

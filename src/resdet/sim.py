@@ -31,6 +31,7 @@ to the CUSUM one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -181,17 +182,18 @@ def run_ensembles(scenarios):
     """Simulate ensembles as lanes of one lockstep loop; an iterator of one EnsembleResult per lane.
 
     The lanes share the model object, steps, burn_in, seed and mc_runs,
-    so they read one noise draw (model._draw_noise): the state is one
-    (n, lanes * mc_runs) block (model._simulate), each step copies its
-    (., mc_runs) noise into every lane's columns once, and each step is
-    one advance call and one stealthy-bias evaluation for every lane
-    (attacks._lane_biases, the per-step part of synthesize_attacks), each
-    lane's psi coming from its own plan.  The bias directions are formed
-    once per call, and the bias and advance read one product C (x - xhat)
-    per step.  The draw is streamed in pieces of at most
-    model._PIECE_BYTES, each drawn over the last in one buffer when the
-    loop reaches it, so an ensemble holds one piece of its noise however
-    many steps it runs, and the draw is freed before the first scan.
+    so they read one stream of noise rows (model._noise_pieces): the
+    state is one (n, lanes * mc_runs) block (model._simulate), each step
+    copies its (., mc_runs) noise row into every lane's columns once, and
+    each step is one advance call and one stealthy-bias evaluation for
+    every lane (attacks._lane_biases, the per-step part of
+    synthesize_attacks), each lane's psi coming from its own plan.  The
+    bias directions are formed once per call, and the bias and advance
+    read one product C (x - xhat) per step.  The rows are drawn in pieces
+    of at most model._PIECE_BYTES, each over the last in one buffer when
+    the loop reaches it, so an ensemble holds one piece of its noise
+    however many steps it runs, and the draw is freed before the first
+    scan.
     Each lane is scanned when it is consumed: a consumer that drops each
     result before taking the next holds one lane's stat and alarm at a
     time.
@@ -228,8 +230,8 @@ def _simulated_lanes(lanes):
     head = lanes[0]
     model, runs = head.model, head.mc_runs
     plans = tuple(lane.plan for lane in lanes)
-    noise = model_mod._draw_noise(model, head.steps, runs, head.seed)
-    # formed once, after the draw's first piece, which is the allocation that can fail
+    rows = itertools.chain.from_iterable(model_mod._noise_pieces(model, runs, head.seed, head.steps))
+    # formed once, after the draw's first buffer, which is the allocation that can fail
     directions = attacks_mod._lane_directions(plans, runs) if head.attacked else None
 
     def attack(k, c_err, eta, z_past):
@@ -238,9 +240,9 @@ def _simulated_lanes(lanes):
         return None
 
     z, _, (sum_x, first) = model_mod._simulate(
-        model, noise, head.steps, runs, attack if head.attacked else None, lanes=len(lanes), record=True,
+        model, rows, head.steps, runs, attack if head.attacked else None, lanes=len(lanes), record=True,
     )
-    del noise  # freed before the first scan
+    del rows  # the draw is freed before the first scan
     for l, lane in enumerate(lanes):
         yield EnsembleResult.scanned(lane, sum_x[l] / runs, z[l * runs:(l + 1) * runs], first[l])
 

@@ -255,16 +255,23 @@ def test_a_failed_eta_draw_forgets_the_family(reactor_dare, monkeypatch):
 
 
 def test_an_arl_estimate_holds_only_the_pieces_it_reads(reactor_dare):
-    # the estimate reads about 200 steps of 400 runs and draws pieces of
-    # 64, 128 and 256 steps ahead of them, 10 MB of noise
-    detector = ChiSqDetector(tune_chi2(3, 0.05))
-    tracemalloc.start()
-    try:
-        estimate_arl(reactor_dare, detector, runs=400, seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6, peak
+    # the first estimate reads about 200 steps of 400 runs and draws pieces
+    # of 64, 128 and 256 steps ahead of them, 10 MB of noise; the censored
+    # one reads all 5,050 steps, in pieces that grow to _piece_rows (704
+    # steps, 15.8 MB) and then are drawn over one another in one buffer,
+    # which the stream holds alone, also where a block straddles two pieces
+    estimates = [(ChiSqDetector(tune_chi2(3, 0.05)), 1_000_000), (ChiSqDetector(1e9), 5000)]
+    for detector, cap in estimates:
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the second censors every run
+                result = estimate_arl(reactor_dare, detector, runs=400, seed=2, cap=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, (cap, peak)
+    assert result.censored == 400
 
 
 def test_arl_stops_advancing_once_every_run_has_exceeded(reactor_dare, monkeypatch):

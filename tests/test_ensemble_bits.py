@@ -316,8 +316,8 @@ def test_the_study_takes_its_geometry_from_the_bundled_scenario(tmp_path, monkey
 
 def test_row_0_of_a_draw_is_the_one_run_draw(reactor_fixed):
     # a draw is time-major: run i is slab [:, i] of each piece
-    (five,) = model_mod._draw_noise(reactor_fixed, 40, 5, 7)
-    (one,) = model_mod._draw_noise(reactor_fixed, 40, 1, 7)
+    (five,) = model_mod._noise_pieces(reactor_fixed, 5, 7, 40)
+    (one,) = model_mod._noise_pieces(reactor_fixed, 1, 7, 40)
     assert five.shape == (40, 5, 4 + 3) and one.shape == (40, 1, 4 + 3)
     assert np.array_equal(five[:, :1], one)
 
@@ -341,7 +341,7 @@ def test_every_run_is_drawn_on_the_calling_thread_in_run_order(reactor_fixed, mo
 def test_v_and_eta_are_drawn_into_one_buffer(reactor_fixed):
     # two arrays, freed at different times around a remembered stream,
     # fragment the glibc heap and raise the peak resident size
-    (noise,) = model_mod._draw_noise(reactor_fixed, 40, 5, 7)
+    (noise,) = model_mod._noise_pieces(reactor_fixed, 5, 7, 40)
     assert noise.shape == (40, 5, 4 + 3) and noise.flags.c_contiguous  # step t is one block
     # each row is v over eta: run 0's slab is its own NoiseModel.blocks draw
     v, eta = reactor_fixed.noise(7, run=0).blocks(40)

@@ -1,5 +1,6 @@
 """Closed-loop model construction, dynamics, and attack-free statistics."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -680,23 +681,39 @@ def test_a_lazy_chunk_reads_the_rows_of_the_whole_draw(lazy_loops, monkeypatch, 
     for budget in BUDGETS.values():
         monkeypatch.setattr(mdl, "_PIECE_BYTES", budget)
         for depth in (1, 64, 65, 449, 1100):
-            assert np.array_equal(_joined(mdl._doubling_pieces(model, runs, seed), depth), whole[:depth]), \
+            assert np.array_equal(_joined(_arl_pieces(model, runs, seed), depth), whole[:depth]), \
                 (budget, depth)
         most = mdl._piece_rows(runs, model.n + model.p)
-        pieces = mdl._doubling_pieces(model, runs, seed)
+        pieces = _arl_pieces(model, runs, seed)
         assert [len(next(pieces)) for _ in range(5)] == [min(64 << k, most) for k in range(5)], budget
-    # a piece its reader dropped is let go before the next one is allocated
-    last = weakref.ref(next(pieces))
-    held = []
+    # under the last budget the buffer keeps growing with the pieces, and a
+    # buffer its reader dropped is let go before the next one is allocated
+    last = weakref.ref(next(pieces).base)
+    held, allocated = [], []
     noise_buffer = mdl._noise_buffer
 
-    def recording_noise_buffer(*args):
+    def recording_noise_buffer(rows, *args):
         held.append(last() is not None)
-        return noise_buffer(*args)
+        allocated.append(rows)
+        return noise_buffer(rows, *args)
 
     monkeypatch.setattr(mdl, "_noise_buffer", recording_noise_buffer)
-    next(pieces)
-    assert held == [False]
+    assert len(next(pieces)) == 64 << 6
+    assert held == [False] and allocated == [64 << 6]
+    # the first buffer is one tile, never one sized to the endless stream
+    pieces = _arl_pieces(model, runs, seed)
+    assert allocated[1:] == [64] and len(next(pieces)) == 64
+    # once the pieces reach _piece_rows, each is a view of one buffer
+    monkeypatch.setattr(mdl, "_PIECE_BYTES", 3 * 64 * runs * (model.n + model.p) * 8)
+    pieces = _arl_pieces(model, runs, seed)
+    bases = [next(pieces).base for _ in range(6)]
+    assert [len(base) for base in bases] == [64, 128, 192, 192, 192, 192]
+    assert all(base is bases[2] for base in bases[2:]) and allocated[2:] == [64, 128, 192]
+
+
+def _arl_pieces(model, runs, seed):
+    """The ARL stream's pieces (iter_distance_stream): 64, 128, 256, ... rows up to _piece_rows."""
+    return mdl._noise_pieces(model, runs, seed, first=mdl._TILE)
 
 
 def test_a_lazy_chunk_draws_eta_by_doubling_and_leaves_no_short_tail(reactor_dare, monkeypatch):
@@ -725,20 +742,34 @@ def test_a_lazy_chunk_draws_eta_by_doubling_and_leaves_no_short_tail(reactor_dar
     mdl._forget_noise()
     list(mdl.iter_distance_stream(reactor_dare, [1000], runs=2, seed=1))
     assert tiles == [64, 128] + [192] * 5
-    # a source asked for rows that end inside a tile forms the whole tile, and
-    # the next call forms it again from the same normals
+    # a source's calls of whole tiles, and a last one that ends inside a
+    # tile, form every tile whole, the last one too
     tiles.clear()
     source = reactor_dare.noise(1, run=0)
-    parts = [np.concatenate(source.blocks(rows), axis=1) for rows in (30, 30, 30, 1, 100)]
-    assert tiles == [64] * 7
+    parts = [np.concatenate(source.blocks(rows), axis=1) for rows in (64, 0, 64, 63)]
+    assert tiles == [64] * 3
     assert np.array_equal(np.concatenate(parts), _whole_draw([reactor_dare.noise(1, run=0)], 191)[:, 0])
+
+
+def test_a_source_reads_whole_tiles_until_its_last_call(reactor_dare):
+    # blocks(64) then blocks(b) is blocks(64 + b)
+    for b in (0, 1, 63, 64, 130):
+        source = reactor_dare.noise(3, run=2)
+        split = np.concatenate([np.concatenate(source.blocks(rows), axis=1) for rows in (64, b)])
+        assert np.array_equal(split, _whole_draw([reactor_dare.noise(3, run=2)], 64 + b)[:, 0]), b
+    # a call that ends inside a tile is the source's last
+    source = reactor_dare.noise(3, run=2)
+    source.blocks(30)
+    with pytest.raises(ValueError, match="ended inside a 64-step tile"):
+        source.blocks(1)
 
 
 def _prefix_case(model, runs=3, seed=5, steps=300):
     """(whole, split): a (steps, runs, n + p) draw in one call per run, and in pieces of several sizes."""
     whole = _whole_draw([model.noise(seed, run=i) for i in range(runs)], steps)
     splits = {}
-    for sizes in ((1,) * 5 + (steps - 5,), (7,) * 42 + (6,), (63, 65, 64, 108), (128, 172), (299, 1)):
+    for sizes in ((64,) * 4 + (steps - 256,), (192, steps - 192), (64, 0, 128, steps - 192), (128, 172),
+                  (256, steps - 256)):
         sources = [model.noise(seed, run=i) for i in range(runs)]
         splits[sizes] = np.concatenate([_whole_draw(sources, size) for size in sizes])
     return whole, splits
@@ -756,7 +787,7 @@ def test_each_run_s_noise_through_step_t_is_the_start_of_a_longer_draw(lazy_loop
     # an ensemble's pieces, under any budget, join into the same draw
     for budget in BUDGETS.values():
         monkeypatch.setattr(mdl, "_PIECE_BYTES", budget)
-        assert np.array_equal(_joined(mdl._draw_noise(model, 300, 3, 5), 300), whole), budget
+        assert np.array_equal(_joined(mdl._noise_pieces(model, 3, 5, 300), 300), whole), budget
 
 
 PREFIX_CHILD = """
@@ -821,7 +852,7 @@ def test_an_ensemble_holds_about_one_piece_of_noise(monkeypatch):
     assert peak < piece + 8e6, (peak, piece)
     # every piece of a draw of several is a view of the one buffer
     monkeypatch.setattr(mdl, "_PIECE_BYTES", 1)
-    pieces = list(mdl._draw_noise(loop, 150, 3, 0))
+    pieces = list(mdl._noise_pieces(loop, 3, 0, 150))
     assert [len(piece) for piece in pieces] == [64, 64, 22]
     assert pieces[0].base is not None and all(piece.base is pieces[0].base for piece in pieces)
 
@@ -845,12 +876,12 @@ def _buffered_bits_that_differ(model, runs=3, steps=150, seed=4):
     """The outputs in which _simulate and _step_by_step differ on an attacked two-lane ensemble.
 
     Lane 0 carries the all-ones attack and lane 1 the worst-direction one,
-    both from step 21.  _simulate reads the noise in 64-step pieces drawn
-    one over the other into one buffer (_pieces), the reference one copy
-    of the same draw.
+    both from step 21.  _simulate reads the noise row by row from 64-step
+    pieces drawn one over the other into one buffer (_noise_pieces), the
+    reference one copy of the same draw.
     """
-    n, p, lanes = model.n, model.p, 2
-    detector = ChiSqDetector(tune_chi2(p, 0.05))
+    lanes = 2
+    detector = ChiSqDetector(tune_chi2(model.p, 0.05))
     plans = [plan_attack(model, detector, k_star=21, direction=d) for d in ("ones", "worst")]
     directions = attacks._lane_directions(plans, runs)
 
@@ -858,10 +889,10 @@ def _buffered_bits_that_differ(model, runs=3, steps=150, seed=4):
         return attacks._lane_biases(plans, directions, model, k, c_err, eta, z_past) if k >= 21 else None
 
     def pieces():
-        sources = [model.noise(seed, run=i) for i in range(runs)]
-        return mdl._pieces(sources, np.empty((64, runs, n + p)), steps)
+        return mdl._noise_pieces(model, runs, seed, steps, 64, 64)
 
-    buffered = mdl._simulate(model, pieces(), steps, runs, attack, lanes=lanes, record=True)
+    rows = itertools.chain.from_iterable(pieces())
+    buffered = mdl._simulate(model, rows, steps, runs, attack, lanes=lanes, record=True)
     reference = _step_by_step(model, _joined(pieces(), steps), runs, lanes, attack)
     names = ("z", "x", "xhat", "sum_x", "first")
     flat = [[out[0], *out[1], *out[2]] for out in (buffered, reference)]

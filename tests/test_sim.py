@@ -355,10 +355,10 @@ def test_a_lane_is_scanned_when_it_is_consumed(reactor_fixed, monkeypatch):
     # the draw is freed before the first scan, and each lane is scanned
     # only when it is taken
     draws, scans = [], []
-    draw_noise = mdl._draw_noise
+    noise_pieces = mdl._noise_pieces
 
     def recording_draw(*args):
-        noise = draw_noise(*args)
+        noise = noise_pieces(*args)
         draws.append(weakref.ref(noise))
         return noise
 
@@ -371,7 +371,7 @@ def test_a_lane_is_scanned_when_it_is_consumed(reactor_fixed, monkeypatch):
             return scan(self, z, carry)
         monkeypatch.setattr(cls, "scan", scan_and_record)
 
-    monkeypatch.setattr(mdl, "_draw_noise", recording_draw)
+    monkeypatch.setattr(mdl, "_noise_pieces", recording_draw)
     for cls in (ChiSqDetector, WindowedChiSqDetector, CusumDetector):
         recording_scan(cls)
     lanes = schedule_lanes(reactor_fixed, 3)
