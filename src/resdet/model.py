@@ -33,12 +33,12 @@ n + p standard normals per step, multiplied by the plant's factors of R1
 and R2 in whole tiles of _TILE steps aligned to step 0.  So step t's
 noise depends only on (seed, run, t): a draw of T steps is the first T
 steps of any longer one, however either is split into whole tiles, and
-the draw's size is free.  One generator draws every run's noise
-(`_noise_pieces`), run by run on the calling thread (`_draw_blocks`),
-each piece over the last in one buffer; each consumer passes its size
-rule: an ensemble pieces of at most _PIECE_BYTES, a fixed-length stream
-its steps in one piece, and the ARL stream pieces that double from
-_TILE rows up to _PIECE_BYTES.  A piece is a time-major (rows, runs,
+the draw's size is free.  Every run's noise is drawn run by run on the
+calling thread (`_draw_blocks`): a fixed-length stream's steps in one
+piece, and every other stream's by one generator (`_noise_pieces`),
+each piece over the last in one buffer, in the consumer's size rule: an
+ensemble pieces of at most _PIECE_BYTES, and the ARL stream pieces that
+double from _TILE rows up to _PIECE_BYTES.  A piece is a time-major (rows, runs,
 n + p) array whose last axis holds v, then eta, and the loop reads it
 row by row, so each step copies its noise once, into every lane's
 columns of one buffer, and z is written one (lanes * runs) row per step;
@@ -413,9 +413,9 @@ class NoiseModel:
 def _draw_blocks(sources, buf: np.ndarray) -> np.ndarray:
     """Fill `buf`, one time-major (rows, runs, n + p) piece, run by run; return it.
 
-    `buf` is a view of the buffer of _noise_pieces, whose first buffer is
-    allocated before any source is built, so a draw too large to allocate
-    fails before a source exists.  v and eta share the one allocation:
+    `buf` is allocated before any source is built (the first buffer of
+    _noise_pieces, or simulate_distance_stream's one piece), so a draw too
+    large to allocate fails before a source exists.  v and eta share the one allocation:
     two arrays freed at different times, with the thread's remembered
     draw and stream allocated between them, fragment the glibc heap and
     raise the peak resident size.  Step t of every run is then the
@@ -594,14 +594,13 @@ def _piece_rows(runs: int, columns: int) -> int:
 
 
 def _noise_pieces(model: ClosedLoopModel, runs: int, seed: int, steps: int | None = None,
-                  first: int | None = None, most: int | None = None):
+                  first: int | None = None):
     """Noise of runs 0..runs-1 from step 0, an iterator of time-major (rows, runs, n + p) pieces.
 
     Each piece has `first` rows more than were drawn before it, at most
-    `most` (by default _piece_rows; `first` defaults to `most`), and the
-    pieces end after `steps` rows in all (at least one piece, maybe
-    empty), or never when `steps` is None.  So an ensemble's pieces have
-    _piece_rows rows, a fixed-length stream is one piece, and the ARL
+    _piece_rows (the default of `first`), and the pieces end after `steps`
+    rows in all (at least one piece, maybe empty), or never when `steps`
+    is None.  So an ensemble's pieces have _piece_rows rows, and the ARL
     stream's (`first` = _TILE) have 64, 128, 256, ... rows up to
     _piece_rows; every piece but the last is whole tiles, as NoiseModel
     requires.  Slab [:, i] is run i's (seed, i) substream (_draw_blocks),
@@ -617,7 +616,7 @@ def _noise_pieces(model: ClosedLoopModel, runs: int, seed: int, steps: int | Non
     """
     _forget_noise()
     columns = model.n + model.p
-    most = _piece_rows(runs, columns) if most is None else most
+    most = _piece_rows(runs, columns)
     first = most if first is None else first
     end = np.inf if steps is None else steps
 
@@ -723,9 +722,8 @@ def simulate_distance_stream(
     of the same R1 and R2, seed and runs and holds burn_in + steps rows,
     so a loop that shares R1 and R2, or a shorter stream, simulates
     without drawing again.  Otherwise the old draw is forgotten and
-    burn_in + steps rows are drawn in one piece (_noise_pieces), and
-    remembered.  The last
-    stream simulated on the draw is remembered with it: a call with the
+    burn_in + steps rows are drawn in one piece (_draw_blocks), and
+    remembered.  The last stream simulated on the draw is remembered with it: a call with the
     same model object, steps and burn_in returns it again without
     simulating, so detectors measured on one stream share one simulation.
     Every other noise draw of the thread (run_ensemble,
@@ -737,7 +735,9 @@ def simulate_distance_stream(
         raise ValueError("runs must be >= 1")
     total, memo = burn_in + steps, _attack_free
     if not memo.holds(model, runs, seed, total):
-        noise = next(_noise_pieces(model, runs, seed, total, total, total)).base  # the one piece's buffer
+        _forget_noise()  # let the old draw go before the new one is allocated
+        noise = _noise_buffer(total, runs, model.n + model.p, total)
+        _draw_blocks([model.noise(seed, run=i) for i in range(runs)], noise)
         noise.flags.writeable = False  # its views cannot be made writeable either
         memo.key, memo.noise = (model.plant.chol_r1, model.plant.chol_r2, seed, runs), noise
     elif memo.stream is not None and memo.stream[0] is model and memo.stream[1:3] == (steps, burn_in):

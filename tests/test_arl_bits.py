@@ -260,17 +260,21 @@ def test_an_arl_estimate_holds_only_the_pieces_it_reads(reactor_dare):
     # one reads all 5,050 steps, in pieces that grow to _piece_rows (704
     # steps, 15.8 MB) and then are drawn over one another in one buffer,
     # which the stream holds alone, also where a block straddles two pieces
-    estimates = [(ChiSqDetector(tune_chi2(3, 0.05)), 1_000_000), (ChiSqDetector(1e9), 5000)]
-    for detector, cap in estimates:
+    def first():
+        return estimate_arl(reactor_dare, ChiSqDetector(tune_chi2(3, 0.05)), runs=400, seed=2)
+
+    def censored():
+        with pytest.warns(UserWarning, match="400 of 400 runs"):
+            return estimate_arl(reactor_dare, ChiSqDetector(1e9), runs=400, seed=2, cap=5000)
+
+    for estimate in (first, censored):
         tracemalloc.start()
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # the second censors every run
-                result = estimate_arl(reactor_dare, detector, runs=400, seed=2, cap=cap)
+            result = estimate()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6, (cap, peak)
+        assert peak < 20e6, (estimate.__name__, peak)
     assert result.censored == 400
 
 

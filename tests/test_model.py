@@ -877,8 +877,8 @@ def _buffered_bits_that_differ(model, runs=3, steps=150, seed=4):
 
     Lane 0 carries the all-ones attack and lane 1 the worst-direction one,
     both from step 21.  _simulate reads the noise row by row from 64-step
-    pieces drawn one over the other into one buffer (_noise_pieces), the
-    reference one copy of the same draw.
+    pieces drawn one over the other into one buffer (_noise_pieces under
+    a one-tile budget), the reference one copy of the same draw.
     """
     lanes = 2
     detector = ChiSqDetector(tune_chi2(model.p, 0.05))
@@ -888,12 +888,12 @@ def _buffered_bits_that_differ(model, runs=3, steps=150, seed=4):
     def attack(k, c_err, eta, z_past):
         return attacks._lane_biases(plans, directions, model, k, c_err, eta, z_past) if k >= 21 else None
 
-    def pieces():
-        return mdl._noise_pieces(model, runs, seed, steps, 64, 64)
-
-    rows = itertools.chain.from_iterable(pieces())
-    buffered = mdl._simulate(model, rows, steps, runs, attack, lanes=lanes, record=True)
-    reference = _step_by_step(model, _joined(pieces(), steps), runs, lanes, attack)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mdl, "_PIECE_BYTES", BUDGETS["tile"])
+        rows = itertools.chain.from_iterable(mdl._noise_pieces(model, runs, seed, steps))
+        buffered = mdl._simulate(model, rows, steps, runs, attack, lanes=lanes, record=True)
+        reference = _step_by_step(model, _joined(mdl._noise_pieces(model, runs, seed, steps), steps),
+                                  runs, lanes, attack)
     names = ("z", "x", "xhat", "sum_x", "first")
     flat = [[out[0], *out[1], *out[2]] for out in (buffered, reference)]
     return [name for name, ours, theirs in zip(names, *flat) if not np.array_equal(ours, theirs)]
