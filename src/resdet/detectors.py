@@ -22,6 +22,12 @@ at a time that serves as the reference, and `scan`, a vectorized pass over
 statistic), so a stream can be scanned block by block.  Tuning, Monte-Carlo
 estimation and the simulation loop use only the scans; tests hold them to
 the state machines' alarm sequences.
+
+The three Monte-Carlo estimators (tune_cusum_tau, measure_alarm_rate,
+estimate_arl) read their attack-free stream through one generator,
+_scan_blocks, which threads a detector's scan over the stream's column
+blocks of _SCAN_BLOCK steps; each counts alarms or exceedances block by
+block, so each holds a block's statistics at a time, never a whole stream's.
 """
 
 from __future__ import annotations
@@ -64,9 +70,10 @@ _WINDOW_REFRESH = 1024
 # narrower than the window reads a copy of no more than this many.
 _WINDOW_BLOCK = 1 << 16
 
-# Steps estimate_arl advances and scans at a time after the warm-up: how
-# far it can run past the last run's exceedance.
-_ARL_BLOCK = 64
+# Steps the Monte-Carlo estimators scan at a time (_scan_blocks): the
+# statistics any of them holds, and how far estimate_arl can run past the
+# last run's exceedance.
+_SCAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -166,12 +173,16 @@ class WindowedChiSqDetector(_Detector):
         return None
 
     def scan(self, z, carry=None):
-        """(stat, alarm, carry); the carry is the last (up to) ell - 1 samples seen."""
+        """(stat, alarm, carry); the carry is a copy of the last (up to) ell - 1 samples seen.
+
+        A copy, so that it keeps no block of z alive.
+        """
         z = np.atleast_2d(np.asarray(z, dtype=float))
         seen = z if carry is None else np.concatenate([carry, z], axis=1)
         stat, alarm = scan_windowed(seen, self.ell, self.beta)
         lead = seen.shape[1] - z.shape[1]  # the carried columns fill the window only
-        return stat[:, lead:], alarm[:, lead:], seen[:, max(0, seen.shape[1] - self.ell + 1):]
+        tail = seen[:, max(0, seen.shape[1] - self.ell + 1):]
+        return stat[:, lead:], alarm[:, lead:], tail.copy()
 
 
 class CusumDetector(_Detector):
@@ -268,7 +279,9 @@ def tune_cusum_tau(
     by bisection: one attack-free ensemble of distance measures is
     simulated (about `mc` samples, deterministic given `seed`) and the
     alarm frequency is evaluated on that fixed stream at each candidate
-    tau until it is within `tol_rel` (relative) of `a_star`.  The returned
+    tau until it is within `tol_rel` (relative) of `a_star`.  Each
+    evaluation counts the alarms block by block (_scan_blocks), so it holds
+    one block of statistics besides the stream.  The returned
     tau is the first bisection midpoint inside that band, not the root:
     on the benchmark loop at b = 3 and 5% it is 7.5, while the root lies
     near 7.38.
@@ -317,7 +330,7 @@ def tune_cusum_tau(
     samples = z.size
 
     def rate_at(tau: float) -> float:
-        return scan_cusum(z, b, tau)[1].sum() / samples
+        return sum(alarm.sum() for _, alarm in _scan_blocks(CusumDetector(tau, b), z)) / samples
 
     lo, rate_lo = 0.0, rate_at(0.0)
     if rate_lo < a_star:
@@ -427,6 +440,32 @@ def scan_cusum(z: np.ndarray, b: float, tau: float, s: Optional[np.ndarray] = No
 # Monte-Carlo estimation
 
 
+def _block_width(detector) -> int:
+    """_SCAN_BLOCK, or ell - 1 for a longer window: a carry never outnumbers a block's columns."""
+    return max(_SCAN_BLOCK, detector.params.get("ell", 1) - 1)
+
+
+def _scan_blocks(detector, z):
+    """Yield (stat, alarm) of detector.scan for each column block of one stream.
+
+    `z` is the stream as a (runs, steps) array, scanned in views of
+    _block_width(detector) steps, or as an iterable of its consecutive
+    (runs, width) blocks.  The scan's carry is threaded from block to block,
+    so the blocks' alarms are the whole scan's (the chi-squared and CUSUM
+    statistics bit for bit; a windowed block restarts its running sums, so
+    its statistics can differ in the last bits), and a consumer holds the
+    statistics of at most two blocks: the last, and the one being scanned.
+    """
+    blocks = z
+    if isinstance(z, np.ndarray):
+        width = _block_width(detector)
+        blocks = (z[:, start:start + width] for start in range(0, z.shape[1], width))
+    carry = None
+    for block in blocks:
+        stat, alarm, carry = detector.scan(block, carry)
+        yield stat, alarm
+
+
 @dataclass(frozen=True)
 class RateEstimate:
     """Per-step alarm frequency over an attack-free ensemble."""
@@ -448,17 +487,20 @@ def measure_alarm_rate(
     """Empirical attack-free per-step alarm frequency of a tuned detector.
 
     Simulates `runs` independent attack-free streams of `steps` distance
-    measures (after `burn_in`) and counts alarms.  The standard error uses
-    between-run variation, which is honest for the windowed and CUSUM
-    detectors whose alarm events are serially dependent within a run.
+    measures (after `burn_in`) and counts alarms per run, block by block
+    (_scan_blocks), so it holds one block of statistics besides the stream.
+    The standard error uses between-run variation, which is honest for the
+    windowed and CUSUM detectors whose alarm events are serially dependent
+    within a run.  A window longer than the stream evaluates nothing, and
+    the estimate is NaN.
     """
     z = model_mod.simulate_distance_stream(model, steps=steps, runs=runs, seed=seed, burn_in=burn_in)
-    _, alarms, _ = detector.scan(z)
     # a windowed detector evaluates only full windows
     per_run_samples = max(0, steps - detector.params.get("ell", 1) + 1)
     if per_run_samples == 0:
         return RateEstimate(rate=math.nan, stderr=math.nan, alarms=0, samples=0)
-    run_rates = alarms.sum(axis=1) / per_run_samples
+    alarms = sum(alarm.sum(axis=1) for _, alarm in _scan_blocks(detector, z))  # per run
+    run_rates = alarms / per_run_samples
     rate = float(run_rates.mean())
     stderr = float(run_rates.std(ddof=1) / math.sqrt(runs)) if runs > 1 else math.nan
     return RateEstimate(
@@ -514,15 +556,17 @@ def estimate_arl(
     emitted alarm trails it by one update).  Runs are capped at `cap`
     steps; censored runs are counted at the cap and flagged with a warning.
 
-    The stream is advanced and scanned in blocks of _ARL_BLOCK steps after
-    the warm-up (model.iter_distance_stream), and the loop stops as soon as
-    every run has exceeded, so the work follows the longest run rather
-    than the cap.  Step t of run i's noise depends only on (seed, i, t), so
-    the result depends on the seed alone.  The noise is drawn ahead of the
-    blocks in pieces that double from 64 steps up to model._PIECE_BYTES,
-    then are drawn over one another in one buffer, and stops with them.
-    Nothing of the draw is kept, so each estimate draws its own noise, and
-    the thread's remembered fixed-length draw is forgotten first.
+    The stream is advanced (model.iter_distance_stream) and scanned
+    (_scan_blocks) in blocks of _SCAN_BLOCK steps, or ell - 1 for a longer
+    window, after the warm-up, and the loop stops as soon as every run has
+    exceeded, so the work follows the longest run rather than the cap, and
+    the estimate holds one block of statistics at a time.  Step t of run
+    i's noise depends only on (seed, i, t), so the result depends on the
+    seed alone.  The noise is drawn ahead of the blocks in pieces that
+    double from 64 steps up to model._PIECE_BYTES, then are drawn over one
+    another in one buffer, and stops with them.  Nothing of the draw is
+    kept, so each estimate draws its own noise, and the thread's remembered
+    fixed-length draw is forgotten first.
 
     The two CUSUM rates differ: 1/ARL counts exceedances with a restart on
     the exceedance step, while tune_cusum_tau and measure_alarm_rate count
@@ -539,7 +583,8 @@ def estimate_arl(
         raise ValueError(f"cap must be at most 2**63 - 1, got {cap}")
     if warm_up < 0:
         raise ValueError("warm_up must be >= 0")
-    blocks = (min(_ARL_BLOCK, cap - offset) for offset in range(0, cap, _ARL_BLOCK))
+    width = _block_width(detector)
+    blocks = (min(width, cap - offset) for offset in range(0, cap, width))
     widths = itertools.chain([warm_up], blocks)
     try:
         lengths = np.full(runs, cap, dtype=np.int64)
@@ -548,13 +593,9 @@ def estimate_arl(
         raise ValueError(
             f"an ARL estimate of runs = {runs} capped at {cap} steps is too large to allocate"
         ) from None
-    carry = None
-    start = -warm_up  # the post-warm-up step that begins the next block
-    for z in model_mod.iter_distance_stream(model, widths, runs=runs, seed=seed):
-        offset, start = start, start + z.shape[1]
-        if offset < 0 or not z.shape[1]:
-            continue  # the warm-up block
-        stat, alarm, carry = detector.scan(z, carry)
+    stream = model_mod.iter_distance_stream(model, widths, runs=runs, seed=seed)
+    offset = 0  # the post-warm-up step that begins the block
+    for stat, alarm in _scan_blocks(detector, itertools.islice(stream, 1, None)):  # past the warm-up
         exceed = detector.exceedance(stat, alarm)
         hit_any = exceed.any(axis=1)
         first = np.where(hit_any, exceed.argmax(axis=1), 0)
@@ -563,6 +604,7 @@ def estimate_arl(
         done |= hit_any
         if done.all():
             break  # stop advancing: every run has exceeded
+        offset += stat.shape[1]
 
     censored = int((~done).sum())
     if censored:

@@ -128,7 +128,10 @@ def test_arl_is_bit_identical_to_the_whole_chunk_stream(loops, loop, name):
     for case, kwargs in CASES.items():
         arl, half_width, censored = PINNED[(loop, name, case)]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # cap = 23 censors some runs
+            # cap = 23 censors some runs
+            warnings.filterwarnings(
+                "ignore", message=".*censored lower bound", category=UserWarning
+            )
             result = estimate_arl(loops[loop], DETECTORS[name](), runs=40, **kwargs)
         cap = kwargs.get("cap", 1_000_000)
         assert result == ArlResult(arl, 1.0 / arl, half_width, 40, censored, cap), case

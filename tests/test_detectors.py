@@ -208,6 +208,28 @@ def test_tune_cusum_deterministic_and_calibrated(reactor_dare):
     assert abs(info["rate"] - 0.05) <= 0.05 * 0.05
 
 
+def test_the_tuner_and_the_rate_hold_one_block_of_statistics(reactor_dare):
+    # on a stream already simulated, the tuner and the rate count alarms
+    # block by block: (64, 100) statistics and alarms, about 58 KB, and the
+    # last block while the next is scanned, where a whole scan of 100 runs
+    # x 1,000 steps holds 0.9 MB
+    det.model_mod.simulate_distance_stream(reactor_dare, steps=1000, runs=100, seed=5, burn_in=50)
+    rate = {"chi2": ChiSqDetector(tune_chi2(3, 0.05)), "cusum": CusumDetector(7.5, 3.0)}
+    estimates = {
+        "tune": lambda: tune_cusum_tau(reactor_dare, b=3.0, a_star=0.05, mc=100_000, seed=5),
+        "chi2": lambda: measure_alarm_rate(reactor_dare, rate["chi2"], runs=100, seed=5),
+        "cusum": lambda: measure_alarm_rate(reactor_dare, rate["cusum"], runs=100, seed=5),
+    }
+    for name, estimate in estimates.items():
+        tracemalloc.start()
+        try:
+            estimate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000, (name, peak)
+
+
 def test_tuning_consistency_all_kinds(reactor_dare):
     p = 3
     for a_star in (0.01, 0.05, 0.1):
@@ -273,12 +295,14 @@ def scan_in_pieces(detector, z, widths):
 def test_chunked_scans_equal_whole_scans():
     rng = np.random.default_rng(35)
     z = rng.chisquare(3, size=(5, 400))
+    long = rng.chisquare(3, size=(5, 1050))
     # boundaries at 0, 1, 3 and 6 fall inside the ell = 7 warm-up
     widths = [0, 1, 2, 3, 1, 0, 50, 7, 136, 200]
     for proto in (
         ChiSqDetector(tune_chi2(3, 0.05)),
         WindowedChiSqDetector(tune_windowed(3, 7, 0.05), 7),
         WindowedChiSqDetector(tune_windowed(3, 1, 0.05), 1),
+        WindowedChiSqDetector(tune_windowed(3, 100, 0.05), 100),
         CusumDetector(1.5, 3.0),
     ):
         whole_stat, whole_alarm, _ = proto.scan(z)
@@ -288,10 +312,31 @@ def test_chunked_scans_equal_whole_scans():
             # each chunk restarts the running sum, so the last bits may differ
             np.testing.assert_allclose(stat, whole_stat, rtol=1e-12)
             assert np.array_equal(carry, z[:, z.shape[1] - proto.ell + 1:])
+            # the carry is a copy, so it keeps no block alive
+            assert not np.shares_memory(proto.scan(z[:, :3])[2], z)
         else:
             assert np.array_equal(stat, whole_stat), proto.kind
         if proto.kind == "cusum":
             assert np.array_equal(carry, whole_stat[:, -1])
+        # the estimators' block-wise counts equal the whole scan's per-run
+        # alarm sums, in blocks of 64 steps (ell - 1 for a window that long,
+        # so a carry never outnumbers a block's columns): on the pieces
+        # above, and on streams of 0 steps, less than a block, and 1,050
+        # steps, not a multiple of the block
+        width = 99 if proto.params.get("ell") == 100 else 64
+        streams = [(z, np.split(z, np.cumsum(widths)[:-1], axis=1), widths)]
+        for steps in (0, 40, 1050):
+            cut = [min(width, steps - start) for start in range(0, steps, width)]
+            streams.append((long[:, :steps], long[:, :steps], cut))
+        for whole, blocks, cut in streams:
+            counts, scanned = np.zeros(5, dtype=np.int64), []
+            for stat, alarm in det._scan_blocks(proto, blocks):
+                assert stat.shape == alarm.shape
+                scanned.append(stat.shape[1])
+                counts += alarm.sum(axis=1)
+            assert scanned == cut, proto.params
+            want = proto.scan(whole)[1].sum(axis=1)
+            assert np.array_equal(counts, want), (proto.params, whole.shape)
 
 
 def test_chunked_cusum_alarm_fires_on_the_next_chunk():
