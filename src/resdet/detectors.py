@@ -24,10 +24,8 @@ estimation and the simulation loop use only the scans; tests hold them to
 the state machines' alarm sequences.
 
 The three Monte-Carlo estimators (tune_cusum_tau, measure_alarm_rate,
-estimate_arl) read their attack-free stream through one generator,
-_scan_blocks, which threads a detector's scan over the stream's column
-blocks of _SCAN_BLOCK steps; each counts alarms or exceedances block by
-block, so each holds a block's statistics at a time, never a whole stream's.
+estimate_arl) count alarms or exceedances on their attack-free stream
+block by block, through _scan_blocks.
 """
 
 from __future__ import annotations
@@ -65,10 +63,6 @@ __all__ = [
 # Running window sums are refreshed from the buffer at this cadence so
 # float drift from incremental add/subtract stays bounded on long streams.
 _WINDOW_REFRESH = 1024
-
-# Values per block of scan_windowed's in-place window sums: a block
-# narrower than the window reads a copy of no more than this many.
-_WINDOW_BLOCK = 1 << 16
 
 # Steps the Monte-Carlo estimators scan at a time (_scan_blocks): the
 # statistics any of them holds, and how far estimate_arl can run past the
@@ -257,6 +251,8 @@ def tune_windowed(p: int, ell: int, a_star: float) -> float:
         raise ValueError(f"sensor count must be >= 1, got {p}")
     if not (0.0 < a_star < 1.0):
         raise ValueError(f"false-alarm rate must lie in (0, 1), got {a_star}")
+    if 1.0 - a_star == 1.0:
+        raise ValueError(f"false-alarm rate {a_star} is too small: 1 - rate rounds to 1")
     try:
         shape = p * ell / 2.0
     except OverflowError:
@@ -279,12 +275,10 @@ def tune_cusum_tau(
     by bisection: one attack-free ensemble of distance measures is
     simulated (about `mc` samples, deterministic given `seed`) and the
     alarm frequency is evaluated on that fixed stream at each candidate
-    tau until it is within `tol_rel` (relative) of `a_star`.  Each
-    evaluation counts the alarms block by block (_scan_blocks), so it holds
-    one block of statistics besides the stream.  The returned
-    tau is the first bisection midpoint inside that band, not the root:
-    on the benchmark loop at b = 3 and 5% it is 7.5, while the root lies
-    near 7.38.
+    tau until it is within `tol_rel` (relative) of `a_star`, counting its
+    alarms through _scan_blocks.  The returned tau is the first bisection
+    midpoint inside that band, not the root: on the benchmark loop at
+    b = 3 and 5% it is 7.5, while the root lies near 7.38.
 
     The calibrated rate counts alarms of the lagged recursion (see
     CusumDetector): each alarm update uses up one sample after the
@@ -332,39 +326,35 @@ def tune_cusum_tau(
     def rate_at(tau: float) -> float:
         return sum(alarm.sum() for _, alarm in _scan_blocks(CusumDetector(tau, b), z)) / samples
 
-    lo, rate_lo = 0.0, rate_at(0.0)
-    if rate_lo < a_star:
+    tau = lo = hi = 0.0
+    rate = rate_at(0.0)
+    iterations = 0
+    if rate < a_star:
         warnings.warn(
-            f"rate unattainable: even tau -> 0 yields alarm rate {rate_lo:.4g} "
+            f"rate unattainable: even tau -> 0 yields alarm rate {rate:.4g} "
             f"< target {a_star:.4g} (bias b={b} too large for this target)",
             stacklevel=2,
         )
-        tau = 0.0
-        info = {"rate": rate_lo, "b": b, "bracket": (0.0, 0.0), "iterations": 0, "samples": samples}
-        return (tau, info) if full_output else tau
-
-    hi = max(1.0, b)
-    while rate_at(hi) >= a_star:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket the CUSUM threshold")
-
-    tau, rate = lo, rate_lo
-    iterations = 0
-    for iterations in range(1, 81):
-        tau = 0.5 * (lo + hi)
-        rate = rate_at(tau)
-        if abs(rate - a_star) <= tol_rel * a_star:
-            break
-        if rate > a_star:
-            lo = tau
-        else:
-            hi = tau
     else:
-        warnings.warn(
-            f"bisection stopped at alarm rate {rate:.4g} (target {a_star:.4g})",
-            stacklevel=2,
-        )
+        hi = max(1.0, b)
+        while rate_at(hi) >= a_star:
+            hi *= 2.0
+            if hi > 1e12:
+                raise RuntimeError("failed to bracket the CUSUM threshold")
+        for iterations in range(1, 81):
+            tau = 0.5 * (lo + hi)
+            rate = rate_at(tau)
+            if abs(rate - a_star) <= tol_rel * a_star:
+                break
+            if rate > a_star:
+                lo = tau
+            else:
+                hi = tau
+        else:
+            warnings.warn(
+                f"bisection stopped at alarm rate {rate:.4g} (target {a_star:.4g})",
+                stacklevel=2,
+            )
 
     info = {"rate": rate, "b": b, "bracket": (lo, hi), "iterations": iterations, "samples": samples}
     return (tau, info) if full_output else tau
@@ -391,18 +381,15 @@ def scan_windowed(z: np.ndarray, ell: int, beta: float):
     step-major arrays.
 
     The window sums are formed in the cumulative sum's own buffer, the one
-    float (steps, runs) array the scan allocates: block by block from the
-    end backwards, rows lo..hi-1 lose rows lo - ell..hi - ell - 1, which no
-    earlier block changed.  A block spans max(ell, _WINDOW_BLOCK / runs)
-    rows; where that is more than ell, the rows it reads overlap the rows
-    it writes, and numpy reads them from a copy of the block.
+    float (steps, runs) array the scan allocates: in blocks of ell rows
+    from the end backwards, rows lo..hi-1 lose rows lo - ell..hi - ell - 1,
+    which no earlier block changed and which the block does not write.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     ell = int(ell)
     w = np.cumsum(z.T, axis=0)
-    rows = max(ell, _WINDOW_BLOCK // max(1, w.shape[1]))
-    for hi in range(len(w), ell, -rows):
-        lo = max(ell, hi - rows)
+    for hi in range(len(w), ell, -ell):
+        lo = max(ell, hi - ell)
         w[lo:hi] -= w[lo - ell:hi - ell]
     alarms = w > beta
     alarms[: ell - 1] = False  # window not yet full
@@ -487,12 +474,11 @@ def measure_alarm_rate(
     """Empirical attack-free per-step alarm frequency of a tuned detector.
 
     Simulates `runs` independent attack-free streams of `steps` distance
-    measures (after `burn_in`) and counts alarms per run, block by block
-    (_scan_blocks), so it holds one block of statistics besides the stream.
-    The standard error uses between-run variation, which is honest for the
-    windowed and CUSUM detectors whose alarm events are serially dependent
-    within a run.  A window longer than the stream evaluates nothing, and
-    the estimate is NaN.
+    measures (after `burn_in`) and counts alarms per run through
+    _scan_blocks.  The standard error uses between-run variation, which is
+    honest for the windowed and CUSUM detectors whose alarm events are
+    serially dependent within a run.  A window longer than the stream
+    evaluates nothing, and the estimate is NaN.
     """
     z = model_mod.simulate_distance_stream(model, steps=steps, runs=runs, seed=seed, burn_in=burn_in)
     # a windowed detector evaluates only full windows
@@ -556,16 +542,13 @@ def estimate_arl(
     emitted alarm trails it by one update).  Runs are capped at `cap`
     steps; censored runs are counted at the cap and flagged with a warning.
 
-    The stream is advanced (model.iter_distance_stream) and scanned
-    (_scan_blocks) in blocks of _SCAN_BLOCK steps, or ell - 1 for a longer
-    window, after the warm-up, and the loop stops as soon as every run has
-    exceeded, so the work follows the longest run rather than the cap, and
-    the estimate holds one block of statistics at a time.  Step t of run
-    i's noise depends only on (seed, i, t), so the result depends on the
-    seed alone.  The noise is drawn ahead of the blocks in pieces that
-    double from 64 steps up to model._PIECE_BYTES, then are drawn over one
-    another in one buffer, and stops with them.  Nothing of the draw is
-    kept, so each estimate draws its own noise, and the thread's remembered
+    After the warm-up the stream is advanced (model.iter_distance_stream,
+    which draws its noise) and scanned (_scan_blocks) in blocks of
+    _block_width steps, and the loop stops as soon as every run has
+    exceeded, so the work follows the longest run rather than the cap.
+    Step t of run i's noise depends only on (seed, i, t), so the result
+    depends on the seed alone.  Nothing of the draw is kept, so each
+    estimate draws its own noise, and the thread's remembered
     fixed-length draw is forgotten first.
 
     The two CUSUM rates differ: 1/ARL counts exceedances with a restart on
@@ -597,11 +580,9 @@ def estimate_arl(
     offset = 0  # the post-warm-up step that begins the block
     for stat, alarm in _scan_blocks(detector, itertools.islice(stream, 1, None)):  # past the warm-up
         exceed = detector.exceedance(stat, alarm)
-        hit_any = exceed.any(axis=1)
-        first = np.where(hit_any, exceed.argmax(axis=1), 0)
-        newly = hit_any & ~done
-        lengths[newly] = offset + first[newly] + 1
-        done |= hit_any
+        newly = exceed.any(axis=1) & ~done
+        lengths[newly] = offset + exceed.argmax(axis=1)[newly] + 1
+        done |= newly
         if done.all():
             break  # stop advancing: every run has exceeded
         offset += stat.shape[1]

@@ -189,11 +189,9 @@ def run_ensembles(scenarios):
     every lane (attacks._lane_biases, the per-step part of
     synthesize_attacks), each lane's psi coming from its own plan.  The
     bias directions are formed once per call, and the bias and advance
-    read one product C (x - xhat) per step.  The rows are drawn in pieces
-    of at most model._PIECE_BYTES, each over the last in one buffer when
-    the loop reaches it, so an ensemble holds one piece of its noise
-    however many steps it runs, and the draw is freed before the first
-    scan.
+    read one product C (x - xhat) per step.  The rows are drawn as the
+    loop reaches them, in model._noise_pieces' pieces, and the draw is
+    freed before the first scan.
     Each lane is scanned when it is consumed: a consumer that drops each
     result before taking the next holds one lane's stat and alarm at a
     time.

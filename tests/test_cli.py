@@ -347,6 +347,25 @@ def test_a_gamma_shape_out_of_reach_exits_2(tmp_path, capsys, monkeypatch, comma
     assert not (tmp_path / "sweep.csv").exists()
 
 
+TINY_FAR = "resdet: false-alarm rate 1e-300 is too small: 1 - rate rounds to 1\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["tune", "--detector", "chi2", "--sensors", "3", "--far", "1e-300"],
+    ["tune", "--detector", "windowed", "--sensors", "3", "--window", "4", "--far", "1e-300"],
+    ["sweep", "--sensors", "3", "--far", "0.05,1e-300", "--ell-max", "3", "--out", "sweep.csv"],
+    ["simulate", "--scenario", "scenario.json", "--out", "t.csv", "--summary", "s.json"],
+], ids=["tune-chi2", "tune-windowed", "sweep", "scenario-far"])
+def test_a_rate_too_small_for_its_quantile_names_the_rate(tmp_path, capsys, monkeypatch, command):
+    # 1 - 1e-300 rounds to 1, where no quantile exists
+    monkeypatch.chdir(tmp_path)
+    write_scenario(tmp_path, scalar_doc(detector={"kind": "windowed", "far": 1e-300, "window": 4}))
+    assert main(command) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == TINY_FAR
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "--out", "t.csv", "--summary", "s.json"],
     ["arl", "--runs", "2", "--cap", "10"],

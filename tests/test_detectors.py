@@ -406,32 +406,35 @@ def test_windowed_scan_of_step_major_z_has_the_cumsum_bits(runs):
 
 
 
-@pytest.mark.parametrize("block", [det._WINDOW_BLOCK, 15], ids=["default", "5-row"])
-def test_windowed_scan_forms_its_sums_in_one_float_buffer(monkeypatch, block):
+@pytest.mark.parametrize(
+    "shapes, ells",
+    [([(3, 37)], range(1, 45)), ([(3, 37), (1000, 1000)], (1, 2, 4, 50, 63, 64, 65, 999, 1000, 1001, 5000))],
+    ids=["3x37", "1000x1000"],
+)
+def test_windowed_scan_forms_its_sums_in_one_float_buffer(shapes, ells):
     # the window sums are the cumsum's own buffer, changed in place: the scan
     # holds one float (steps, runs) array and the bool alarms, and each sum
-    # keeps the bits of the difference of two cumsum rows, whether its block
-    # is narrower or wider than the window (blocks of 5 rows on 3 runs)
-    monkeypatch.setattr(det, "_WINDOW_BLOCK", block)
+    # keeps the bits of the difference of two cumsum rows, for windows
+    # shorter than, equal to and longer than the stream (the 1,000 x 1,000
+    # array is the second draw of the seed)
     rng = np.random.default_rng(8)
-    small = rng.chisquare(3, size=(3, 37))
-    z = rng.chisquare(3, size=(1000, 1000))
-    for arr, ells in ((small, range(1, 45)), (z, (1, 2, 4, 50, 63, 64, 65, 999, 1000, 1001, 5000))):
-        cs = np.cumsum(arr.T, axis=0)
-        for ell in ells:
-            want = cs.copy()
-            want[ell:] = cs[ell:] - cs[:-ell]
-            tracemalloc.start()
-            try:
-                stat, alarm = scan_windowed(arr, ell, 3.0 * ell)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert np.array_equal(stat, want.T), (arr.shape, ell)
-            assert np.array_equal(alarm, (want.T > 3.0 * ell) & (np.arange(arr.shape[1]) >= ell - 1))
-            # 8 MB of sums and 1 MB of alarms at 1,000 x 1,000; the slack holds
-            # one copied block (det._WINDOW_BLOCK values) and numpy's buffers
-            assert peak <= arr.nbytes + arr.size + 2 ** 20, (arr.shape, ell, peak)
+    arr = [rng.chisquare(3, size=shape) for shape in shapes][-1]
+    cs = np.cumsum(arr.T, axis=0)
+    for ell in ells:
+        want = cs.copy()
+        want[ell:] = cs[ell:] - cs[:-ell]
+        tracemalloc.start()
+        try:
+            stat, alarm = scan_windowed(arr, ell, 3.0 * ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(stat, want.T), (arr.shape, ell)
+        assert np.array_equal(alarm, (want.T > 3.0 * ell) & (np.arange(arr.shape[1]) >= ell - 1))
+        # 8 MB of sums and 1 MB of alarms at 1,000 x 1,000; the slack holds
+        # numpy's buffers
+        assert peak <= arr.nbytes + arr.size + 2 ** 20, (arr.shape, ell, peak)
+
 
 def test_cusum_scan_eq10_timing():
     # exceedance at step 1 (S=tau+eps) -> alarm flag raised at step 2
