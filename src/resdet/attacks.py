@@ -28,11 +28,9 @@ it reads its thresholds through the plan's detector, and the dynamic ones
 derive the detector state they read from the z history.  `check_plan` is
 the one test of whether a plan can be simulated: its steady deviation, or
 that of its pulse held on every step, must exist and be finite.  The bias
-delta is formed in one place, `_lane_biases`, for the lanes of a
-lockstep simulation side by side, each lane's psi from its own plan:
-the loop calls it with the C e it forms once per step, and
-`synthesize_attacks`, which checks the lanes and forms C e, is its
-public entry; `synthesize_attack` is the one-lane call.
+delta is formed in one place, `_stealthy_bias`, from psi and the C e of
+the step: `synthesize_attack` forms psi for one plan, and the lanes loop
+(sim._lane_attack) for each lane from its own plan.
 
 Exact saturation is a knife edge in floating point (the computed statistic
 lands a few ulps either side of the threshold), so synthesized schedules
@@ -66,7 +64,6 @@ __all__ = [
     "attack_energy",
     "check_plan",
     "synthesize_attack",
-    "synthesize_attacks",
 ]
 
 DEFAULT_SATURATION_MARGIN = 5e-11
@@ -396,54 +393,21 @@ def synthesize_attack(
     are (n,) and (p,) vectors for one run or (n, runs) and (p, runs)
     matrices for an ensemble; `z_past` is the matching (k-1,) or
     (runs, k-1) z history, which the dynamic schedules read (see
-    attack_energy).  The one-lane case of synthesize_attacks.
-    """
-    return synthesize_attacks((plan,), model, k, e, eta, z_past)
-
-
-def synthesize_attacks(plans, model: ClosedLoopModel, k: int, e: np.ndarray, eta: np.ndarray,
-                       z_past=None) -> np.ndarray:
-    """The sensor biases delta_k of lanes side by side, one plan per lane.
-
-    `e` is an (n, lanes * runs) matrix whose columns l * runs ..
-    (l + 1) * runs - 1 are lane l's runs, `eta` the (p, lanes * runs)
-    sensor noise of those columns, and `z_past` their (lanes * runs, k-1)
-    z history; with one lane they may be one run's vectors, as in
-    synthesize_attack.  Each lane's psi_k comes from its plan's schedule
-    and its own rows of `z_past`; delta is then formed once for every
-    column (_lane_biases, which the lanes loop calls with the C e it forms
-    for advance too).
+    attack_energy).
 
     Raises:
-        ValueError: naming the lanes and the column count when there is no
-            plan, when the columns do not split into one equal lane per
-            plan, or when eta is not as wide as e, under python -O too.
+        ValueError: naming its width and the column count when eta is not
+            as wide as e, under python -O too.
     """
-    runs = model_mod._lane_runs(len(plans), e, eta)
-    return _lane_biases(plans, _lane_directions(plans, runs), model, k, model.plant.c @ e, eta, z_past)
+    model_mod._lane_runs(1, e, eta)
+    # one energy per column, so that Sigma^{1/2} multiplies as many columns as e has
+    energy = np.broadcast_to(attack_energy(plan, k, z_past), np.shape(e)[1:])
+    return _stealthy_bias(model, np.multiply.outer(plan.direction, np.sqrt(energy)), model.plant.c @ e, eta)
 
 
-def _lane_directions(plans, runs: int) -> np.ndarray:
-    """The plans' directions side by side, (p, len(plans) * runs): each lane's in each of its columns."""
-    return np.repeat(np.stack([plan.direction for plan in plans], axis=1), runs, axis=1)
-
-
-def _lane_biases(plans, directions: np.ndarray, model: ClosedLoopModel, k: int,
-                 c_err: np.ndarray, eta: np.ndarray, z_past) -> np.ndarray:
-    """synthesize_attacks from the product c_err = C e and the lanes' directions (_lane_directions).
-
-    `eta` is as wide as c_err.  The lanes loop (sim.run_ensembles) forms
-    the directions once per simulation and hands this step's C e, which
-    advance reads too.
-    """
-    lanes, cols = len(plans), np.shape(c_err)[1:]
-    runs = cols[0] // lanes if cols else 1
-    root = np.empty((lanes, runs))  # psi'psi of each lane's runs, then its square root
-    for l, plan in enumerate(plans):
-        rows = z_past if lanes == 1 or z_past is None else z_past[l * runs:(l + 1) * runs]
-        root[l] = attack_energy(plan, k, rows)
-    psi = directions * np.sqrt(root, out=root).reshape(-1)
+def _stealthy_bias(model: ClosedLoopModel, psi: np.ndarray, c_err: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """delta = -C e - eta + Sigma^{1/2} psi, from c_err = C e; psi, c_err and eta are equally wide."""
     delta = np.negative(c_err)
     delta -= eta
-    delta += model.sigma_sqrt @ psi.reshape(psi.shape[:1] + cols)
+    delta += model.sigma_sqrt @ psi
     return delta

@@ -60,6 +60,8 @@ __all__ = [
     "ArlResult",
 ]
 
+# Rates below this are solved on the chi-squared upper tail (tune_windowed).
+_UPPER_TAIL_RATE = 1e-6
 # Running window sums are refreshed from the buffer at this cadence so
 # float drift from incremental add/subtract stays bounded on long streams.
 _WINDOW_REFRESH = 1024
@@ -244,7 +246,13 @@ def tune_chi2(p: int, a_star: float) -> float:
 
 
 def tune_windowed(p: int, ell: int, a_star: float) -> float:
-    """Windowed threshold: the (1 - a_star) quantile of chi-squared(p*ell)."""
+    """Windowed threshold: the (1 - a_star) quantile of chi-squared(p*ell).
+
+    Below _UPPER_TAIL_RATE the quantile is solved on the upper tail,
+    Q = 1 - P = a_star: the lower tail's stop, |P - q| <= 1e-13, is
+    absolute and would lose digits there (DiDonato & Morris 1986, ACM
+    TOMS 12(4)).
+    """
     if int(ell) < 1:
         raise ValueError("window must be >= 1")
     if int(p) < 1:
@@ -257,7 +265,10 @@ def tune_windowed(p: int, ell: int, a_star: float) -> float:
         shape = p * ell / 2.0
     except OverflowError:
         raise ValueError("chi-squared shape p * window / 2 is too large for a float") from None
-    return 2.0 * numerics.inverse_regularized_lower_gamma(shape, 1.0 - a_star)
+    if a_star >= _UPPER_TAIL_RATE:
+        return 2.0 * numerics.inverse_regularized_lower_gamma(shape, 1.0 - a_star)
+    start = numerics.inverse_regularized_lower_gamma(shape, 1.0 - _UPPER_TAIL_RATE)
+    return 2.0 * numerics._inverse_upper_gamma(shape, a_star, start)
 
 
 def tune_cusum_tau(

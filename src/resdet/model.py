@@ -152,10 +152,7 @@ class PlantModel:
         r1 = _as_matrix(self.r1, n, n, "R1")
         r1 = 0.5 * (r1 + r1.T)
         chol_r1 = numerics.psd_factor(r1)  # raises if R1 is not PSD
-        r2 = _as_matrix(self.r2, p, p, "R2")
-        if np.abs(r2 - r2.T).max() > 1e-9 * max(1.0, float(np.abs(r2).max())):
-            raise ValueError("R2 must be symmetric")
-        r2 = 0.5 * (r2 + r2.T)
+        r2 = numerics._check_symmetric(_as_matrix(self.r2, p, p, "R2"), "R2", rtol=1e-9)
         try:
             chol_r2 = np.linalg.cholesky(r2)
         except np.linalg.LinAlgError:

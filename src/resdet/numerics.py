@@ -181,6 +181,27 @@ def inverse_regularized_lower_gamma(a: float, q: float) -> float:
     return x
 
 
+def _inverse_upper_gamma(a: float, rate: float, start: float) -> float:
+    """The x with Q(a, x) = 1 - P(a, x) = rate, by Newton on log Q from `start`.
+
+    log Q has slope -pdf / Q, and its steps stay well scaled far out in the
+    tail, where Newton on Q itself crawls.  `start` is a point well past
+    a + 1 where Q is at least about rate, and log Q is convex or concave in
+    x, so Newton moves right from it (overshooting the root at most once)
+    and Q comes from the continued fraction throughout.
+    The iteration stops on a step below 1e-12 of x: Newton's error after
+    it is about that step squared.
+    """
+    x, target = start, math.log(rate)
+    for _ in range(100):
+        q = _gamma_cont_fraction(a, x)
+        step = (math.log(q) - target) * q / _gamma_pdf(a, x)
+        x += step
+        if abs(step) <= 1e-12 * x:
+            break
+    return x
+
+
 def _check_square(mat: np.ndarray, name: str) -> np.ndarray:
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

@@ -10,10 +10,10 @@ and advances all Monte-Carlo runs of every lane in lockstep as one
 measures through its detector's scan when the lane is consumed
 (EnsembleResult.scanned, which also re-scans a trajectory for another
 detector).  `run_ensemble` is its one-lane case.  The attack comes from
-the plans alone: each attacked step hands them the z history, each plan's
-schedule (attacks.attack_energy) reads what it needs from its lane's rows,
-and the bias of every lane is formed at once (attacks._lane_biases, the
-per-step part of attacks.synthesize_attacks).
+the plans alone (_lane_attack): each attacked step hands them the z
+history, each plan's schedule (attacks.attack_energy) reads what it needs
+from its lane's rows, and the bias of every lane is formed at once
+(attacks._stealthy_bias).
 A one-run result is the trace of a single realization (row 0 of z, stat
 and alarm; mean_x is its state).  A trace comes from one of two places:
 row 0 of an ensemble already simulated (EnsembleResult.first_run, from run
@@ -168,7 +168,10 @@ def run_ensemble(scenario: Scenario) -> EnsembleResult:
     """Simulate the Monte-Carlo ensemble in lockstep: the one-lane run_ensembles.
 
     Run i consumes the (seed, i) substream, so results are bitwise
-    reproducible and independent of scheduling.
+    reproducible and independent of scheduling under one BLAS thread
+    count.  At the reactor's size (n = 4, p = 3) one and two OpenBLAS
+    threads give the same bits; at n = 100 the noise and advance's
+    products round differently under each.
     Detector statistics and alarms come from the detector's scan of the z
     matrix.  Each attacked step passes the z matrix so far to the plan's
     schedule.  The result records run 0's state at each step (x_first),
@@ -186,9 +189,8 @@ def run_ensembles(scenarios):
     state is one (n, lanes * mc_runs) block (model._simulate), each step
     copies its (., mc_runs) noise row into every lane's columns once, and
     each step is one advance call and one stealthy-bias evaluation for
-    every lane (attacks._lane_biases, the per-step part of
-    synthesize_attacks), each lane's psi coming from its own plan.  The
-    bias directions are formed once per call, and the bias and advance
+    every lane (_lane_attack), each lane's psi coming from its own plan.
+    The bias directions are formed once per call, and the bias and advance
     read one product C (x - xhat) per step.  The rows are drawn as the
     loop reaches them, in model._noise_pieces' pieces, and the draw is
     freed before the first scan.
@@ -230,19 +232,35 @@ def _simulated_lanes(lanes):
     plans = tuple(lane.plan for lane in lanes)
     rows = itertools.chain.from_iterable(model_mod._noise_pieces(model, runs, head.seed, head.steps))
     # formed once, after the draw's first buffer, which is the allocation that can fail
-    directions = attacks_mod._lane_directions(plans, runs) if head.attacked else None
-
-    def attack(k, c_err, eta, z_past):
-        if k >= head.k_star:
-            return attacks_mod._lane_biases(plans, directions, model, k, c_err, eta, z_past)
-        return None
-
+    attack = _lane_attack(model, plans, runs, head.k_star) if head.attacked else None
     z, _, (sum_x, first) = model_mod._simulate(
-        model, rows, head.steps, runs, attack if head.attacked else None, lanes=len(lanes), record=True,
+        model, rows, head.steps, runs, attack, lanes=len(lanes), record=True,
     )
     del rows  # the draw is freed before the first scan
     for l, lane in enumerate(lanes):
         yield EnsembleResult.scanned(lane, sum_x[l] / runs, z[l * runs:(l + 1) * runs], first[l])
+
+
+def _lane_attack(model: ClosedLoopModel, plans, runs: int, k_star: int):
+    """The lanes loop's `attack(k, c_err, eta, z_past)`: one plan per lane of `runs` columns.
+
+    Lane l owns columns l * runs .. (l + 1) * runs - 1 and the same rows
+    of z_past.  From k_star on, each lane's psi is its plan's direction
+    times the square root of its schedule's energy on the lane's rows, and
+    delta is formed once for every column (attacks._stealthy_bias).
+    """
+    directions = np.repeat(np.stack([plan.direction for plan in plans], axis=1), runs, axis=1)
+    root = np.empty((len(plans), runs))  # psi'psi of each lane's runs, then its square root
+
+    def attack(k, c_err, eta, z_past):
+        if k < k_star:
+            return None
+        for l, plan in enumerate(plans):
+            root[l] = attacks_mod.attack_energy(plan, k, z_past[l * runs:(l + 1) * runs])
+        psi = directions * np.sqrt(root, out=root).reshape(-1)
+        return attacks_mod._stealthy_bias(model, psi, c_err, eta)
+
+    return attack
 
 
 def run(scenario: Scenario) -> EnsembleResult:

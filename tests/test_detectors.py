@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from resdet import detectors as det
 from resdet import numerics
@@ -142,6 +142,16 @@ def test_tune_chi2_is_the_windowed_threshold_at_ell_one():
             assert alpha == tune_windowed(p, 1, a_star)
             # the quantile of chi-squared(p), bit for bit
             assert alpha == 2.0 * numerics.inverse_regularized_lower_gamma(p / 2.0, 1.0 - a_star)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 10])
+def test_tiny_rates_match_the_chi2_upper_tail(p):
+    # below 1e-6 the quantile is solved on the upper tail, where the lower
+    # tail's absolute stop gave 64.877 for p = 3 at 1e-14 (68.27299 exact)
+    for ell in (1, 4, 50, 1000, 100_000):
+        for a_star in (9.99e-7, 1e-8, 1e-9, 1e-12, 1e-14, 1e-16, 2e-16):
+            expected = stats.chi2.isf(a_star, p * ell)
+            assert tune_windowed(p, ell, a_star) == pytest.approx(expected, rel=1e-12), (ell, a_star)
 
 
 def test_tune_monotonicity():

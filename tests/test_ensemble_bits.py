@@ -191,6 +191,26 @@ def test_reactor_outputs_are_golden_without_assertions(tmp_path, child_env):
     assert {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()} == REACTOR_SHA256
 
 
+def test_the_reactor_and_arl_bytes_do_not_depend_on_the_blas_threads(tmp_path, child_env):
+    # at the reactor's size (n = 4, p = 3) no product rounds by thread count;
+    # at n = 100 some do, so there the seed fixes the bits per thread count only
+    arl_stdout = []
+    for threads in ("1", "2"):
+        env = {**child_env, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+
+        def resdet(*argv):
+            proc = subprocess.run([sys.executable, "-m", "resdet.cli", *argv], capture_output=True,
+                                  timeout=300, env=env)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        out_dir = tmp_path / f"threads-{threads}"
+        resdet("reactor", "--out-dir", str(out_dir), "--seed", "0")
+        assert {p.name: sha256(p.read_bytes()) for p in out_dir.iterdir()} == REACTOR_SHA256, threads
+        arl_stdout.append(resdet("arl", "--scenario", str(scenario_path()), "--runs", "200"))
+    assert arl_stdout[0] and arl_stdout[1] == arl_stdout[0]
+
+
 def write_simulate_scenario(tmp_path, name) -> str:
     base, overrides = SIMULATE_SCENARIOS[name]
     doc = dict(base or json.loads(scenario_path().read_text(encoding="utf-8")), **overrides)

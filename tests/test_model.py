@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla, stats
 
-from resdet import attacks
 from resdet import model as mdl
 from resdet import numerics
 from resdet import reactor as rx
@@ -263,14 +262,14 @@ def test_each_lane_is_held_to_its_own_error_bound(reactor_fixed):
         advance(bad, x[:, :runs], xhat[:, :runs], v[:, :runs], eta[:, :runs])
 
 
-# advance and synthesize_attacks on columns that do not split into lanes, or
-# with noise that is not full width (one lane wide, one column, or neither),
-# for two lanes and for one; then on one run's vectors; prints each call's
-# ValueError message, or "ok" and the result's shape
+# advance on columns that do not split into lanes, or with noise that is not
+# full width (one lane wide, one column, or neither), for two lanes and for
+# one, and synthesize_attack on the one-lane cases; then both on one run's
+# vectors; prints each call's ValueError message, or "ok" and the result's shape
 LANE_PROBE = """
 import numpy as np
 from resdet import reactor as rx
-from resdet.attacks import plan_attack, synthesize_attacks
+from resdet.attacks import plan_attack, synthesize_attack
 from resdet.detectors import ChiSqDetector, tune_chi2
 from resdet.model import advance
 
@@ -289,21 +288,20 @@ for cols, lanes, width in ((7, 2, 7), (7, 0, 7), (7, -1, 7), (6, 2, 4), (6, 2, 3
     x, xhat = rng.normal(size=(4, cols)), rng.normal(size=(4, cols))
     v, eta = rng.normal(size=(4, width)), rng.normal(size=(3, width))
     probe(lambda: advance(loop, x, xhat, v, eta, lanes=lanes))
-    probe(lambda: [synthesize_attacks([plan] * max(lanes, 0), loop, 1, x - xhat, eta)])
+    if lanes == 1:
+        probe(lambda: [synthesize_attack(plan, loop, 1, x - xhat, eta)])
 x, xhat, v, eta = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4), rng.normal(size=3)
 probe(lambda: advance(loop, x, xhat, v, eta))
-probe(lambda: [synthesize_attacks([plan], loop, 1, x - xhat, eta)])
+probe(lambda: [synthesize_attack(plan, loop, 1, x - xhat, eta)])
 """
 LANE_PROBE_OUT = [
-    *["lanes = 2 does not split the 7 columns into equal lanes"] * 2,
-    *["lanes = 0 does not split the 7 columns into equal lanes"] * 2,
+    "lanes = 2 does not split the 7 columns into equal lanes",
+    "lanes = 0 does not split the 7 columns into equal lanes",
     "lanes = -1 does not split the 7 columns into equal lanes",
-    "lanes = 0 does not split the 7 columns into equal lanes",  # no plan
-    *[f"noise of width {width} is not as wide as the 6 columns of lanes = 2" for width in (4, 3, 1)
-      for _ in range(2)],
+    *[f"noise of width {width} is not as wide as the 6 columns of lanes = 2" for width in (4, 3, 1)],
     *[f"noise of width {width} is not as wide as the 6 columns of lanes = 1" for width in (1, 3)
       for _ in range(2)],
-    "ok (4, 0)", "ok (3, 0)", "ok (4, 0)", "ok (3, 0)",  # empty batches
+    "ok (4, 0)", "ok (4, 0)", "ok (3, 0)",  # empty batches
     "ok (4,)", "ok (3,)",  # one run's vectors
 ]
 
@@ -883,11 +881,7 @@ def _buffered_bits_that_differ(model, runs=3, steps=150, seed=4):
     lanes = 2
     detector = ChiSqDetector(tune_chi2(model.p, 0.05))
     plans = [plan_attack(model, detector, k_star=21, direction=d) for d in ("ones", "worst")]
-    directions = attacks._lane_directions(plans, runs)
-
-    def attack(k, c_err, eta, z_past):
-        return attacks._lane_biases(plans, directions, model, k, c_err, eta, z_past) if k >= 21 else None
-
+    attack = sim._lane_attack(model, plans, runs, 21)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mdl, "_PIECE_BYTES", BUDGETS["tile"])
         rows = itertools.chain.from_iterable(mdl._noise_pieces(model, runs, seed, steps))
