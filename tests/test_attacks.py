@@ -30,6 +30,8 @@ from resdet.detectors import (
 )
 from resdet.reactor import reactor_loop
 
+import reference
+
 ALPHA = 7.814727903251175
 BETA4 = 21.026069817483055
 BETA50 = 179.5806341541804
@@ -56,10 +58,11 @@ def drive_attacked(model, detector, plan, steps, seed=0):
 
     The attack reads the z history; at every step whose energy depends on
     the detector state, that energy must match the one computed from the
-    live state machine.  Returns (z, stat, alarm) arrays indexed by step-1;
-    stat is the detector's post-update statistic (z itself for the static
-    detector).
+    live state machine, the detector's oracle from tests/reference.py.
+    Returns (z, stat, alarm) arrays indexed by step-1; stat is the
+    detector's post-update statistic (z itself for the static detector).
     """
+    detector = reference.oracle(detector)
     v_rows, eta_rows = model.noise(seed).blocks(steps)
     x = np.zeros(model.n)
     xhat = np.zeros(model.n)
@@ -77,12 +80,8 @@ def drive_attacked(model, detector, plan, steps, seed=0):
             delta = synthesize_attack(plan, model, k, x - xhat, eta, z_past)
         x, xhat, _, z = mdl.advance(model, x, xhat, v, eta, delta)
         alarm[k - 1] = detector.update(z) is not None
-        if isinstance(detector, CusumDetector):
-            stat[k - 1] = detector.s
-        elif isinstance(detector, WindowedChiSqDetector):
-            stat[k - 1] = detector.w
-        else:
-            stat[k - 1] = z
+        live = reference.live_statistic(detector)
+        stat[k - 1] = z if live is None else live
         z_out[k - 1] = z
     return z_out, stat, alarm
 

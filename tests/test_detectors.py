@@ -1,4 +1,8 @@
-"""Detector state machines, analytic tuning, Monte-Carlo tuning, ARL."""
+"""Detector updates and scans, analytic tuning, Monte-Carlo tuning, ARL.
+
+The per-sample state machines of tests/reference.py are the oracles the
+scans and the library's `update` are held to.
+"""
 
 import math
 import tracemalloc
@@ -24,39 +28,67 @@ from resdet.detectors import (
     tune_windowed,
 )
 
+import reference
+
 
 # ------------------------------------------------------------- update machines
 
+# each update test runs on the library's update (one column of scan) and
+# on the state machine
+IMPLEMENTATIONS = (det, reference)
+
+
+def run(d, samples):
+    """Feed samples to d.update; return the events and the statistic after each step.
+
+    An oracle's statistic is its live state (S or the window sum); the
+    library keeps none, so its statistics are those of scan of the same
+    samples, which reads no update state.
+    """
+    events, live = [], []
+    for z in samples:
+        events.append(d.update(float(z)))
+        live.append(reference.live_statistic(d))
+    if None in live:  # the library's detector
+        return events, d.scan(np.array([samples], dtype=float))[0][0].tolist()
+    return events, live
+
+
 def test_chi2_strict_threshold_tie_is_quiet():
-    d = ChiSqDetector(alpha=5.0)
-    assert d.update(5.0) is None
-    event = d.update(5.0 + 1e-9)
-    assert event is not None
-    assert event.k_star == 2
-    assert event.statistic > d.alpha
+    for impl in IMPLEMENTATIONS:
+        d = impl.ChiSqDetector(alpha=5.0)
+        assert d.update(5.0) is None
+        event = d.update(5.0 + 1e-9)
+        assert event is not None
+        assert event.k_star == 2
+        assert event.statistic > d.alpha
 
 
 def test_windowed_warm_up_suppresses_alarms():
-    d = WindowedChiSqDetector(beta=10.0, ell=4)
-    for _ in range(3):
-        assert d.update(1e6) is None  # window not yet full
-    assert d.update(1e6) is not None  # k = ell
+    for impl in IMPLEMENTATIONS:
+        d = impl.WindowedChiSqDetector(beta=10.0, ell=4)
+        for _ in range(3):
+            assert d.update(1e6) is None  # window not yet full
+        assert d.update(1e6) is not None  # k = ell
 
 
 def test_windowed_saturation_boundary_never_alarms():
-    beta, ell = 21.0, 4
-    d = WindowedChiSqDetector(beta, ell)
-    for _ in range(100):
-        assert d.update(beta / ell) is None  # dyadic: w == beta exactly
-    assert d.w == pytest.approx(beta, abs=0.0)
+    for impl in IMPLEMENTATIONS:
+        beta, ell = 21.0, 4
+        d = impl.WindowedChiSqDetector(beta, ell)
+        events, w = run(d, [beta / ell] * 100)
+        for event in events:
+            assert event is None  # dyadic: w == beta exactly
+        assert w[-1] == pytest.approx(beta, abs=0.0)
 
 
 def test_windowed_rejects_bad_window():
-    with pytest.raises(ValueError, match="window must be >= 1"):
-        WindowedChiSqDetector(1.0, 0)
-    with pytest.raises(ValueError, match="window is too large to convert to a float"):
-        WindowedChiSqDetector(1.0, 10**400)
-    assert WindowedChiSqDetector(1.0, 10**300).update(1.0) is None  # longer than any deque
+    for impl in IMPLEMENTATIONS:
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            impl.WindowedChiSqDetector(1.0, 0)
+        with pytest.raises(ValueError, match="window is too large to convert to a float"):
+            impl.WindowedChiSqDetector(1.0, 10**400)
+        assert impl.WindowedChiSqDetector(1.0, 10**300).update(1.0) is None  # longer than any deque
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -73,44 +105,91 @@ def test_thresholds_must_be_finite(make, message, value):
 
 
 def test_windowed_running_sum_integrity_long_fuzz():
+    # the oracle's running sum, refreshed every 1,024 steps, stays on the
+    # exact sum of its window
     rng = np.random.default_rng(31)
-    d = WindowedChiSqDetector(beta=1e9, ell=1000)
+    d = reference.WindowedChiSqDetector(beta=1e9, ell=1000)
     for z in rng.chisquare(3, size=1_000_000):
         d.update(z)
     assert abs(d.w - math.fsum(d.window)) <= 1e-6
 
 
 def test_cusum_bias_equal_stream_stays_flat():
-    d = CusumDetector(tau=2.0, b=3.0)
-    for _ in range(50):
-        assert d.update(3.0) is None
-    assert d.s == 0.0
+    for impl in IMPLEMENTATIONS:
+        d = impl.CusumDetector(tau=2.0, b=3.0)
+        events, s = run(d, [3.0] * 50)
+        for event in events:
+            assert event is None
+        assert s[-1] == 0.0
 
 
 def test_cusum_tie_at_threshold_is_quiet_then_burst_alarms():
-    # hitting tau exactly never alarms (strict inequality)
-    d = CusumDetector(tau=2.0, b=3.0)
-    assert d.update(d.tau + d.b) is None
-    assert d.s == pytest.approx(2.0, abs=0.0)
-    assert d.update(3.0) is None  # S stays at tau, still no alarm
-    # a strict exceedance alarms on the next update with k* = k - 1
-    d = CusumDetector(tau=2.0, b=3.0)
-    assert d.update(d.tau + d.b + 1e-6) is None  # S = tau + 1e-6 > tau
-    event = d.update(3.0)
-    assert event is not None
-    assert event.k_star == 1
-    assert d.s == 0.0  # reset, sample consumed
+    for impl in IMPLEMENTATIONS:
+        # hitting tau exactly never alarms (strict inequality)
+        d = impl.CusumDetector(tau=2.0, b=3.0)
+        events, s = run(d, [d.tau + d.b, 3.0])
+        assert events[0] is None
+        assert s[0] == pytest.approx(2.0, abs=0.0)
+        assert events[1] is None  # S stays at tau, still no alarm
+        # a strict exceedance alarms on the next update with k* = k - 1
+        d = impl.CusumDetector(tau=2.0, b=3.0)
+        events, s = run(d, [d.tau + d.b + 1e-6, 3.0])
+        assert events[0] is None  # S = tau + 1e-6 > tau
+        event = events[1]
+        assert event is not None
+        assert event.k_star == 1
+        assert s[1] == 0.0  # reset, sample consumed
 
 
 def test_cusum_bounded_and_never_negative():
-    rng = np.random.default_rng(32)
-    d = CusumDetector(tau=4.0, b=1.0)
-    s_prev = 0.0
-    for z in rng.chisquare(1, size=20_000):
-        d.update(float(z))
-        assert d.s >= 0.0
-        assert d.s <= max(d.tau, s_prev + z - d.b) + 1e-12
-        s_prev = d.s
+    for impl in IMPLEMENTATIONS:
+        rng = np.random.default_rng(32)
+        d = impl.CusumDetector(tau=4.0, b=1.0)
+        zs = rng.chisquare(1, size=20_000)
+        _, s = run(d, zs)
+        s_prev = 0.0
+        for z, s_k in zip(zs, s):
+            assert s_k >= 0.0
+            assert s_k <= max(d.tau, s_prev + z - d.b) + 1e-12
+            s_prev = s_k
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ChiSqDetector(tune_chi2(3, 0.05)),
+    lambda: WindowedChiSqDetector(tune_windowed(3, 1, 0.05), 1),
+    lambda: WindowedChiSqDetector(tune_windowed(3, 7, 0.05), 7),
+    lambda: WindowedChiSqDetector(tune_windowed(3, 400, 0.05), 400),  # longer than the stream
+    lambda: CusumDetector(1.5, 3.0),
+], ids=["chi2", "windowed1", "windowed7", "windowed400", "cusum"])
+def test_update_is_one_column_of_scan(make):
+    rng = np.random.default_rng(37)
+    z = rng.chisquare(3, size=(1, 300))
+    z[0, -1] = 50.0  # the CUSUM's S exceeds tau on the last sample
+    d = make()
+    events = [d.update(float(value)) for value in z[0]]
+    stat, alarm, _ = d.scan(z)
+    fresh_stat, fresh_alarm, _ = make().scan(z)
+    # scan reads no update state
+    assert np.array_equal(stat, fresh_stat) and np.array_equal(alarm, fresh_alarm)
+    fired = [k for k, event in enumerate(events, start=1) if event is not None]
+    assert fired == (np.flatnonzero(alarm[0]) + 1).tolist()
+    assert (fired == []) == (d.params.get("ell") == 400)  # a window longer than the stream never fills
+    if d.kind == "cusum":
+        # the exceedance on the last sample alarms on the next update
+        assert stat[0, -1] > d.tau
+        events.append(d.update(0.0))
+        blamed = (np.flatnonzero(d.exceedance(stat, alarm)[0]) + 1).tolist()
+    else:
+        blamed = fired
+    events = [event for event in events if event is not None]
+    assert [event.k_star for event in events] == blamed
+    for event in events:
+        assert event.kind == d.kind
+        want = stat[0, event.k_star - 1]
+        if d.kind == "windowed":
+            assert event.statistic == pytest.approx(want, rel=1e-12, abs=0.0)
+        else:
+            assert event.statistic == want
 
 
 # ------------------------------------------------------------ analytic tuning
@@ -276,16 +355,13 @@ def test_scans_match_sequential_classes():
     for proto in detectors:
         stat_scan, alarm_scan, _ = proto.scan(z)
         for i in range(z.shape[0]):
-            d = type(proto)(**proto.params)
+            d = reference.oracle(proto)
             for t in range(z.shape[1]):
                 event = d.update(float(z[i, t]))
                 got_alarm = event is not None
                 assert got_alarm == bool(alarm_scan[i, t]), (type(proto).__name__, i, t)
-                if isinstance(d, CusumDetector):
-                    live = d.s
-                elif isinstance(d, WindowedChiSqDetector):
-                    live = d.w
-                else:
+                live = reference.live_statistic(d)
+                if live is None:
                     live = float(z[i, t])
                 assert abs(live - stat_scan[i, t]) <= 1e-9 * (1.0 + abs(live))
 
