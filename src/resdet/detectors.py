@@ -30,6 +30,7 @@ block by block, through _scan_blocks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -265,9 +266,10 @@ def tune_cusum_tau(
     simulated (about `mc` samples, deterministic given `seed`) and the
     alarm frequency is evaluated on that fixed stream at each candidate
     tau until it is within `tol_rel` (relative) of `a_star`, counting its
-    alarms through _scan_blocks.  The returned tau is the first bisection
-    midpoint inside that band, not the root: on the benchmark loop at
-    b = 3 and 5% it is 7.5, while the root lies near 7.38.
+    alarms through _scan_blocks, once per distinct tau.  The returned tau
+    is the first bisection midpoint inside that band, not the root: on the
+    benchmark loop at b = 3 and 5% it is 7.5, while the root lies near
+    7.38.
 
     The calibrated rate counts alarms of the lagged recursion (see
     CusumDetector): each alarm update uses up one sample after the
@@ -312,6 +314,7 @@ def tune_cusum_tau(
     z = model_mod.simulate_distance_stream(model, steps=steps, runs=runs, seed=seed, burn_in=50)
     samples = z.size
 
+    @functools.cache  # bisection's first midpoint is bracketing's last passing hi
     def rate_at(tau: float) -> float:
         return sum(alarm.sum() for _, alarm in _scan_blocks(CusumDetector(tau, b), z)) / samples
 

@@ -37,8 +37,9 @@ the draw's size is free.  Every run's noise is drawn run by run on the
 calling thread (`_draw_blocks`): a fixed-length stream's steps in one
 piece, and every other stream's by one generator (`_noise_pieces`),
 each piece over the last in one buffer, in the consumer's size rule: an
-ensemble pieces of at most _PIECE_BYTES, and the ARL stream pieces that
-double from _TILE rows up to _PIECE_BYTES.  A piece is a time-major (rows, runs,
+ensemble pieces of at most _PIECE_BYTES (4 MiB, 320 steps of the study's
+200 runs) or one tile when that is larger, and the ARL stream pieces that
+double from _TILE rows up to that size.  A piece is a time-major (rows, runs,
 n + p) array whose last axis holds v, then eta, and the loop reads it
 row by row, so each step copies its noise once, into every lane's
 columns of one buffer, and z is written one (lanes * runs) row per step;
@@ -80,8 +81,11 @@ __all__ = [
 _TILE = 64
 
 # Bytes of noise drawn at once: an ensemble's pieces and the ARL stream's
-# largest.
-_PIECE_BYTES = 16 << 20
+# largest, never less than one tile.  4 MiB is the smallest budget at which
+# the per-call cost of a draw stays hidden at the study's 200 runs (320-step
+# pieces draw as fast as one piece; 2 MiB slows a censored 400-run ARL
+# estimate by about a quarter).
+_PIECE_BYTES = 4 << 20
 
 
 class _AttackFreeDraw(threading.local):
@@ -597,9 +601,10 @@ def _noise_pieces(model: ClosedLoopModel, runs: int, seed: int, steps: int | Non
     Each piece has `first` rows more than were drawn before it, at most
     _piece_rows (the default of `first`), and the pieces end after `steps`
     rows in all (at least one piece, maybe empty), or never when `steps`
-    is None.  So an ensemble's pieces have _piece_rows rows, and the ARL
-    stream's (`first` = _TILE) have 64, 128, 256, ... rows up to
-    _piece_rows; every piece but the last is whole tiles, as NoiseModel
+    is None.  So an ensemble's pieces have _piece_rows rows (320, 3.6 MB,
+    for the study's 200 runs of n + p = 7), and the ARL stream's (`first`
+    = _TILE) have 64, 128, 256, ... rows up to _piece_rows (128 for 400
+    such runs); every piece but the last is whole tiles, as NoiseModel
     requires.  Slab [:, i] is run i's (seed, i) substream (_draw_blocks),
     so the first slabs of a draw are a smaller ensemble's draw.
 

@@ -259,10 +259,11 @@ def test_a_failed_eta_draw_forgets_the_family(reactor_dare, monkeypatch):
 
 def test_an_arl_estimate_holds_only_the_pieces_it_reads(reactor_dare):
     # the first estimate reads about 200 steps of 400 runs and draws pieces
-    # of 64, 128 and 256 steps ahead of them, 10 MB of noise; the censored
-    # one reads all 5,050 steps, in pieces that grow to _piece_rows (704
-    # steps, 15.8 MB) and then are drawn over one another in one buffer,
+    # of 64, 128 and 128 steps ahead of them, 7.2 MB of noise; the censored
+    # one reads all 5,050 steps, in pieces that grow to _piece_rows (128
+    # steps, 2.9 MB) and then are drawn over one another in one buffer,
     # which the stream holds alone, also where a block straddles two pieces
+    assert model_mod._piece_rows(400, reactor_dare.n + reactor_dare.p) == 128
     def first():
         return estimate_arl(reactor_dare, ChiSqDetector(tune_chi2(3, 0.05)), runs=400, seed=2)
 
@@ -277,7 +278,7 @@ def test_an_arl_estimate_holds_only_the_pieces_it_reads(reactor_dare):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6, (estimate.__name__, peak)
+        assert peak < 6e6, (estimate.__name__, peak)
     assert result.censored == 400
 
 

@@ -297,6 +297,27 @@ def test_tune_cusum_deterministic_and_calibrated(reactor_dare):
     assert abs(info["rate"] - 0.05) <= 0.05 * 0.05
 
 
+def test_tune_cusum_scans_each_tau_once(reactor_dare, monkeypatch):
+    # bracketing passes at 3 and 6 and fails at 12, so bisection's first
+    # midpoint is 6 again; its rate is kept rather than scanned twice
+    taus = []
+    scan_blocks = det._scan_blocks
+
+    def recording_scan_blocks(detector, z):
+        taus.append(detector.tau)
+        return scan_blocks(detector, z)
+
+    monkeypatch.setattr(det, "_scan_blocks", recording_scan_blocks)
+    tau, info = tune_cusum_tau(reactor_dare, b=3.0, a_star=0.05, mc=100_000, seed=5, full_output=True)
+    assert taus == [0.0, 3.0, 6.0, 12.0, 9.0, 7.5]
+    assert len(set(taus)) == len(taus)
+    assert tau == 7.5 and info["bracket"] == (6.0, 9.0) and info["iterations"] == 3
+    # a second call scans its own stream again: the rates are kept per call
+    taus.clear()
+    assert tune_cusum_tau(reactor_dare, b=3.0, a_star=0.05, mc=100_000, seed=5) == tau
+    assert taus == [0.0, 3.0, 6.0, 12.0, 9.0, 7.5]
+
+
 def test_the_tuner_and_the_rate_hold_one_block_of_statistics(reactor_dare):
     # on a stream already simulated, the tuner and the rate count alarms
     # block by block: (64, 100) statistics and alarms, about 58 KB, and the

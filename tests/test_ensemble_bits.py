@@ -20,6 +20,7 @@ import json
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,15 +282,16 @@ def test_the_study_solves_its_deviation_map_once(m_solves):
 
 
 def test_the_study_simulates_each_distinct_trajectory_once(monkeypatch):
-    # one 200-run draw; one simulation whose lanes are the worst-case attacks
-    # and the all-ones attack, which no detector changes; each trace is row 0
-    # of its lane
+    # one 200-run draw, in pieces of all 200 runs whose rows add up to the
+    # 1,000 steps, so no row is drawn twice; one simulation whose lanes are
+    # the worst-case attacks and the all-ones attack, which no detector
+    # changes; each trace is row 0 of its lane
     draws, lanes, simulations = [], [], []
     draw_blocks, run_ensembles, simulate = model_mod._draw_blocks, sim.run_ensembles, model_mod._simulate
 
-    def recording_draw(sources, *args):
-        draws.append(len(sources))
-        return draw_blocks(sources, *args)
+    def recording_draw(sources, buf):
+        draws.append((id(sources), len(sources), buf.shape[0], buf.shape[1]))
+        return draw_blocks(sources, buf)
 
     def recording_lanes(scenarios):
         scenarios = list(scenarios)
@@ -309,7 +311,9 @@ def test_the_study_simulates_each_distinct_trajectory_once(monkeypatch):
     monkeypatch.setattr(sim, "run_ensembles", recording_lanes)
     monkeypatch.setattr(sim, "run_ensemble", no_run_ensemble)
     result = run_benchmark(seed=0)
-    assert draws == [200]
+    assert len({source for source, _, _, _ in draws}) == 1
+    assert all(runs == width == 200 for _, runs, _, width in draws)
+    assert sum(rows for _, _, rows, _ in draws) == 1000
     assert simulations == [5]
     worst = [(kind, ell, True, 200)
              for kind, ell in (("chi2", None), ("windowed", 4), ("windowed", 50), ("cusum", None))]
@@ -319,6 +323,20 @@ def test_the_study_simulates_each_distinct_trajectory_once(monkeypatch):
     ones = [trace for key, trace in result["traces"].items() if key.endswith("_ones")]
     assert len(ones) == 4 and len({id(trace.mean_x) for trace in ones}) == 1
     assert all(np.array_equal(trace.z, ones[0].z) for trace in ones)
+
+
+def test_the_study_holds_one_piece_of_noise_besides_its_z():
+    # the study's z, five lanes of 200 runs x 1,000 steps, is 8 MB; its noise
+    # is drawn in 320-step pieces of 3.6 MB (one 1,000-step piece, 11.2 MB,
+    # would raise the traced peak to 20.2 MB)
+    tracemalloc.start()
+    try:
+        run_benchmark(seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model_mod._piece_rows(200, 7) == 320
+    assert peak < 15e6, peak
 
 
 def test_the_study_takes_its_geometry_from_the_bundled_scenario(tmp_path, monkeypatch):
